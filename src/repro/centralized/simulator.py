@@ -554,16 +554,23 @@ class CentralizedSimulator:
         if evict is not None:
             self._evict_machine(evict)
 
-    def _kill_machine_copies(self, machine_id: int) -> int:
-        """Kill every copy running on ``machine_id`` and requeue
-        originals whose last copy died. Shared by blacklist eviction and
-        autoscaler removal; returns the victim count."""
-        victims: List[tuple] = []
+    def _machine_victims(self, machine_ids) -> Dict[int, List[tuple]]:
+        """``(copy, runtime)`` pairs running on each of ``machine_ids``,
+        bucketed by machine in one walk over every live copy. Each
+        bucket keeps the walk's order — the order a scan for that one
+        machine would produce (kills never reorder surviving copies)."""
+        buckets: Dict[int, List[tuple]] = {m: [] for m in machine_ids}
+        get = buckets.get
         for jr in self._jobs.values():
             for copies in jr.view.copies_by_task.values():
                 for c in copies:
-                    if c.machine_id == machine_id:
-                        victims.append((c, jr))
+                    bucket = get(c.machine_id)
+                    if bucket is not None:
+                        bucket.append((c, jr))
+        return buckets
+
+    def _kill_victims(self, victims: List[tuple]) -> None:
+        """Kill ``victims`` and requeue tasks whose last copy died."""
         orphaned: List[tuple] = []
         for c, jr in victims:
             self._kill_copy(c, jr)
@@ -574,6 +581,13 @@ class CentralizedSimulator:
             # a live copy elsewhere still carries the task.
             if jr.view.num_live_copies(task) == 0 and jr.requeue(task):
                 task.state = TaskState.PENDING
+
+    def _kill_machine_copies(self, machine_id: int) -> int:
+        """Kill every copy running on ``machine_id`` and requeue tasks
+        whose last copy died (blacklist eviction); returns the victim
+        count."""
+        victims = self._machine_victims((machine_id,))[machine_id]
+        self._kill_victims(victims)
         return len(victims)
 
     def _evict_machine(self, machine_id: int) -> None:
@@ -636,28 +650,27 @@ class CentralizedSimulator:
     def _autoscale_remove(self, count: int) -> int:
         """REMOVE_MACHINE: retire up to ``count`` machines (highest live
         ids first), reusing the eviction kill→requeue path for their
-        running copies. Clamped so at least ``min_machines`` stay live."""
+        running copies. Clamped so at least ``min_machines`` stay live.
+        One walk over the live copies finds every retiring machine's
+        victims."""
         cluster = self.cluster
-        floor = max(1, self._autoscaler.min_machines)
-        count = min(count, cluster.live_machine_count() - floor)
-        if count <= 0:
+        machine_ids = cluster.machines_to_retire(
+            count, self._autoscaler.min_machines
+        )
+        if not machine_ids:
             return 0
-        removed = 0
-        for machine in reversed(cluster.machines):
-            if removed >= count:
-                break
-            if machine.retired or machine.blacklisted:
-                continue
+        victims = self._machine_victims(machine_ids)
+        for machine_id in machine_ids:
             # Retire first (the machine leaves the index and the totals
             # in O(log machines)), then kill its copies: each kill's
             # release_slot refreshes a bit that stays 0 for a retired
-            # machine, so no new work lands on it mid-teardown.
-            cluster.remove_machine(machine.machine_id)
-            self._kill_machine_copies(machine.machine_id)
-            removed += 1
+            # machine, so no new work lands on it mid-teardown. Requeue
+            # stays per machine, as in eviction.
+            cluster.remove_machine(machine_id)
+            self._kill_victims(victims[machine_id])
         self._resize_slot_pool()
         self._request_dispatch()
-        return removed
+        return len(machine_ids)
 
     def _resize_slot_pool(self) -> None:
         """Eviction/reinstatement changed the usable slot count; refresh

@@ -1,15 +1,16 @@
 """The cluster: a collection of machines with aggregate slot accounting.
 
-Aggregate capacity (``total_slots``) and the set of machines with a free
-slot are maintained *incrementally* — slot acquire/release updates an
-O(log machines) :class:`~repro.cluster.index.ClusterIndex` instead of
-every reader rescanning the machine list. Blacklist application and
-reset are the only wholesale recomputations.
+Aggregate capacity (``total_slots``), the live machine count and the set
+of machines with a free slot are maintained *incrementally* — slot
+acquire/release updates an O(log machines)
+:class:`~repro.cluster.index.ClusterIndex` instead of every reader
+rescanning the machine list. Blacklist application and reset are the
+only wholesale recomputations.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Optional, Tuple
 
 from repro.cluster.blacklist import Blacklist
 from repro.cluster.index import ClusterIndex
@@ -18,6 +19,16 @@ from repro.cluster.machine import Machine
 
 class Cluster:
     """A set of machines; tracks aggregate free/busy slots.
+
+    Elastic membership is priced per machine changed, not per machine
+    held: ``add_machine``/``remove_machine`` move ``total_slots``, the
+    O(1) live machine count and the Fenwick index in O(log machines),
+    and ``machines_to_retire`` walks down only from the top of the
+    fleet, so a resize of Δ machines costs O(Δ·log machines) here
+    (plus any machines a shrink finds already retired above its
+    victims). The planes add one O(live copies) victim pass per
+    centralized shrink and an O(Δ) decentralized probe-pool update (see
+    :mod:`repro.cluster.elastic`).
 
     Parameters
     ----------
@@ -56,16 +67,18 @@ class Cluster:
         self._machines_per_rack = machines_per_rack
         self.blacklist = Blacklist()
         self._busy_count = 0
-        self._total_slots = self._scan_total_slots()
+        self._total_slots, self._live_machines = self._scan_live()
         #: Incremental free-slot index (see repro.cluster.index).
         self.index = ClusterIndex(self.machines)
 
-    def _scan_total_slots(self) -> int:
-        return sum(
-            m.num_slots
-            for m in self.machines
-            if not m.blacklisted and not m.retired
-        )
+    def _scan_live(self) -> Tuple[int, int]:
+        """``(total_slots, live machines)`` in one pass over the fleet."""
+        slots = live = 0
+        for m in self.machines:
+            if not m.blacklisted and not m.retired:
+                slots += m.num_slots
+                live += 1
+        return slots, live
 
     @property
     def num_machines(self) -> int:
@@ -124,6 +137,7 @@ class Cluster:
         machine = Machine(machine_id=machine_id, num_slots=num_slots, rack=rack)
         self.machines.append(machine)
         self._total_slots += num_slots
+        self._live_machines += 1
         self.index.append_machine(machine)
         return machine
 
@@ -141,13 +155,33 @@ class Cluster:
         machine.retired = True
         if not machine.blacklisted:
             self._total_slots -= machine.num_slots
+            self._live_machines -= 1
         self.index.set_machine(machine_id, False)
 
     def live_machine_count(self) -> int:
-        """Machines contributing capacity (not retired, not blacklisted)."""
-        return sum(
-            1 for m in self.machines if not m.retired and not m.blacklisted
-        )
+        """Machines contributing capacity (not retired, not blacklisted),
+        O(1): kept beside ``total_slots``."""
+        return self._live_machines
+
+    def machines_to_retire(self, count: int, min_machines: int = 1) -> List[int]:
+        """The ids an elastic shrink of ``count`` machines retires: the
+        highest live ids, descending, clamped so at least
+        ``max(1, min_machines)`` machines stay live.
+
+        The walk down from the highest id visits the chosen machines
+        plus any retired or blacklisted ones above them — O(count) when
+        growth has re-filled the top since the last shrink.
+        """
+        count = min(count, self._live_machines - max(1, min_machines))
+        machines = self.machines
+        chosen: List[int] = []
+        machine_id = len(machines)
+        while len(chosen) < count:
+            machine_id -= 1
+            machine = machines[machine_id]
+            if not machine.retired and not machine.blacklisted:
+                chosen.append(machine_id)
+        return chosen
 
     def machines_with_free_slots(self) -> List[Machine]:
         return [m for m in self.machines if m.has_free_slot]
@@ -161,12 +195,12 @@ class Cluster:
         blacklist problematic machines and avoid scheduling on them)."""
         for machine in self.machines:
             machine.blacklisted = self.blacklist.is_blacklisted(machine.machine_id)
-        self._total_slots = self._scan_total_slots()
+        self._total_slots, self._live_machines = self._scan_live()
         self.index.rebuild(self.machines)
 
     def reset(self) -> None:
         for machine in self.machines:
             machine.reset()
         self._busy_count = 0
-        self._total_slots = self._scan_total_slots()
+        self._total_slots, self._live_machines = self._scan_live()
         self.index.rebuild(self.machines)

@@ -17,13 +17,23 @@ Policies (registered in ``repro.registry`` under ``AUTOSCALER_POLICIES``):
   cadence: grow ``step`` machines above ``upper``, shrink below
   ``lower``.
 
-The planes apply resizes incrementally: ``Cluster.add_machine`` /
-``remove_machine`` delta-update ``_total_slots`` and the Fenwick
-:class:`~repro.cluster.index.ClusterIndex` in O(log machines) — no
-wholesale rebuild on the resize path — and the
-:class:`~repro.core.incremental.IncrementalAllocator` floors memo
-invalidates through its existing ``(membership_version, total_slots)``
-key with no new hooks.
+The planes apply a resize of Δ machines incrementally, with no
+wholesale rebuild or rescan on the resize path:
+
+* membership is O(Δ·log machines): ``Cluster.machines_to_retire`` picks
+  a shrink's victims walking down from the highest id (past any
+  machines an earlier shrink retired there), and ``add_machine`` /
+  ``remove_machine`` delta-update ``_total_slots``, the O(1) live
+  machine count and the Fenwick
+  :class:`~repro.cluster.index.ClusterIndex`;
+* a centralized shrink makes one O(live copies) pass that buckets the
+  running copies of every retiring machine, then kills and requeues
+  per machine;
+* the decentralized probe pool is extended or truncated in O(Δ) — it is
+  the ascending list of live workers, and a shrink retires its tail;
+* the :class:`~repro.core.incremental.IncrementalAllocator` floors memo
+  invalidates through its existing ``(membership_version, total_slots)``
+  key with no new hooks.
 """
 
 from __future__ import annotations
@@ -252,10 +262,11 @@ class ElasticController:
         if obs is not None:
             obs.counters.inc(f"elastic.{kind}_events")
             obs.counters.inc(counter, applied)
-            obs.tracer.instant(
-                "elastic",
-                kind,
-                self.engine.now,
-                machines=applied,
-                total_slots=self._total_slots(),
-            )
+            if obs.tracer is not None:
+                obs.tracer.instant(
+                    "elastic",
+                    kind,
+                    self.engine.now,
+                    machines=applied,
+                    total_slots=self._total_slots(),
+                )

@@ -140,9 +140,10 @@ class DecentralizedSimulator:
         self._open_batch_time = 0.0
         self._open_batch_seq = -1
         self._metrics_result = self.metrics.result
-        # Blacklisting: with no policy the sample pool IS the worker
-        # list (same object — identical entropy consumption) and no
-        # mirror cluster exists; the hot paths pay one None check.
+        # Blacklisting: until the first eviction or shrink the sample
+        # pool IS the worker list (same object — identical entropy
+        # consumption); with no policy and no autoscaler no mirror
+        # cluster exists and the hot paths pay one None check.
         self.blacklist_policy = blacklist_policy
         self._slots_per_worker = slots_per_worker
         self._sample_pool: List[Worker] = self.workers
@@ -540,18 +541,30 @@ class DecentralizedSimulator:
 
     # -- elastic membership (autoscaler resizes) ------------------------------
 
-    def _refresh_membership(self) -> None:
+    def _refresh_membership(self, delta: int) -> None:
         """Incremental counterpart of :meth:`_rebuild_cluster_state` for
-        autoscaler resizes: the mirror cluster's index is already
-        delta-updated, so only the derived state (probe sample pool,
-        live capacity, ε-fair floors) is rebuilt — no ``apply_blacklist``
-        rescan, no Fenwick rebuild."""
+        an autoscaler resize of ``delta`` workers, in O(|delta|).
+
+        The probe pool is always the ascending list of live,
+        non-blacklisted worker ids. Growth appends ids above all of
+        them; a shrink retires the highest live, non-blacklisted ids —
+        exactly the pool's tail. So the pool is extended or truncated,
+        never rebuilt, and the derived state (live capacity, ε-fair
+        floors) follows its length."""
+        pool = self._sample_pool
         workers = self.workers
-        self._sample_pool = [
-            workers[machine_id]
-            for machine_id in self.cluster.index.free_machine_ids()
-        ]
-        total = len(self._sample_pool) * self._slots_per_worker
+        if pool is workers:
+            # Until the first shrink or blacklist pass the pool IS the
+            # worker list, which already holds any appended workers. A
+            # shrink copies it first so truncation never drops workers;
+            # rng.sample sees the same order and length either way.
+            if delta < 0:
+                pool = self._sample_pool = workers[:delta]
+        elif delta > 0:
+            pool.extend(workers[-delta:])
+        else:
+            del pool[delta:]
+        total = len(pool) * self._slots_per_worker
         self.total_slots = total
         for scheduler in self.schedulers:
             scheduler.on_cluster_resize(total)
@@ -570,7 +583,7 @@ class DecentralizedSimulator:
                 )
             )
             self.cluster.add_machine(num_slots=self._slots_per_worker)
-        self._refresh_membership()
+        self._refresh_membership(count)
         return count
 
     def _autoscale_remove(self, count: int) -> int:
@@ -580,20 +593,15 @@ class DecentralizedSimulator:
         but via machine *retirement*, which no later blacklist pass can
         undo. Clamped so at least ``min_machines`` workers stay live."""
         cluster = self.cluster
-        floor = max(1, self._autoscaler.min_machines)
-        count = min(count, cluster.live_machine_count() - floor)
-        if count <= 0:
+        machine_ids = cluster.machines_to_retire(
+            count, self._autoscaler.min_machines
+        )
+        if not machine_ids:
             return 0
-        removed = 0
         orphaned: List[Tuple[SchedulerAgent, SchedulerJob, Task]] = []
-        for machine in reversed(cluster.machines):
-            if removed >= count:
-                break
-            if machine.retired or machine.blacklisted:
-                continue
-            worker = self.workers[machine.machine_id]
-            victims = worker.evict()
-            cluster.remove_machine(machine.machine_id)
+        for machine_id in machine_ids:
+            victims = self.workers[machine_id].evict()
+            cluster.remove_machine(machine_id)
             for copy in victims:
                 scheduler = self._owner.get(copy.task.job_id)
                 sj = scheduler.jobs.get(copy.task.job_id) if scheduler else None
@@ -602,11 +610,10 @@ class DecentralizedSimulator:
                 self._kill_copy(copy, scheduler, sj)
                 if not copy.task.is_finished:
                     orphaned.append((scheduler, sj, copy.task))
-            removed += 1
         # Pool refresh BEFORE requeueing (same ordering as eviction), so
         # the replacement probes can never target a retired worker.
-        self._refresh_membership()
+        self._refresh_membership(-len(machine_ids))
         for scheduler, sj, task in orphaned:
             if sj.view.num_live_copies(task) == 0:
                 scheduler.requeue_task(sj, task)
-        return removed
+        return len(machine_ids)

@@ -229,6 +229,16 @@ def test_batch_study_profile_reports_allocation_phases(capsys, monkeypatch):
     assert "alloc.refresh" in out
 
 
+def test_elastic_study_profile_reports_resize_counters(capsys, monkeypatch):
+    # --profile turns on counters without a tracer; resizes must count
+    # instead of dereferencing the missing tracer.
+    monkeypatch.delenv("REPRO_OBS", raising=False)
+    assert main(["study", "elastic", "--quick", "--serial", "--profile"]) == 0
+    out = capsys.readouterr().out
+    assert "elastic.machines_removed" in out
+    assert "elastic.add_machine_events" in out
+
+
 def test_bench_trajectory_reports_committed_history(tmp_path, capsys):
     # The repo's own history carries BENCH_scale.json points.
     report_path = str(tmp_path / "trajectory.md")

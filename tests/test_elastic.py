@@ -11,10 +11,16 @@ The hard constraints under test:
   — no new hooks;
 * every plane absorbs scheduled resizes mid-run and still completes the
   full trace (removal rides the kill→requeue path);
+* a resize costs O(Δ), not O(machines): the live count is a counter,
+  shrink victims come from one bucketed walk that reproduces the old
+  per-machine scan order, and the decentralized probe pool is extended
+  or truncated — each held equal to a rescan after every resize, with
+  strike eviction and probation reinstatement interleaved;
 * serving-side utilization is computed over *live* capacity, both in
   the decentralized probe and in the windowed aggregator.
 """
 
+import json
 import random
 
 import pytest
@@ -31,12 +37,16 @@ from repro.core.allocation import JobAllocationState
 from repro.core.incremental import IncrementalAllocator
 from repro.experiments.harness import (
     WorkloadSpec,
+    build_centralized_simulator,
     build_decentralized_simulator,
+    build_simulator,
     build_trace,
     run_batch,
     run_centralized,
     run_decentralized,
 )
+from repro.metrics.serialize import result_to_dict
+from repro.obs import Obs
 from repro.serving.driver import _PLANE_PROBES
 from repro.serving.windows import ServingRegime, WindowedAggregator
 
@@ -92,7 +102,7 @@ def _assert_matches_rebuild(cluster: Cluster) -> None:
     for k in range(rebuilt.free_machine_count):
         assert index.nth_free_machine(k) == rebuilt.nth_free_machine(k)
     assert index.first_free_machine() == rebuilt.first_free_machine()
-    assert cluster.total_slots == cluster._scan_total_slots()
+    assert (cluster.total_slots, cluster.live_machine_count()) == cluster._scan_live()
 
 
 def test_add_machine_appends_fresh_id():
@@ -150,6 +160,50 @@ def test_randomized_membership_and_slot_traffic(seed):
             # May release on a since-retired machine: the index must
             # keep it out even though a slot freed up.
             cluster.release_slot(busy.pop(rng.randrange(len(busy))))
+        _assert_matches_rebuild(cluster)
+
+
+def _reference_retire(cluster: Cluster, count: int, min_machines: int):
+    """The original selection: rescan the live count, then walk the
+    whole fleet from the top skipping retired/blacklisted machines."""
+    live = sum(1 for m in cluster.machines if not m.retired and not m.blacklisted)
+    count = min(count, live - max(1, min_machines))
+    chosen = []
+    for machine in reversed(cluster.machines):
+        if len(chosen) >= count:
+            break
+        if not machine.retired and not machine.blacklisted:
+            chosen.append(machine.machine_id)
+    return chosen
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_machines_to_retire_matches_full_walk(seed):
+    """Shrink selection clamps on the O(1) live count, yet must pick
+    exactly what a rescan plus a full reversed walk picks — through runs
+    of consecutive shrinks, growth and blacklist changes."""
+    rng = random.Random(seed)
+    cluster = Cluster(num_machines=12, slots_per_machine=2)
+    for _ in range(300):
+        op = rng.random()
+        if op < 0.2:
+            cluster.add_machine()
+        elif op < 0.55:
+            count = rng.randint(1, 4)
+            floor = rng.randint(1, 3)
+            expected = _reference_retire(cluster, count, floor)
+            ids = cluster.machines_to_retire(count, floor)
+            assert ids == expected
+            for machine_id in ids:
+                cluster.remove_machine(machine_id)
+        else:
+            live = [m.machine_id for m in cluster.machines if not m.retired]
+            target = rng.choice(live)
+            if cluster.blacklist.is_blacklisted(target):
+                cluster.blacklist.remove(target)
+            else:
+                cluster.blacklist.add(target)
+            cluster.apply_blacklist()
         _assert_matches_rebuild(cluster)
 
 
@@ -227,8 +281,6 @@ def test_planes_complete_trace_through_shrink_and_grow(plane):
 
 def test_centralized_shrink_only_leaves_smaller_cluster():
     trace = build_trace(_SPEC)
-    from repro.experiments.harness import build_centralized_simulator
-
     simulator = build_centralized_simulator(
         trace,
         "hopper",
@@ -248,8 +300,6 @@ def test_reactive_autoscaler_grows_overloaded_centralized_cluster():
     threshold, so the reactive sampler must add machines mid-run."""
     spec = WorkloadSpec(num_jobs=12, utilization=0.85, total_slots=16, seed=9)
     trace = build_trace(spec)
-    from repro.experiments.harness import build_centralized_simulator
-
     simulator = build_centralized_simulator(
         trace,
         "hopper",
@@ -272,8 +322,6 @@ def test_reactive_autoscaler_grows_overloaded_centralized_cluster():
 def test_remove_clamps_at_min_machines():
     spec = WorkloadSpec(num_jobs=4, utilization=0.5, total_slots=12, seed=3)
     trace = build_trace(spec)
-    from repro.experiments.harness import build_centralized_simulator
-
     simulator = build_centralized_simulator(
         trace,
         "hopper",
@@ -314,8 +362,6 @@ def test_decentralized_probe_reports_live_capacity():
 def test_centralized_probe_tracks_resized_cluster():
     spec = WorkloadSpec(num_jobs=6, utilization=0.5, total_slots=20, seed=4)
     trace = build_trace(spec)
-    from repro.experiments.harness import build_centralized_simulator
-
     simulator = build_centralized_simulator(
         trace,
         "hopper",
@@ -364,3 +410,182 @@ def test_windowed_utilization_handles_zero_capacity_samples():
     varying.sample(0, 0, 0)  # cluster fully retired for one sample
     overall = varying.finalize()["overall"]
     assert overall["mean_utilization"] == pytest.approx(0.5)
+
+
+# -- counters-only observability ---------------------------------------------
+
+
+@pytest.mark.parametrize("runner", [run_centralized, run_decentralized])
+def test_resizes_run_with_counters_only_obs(runner):
+    """Regression: ``Obs()`` carries counters but no tracer, and the
+    controller's capacity-change instant used to dereference the missing
+    tracer on the first applied resize."""
+    obs = Obs()
+    assert obs.tracer is None
+    result = runner(
+        build_trace(_SPEC),
+        "hopper",
+        _SPEC,
+        autoscaler="schedule",
+        resize_schedule="2:-2,6:+2",
+        obs=obs,
+    )
+    assert len(result.jobs) == _SPEC.num_jobs
+    counts = obs.counters.as_dict()
+    assert counts["elastic.remove_machine_events"] == 1
+    assert counts["elastic.machines_removed"] == 2
+    assert counts["elastic.add_machine_events"] == 1
+
+
+# -- resize-path invariants under eviction and reinstatement -----------------
+
+_CHURN_SPEC = WorkloadSpec(num_jobs=20, utilization=0.7, total_slots=80, seed=2)
+
+
+def _random_schedule(rng: random.Random, max_step: int) -> str:
+    entries, time = [], 0.0
+    for _ in range(10):
+        time += rng.uniform(0.5, 3.0)
+        delta = rng.choice((-1, 1)) * rng.randint(1, max_step)
+        entries.append(f"{time:.3f}:{delta:+d}")
+    return ",".join(entries)
+
+
+def _assert_resize_invariants(simulator, plane: str) -> None:
+    cluster = simulator.cluster
+    live = sum(1 for m in cluster.machines if not m.retired and not m.blacklisted)
+    assert cluster.live_machine_count() == live
+    if plane == "decentralized":
+        workers = simulator.workers
+        pool = simulator._sample_pool
+        assert pool == [workers[i] for i in cluster.index.free_machine_ids()]
+        assert simulator.total_slots == len(pool) * simulator._slots_per_worker
+        numerator = (1.0 - simulator.config.epsilon) * simulator.total_slots
+        for scheduler in simulator.schedulers:
+            assert scheduler._fair_numerator == numerator
+    else:
+        for jr in simulator._jobs.values():
+            for copies in jr.view.copies_by_task.values():
+                for copy in copies:
+                    assert not cluster.machines[copy.machine_id].retired
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("plane", ["centralized", "decentralized"])
+def test_resize_invariants_hold_through_eviction_churn(plane, seed):
+    """Random schedule resizes interleaved with strike eviction and
+    probation reinstatement: after EVERY applied ADD/REMOVE the
+    delta-maintained state equals a from-scratch rescan."""
+    rng = random.Random(seed)
+    # Centralized resizes whole 4-slot machines; decentralized, workers.
+    max_step = 3 if plane == "centralized" else 10
+    simulator = build_simulator(
+        "hopper",
+        build_trace(_CHURN_SPEC),
+        _CHURN_SPEC,
+        plane=plane,
+        straggler_model="machine-correlated",
+        blacklist_policy="strikes-probation",
+        strike_threshold=2,
+        strike_window=8.0,
+        autoscaler="schedule",
+        resize_schedule=_random_schedule(rng, max_step),
+        obs=None,
+    )
+    controller = simulator._elastic
+    add, remove = controller._add, controller._remove
+    cluster = simulator.cluster
+    stats = {"resizes": 0, "killing_shrinks": 0}
+
+    def checked_add(count):
+        applied = add(count)
+        stats["resizes"] += 1
+        _assert_resize_invariants(simulator, plane)
+        return applied
+
+    def checked_remove(count):
+        floor = simulator._autoscaler.min_machines
+        retiring = cluster.machines_to_retire(count, floor)
+        if plane == "centralized":
+            busy = sum(cluster.machines[m].busy_slots for m in retiring)
+        else:
+            busy = sum(simulator.workers[m].busy_slots for m in retiring)
+        applied = remove(count)
+        assert applied == len(retiring)
+        stats["resizes"] += 1
+        stats["killing_shrinks"] += busy > 0
+        _assert_resize_invariants(simulator, plane)
+        return applied
+
+    controller._add, controller._remove = checked_add, checked_remove
+    result = simulator.run()
+    assert len(result.jobs) == _CHURN_SPEC.num_jobs
+    # Not vacuous: the run evicted, reinstated, and shrank busy machines.
+    assert result.evictions > 0
+    assert result.reinstatements > 0
+    assert stats["killing_shrinks"] > 0
+    assert stats["resizes"] >= 4
+    _assert_resize_invariants(simulator, plane)
+
+
+def _old_autoscale_remove(simulator, count, shrinks):
+    """The pre-bucketing centralized shrink: retire one machine, rescan
+    every live copy for its victims, kill them, next machine. Records
+    each shrink's bucketed victims (taken up front) beside its scans."""
+    cluster = simulator.cluster
+    machine_ids = cluster.machines_to_retire(
+        count, simulator._autoscaler.min_machines
+    )
+    buckets = simulator._machine_victims(machine_ids)
+    scans = []
+    for machine_id in machine_ids:
+        cluster.remove_machine(machine_id)
+        victims = [
+            (c, jr)
+            for jr in simulator._jobs.values()
+            for copies in jr.view.copies_by_task.values()
+            for c in copies
+            if c.machine_id == machine_id
+        ]
+        scans.append(victims)
+        simulator._kill_victims(victims)
+    shrinks.append(([buckets[m] for m in machine_ids], scans))
+    simulator._resize_slot_pool()
+    simulator._request_dispatch()
+    return len(machine_ids)
+
+
+def test_bucketed_shrink_victims_match_per_machine_scans():
+    """One bucketed walk, concatenated in retirement order, equals the
+    old per-machine scans (each made after the previous machine's kills
+    and requeues) — and the two shrink paths replay byte-identically."""
+    spec = WorkloadSpec(num_jobs=12, utilization=0.8, total_slots=64, seed=4)
+    trace = build_trace(spec)
+    docs, shrinks = [], []
+    for use_old in (False, True):
+        simulator = build_centralized_simulator(
+            trace,
+            "hopper",
+            spec,
+            autoscaler="schedule",
+            resize_schedule="1.5:-6,3:+3,4:-5",
+            obs=None,
+        )
+        if use_old:
+            simulator._elastic._remove = (
+                lambda count, s=simulator: _old_autoscale_remove(s, count, shrinks)
+            )
+        docs.append(json.dumps(result_to_dict(simulator.run()), sort_keys=True))
+    assert docs[0] == docs[1]
+    assert len(shrinks) == 2
+    for buckets, scans in shrinks:
+        flat = [pair for bucket in buckets for pair in bucket]
+        assert flat == [pair for victims in scans for pair in victims]
+    # Not vacuous: several machines of one shrink each held copies, and
+    # some machine held copies of two jobs (so walk order matters).
+    assert max(sum(1 for b in buckets if b) for buckets, _ in shrinks) >= 2
+    assert any(
+        len({jr.job.job_id for _, jr in bucket}) >= 2
+        for buckets, _ in shrinks
+        for bucket in buckets
+    )
