@@ -16,8 +16,9 @@ unchanged. Only the *when* changes:
   activated) without dispatching;
 * copy completions request the next round instead of rescheduling
   inline;
-* the periodic straggler scan marks speculation due and lets the next
-  round evaluate it — rounds are the only dispatch points.
+* the periodic straggler scan only arms the next round, whose
+  reschedule runs the speculation pass — rounds are the only dispatch
+  points.
 
 Rounds are demand-armed like the speculation check: one is scheduled
 only while jobs exist and none is pending, so an idle simulator
@@ -36,7 +37,7 @@ from repro.workload.job import Job
 class BatchSimulator(CentralizedSimulator):
     """Periodic-rounds variant of the centralized simulator."""
 
-    __slots__ = ("round_interval", "_round_scheduled", "_spec_due")
+    __slots__ = ("round_interval", "_round_scheduled")
 
     def __init__(self, *args, round_interval: float = 0.5, **kwargs) -> None:
         if round_interval < 0.0:
@@ -44,7 +45,6 @@ class BatchSimulator(CentralizedSimulator):
         super().__init__(*args, **kwargs)
         self.round_interval = round_interval
         self._round_scheduled = False
-        self._spec_due = False
         self.metrics.result.scheduler_name = f"batch-{self.policy.name}"
 
     # ------------------------------------------------------------- events ----
@@ -70,11 +70,8 @@ class BatchSimulator(CentralizedSimulator):
     def _on_round(self) -> None:
         self._round_scheduled = False
         if not self._jobs:
-            self._spec_due = False
             return
-        evaluate = self._spec_due
-        self._spec_due = False
-        self._reschedule(evaluate_speculation=evaluate)
+        self._reschedule()
         # At a zero interval re-arming here would spin forever on the
         # same timestamp; rounds are then armed purely by events
         # (arrivals, completions, straggler scans).
@@ -85,7 +82,6 @@ class BatchSimulator(CentralizedSimulator):
         self._spec_check_scheduled = False
         if not self._jobs:
             return
-        self._spec_due = True
         self._ensure_round()
         self._ensure_spec_check()
 

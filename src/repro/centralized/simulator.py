@@ -438,7 +438,7 @@ class CentralizedSimulator:
         self._spec_check_scheduled = False
         if not self._jobs:
             return
-        self._reschedule(evaluate_speculation=True)
+        self._reschedule()
         self._ensure_spec_check()
 
     def _launch_copy(self, jr: _JobRuntime, task: Task, speculative: bool) -> bool:
@@ -685,13 +685,15 @@ class CentralizedSimulator:
 
     # ----------------------------------------------------------- dispatch ----
 
-    def _reschedule(self, evaluate_speculation: bool = False) -> None:
+    def _reschedule(self) -> None:
         """Recompute targets and dispatch.
 
-        Original copies are dispatched on every event; the speculation
-        sweep (which scans every running copy's progress) runs only from
-        the periodic straggler scan, mirroring how LATE/Mantri run as a
-        periodic monitor thread in real frameworks.
+        Every reschedule — arrival, copy completion, or the periodic
+        straggler scan — dispatches originals and runs the speculation
+        pass, ordered by the plane's speculation mode. The periodic scan
+        exists so that speculation is re-evaluated while no other event
+        fires, the way LATE/Mantri run as a monitor thread in real
+        frameworks.
         """
         if not self._jobs:
             return

@@ -8,7 +8,6 @@ target.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import Iterator, List, Sequence
 
@@ -31,6 +30,38 @@ def arrival_rate_for_utilization(
     if not 0.0 < utilization < 1.0:
         raise ValueError("utilization must be in (0, 1)")
     return utilization * total_slots / mean_job_work
+
+
+def clone_job(job: Job) -> Job:
+    """Independent copy of ``job``, runtime state included.
+
+    Equivalent to a generic deep copy at a fraction of its cost: each
+    ``Job``, ``Phase`` and ``Task`` gets a copy of its attribute dict,
+    and only the per-instance containers (``Job.phases``,
+    ``Job._phase_by_index``, ``Phase.tasks``) are rebuilt; every other
+    attribute is an immutable scalar, tuple or enum, so sharing it is
+    safe. Constructors are deliberately not re-run: after
+    :meth:`Phase.scale_work` the cached ``_total_work`` is the scaled
+    total, which ``sum(task.size)`` need not reproduce bit-for-bit.
+    """
+    new_job = object.__new__(type(job))
+    job_attrs = job.__dict__.copy()
+    phases = []
+    for phase in job.phases:
+        new_phase = object.__new__(type(phase))
+        phase_attrs = phase.__dict__.copy()
+        tasks = []
+        for task in phase.tasks:
+            new_task = object.__new__(type(task))
+            new_task.__dict__ = task.__dict__.copy()
+            tasks.append(new_task)
+        phase_attrs["tasks"] = tasks
+        new_phase.__dict__ = phase_attrs
+        phases.append(new_phase)
+    job_attrs["phases"] = phases
+    job_attrs["_phase_by_index"] = {p.index: p for p in phases}
+    new_job.__dict__ = job_attrs
+    return new_job
 
 
 @dataclass
@@ -79,15 +110,15 @@ class Trace:
         if current in (0.0, float("inf")):
             raise ValueError("trace has no arrival span to rescale")
         factor = current / utilization
-        jobs = copy.deepcopy(self.jobs)
+        jobs = [clone_job(job) for job in self.jobs]
         base = jobs[0].arrival_time
         for job in jobs:
             job.arrival_time = base + (job.arrival_time - base) * factor
         return Trace(jobs=jobs)
 
     def fresh_copy(self) -> "Trace":
-        """Deep copy with runtime state cleared — safe to replay."""
-        jobs = copy.deepcopy(self.jobs)
+        """Independent copy with runtime state cleared — safe to replay."""
+        jobs = [clone_job(job) for job in self.jobs]
         for job in jobs:
             job.reset_runtime_state()
         return Trace(jobs=jobs)
@@ -96,18 +127,18 @@ class Trace:
 def merge_traces(traces: Sequence[Trace]) -> Trace:
     """Interleave several traces by arrival time.
 
-    Jobs are deep-copied (and their runtime state reset) so that replaying
+    Jobs are cloned (and their runtime state reset) so that replaying
     the merged trace cannot mutate the source traces' Job objects. Traces
     produced by independent generators can carry colliding job ids (each
     generator numbers from 0); since the simulators key jobs by id, the
     merged copies are renumbered sequentially when a collision exists.
     """
-    # Copy per occurrence (not one deepcopy of the combined list, whose
-    # memoization would alias a job passed in twice, e.g. merge([a, a])).
+    # Copy per occurrence so a job passed in twice (e.g. merge([a, a]))
+    # yields two distinct clones.
     all_jobs: List[Job] = []
     for trace in traces:
         for job in trace.jobs:
-            clone = copy.deepcopy(job)
+            clone = clone_job(job)
             clone.reset_runtime_state()
             all_jobs.append(clone)
     merged = Trace(jobs=all_jobs)

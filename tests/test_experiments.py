@@ -6,6 +6,7 @@ import pytest
 from repro.experiments.harness import (
     WorkloadSpec,
     build_trace,
+    run_batch,
     run_centralized,
     run_decentralized,
 )
@@ -14,7 +15,9 @@ from repro.experiments.motivating import (
     run_motivating_example,
 )
 from repro.experiments import figures
+from repro.metrics.serialize import result_to_dict
 from repro.workload.generator import SPARK_FACEBOOK_PROFILE
+from repro.workload.task import TaskState
 
 
 # -- motivating example (§3, Figures 1-2, Table 1) ------------------------------
@@ -87,14 +90,32 @@ def test_run_centralized_all_policies():
         run_centralized(trace, "bogus", spec)
 
 
-def test_run_centralized_does_not_mutate_trace():
+@pytest.mark.parametrize(
+    "runner, system",
+    [
+        (run_centralized, "srpt"),
+        (run_batch, "hopper"),
+        (run_decentralized, "hopper"),
+    ],
+    ids=["run_centralized", "run_batch", "run_decentralized"],
+)
+def test_run_centralized_does_not_mutate_trace(runner, system):
     spec = _tiny_spec()
     trace = build_trace(spec)
-    run_centralized(trace, "srpt", spec)
-    assert all(j.finish_time is None for j in trace.jobs)
-    # replayable again
-    result = run_centralized(trace, "srpt", spec)
-    assert result.num_jobs == 20
+    first = runner(trace, system, spec)
+    assert first.num_jobs == 20
+    for job in trace.jobs:
+        assert job.finish_time is None
+        for phase in job.phases:
+            assert phase.finished_tasks == 0
+            assert phase.remaining_work() == phase._total_work
+        for task in job.all_tasks():
+            assert task.state is TaskState.PENDING
+            assert task.finish_time is None
+            assert not task.completed_by_speculative
+    # Replayable again, with an identical result.
+    second = runner(trace, system, spec)
+    assert result_to_dict(second) == result_to_dict(first)
 
 
 def test_run_decentralized_all_systems():

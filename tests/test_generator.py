@@ -1,5 +1,7 @@
 """Tests for the synthetic trace generators and traces."""
 
+import copy
+
 import pytest
 
 from repro.simulation.rng import RandomSource
@@ -12,7 +14,13 @@ from repro.workload.generator import (
     bin_index_for_size,
     bin_label,
 )
-from repro.workload.traces import Trace, arrival_rate_for_utilization, merge_traces
+from repro.workload.task import TaskState
+from repro.workload.traces import (
+    Trace,
+    arrival_rate_for_utilization,
+    clone_job,
+    merge_traces,
+)
 
 
 def test_bin_index_matches_paper_bins():
@@ -262,3 +270,100 @@ def test_merge_traces_resets_runtime_state():
     assert all(
         j.remaining_tasks() == j.num_tasks for j in merged.jobs
     )
+
+
+# -- structural job clone ------------------------------------------------------
+
+
+def _partly_replayed_dag_trace():
+    """DAG jobs with locality preferences, one rescaled phase, and some
+    runtime state already written by a (simulated) partial replay."""
+    gen = TraceGenerator(
+        FACEBOOK_PROFILE,
+        random_source=RandomSource(seed=9),
+        num_machines=20,
+        max_phase_tasks=12,
+    )
+    trace = Trace(jobs=gen.generate(12, interarrival_mean=1.0))
+    dag = next(job for job in trace.jobs if job.num_phases > 1)
+    assert any(t.preferred_machines for t in dag.all_tasks())
+    dag.phases[-1].scale_work(1.37)
+    for job in trace.jobs[::2]:
+        phase = job.phases[0]
+        done = phase.tasks[0]
+        done.state = TaskState.FINISHED
+        done.finish_time = 4.5
+        done.completed_by_speculative = True
+        phase.mark_task_finished(done.size)
+        for task in phase.tasks[1:3]:
+            task.state = TaskState.RUNNING
+    trace.jobs[0].finish_time = 7.25
+    return trace
+
+
+def _objects(job):
+    """The job, then its phases, then its tasks, in a fixed order."""
+    yield job
+    yield from job.phases
+    yield from job.all_tasks()
+
+
+_IMMUTABLE = (int, float, str, tuple, type(None), TaskState)
+
+
+def test_clone_job_matches_deepcopy():
+    for job in _partly_replayed_dag_trace().jobs:
+        clone = clone_job(job)
+        deep = copy.deepcopy(job)
+        for got, want in zip(_objects(clone), _objects(deep), strict=True):
+            assert type(got) is type(want)
+            assert vars(got) == vars(want)
+            assert {k: type(v) for k, v in vars(got).items()} == {
+                k: type(v) for k, v in vars(want).items()
+            }
+        # The index points at the clone's own phases.
+        assert all(clone.phase(p.index) is p for p in clone.phases)
+
+
+def test_clone_job_rebuilds_every_container():
+    for job in _partly_replayed_dag_trace().jobs:
+        clone = clone_job(job)
+        for got, source in zip(_objects(clone), _objects(job), strict=True):
+            assert got is not source
+            for key, value in vars(got).items():
+                if isinstance(value, (list, dict)):
+                    assert value is not vars(source)[key], key
+                else:
+                    # Anything shared with the source must be immutable.
+                    assert isinstance(value, _IMMUTABLE), key
+
+
+def test_clone_job_runtime_mutation_leaves_source_untouched():
+    trace = _partly_replayed_dag_trace()
+    before = copy.deepcopy(trace.jobs)
+    clones = [clone_job(job) for job in trace.jobs]
+    for clone in clones:
+        clone.finish_time = 99.0
+        for phase in clone.phases:
+            for task in phase.tasks:
+                if task.is_finished:
+                    continue
+                task.state = TaskState.FINISHED
+                task.finish_time = 42.0
+                task.completed_by_speculative = True
+                phase.mark_task_finished(task.size)
+        assert clone.is_complete
+    for source, snapshot in zip(trace.jobs, before, strict=True):
+        for got, want in zip(_objects(source), _objects(snapshot), strict=True):
+            assert vars(got) == vars(want)
+
+
+def test_fresh_copy_matches_deepcopy_then_reset():
+    trace = _partly_replayed_dag_trace()
+    fresh = trace.fresh_copy()
+    expected = copy.deepcopy(trace.jobs)
+    for job in expected:
+        job.reset_runtime_state()
+    for got_job, want_job in zip(fresh.jobs, expected, strict=True):
+        for got, want in zip(_objects(got_job), _objects(want_job), strict=True):
+            assert vars(got) == vars(want)
