@@ -82,7 +82,7 @@ def run_once_decentralized(
     from repro.stragglers.model import NoStragglerModel
 
     profile, _, trace = _build_trace(total_slots, num_jobs)
-    defaults = registry.DECENTRALIZED_SYSTEMS.get("hopper").factory()
+    defaults = registry.SYSTEMS.get("decentralized/hopper").factory()
     simulator = DecentralizedSimulator(
         num_workers=total_slots,
         speculation=lambda: make_speculation_policy("late"),
@@ -131,7 +131,7 @@ def run_once_centralized(
     from repro.stragglers.model import NoStragglerModel
 
     profile, _, trace = _build_trace(total_slots, num_jobs)
-    policy = registry.CENTRALIZED_SYSTEMS.get("hopper").factory(epsilon=0.1)
+    policy = registry.SYSTEMS.get("centralized/hopper").factory(epsilon=0.1)
     slots_per_machine = 4
     num_machines = max(1, total_slots // slots_per_machine)
     simulator = CentralizedSimulator(

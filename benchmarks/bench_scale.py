@@ -99,7 +99,7 @@ def run_once_decentralized(
     from repro.stragglers.model import ParetoRedrawStragglerModel
 
     profile, _, trace = _build_trace(total_slots, num_jobs)
-    defaults = registry.DECENTRALIZED_SYSTEMS.get("hopper").factory()
+    defaults = registry.SYSTEMS.get("decentralized/hopper").factory()
     simulator = DecentralizedSimulator(
         num_workers=total_slots,
         speculation=lambda: make_speculation_policy("late"),
@@ -149,7 +149,7 @@ def run_once_centralized(
     from repro.stragglers.model import ParetoRedrawStragglerModel
 
     profile, _, trace = _build_trace(total_slots, num_jobs)
-    policy = registry.CENTRALIZED_SYSTEMS.get("hopper").factory(epsilon=0.1)
+    policy = registry.SYSTEMS.get("centralized/hopper").factory(epsilon=0.1)
     slots_per_machine = 4
     simulator = CentralizedSimulator(
         cluster=Cluster(
@@ -202,7 +202,7 @@ def run_once_batch(
     from repro.stragglers.model import ParetoRedrawStragglerModel
 
     profile, _, trace = _build_trace(total_slots, num_jobs)
-    policy = registry.BATCH_SYSTEMS.get("hopper").factory(epsilon=0.1)
+    policy = registry.SYSTEMS.get("batch/hopper").factory(epsilon=0.1)
     slots_per_machine = 4
     simulator = BatchSimulator(
         round_interval=ROUND_INTERVAL,
@@ -262,7 +262,7 @@ def run_once_elastic(
     from repro import registry
 
     profile, _, trace = _build_trace(total_slots, num_jobs)
-    policy = registry.CENTRALIZED_SYSTEMS.get("hopper").factory(epsilon=0.1)
+    policy = registry.SYSTEMS.get("centralized/hopper").factory(epsilon=0.1)
     slots_per_machine = 4
     num_machines = max(1, total_slots // slots_per_machine)
     delta = max(1, int(num_machines * ELASTIC_CHURN))

@@ -21,7 +21,7 @@ Two hooks exist for the incremental allocation engine
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.allocation import (
     JobAllocationState,
@@ -74,19 +74,17 @@ class CentralizedPolicy(ABC):
         total_slots: int,
         total_virtual: Optional[float] = None,
         floors: Optional[Dict[int, int]] = None,
-    ) -> Tuple[Dict[int, int], Optional[str]]:
+    ) -> Dict[int, int]:
         """Solve with pre-maintained orders: ``active`` in insertion
         order (pre-filtered to ``remaining_tasks > 0``), ``ascending``
         sorted by :meth:`sort_key`. ``total_virtual`` and ``floors``
         are optional precomputed values (the insertion-order virtual
         size sum and this policy's :meth:`fairness_floors`) the caller
-        may pass to skip recomputing them. Returns ``(targets,
-        regime)`` where ``regime`` is non-None only for
-        regime-switching policies.
+        may pass to skip recomputing them.
 
         The base falls back to the from-scratch solve — correct for any
         policy, incremental for none."""
-        return self.allocate(active, total_slots), None
+        return self.allocate(active, total_slots)
 
 
 class FairPolicy(CentralizedPolicy):
@@ -110,11 +108,11 @@ class FairPolicy(CentralizedPolicy):
         total_slots: int,
         total_virtual: Optional[float] = None,
         floors: Optional[Dict[int, int]] = None,
-    ) -> Tuple[Dict[int, int], Optional[str]]:
+    ) -> Dict[int, int]:
         # Water-filling iterates the insertion-ordered active list
         # directly (no internal sort to hoist); the incremental win for
         # fair is the cached states + memoized targets, not the solve.
-        return fair_allocation(active, total_slots), None
+        return fair_allocation(active, total_slots)
 
 
 class SRPTPolicy(CentralizedPolicy):
@@ -145,18 +143,15 @@ class SRPTPolicy(CentralizedPolicy):
         total_slots: int,
         total_virtual: Optional[float] = None,
         floors: Optional[Dict[int, int]] = None,
-    ) -> Tuple[Dict[int, int], Optional[str]]:
+    ) -> Dict[int, int]:
         # sort_key == (remaining_tasks, job_id) == the solve's own
         # ascending order, so the maintained dispatch order doubles as
         # the solve order.
-        return (
-            srpt_allocation_ordered(
-                active,
-                ascending,
-                total_slots,
-                best_effort_speculation=self.best_effort_speculation,
-            ),
-            None,
+        return srpt_allocation_ordered(
+            active,
+            ascending,
+            total_slots,
+            best_effort_speculation=self.best_effort_speculation,
         )
 
 
@@ -202,7 +197,7 @@ class HopperPolicy(CentralizedPolicy):
         total_slots: int,
         total_virtual: Optional[float] = None,
         floors: Optional[Dict[int, int]] = None,
-    ) -> Tuple[Dict[int, int], Optional[str]]:
+    ) -> Dict[int, int]:
         # sort_key == (order_key, job_id) == the ascending virtual-size
         # order Guideline 2/3 fill in.
         return hopper_allocation_ordered(

@@ -28,9 +28,9 @@ Scale-out notes (10k+-slot clusters):
   (plus a lazy sweep when the beta or alpha-history epoch moves), the
   dispatch order lives in a delta-maintained sorted container, and
   targets are memoized while nothing changed — see
-  :class:`repro.core.incremental.IncrementalAllocator`. The
-  from-scratch ``_allocation_states()`` builder is kept as the
-  reference the differential/property tests compare against;
+  :class:`repro.core.incremental.IncrementalAllocator`. The property
+  tests hold the cache equal to a from-scratch rebuild after every
+  event;
 * trace arrivals are bulk-inserted with
   :meth:`~repro.simulation.engine.Simulator.schedule_many`;
 * the speculation-preemption sweep enumerates victims from the view's
@@ -259,45 +259,6 @@ class CentralizedSimulator:
             return 1.0
         return self.alpha_estimator.predict_alpha(job)
 
-    def _allocation_states(self) -> List[JobAllocationState]:
-        """From-scratch allocation-state builder.
-
-        The hot path goes through :meth:`_refresh_allocation_states`
-        (incremental); this remains the reference implementation the
-        differential and property tests compare the cache against, so
-        any divergence between the two is a test failure rather than a
-        silently drifted replay."""
-        beta = self._beta()
-        states: List[JobAllocationState] = []
-        for jr in self._jobs.values():
-            remaining = jr.job.remaining_tasks()
-            if remaining <= 0:
-                continue
-            alpha = self._job_alpha(jr.job)
-            vsize = virtual_size(remaining, beta, alpha)
-            priority = vsize
-            if self.policy.uses_virtual_sizes and jr.job.num_phases > 1:
-                downstream_tasks = jr.job.downstream_virtual_tasks(
-                    self.config.network_rate
-                )
-                if downstream_tasks > 0:
-                    priority = max(vsize, virtual_size(downstream_tasks, beta))
-            max_useful = max(
-                int(math.ceil(vsize)),
-                self.config.max_copies_cap * remaining,
-            )
-            states.append(
-                JobAllocationState(
-                    job_id=jr.job.job_id,
-                    virtual_size=vsize,
-                    remaining_tasks=remaining,
-                    weight=jr.job.weight,
-                    priority_size=priority,
-                    max_useful_slots=max_useful,
-                )
-            )
-        return states
-
     def _refresh_job_state(
         self, jr: _JobRuntime, beta: float, realpha: bool
     ) -> None:
@@ -309,7 +270,7 @@ class CentralizedSimulator:
         floats (``realpha`` additionally re-predicts alpha when the
         estimator's history moved — another job's completion can change
         a recurring job's prediction). Every float is computed by the
-        exact expression the from-scratch builder uses, on the exact
+        exact expression a from-scratch rebuild uses, on the exact
         same inputs, so the resulting states are identical objects
         field-for-field."""
         job = jr.job
@@ -352,7 +313,7 @@ class CentralizedSimulator:
         )
 
     def _refresh_allocation_states(self) -> List[JobAllocationState]:
-        """Incremental equivalent of :meth:`_allocation_states`.
+        """The active jobs' allocation states, in arrival order.
 
         Recomputes only jobs dirtied since the last solve, unless the
         beta value or the alpha history moved (an *epoch* bump) — then

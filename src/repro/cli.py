@@ -359,6 +359,8 @@ def _print_entries(title: str, entries) -> None:
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
+    from repro.serving.arrivals import ARRIVAL_PROCESSES
+
     figure_registry = _registry()
     width = max(len(name) for name in figure_registry)
     print("Available figures (python -m repro run <name> [...]):\n")
@@ -394,6 +396,11 @@ def _cmd_list(args: argparse.Namespace) -> int:
         "Blacklist policies (mid-run machine eviction)",
         registry.BLACKLIST_POLICIES.entries(),
     )
+    _print_entries(
+        "Autoscaler policies (mid-run cluster resizes)",
+        registry.AUTOSCALER_POLICIES.entries(),
+    )
+    _print_entries("Arrival processes (serving)", ARRIVAL_PROCESSES.entries())
     _print_entries("Workload profiles", registry.WORKLOAD_PROFILES.entries())
     print(
         "\nAll figures and studies accept --quick (CI smoke scale), "
@@ -432,7 +439,7 @@ def _parse_ints(text: str) -> List[int]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    valid = registry.spec_kind(args.kind).systems.names()
+    valid = [entry.name for entry in registry.SYSTEMS.entries(args.kind)]
     systems = [s for s in args.systems.split(",") if s]
     unknown = [s for s in systems if s not in valid]
     if unknown:
@@ -672,7 +679,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         return 0
 
     # capture: one instrumented run, trace written as JSONL.
-    valid = registry.spec_kind(args.kind).systems.names()
+    valid = [entry.name for entry in registry.SYSTEMS.entries(args.kind)]
     if args.system not in valid:
         print(
             f"unknown {args.kind} system {args.system!r}; "

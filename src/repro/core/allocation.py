@@ -179,10 +179,9 @@ def hopper_allocation(
     if not active or total_slots == 0:
         return {j.job_id: 0 for j in active}
     ascending = sorted(active, key=lambda j: (j.order_key, j.job_id))
-    alloc, _ = hopper_allocation_ordered(
+    return hopper_allocation_ordered(
         active, ascending, total_slots, epsilon, force_regime
     )
-    return alloc
 
 
 def hopper_allocation_ordered(
@@ -193,7 +192,7 @@ def hopper_allocation_ordered(
     force_regime: Optional[str] = None,
     total_virtual: Optional[float] = None,
     floors: Optional[Dict[int, int]] = None,
-) -> tuple:
+) -> Dict[int, int]:
     """:func:`hopper_allocation` with the sort hoisted out.
 
     The incremental allocation engine maintains the ascending
@@ -210,17 +209,13 @@ def hopper_allocation_ordered(
     same set and slots) may be supplied precomputed — the incremental
     engine memoizes both between events; when omitted they are computed
     here exactly as the from-scratch path does.
-
-    Returns ``(alloc, regime)`` where ``regime`` is the Guideline that
-    applied (``"constrained"`` or ``"rich"``) so callers can detect
-    regime flips.
     """
     if total_slots < 0:
         raise ValueError("total_slots must be non-negative")
     if force_regime not in (None, "constrained", "rich"):
         raise ValueError(f"invalid force_regime: {force_regime!r}")
     if not active or total_slots == 0:
-        return {j.job_id: 0 for j in active}, None
+        return {j.job_id: 0 for j in active}
 
     # Everyone-capped shortcut. When the caps sum to no more than S the
     # full algorithm provably ends with every job at its cap, whatever
@@ -231,18 +226,9 @@ def hopper_allocation_ordered(
     # returning it directly is bit-identical — and on big capacity-rich
     # clusters (the 10k/100k-slot regime, where caps bind long before
     # slots run out) it turns the per-event solve into one int sum.
-    # Regime label for flip tracking: when caps cover virtual sizes —
-    # which the simulator's max_useful = max(ceil(V), k*T) guarantees —
-    # sum(virtual) <= sum(cap) <= S, i.e. capacity-rich. (An arbitrary
-    # cap below V could make the label inexact, but the allocation is
-    # all-caps regardless, and nothing downstream consumes the label
-    # except the flip heuristic.)
     caps = [j.cap for j in active]
     if sum(caps) <= total_slots:
-        return (
-            {j.job_id: c for j, c in zip(active, caps)},
-            force_regime if force_regime is not None else "rich",
-        )
+        return {j.job_id: c for j, c in zip(active, caps)}
 
     if floors is None:
         floors = fairness_floors(active, total_slots, epsilon)
@@ -276,7 +262,7 @@ def hopper_allocation_ordered(
         # Guideline 3: proportional to virtual sizes.
         if total_virtual <= 0:
             leftover = _distribute_remainder(alloc, active, leftover, ascending)
-            return alloc, "rich"
+            return alloc
         shares = {
             j.job_id: total_slots * j.virtual_size / total_virtual
             for j in active
@@ -297,7 +283,7 @@ def hopper_allocation_ordered(
         )
         leftover = _distribute_remainder(alloc, active, leftover, frac_order)
 
-    return alloc, ("constrained" if constrained else "rich")
+    return alloc
 
 
 def srpt_allocation(

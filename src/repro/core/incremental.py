@@ -9,7 +9,7 @@ state *between* events and updates it by delta, the same way
 
 * the active states live in an **insertion-ordered table** mirroring the
   simulator's ``_jobs`` dict, so materializing them yields exactly the
-  list the from-scratch ``_allocation_states()`` would build;
+  list a from-scratch rebuild over the active jobs would produce;
 * the policy's **dispatch order is a sorted container** (bisect-maintained
   key list) updated per upsert/remove instead of re-sorted per event;
 * the last **targets dict is memoized** on (state version, slot count) —
@@ -29,11 +29,10 @@ every golden study digest pins replay output. Two rules follow:
    end in the unique ``job_id``, so the order is total and the bisect
    container reproduces ``sorted()`` exactly.
 
-On a regime flip (capacity-constrained ↔ rich) the engine discards the
-incremental solve and re-derives targets with the policy's full
-from-scratch path — the two are proven equivalent by the differential
-tests, so this fallback is defense in depth for the one transition where
-an ordering bug would be least visible.
+A regime flip (capacity-constrained ↔ rich) needs no special case: the
+full solve is the same sort plus the same ordered solve over the same
+states, order, virtual-size sum and floors, each of which the property
+tests hold equal to its from-scratch value after every event.
 """
 
 from __future__ import annotations
@@ -71,7 +70,6 @@ class IncrementalAllocator:
         "_targets",
         "_targets_version",
         "_targets_slots",
-        "_last_regime",
         "_vsum",
         "_vsum_version",
         "_floors",
@@ -99,7 +97,6 @@ class IncrementalAllocator:
         self._targets: Optional[Dict[int, int]] = None
         self._targets_version = -1
         self._targets_slots = -1
-        self._last_regime: Optional[str] = None
         # Insertion-order sum of virtual sizes, memoized per version:
         # the regime test, Guideline 3's denominator, and the
         # guideline-decision metric all consume the identical float.
@@ -121,10 +118,6 @@ class IncrementalAllocator:
     def version(self) -> int:
         """Bumped on every effective mutation; memo keys hang off it."""
         return self._version
-
-    @property
-    def last_regime(self) -> Optional[str]:
-        return self._last_regime
 
     def _touch(self) -> None:
         self._version += 1
@@ -185,7 +178,6 @@ class IncrementalAllocator:
         self._targets = None
         self._targets_version = -1
         self._targets_slots = -1
-        self._last_regime = None
         self._membership_version += 1
         self._floors = None
         self._floors_key = (-1, -1)
@@ -246,30 +238,20 @@ class IncrementalAllocator:
         Reuses the previous targets verbatim when no state changed and
         the slot pool is the same size (targets are a pure function of
         both). Otherwise runs the policy's ordered solve over the
-        maintained orders; on a regime flip, re-derives via the policy's
-        full from-scratch solve."""
+        maintained orders."""
         if (
             self._targets is not None
             and self._targets_version == self._version
             and self._targets_slots == total_slots
         ):
             return self._targets
-        active = self.states()
-        targets, regime = self.policy.allocate_ordered(
-            active,
+        self._targets = self.policy.allocate_ordered(
+            self.states(),
             self.ordered(),
             total_slots,
             total_virtual=self.virtual_size_sum(),
             floors=self._fairness_floors(total_slots),
         )
-        if (
-            regime is not None
-            and self._last_regime is not None
-            and regime != self._last_regime
-        ):
-            targets = self.policy.allocate(active, total_slots)
-        self._last_regime = regime
-        self._targets = targets
         self._targets_version = self._version
         self._targets_slots = total_slots
-        return targets
+        return self._targets

@@ -14,7 +14,6 @@ from typing import Optional, Union
 from repro import registry
 from repro.batch.simulator import BatchSimulator
 from repro.centralized.config import CentralizedConfig, SpeculationMode
-from repro.centralized.policies import CentralizedPolicy
 from repro.centralized.simulator import CentralizedSimulator
 from repro.cluster.cluster import Cluster
 from repro.cluster.datastore import DataStore
@@ -77,32 +76,6 @@ def default_straggler_model(profile: WorkloadProfile) -> StragglerModel:
     )
 
 
-def _centralized_system(
-    name: str,
-    epsilon: float,
-    systems: Optional[registry.Registry] = None,
-) -> tuple[CentralizedPolicy, SpeculationMode]:
-    """Resolve a centralized-family scheduler: the policy plus its
-    registered default speculation mode.
-
-    ``systems`` selects the registry (``CENTRALIZED_SYSTEMS`` by
-    default; the batch plane resolves through ``BATCH_SYSTEMS``).
-    Plain-callable registrations (no
-    :class:`~repro.registry.CentralizedSystemDefaults` wrapper) default
-    to BEST_EFFORT, the mode every non-Hopper baseline runs under.
-    """
-    if systems is None:
-        systems = registry.CENTRALIZED_SYSTEMS
-    entry = systems.get(name.lower())
-    mode_name = getattr(entry.factory, "speculation_mode", None)
-    mode = (
-        SpeculationMode(mode_name)
-        if mode_name is not None
-        else SpeculationMode.BEST_EFFORT
-    )
-    return entry.factory(epsilon=epsilon), mode
-
-
 def _resolve_straggler_model(
     straggler_model: Union[StragglerModel, str, None],
     profile: WorkloadProfile,
@@ -125,66 +98,42 @@ def _resolve_straggler_model(
 def _resolve_blacklist_policy(
     blacklist_policy: Union[BlacklistPolicy, str, None],
     num_machines: int,
-    strike_threshold: Optional[int] = None,
-    strike_window: Optional[float] = None,
-    eviction_cap: Optional[float] = None,
+    **strike_knobs: Optional[float],
 ) -> Optional[BlacklistPolicy]:
     """Accept a policy instance, a registry name, or None/"none" (off).
 
-    The strike knobs only apply when the policy is built by name here;
-    omitted knobs keep the policy's own defaults. ``num_machines`` is
-    the run's cluster size (bounds the eviction cap).
+    The strike knobs (``strike_threshold`` / ``strike_window`` /
+    ``eviction_cap``) only apply when the policy is built by name here;
+    omitted (None) knobs keep the policy's own defaults.
+    ``num_machines`` is the run's cluster size (bounds the eviction cap).
     """
-    if blacklist_policy is None:
-        return None
     if isinstance(blacklist_policy, str):
-        kwargs = {}
-        if strike_threshold is not None:
-            kwargs["strike_threshold"] = strike_threshold
-        if strike_window is not None:
-            kwargs["strike_window"] = strike_window
-        if eviction_cap is not None:
-            kwargs["eviction_cap"] = eviction_cap
         return registry.make_blacklist_policy(
-            blacklist_policy, num_machines=num_machines, **kwargs
+            blacklist_policy, num_machines=num_machines, **_given(strike_knobs)
         )
     return blacklist_policy
 
 
 def _resolve_autoscaler(
     autoscaler: Union[AutoscalerPolicy, str, None],
-    resize_schedule: Optional[str] = None,
-    scale_interval: Optional[float] = None,
-    scale_up_threshold: Optional[float] = None,
-    scale_down_threshold: Optional[float] = None,
-    scale_step: Optional[int] = None,
-    min_machines: Optional[int] = None,
+    **scale_knobs: Union[str, float, None],
 ) -> Optional[AutoscalerPolicy]:
     """Accept a policy instance, a registry name, or None/"none" (off).
 
-    The scale knobs only apply when the policy is built by name here;
-    omitted knobs keep the policy's own defaults. ``"none"`` resolves
-    through the registry to None, so a run that spells the default
-    explicitly builds the exact same simulator.
+    The scale knobs (``resize_schedule`` / ``scale_interval`` / ...)
+    only apply when the policy is built by name here; omitted (None)
+    knobs keep the policy's own defaults. ``"none"`` resolves through
+    the registry to None, so a run that spells the default explicitly
+    builds the exact same simulator.
     """
-    if autoscaler is None:
-        return None
     if isinstance(autoscaler, str):
-        kwargs = {}
-        if resize_schedule is not None:
-            kwargs["resize_schedule"] = resize_schedule
-        if scale_interval is not None:
-            kwargs["scale_interval"] = scale_interval
-        if scale_up_threshold is not None:
-            kwargs["scale_up_threshold"] = scale_up_threshold
-        if scale_down_threshold is not None:
-            kwargs["scale_down_threshold"] = scale_down_threshold
-        if scale_step is not None:
-            kwargs["scale_step"] = scale_step
-        if min_machines is not None:
-            kwargs["min_machines"] = min_machines
-        return registry.make_autoscaler(autoscaler, **kwargs)
+        return registry.make_autoscaler(autoscaler, **_given(scale_knobs))
     return autoscaler
+
+
+def _given(knobs: dict) -> dict:
+    """The knobs a caller actually set (None means "omitted")."""
+    return {name: value for name, value in knobs.items() if value is not None}
 
 
 #: Sentinel: "the caller did not choose" — consult ``REPRO_OBS``. An
@@ -198,14 +147,15 @@ def _resolve_obs(obs) -> Optional[Obs]:
     return obs
 
 
-def build_centralized_simulator(
+def _centralized_family_kwargs(
     trace: Trace,
     policy: str,
     spec: WorkloadSpec,
+    plane: str,
     speculation: str = "late",
     epsilon: float = 0.1,
     locality_k_percent: float = 3.0,
-    speculation_mode: Optional[SpeculationMode] = None,
+    speculation_mode: Union[SpeculationMode, str, None] = None,
     straggler_model: Union[StragglerModel, str, None] = None,
     with_locality: bool = False,
     slots_per_machine: int = 4,
@@ -223,89 +173,29 @@ def build_centralized_simulator(
     scale_step: Optional[int] = None,
     min_machines: Optional[int] = None,
     obs=_OBS_FROM_ENV,
-) -> CentralizedSimulator:
-    """Construct (without running) a centralized simulator for ``trace``.
-
-    The trace is deep-copied first, so the same object can be replayed
-    under several systems. ``policy`` and (string-valued)
-    ``straggler_model`` / ``blacklist_policy`` / ``autoscaler`` resolve
-    through :mod:`repro.registry`; each centralized system's registry
-    entry carries its default speculation mode (BEST_EFFORT for the
-    baselines, INTEGRATED for Hopper). With a blacklist policy the
-    simulator evicts struck machines mid-run (see
-    :mod:`repro.cluster.policy`); with an autoscaler it resizes the
-    cluster mid-run (see :mod:`repro.cluster.elastic`). The serving
-    driver builds through here too, then primes the engine before
-    calling ``run()``.
-    """
-    return CentralizedSimulator(
-        **_centralized_family_kwargs(
-            trace,
-            policy,
-            spec,
-            registry.CENTRALIZED_SYSTEMS,
-            speculation=speculation,
-            epsilon=epsilon,
-            locality_k_percent=locality_k_percent,
-            speculation_mode=speculation_mode,
-            straggler_model=straggler_model,
-            with_locality=with_locality,
-            slots_per_machine=slots_per_machine,
-            run_seed=run_seed,
-            config=config,
-            blacklist_policy=blacklist_policy,
-            strike_threshold=strike_threshold,
-            strike_window=strike_window,
-            eviction_cap=eviction_cap,
-            autoscaler=autoscaler,
-            resize_schedule=resize_schedule,
-            scale_interval=scale_interval,
-            scale_up_threshold=scale_up_threshold,
-            scale_down_threshold=scale_down_threshold,
-            scale_step=scale_step,
-            min_machines=min_machines,
-            obs=obs,
-        )
-    )
-
-
-def _centralized_family_kwargs(
-    trace: Trace,
-    policy: str,
-    spec: WorkloadSpec,
-    systems: registry.Registry,
-    speculation: str,
-    epsilon: float,
-    locality_k_percent: float,
-    speculation_mode: Optional[SpeculationMode],
-    straggler_model: Union[StragglerModel, str, None],
-    with_locality: bool,
-    slots_per_machine: int,
-    run_seed: int,
-    config: Optional[CentralizedConfig],
-    blacklist_policy: Union[BlacklistPolicy, str, None],
-    strike_threshold: Optional[int],
-    strike_window: Optional[float],
-    eviction_cap: Optional[float],
-    autoscaler: Union[AutoscalerPolicy, str, None],
-    resize_schedule: Optional[str],
-    scale_interval: Optional[float],
-    scale_up_threshold: Optional[float],
-    scale_down_threshold: Optional[float],
-    scale_step: Optional[int],
-    min_machines: Optional[int],
-    obs,
 ) -> dict:
     """Constructor kwargs shared by the centralized and batch planes.
 
-    Both planes build the exact same cluster, config, and seed
-    hierarchy — the batch plane only adds *when* dispatch happens, so
-    keeping construction common here guarantees the entropy streams
-    stay aligned between them.
+    This is the one keyword list of both builders. Both planes build
+    the exact same cluster, config, and seed hierarchy — the batch
+    plane only adds *when* dispatch happens, so keeping construction
+    common here keeps the entropy streams aligned between them.
+
+    ``policy`` names a system on ``plane`` in
+    :data:`repro.registry.SYSTEMS`; string-valued ``straggler_model`` /
+    ``blacklist_policy`` / ``autoscaler`` resolve through the other
+    registries. ``speculation_mode`` is a
+    :class:`~repro.centralized.config.SpeculationMode` or its value
+    string; when omitted, the system's registered default applies
+    (INTEGRATED for Hopper, BEST_EFFORT for the baselines and for
+    plain-callable registrations).
     """
-    policy_obj, default_mode = _centralized_system(policy, epsilon, systems)
+    entry = registry.SYSTEMS.get(policy.lower(), plane=plane)
     if speculation_mode is None:
-        speculation_mode = default_mode
+        speculation_mode = (
+            getattr(entry.factory, "speculation_mode", None) or "best_effort"
+        )
+    speculation_mode = SpeculationMode(speculation_mode)
     num_machines = max(1, spec.total_slots // slots_per_machine)
     cluster = Cluster(
         num_machines=num_machines, slots_per_machine=slots_per_machine
@@ -325,7 +215,7 @@ def _centralized_family_kwargs(
         )
     return dict(
         cluster=cluster,
-        policy=policy_obj,
+        policy=entry.factory(epsilon=epsilon),
         speculation=lambda: make_speculation_policy(speculation),
         trace=trace.fresh_copy(),
         straggler_model=_resolve_straggler_model(
@@ -354,6 +244,25 @@ def _centralized_family_kwargs(
     )
 
 
+def build_centralized_simulator(
+    trace: Trace, policy: str, spec: WorkloadSpec, **knobs
+) -> CentralizedSimulator:
+    """Construct (without running) a centralized simulator for ``trace``.
+
+    The simulator replays a structural clone of ``trace``, so the same
+    object can be replayed under several systems. Keywords are those of
+    :func:`_centralized_family_kwargs`; unknown ones raise
+    ``TypeError``. With a blacklist policy the simulator evicts struck
+    machines mid-run (see :mod:`repro.cluster.policy`); with an
+    autoscaler it resizes the cluster mid-run (see
+    :mod:`repro.cluster.elastic`). The serving driver builds through
+    here too, then primes the engine before calling ``run()``.
+    """
+    return CentralizedSimulator(
+        **_centralized_family_kwargs(trace, policy, spec, "centralized", **knobs)
+    )
+
+
 def run_centralized(
     trace: Trace,
     policy: str,
@@ -374,65 +283,19 @@ def build_batch_simulator(
     policy: str,
     spec: WorkloadSpec,
     round_interval: float = 0.5,
-    speculation: str = "late",
-    epsilon: float = 0.1,
-    locality_k_percent: float = 3.0,
-    speculation_mode: Optional[SpeculationMode] = None,
-    straggler_model: Union[StragglerModel, str, None] = None,
-    with_locality: bool = False,
-    slots_per_machine: int = 4,
-    run_seed: int = 7,
-    config: Optional[CentralizedConfig] = None,
-    blacklist_policy: Union[BlacklistPolicy, str, None] = None,
-    strike_threshold: Optional[int] = None,
-    strike_window: Optional[float] = None,
-    eviction_cap: Optional[float] = None,
-    autoscaler: Union[AutoscalerPolicy, str, None] = None,
-    resize_schedule: Optional[str] = None,
-    scale_interval: Optional[float] = None,
-    scale_up_threshold: Optional[float] = None,
-    scale_down_threshold: Optional[float] = None,
-    scale_step: Optional[int] = None,
-    min_machines: Optional[int] = None,
-    obs=_OBS_FROM_ENV,
+    **knobs,
 ) -> BatchSimulator:
     """Construct (without running) a batch-plane simulator for ``trace``.
 
-    Same surface as :func:`build_centralized_simulator` plus
-    ``round_interval``, the period of the recurring scheduling round.
-    ``policy`` names an entry of :data:`repro.registry.BATCH_SYSTEMS`.
-    Autoscaler resizes land between rounds: the controller requests a
-    dispatch, and the batch plane coalesces that into its next round.
+    Same keywords as :func:`build_centralized_simulator` plus
+    ``round_interval``, the period of the recurring scheduling round;
+    ``policy`` names a ``batch`` system. Autoscaler resizes land between
+    rounds: the controller requests a dispatch, and the batch plane
+    coalesces that into its next round.
     """
     return BatchSimulator(
         round_interval=round_interval,
-        **_centralized_family_kwargs(
-            trace,
-            policy,
-            spec,
-            registry.BATCH_SYSTEMS,
-            speculation=speculation,
-            epsilon=epsilon,
-            locality_k_percent=locality_k_percent,
-            speculation_mode=speculation_mode,
-            straggler_model=straggler_model,
-            with_locality=with_locality,
-            slots_per_machine=slots_per_machine,
-            run_seed=run_seed,
-            config=config,
-            blacklist_policy=blacklist_policy,
-            strike_threshold=strike_threshold,
-            strike_window=strike_window,
-            eviction_cap=eviction_cap,
-            autoscaler=autoscaler,
-            resize_schedule=resize_schedule,
-            scale_interval=scale_interval,
-            scale_up_threshold=scale_up_threshold,
-            scale_down_threshold=scale_down_threshold,
-            scale_step=scale_step,
-            min_machines=min_machines,
-            obs=obs,
-        ),
+        **_centralized_family_kwargs(trace, policy, spec, "batch", **knobs),
     )
 
 
@@ -479,9 +342,9 @@ def build_decentralized_simulator(
 ) -> DecentralizedSimulator:
     """Construct (without running) a decentralized simulator for ``trace``.
 
-    ``system`` names an entry of
-    :data:`repro.registry.DECENTRALIZED_SYSTEMS`; each entry carries the
-    paper's default probe ratio (2 for the baselines, 4 for Hopper) and
+    ``system`` names a ``decentralized`` system in
+    :data:`repro.registry.SYSTEMS`; each entry carries the paper's
+    default probe ratio (2 for the baselines, 4 for Hopper) and
     fairness setting, overridable per experiment. With a blacklist
     policy the simulator evicts struck workers from the probe pool
     mid-run (see :mod:`repro.cluster.policy`); with an autoscaler it
@@ -489,7 +352,7 @@ def build_decentralized_simulator(
     :mod:`repro.cluster.elastic`). The serving driver builds through
     here too, then primes the engine before ``run()``.
     """
-    defaults = registry.DECENTRALIZED_SYSTEMS.get(system).factory()
+    defaults = registry.SYSTEMS.get(system, plane="decentralized").factory()
     if config is None:
         config = DecentralizedConfig(
             worker_policy=defaults.worker_policy,

@@ -19,9 +19,12 @@ Now every named thing registers here exactly once, with:
 through these registries, so registering a new entry makes it usable
 end-to-end (spec -> sweep -> study -> CLI) with no other edits:
 
-    from repro.registry import CENTRALIZED_SYSTEMS
-    CENTRALIZED_SYSTEMS.register(
-        "lifo", lambda epsilon: MyLifoPolicy(), description="LIFO strawman"
+    from repro.registry import SYSTEMS
+    SYSTEMS.register(
+        "centralized",
+        "lifo",
+        lambda epsilon: MyLifoPolicy(),
+        description="LIFO strawman",
     )
     RunSpec("centralized", "lifo", WorkloadParams()).execute()
 
@@ -29,19 +32,14 @@ Registries
 ----------
 ``SPEC_KINDS``
     Run shapes: ``centralized``, ``decentralized``, ``batch``,
-    ``single_job``, ``serving``. Each kind carries its systems
-    sub-registry, its knob schema, and the executor that turns a
-    :class:`~repro.sweep.spec.RunSpec` into a
+    ``single_job``, ``serving``. Each kind carries its knob schema and
+    the executor that turns a :class:`~repro.sweep.spec.RunSpec` into a
     :class:`~repro.metrics.collector.SimulationResult`.
 ``SYSTEMS``
-    The plane-tagged view over every system registry: each entry
-    carries its ``plane`` (``centralized`` / ``decentralized`` /
-    ``batch`` / ``single_job`` / ``serving``) next to the per-plane
-    entry. The per-plane registries below remain the storage, so they
-    double as filtered back-compat views.
-``CENTRALIZED_SYSTEMS`` / ``DECENTRALIZED_SYSTEMS`` / ``BATCH_SYSTEMS`` /
-``SINGLE_JOB_SYSTEMS`` / ``SERVING_SYSTEMS``
-    Schedulers per kind.
+    The one store of schedulers. Each entry carries its ``plane``
+    (``centralized`` / ``decentralized`` / ``batch`` / ``single_job`` /
+    ``serving``, one per spec kind); a kind's systems are
+    ``SYSTEMS.entries(plane=kind.name)``.
 ``SPECULATION_POLICIES``
     Straggler-mitigation algorithms (LATE, Mantri, GRASS, none).
 ``STRAGGLER_MODELS``
@@ -263,10 +261,10 @@ class Registry:
 
 @dataclass(frozen=True)
 class SpecKind:
-    """One run shape: systems sub-registry + knob schema + executor."""
+    """One run shape: knob schema + executor. Its systems are the
+    :data:`SYSTEMS` entries on the plane of the same name."""
 
     name: str
-    systems: Registry
     knobs: Mapping[str, Knob]
     run: Callable[[Any], Any]  # RunSpec -> SimulationResult
     description: str = ""
@@ -285,11 +283,6 @@ class SpecKind:
 
 
 SPEC_KINDS = Registry("spec kind")
-CENTRALIZED_SYSTEMS = Registry("centralized system")
-DECENTRALIZED_SYSTEMS = Registry("decentralized system")
-BATCH_SYSTEMS = Registry("batch system")
-SINGLE_JOB_SYSTEMS = Registry("single_job system")
-SERVING_SYSTEMS = Registry("serving system")
 SPECULATION_POLICIES = Registry("speculation policy")
 STRAGGLER_MODELS = Registry("straggler model")
 BLACKLIST_POLICIES = Registry("blacklist policy")
@@ -304,65 +297,69 @@ STUDIES = Registry("study")
 
 @dataclass(frozen=True)
 class SystemEntry:
-    """One system seen through :data:`SYSTEMS`: a plane tag plus the
-    underlying per-plane :class:`Entry`."""
+    """One registered scheduler: its plane, name, factory, description."""
 
     plane: str
-    entry: Entry
-
-    @property
-    def name(self) -> str:
-        return self.entry.name
-
-    @property
-    def factory(self) -> Any:
-        return self.entry.factory
-
-    @property
-    def description(self) -> str:
-        return self.entry.description
-
-    @property
-    def knobs(self) -> Mapping[str, Knob]:
-        return self.entry.knobs
+    name: str
+    factory: Any
+    description: str = ""
 
     @property
     def qualified(self) -> str:
         """The unambiguous ``plane/name`` form of this system."""
-        return f"{self.plane}/{self.entry.name}"
+        return f"{self.plane}/{self.name}"
 
 
 class SystemsTable:
-    """A live plane-tagged view over the per-plane system registries.
+    """Every scheduler system, stored once and tagged with its plane.
 
-    The per-plane registries (``CENTRALIZED_SYSTEMS`` et al.) stay the
-    storage — registering through either surface is visible through
-    both, so existing ``register()`` call sites and plugin teardown keep
-    working unchanged. Lookups accept a bare name (when unambiguous), a
-    qualified ``plane/name`` string, or an explicit ``plane=`` keyword.
+    Lookups accept a bare name (when unambiguous), a qualified
+    ``plane/name`` string, or an explicit ``plane=`` keyword. Entries
+    list grouped by plane, in the order the planes were declared.
     """
 
-    def __init__(self, planes: Mapping[str, Registry]) -> None:
-        self._planes: Dict[str, Registry] = dict(planes)
+    def __init__(self, planes: Iterable[str]) -> None:
+        self._planes: Dict[str, Dict[str, SystemEntry]] = {
+            plane: {} for plane in planes
+        }
 
-    def planes(self) -> Tuple[str, ...]:
-        return tuple(self._planes)
-
-    def plane(self, name: str) -> Registry:
-        """The per-plane registry backing one plane (the filtered view)."""
+    def _systems(self, plane: str) -> Dict[str, SystemEntry]:
         try:
-            return self._planes[name]
+            return self._planes[plane]
         except KeyError:
             raise UnknownEntryError(
-                f"unknown scheduler plane {name!r}; "
+                f"unknown scheduler plane {plane!r}; "
                 f"valid planes: {', '.join(self._planes)}"
             ) from None
 
     def register(
-        self, plane: str, name: str, factory: Any, **kwargs: Any
-    ) -> Entry:
-        """Register a system on ``plane`` (delegates to its registry)."""
-        return self.plane(plane).register(name, factory, **kwargs)
+        self,
+        plane: str,
+        name: str,
+        factory: Any,
+        description: str = "",
+        replace: bool = False,
+    ) -> SystemEntry:
+        """Register ``factory`` as system ``name`` on ``plane``;
+        duplicate names on one plane raise."""
+        systems = self._systems(plane)
+        if not name or not isinstance(name, str):
+            raise RegistryError(
+                f"{plane} system name must be a non-empty string, "
+                f"got {name!r}"
+            )
+        if name in systems and not replace:
+            raise DuplicateEntryError(
+                f"{plane} system {name!r} is already registered; "
+                f"pass replace=True to override"
+            )
+        entry = SystemEntry(plane, name, factory, description)
+        systems[name] = entry
+        return entry
+
+    def unregister(self, plane: str, name: str) -> None:
+        """Remove a system (plugin teardown / tests)."""
+        self._systems(plane).pop(name, None)
 
     def get(self, system: str, plane: Optional[str] = None) -> SystemEntry:
         """Resolve ``system`` to a :class:`SystemEntry`.
@@ -374,11 +371,18 @@ class SystemsTable:
         if plane is None and "/" in system:
             plane, _, system = system.partition("/")
         if plane is not None:
-            return SystemEntry(plane, self.plane(plane).get(system))
+            systems = self._systems(plane)
+            try:
+                return systems[system]
+            except KeyError:
+                raise UnknownEntryError(
+                    f"unknown {plane} system {system!r}; valid entries: "
+                    f"{', '.join(sorted(systems)) or '(none)'}"
+                ) from None
         hits = [
-            SystemEntry(p, reg.get(system))
-            for p, reg in self._planes.items()
-            if system in reg
+            systems[system]
+            for systems in self._planes.values()
+            if system in systems
         ]
         if not hits:
             raise UnknownEntryError(
@@ -393,44 +397,26 @@ class SystemsTable:
             )
         return hits[0]
 
-    def entries(self) -> Tuple[SystemEntry, ...]:
+    def entries(self, plane: Optional[str] = None) -> Tuple[SystemEntry, ...]:
+        """Every system grouped by plane, or only ``plane``'s systems."""
+        if plane is not None:
+            return tuple(self._systems(plane).values())
         return tuple(
-            SystemEntry(p, e)
-            for p, reg in self._planes.items()
-            for e in reg.entries()
+            entry
+            for systems in self._planes.values()
+            for entry in systems.values()
         )
 
     def names(self) -> Tuple[str, ...]:
         """Qualified ``plane/name`` strings for every registered system."""
         return tuple(entry.qualified for entry in self.entries())
 
-    def __contains__(self, system: object) -> bool:
-        if not isinstance(system, str):
-            return False
-        if "/" in system:
-            plane, _, name = system.partition("/")
-            reg = self._planes.get(plane)
-            return reg is not None and name in reg
-        return any(system in reg for reg in self._planes.values())
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.names())
-
-    def __len__(self) -> int:
-        return sum(len(reg) for reg in self._planes.values())
-
     def __repr__(self) -> str:
         return f"SystemsTable({list(self._planes)})"
 
 
 SYSTEMS = SystemsTable(
-    {
-        "centralized": CENTRALIZED_SYSTEMS,
-        "decentralized": DECENTRALIZED_SYSTEMS,
-        "batch": BATCH_SYSTEMS,
-        "single_job": SINGLE_JOB_SYSTEMS,
-        "serving": SERVING_SYSTEMS,
-    }
+    ("centralized", "decentralized", "batch", "single_job", "serving")
 )
 
 
@@ -488,7 +474,7 @@ def make_blacklist_policy(
 def make_autoscaler(name: str, **kwargs: Any):
     """Build a registered autoscaler policy (or None for ``"none"``).
 
-    Keyword knobs are the ``_autoscaler_knobs()`` family; each factory
+    Keyword knobs are the ``_AUTOSCALER_KNOBS`` group; each factory
     consumes the ones it understands and ignores the rest, so callers
     may pass the whole knob group through unconditionally.
     """
@@ -542,23 +528,6 @@ class CentralizedSystemDefaults:
         return self.make_policy(epsilon=epsilon)
 
 
-CENTRALIZED_SYSTEMS.register(
-    "fair",
-    CentralizedSystemDefaults(_fair_factory, speculation_mode="best_effort"),
-    description="max-min fair sharing across active jobs",
-)
-CENTRALIZED_SYSTEMS.register(
-    "srpt",
-    CentralizedSystemDefaults(_srpt_factory, speculation_mode="best_effort"),
-    description="shortest remaining processing time (speculation-blind)",
-)
-CENTRALIZED_SYSTEMS.register(
-    "hopper",
-    CentralizedSystemDefaults(_hopper_factory, speculation_mode="integrated"),
-    description="speculation-aware Hopper allocation (the paper's system)",
-)
-
-
 @dataclass(frozen=True)
 class DecentralizedSystemDefaults:
     """Per-system defaults the paper uses for the decentralized runs.
@@ -578,93 +547,21 @@ class DecentralizedSystemDefaults:
     power_of_d: int = 1
 
 
-def _sparrow_defaults() -> DecentralizedSystemDefaults:
-    from repro.decentralized.config import WorkerPolicy
+def _decentralized_defaults(
+    worker_policy: str, probe_ratio: float, epsilon: float, **extra: Any
+) -> Callable[[], DecentralizedSystemDefaults]:
+    """A zero-argument factory for one system's defaults; the
+    :class:`~repro.decentralized.config.WorkerPolicy` member is named
+    here and imported only when the factory runs."""
 
-    return DecentralizedSystemDefaults(WorkerPolicy.FIFO, 2.0, 1.0)
+    def make() -> DecentralizedSystemDefaults:
+        from repro.decentralized.config import WorkerPolicy
 
+        return DecentralizedSystemDefaults(
+            WorkerPolicy[worker_policy], probe_ratio, epsilon, **extra
+        )
 
-def _sparrow_srpt_defaults() -> DecentralizedSystemDefaults:
-    from repro.decentralized.config import WorkerPolicy
-
-    return DecentralizedSystemDefaults(WorkerPolicy.SRPT, 2.0, 1.0)
-
-
-def _decentralized_hopper_defaults() -> DecentralizedSystemDefaults:
-    from repro.decentralized.config import WorkerPolicy
-
-    return DecentralizedSystemDefaults(WorkerPolicy.HOPPER, 4.0, 0.1)
-
-
-def _sparrow_lb_defaults() -> DecentralizedSystemDefaults:
-    from repro.decentralized.config import WorkerPolicy
-
-    return DecentralizedSystemDefaults(
-        WorkerPolicy.FIFO, 2.0, 1.0, late_binding=True
-    )
-
-
-def _sparrow_po2_defaults() -> DecentralizedSystemDefaults:
-    from repro.decentralized.config import WorkerPolicy
-
-    return DecentralizedSystemDefaults(
-        WorkerPolicy.FIFO, 2.0, 1.0, power_of_d=2
-    )
-
-
-DECENTRALIZED_SYSTEMS.register(
-    "sparrow",
-    _sparrow_defaults,
-    description="Sparrow batch sampling, FIFO worker queues (d=2)",
-)
-DECENTRALIZED_SYSTEMS.register(
-    "sparrow-srpt",
-    _sparrow_srpt_defaults,
-    description="Sparrow with SRPT worker queues (the strong baseline)",
-)
-DECENTRALIZED_SYSTEMS.register(
-    "hopper",
-    _decentralized_hopper_defaults,
-    description="decentralized Hopper (d=4, epsilon=0.1 fairness)",
-)
-DECENTRALIZED_SYSTEMS.register(
-    "sparrow-lb",
-    _sparrow_lb_defaults,
-    description=(
-        "Sparrow with late binding: probes reserve, workers pull the "
-        "task at execution time"
-    ),
-)
-DECENTRALIZED_SYSTEMS.register(
-    "sparrow-po2",
-    _sparrow_po2_defaults,
-    description=(
-        "Sparrow with power-of-2 probe sampling (oversample, keep the "
-        "least-loaded)"
-    ),
-)
-
-BATCH_SYSTEMS.register(
-    "fair",
-    CentralizedSystemDefaults(_fair_factory, speculation_mode="best_effort"),
-    description="periodic rounds of max-min fair sharing",
-)
-BATCH_SYSTEMS.register(
-    "srpt",
-    CentralizedSystemDefaults(_srpt_factory, speculation_mode="best_effort"),
-    description="periodic rounds of SRPT allocation",
-)
-BATCH_SYSTEMS.register(
-    "hopper",
-    CentralizedSystemDefaults(_hopper_factory, speculation_mode="integrated"),
-    description="periodic rounds of Hopper allocation over the buffer",
-)
-
-SINGLE_JOB_SYSTEMS.register(
-    "hopper",
-    _hopper_factory,
-    description="single-job Hopper with uncapped LATE (Fig. 3 setting)",
-)
+    return make
 
 
 @dataclass(frozen=True)
@@ -674,33 +571,111 @@ class ServingSystem:
     The open-loop driver streams into either simulator family; an entry
     here names one (plane, system) pair so a ``serving`` RunSpec stays
     a flat name like every other kind. ``system`` must itself be
-    registered in that plane's own registry.
+    registered on that plane.
     """
 
     plane: str  # "centralized" | "decentralized"
     system: str
 
 
-SERVING_SYSTEMS.register(
-    "hopper",
-    ServingSystem("decentralized", "hopper"),
-    description="open-loop stream into decentralized Hopper (d=4)",
-)
-SERVING_SYSTEMS.register(
-    "sparrow-srpt",
-    ServingSystem("decentralized", "sparrow-srpt"),
-    description="open-loop stream into Sparrow-SRPT (the strong baseline)",
-)
-SERVING_SYSTEMS.register(
-    "hopper-c",
-    ServingSystem("centralized", "hopper"),
-    description="open-loop stream into centralized Hopper",
-)
-SERVING_SYSTEMS.register(
-    "srpt-c",
-    ServingSystem("centralized", "srpt"),
-    description="open-loop stream into centralized SRPT",
-)
+def _register_systems() -> None:
+    # The centralized plane and the batch plane run the same three
+    # policies under the same default speculation modes.
+    for name, make_policy, mode, centralized_about, batch_about in (
+        (
+            "fair",
+            _fair_factory,
+            "best_effort",
+            "max-min fair sharing across active jobs",
+            "periodic rounds of max-min fair sharing",
+        ),
+        (
+            "srpt",
+            _srpt_factory,
+            "best_effort",
+            "shortest remaining processing time (speculation-blind)",
+            "periodic rounds of SRPT allocation",
+        ),
+        (
+            "hopper",
+            _hopper_factory,
+            "integrated",
+            "speculation-aware Hopper allocation (the paper's system)",
+            "periodic rounds of Hopper allocation over the buffer",
+        ),
+    ):
+        defaults = CentralizedSystemDefaults(make_policy, mode)
+        SYSTEMS.register("centralized", name, defaults, centralized_about)
+        SYSTEMS.register("batch", name, defaults, batch_about)
+
+    for name, defaults, description in (
+        (
+            "sparrow",
+            _decentralized_defaults("FIFO", 2.0, 1.0),
+            "Sparrow batch sampling, FIFO worker queues (d=2)",
+        ),
+        (
+            "sparrow-srpt",
+            _decentralized_defaults("SRPT", 2.0, 1.0),
+            "Sparrow with SRPT worker queues (the strong baseline)",
+        ),
+        (
+            "hopper",
+            _decentralized_defaults("HOPPER", 4.0, 0.1),
+            "decentralized Hopper (d=4, epsilon=0.1 fairness)",
+        ),
+        (
+            "sparrow-lb",
+            _decentralized_defaults("FIFO", 2.0, 1.0, late_binding=True),
+            "Sparrow with late binding: probes reserve, workers pull the "
+            "task at execution time",
+        ),
+        (
+            "sparrow-po2",
+            _decentralized_defaults("FIFO", 2.0, 1.0, power_of_d=2),
+            "Sparrow with power-of-2 probe sampling (oversample, keep the "
+            "least-loaded)",
+        ),
+    ):
+        SYSTEMS.register("decentralized", name, defaults, description)
+
+    SYSTEMS.register(
+        "single_job",
+        "hopper",
+        _hopper_factory,
+        "single-job Hopper with uncapped LATE (Fig. 3 setting)",
+    )
+
+    for name, plane, system, description in (
+        (
+            "hopper",
+            "decentralized",
+            "hopper",
+            "open-loop stream into decentralized Hopper (d=4)",
+        ),
+        (
+            "sparrow-srpt",
+            "decentralized",
+            "sparrow-srpt",
+            "open-loop stream into Sparrow-SRPT (the strong baseline)",
+        ),
+        (
+            "hopper-c",
+            "centralized",
+            "hopper",
+            "open-loop stream into centralized Hopper",
+        ),
+        (
+            "srpt-c",
+            "centralized",
+            "srpt",
+            "open-loop stream into centralized SRPT",
+        ),
+    ):
+        SYSTEMS.register("serving", name, ServingSystem(plane, system), description)
+
+
+_register_systems()
 
 
 def _late_factory(**kwargs):
@@ -971,63 +946,23 @@ _register_workload_profiles()
 # Spec-kind executors and knob schemas
 # --------------------------------------------------------------------------
 
-def _run_centralized_spec(spec):
-    from repro.experiments.harness import build_trace, run_centralized
+def _run_plane_spec(spec):
+    """Execute a ``centralized``, ``decentralized`` or ``batch`` spec:
+    build its trace and replay it on the plane the kind names. Knobs
+    pass through as builder keywords (string-valued policy and model
+    knobs stay names; the harness resolves them with the per-run
+    cluster size wired in), and ``until`` bounds the horizon."""
+    from repro.experiments.harness import build_trace, run_simulator
 
     wspec = spec.workload.to_workload_spec()
-    trace = build_trace(wspec)
-    kwargs = {k: v for k, v in spec.knobs}
-    mode = kwargs.pop("speculation_mode", None)
-    if mode is not None:
-        from repro.centralized.config import SpeculationMode
-
-        kwargs["speculation_mode"] = SpeculationMode(mode)
-    # A string-valued straggler_model knob stays a name here; the harness
-    # resolves it with the per-run num_machines wired in.
-    return run_centralized(
-        trace,
+    return run_simulator(
         spec.system,
+        build_trace(wspec),
         wspec,
+        plane=spec.kind,
         speculation=spec.speculation,
         run_seed=spec.run_seed,
-        **kwargs,
-    )
-
-
-def _run_decentralized_spec(spec):
-    from repro.experiments.harness import build_trace, run_decentralized
-
-    wspec = spec.workload.to_workload_spec()
-    trace = build_trace(wspec)
-    kwargs = {k: v for k, v in spec.knobs}
-    return run_decentralized(
-        trace,
-        spec.system,
-        wspec,
-        speculation=spec.speculation,
-        run_seed=spec.run_seed,
-        **kwargs,
-    )
-
-
-def _run_batch_spec(spec):
-    from repro.experiments.harness import build_trace, run_batch
-
-    wspec = spec.workload.to_workload_spec()
-    trace = build_trace(wspec)
-    kwargs = {k: v for k, v in spec.knobs}
-    mode = kwargs.pop("speculation_mode", None)
-    if mode is not None:
-        from repro.centralized.config import SpeculationMode
-
-        kwargs["speculation_mode"] = SpeculationMode(mode)
-    return run_batch(
-        trace,
-        spec.system,
-        wspec,
-        speculation=spec.speculation,
-        run_seed=spec.run_seed,
-        **kwargs,
+        **dict(spec.knobs),
     )
 
 
@@ -1067,7 +1002,7 @@ def _run_single_job_spec(spec):
     job = make_single_phase_job(0, 0.0, sizes)
     trace = Trace(jobs=[job])
 
-    policy = SINGLE_JOB_SYSTEMS.get(spec.system).factory(epsilon=1.0)
+    policy = SYSTEMS.get(spec.system, plane="single_job").factory(epsilon=1.0)
     if spec.speculation == "late":
         # Uncapped LATE so the job can exploit slots beyond one-per-task.
         speculation = lambda: make_speculation_policy(  # noqa: E731
@@ -1112,109 +1047,109 @@ def _arrival_process_names() -> Tuple[str, ...]:
     return ARRIVAL_PROCESSES.names()
 
 
-def _straggler_model_knob() -> Knob:
-    return Knob(
-        "straggler_model",
+#: Knob groups shared by the spec kinds' schemas, each declared once.
+_UNTIL_KNOB = Knob(
+    "until",
+    type=float,
+    default=None,
+    description="optional simulation horizon (virtual seconds)",
+    validator=lambda v: v > 0.0,
+)
+
+_STRAGGLER_MODEL_KNOB = Knob(
+    "straggler_model",
+    type=str,
+    default="pareto-redraw",
+    description="straggler model name (see STRAGGLER_MODELS)",
+    choices=STRAGGLER_MODELS.names,
+)
+
+#: Eviction-policy knobs, shared by both simulator planes.
+_BLACKLIST_KNOBS = (
+    Knob(
+        "blacklist_policy",
         type=str,
-        default="pareto-redraw",
-        description="straggler model name (see STRAGGLER_MODELS)",
-        choices=STRAGGLER_MODELS.names,
-    )
+        default="none",
+        description="mid-run machine-eviction policy (see BLACKLIST_POLICIES)",
+        choices=BLACKLIST_POLICIES.names,
+    ),
+    Knob(
+        "strike_threshold",
+        type=int,
+        default=3,
+        description="strikes within the window that evict a machine",
+        validator=lambda v: v >= 1,
+    ),
+    Knob(
+        "strike_window",
+        type=float,
+        default=10.0,
+        description="sliding strike-evidence window (virtual seconds)",
+        validator=lambda v: v > 0.0,
+    ),
+    Knob(
+        "eviction_cap",
+        type=float,
+        default=0.2,
+        description="max fraction of machines evicted at once",
+        validator=lambda v: 0.0 < v <= 1.0,
+    ),
+)
 
-
-def _blacklist_knobs() -> Tuple[Knob, ...]:
-    """Eviction-policy knobs shared by both simulator planes."""
-    return (
-        Knob(
-            "blacklist_policy",
-            type=str,
-            default="none",
-            description=(
-                "mid-run machine-eviction policy (see BLACKLIST_POLICIES)"
-            ),
-            choices=BLACKLIST_POLICIES.names,
+#: Elastic-cluster knobs, shared by every simulator-backed kind.
+_AUTOSCALER_KNOBS = (
+    Knob(
+        "autoscaler",
+        type=str,
+        default="none",
+        description="elastic-cluster autoscaler (see AUTOSCALER_POLICIES)",
+        choices=AUTOSCALER_POLICIES.names,
+    ),
+    Knob(
+        "resize_schedule",
+        type=str,
+        default=None,
+        description=(
+            'timed resizes for autoscaler="schedule" '
+            '("time:delta,..." — e.g. "30:+8,90:-8")'
         ),
-        Knob(
-            "strike_threshold",
-            type=int,
-            default=3,
-            description="strikes within the window that evict a machine",
-            validator=lambda v: v >= 1,
-        ),
-        Knob(
-            "strike_window",
-            type=float,
-            default=10.0,
-            description="sliding strike-evidence window (virtual seconds)",
-            validator=lambda v: v > 0.0,
-        ),
-        Knob(
-            "eviction_cap",
-            type=float,
-            default=0.2,
-            description="max fraction of machines evicted at once",
-            validator=lambda v: 0.0 < v <= 1.0,
-        ),
-    )
-
-
-def _autoscaler_knobs() -> Tuple[Knob, ...]:
-    """Elastic-cluster knobs shared by every simulator-backed kind."""
-    return (
-        Knob(
-            "autoscaler",
-            type=str,
-            default="none",
-            description=(
-                "elastic-cluster autoscaler (see AUTOSCALER_POLICIES)"
-            ),
-            choices=AUTOSCALER_POLICIES.names,
-        ),
-        Knob(
-            "resize_schedule",
-            type=str,
-            default=None,
-            description=(
-                'timed resizes for autoscaler="schedule" '
-                '("time:delta,..." — e.g. "30:+8,90:-8")'
-            ),
-        ),
-        Knob(
-            "scale_interval",
-            type=float,
-            default=5.0,
-            description="reactive-autoscaler sampling cadence (virtual s)",
-            validator=lambda v: v > 0.0,
-        ),
-        Knob(
-            "scale_up_threshold",
-            type=float,
-            default=0.85,
-            description="grow when sampled utilization exceeds this",
-            validator=lambda v: 0.0 < v <= 1.0,
-        ),
-        Knob(
-            "scale_down_threshold",
-            type=float,
-            default=0.30,
-            description="shrink when sampled utilization falls below this",
-            validator=lambda v: 0.0 <= v < 1.0,
-        ),
-        Knob(
-            "scale_step",
-            type=int,
-            default=1,
-            description="machines added/removed per reactive decision",
-            validator=lambda v: v >= 1,
-        ),
-        Knob(
-            "min_machines",
-            type=int,
-            default=1,
-            description="shrinks never go below this many live machines",
-            validator=lambda v: v >= 1,
-        ),
-    )
+    ),
+    Knob(
+        "scale_interval",
+        type=float,
+        default=5.0,
+        description="reactive-autoscaler sampling cadence (virtual s)",
+        validator=lambda v: v > 0.0,
+    ),
+    Knob(
+        "scale_up_threshold",
+        type=float,
+        default=0.85,
+        description="grow when sampled utilization exceeds this",
+        validator=lambda v: 0.0 < v <= 1.0,
+    ),
+    Knob(
+        "scale_down_threshold",
+        type=float,
+        default=0.30,
+        description="shrink when sampled utilization falls below this",
+        validator=lambda v: 0.0 <= v < 1.0,
+    ),
+    Knob(
+        "scale_step",
+        type=int,
+        default=1,
+        description="machines added/removed per reactive decision",
+        validator=lambda v: v >= 1,
+    ),
+    Knob(
+        "min_machines",
+        type=int,
+        default=1,
+        description="shrinks never go below this many live machines",
+        validator=lambda v: v >= 1,
+    ),
+)
 
 
 _CENTRALIZED_KNOBS = (
@@ -1252,9 +1187,9 @@ _CENTRALIZED_KNOBS = (
         description="slots per simulated machine",
         validator=lambda v: v >= 1,
     ),
-    _straggler_model_knob(),
-    *_blacklist_knobs(),
-    *_autoscaler_knobs(),
+    _STRAGGLER_MODEL_KNOB,
+    *_BLACKLIST_KNOBS,
+    *_AUTOSCALER_KNOBS,
 )
 
 _DECENTRALIZED_KNOBS = (
@@ -1286,13 +1221,7 @@ _DECENTRALIZED_KNOBS = (
         description="independent schedulers sharing the cluster",
         validator=lambda v: v >= 1,
     ),
-    Knob(
-        "until",
-        type=float,
-        default=None,
-        description="optional simulation horizon (virtual seconds)",
-        validator=lambda v: v > 0.0,
-    ),
+    _UNTIL_KNOB,
     Knob(
         "power_of_d",
         type=int,
@@ -1303,9 +1232,9 @@ _DECENTRALIZED_KNOBS = (
         ),
         validator=lambda v: v >= 1,
     ),
-    _straggler_model_knob(),
-    *_blacklist_knobs(),
-    *_autoscaler_knobs(),
+    _STRAGGLER_MODEL_KNOB,
+    *_BLACKLIST_KNOBS,
+    *_AUTOSCALER_KNOBS,
 )
 
 _BATCH_KNOBS = (
@@ -1320,13 +1249,7 @@ _BATCH_KNOBS = (
         ),
         validator=lambda v: v >= 0.0,
     ),
-    Knob(
-        "until",
-        type=float,
-        default=None,
-        description="optional simulation horizon (virtual seconds)",
-        validator=lambda v: v > 0.0,
-    ),
+    _UNTIL_KNOB,
 )
 
 _SERVING_KNOBS = (
@@ -1372,8 +1295,8 @@ _SERVING_KNOBS = (
         description="Pareto shape of whole-job size multipliers (0 = off)",
         validator=lambda v: v == 0.0 or v > 1.0,
     ),
-    _straggler_model_knob(),
-    *_autoscaler_knobs(),
+    _STRAGGLER_MODEL_KNOB,
+    *_AUTOSCALER_KNOBS,
 )
 
 _SINGLE_JOB_KNOBS = (
@@ -1400,67 +1323,51 @@ _SINGLE_JOB_KNOBS = (
     ),
 )
 
-SPEC_KINDS.register(
+
+def _register_kind(name, run, knobs, description, summary=None) -> None:
+    """Register one spec kind; ``summary`` is its one-line ``repro
+    list`` description when ``description`` runs long."""
+    SPEC_KINDS.register(
+        name,
+        SpecKind(name, {knob.name: knob for knob in knobs}, run, description),
+        description=summary or description,
+    )
+
+
+_register_kind(
     "centralized",
-    SpecKind(
-        name="centralized",
-        systems=CENTRALIZED_SYSTEMS,
-        knobs={knob.name: knob for knob in _CENTRALIZED_KNOBS},
-        run=_run_centralized_spec,
-        description="one omniscient scheduler over the whole cluster",
-    ),
-    description="one omniscient scheduler over the whole cluster",
+    _run_plane_spec,
+    _CENTRALIZED_KNOBS,
+    "one omniscient scheduler over the whole cluster",
 )
-SPEC_KINDS.register(
+_register_kind(
     "decentralized",
-    SpecKind(
-        name="decentralized",
-        systems=DECENTRALIZED_SYSTEMS,
-        knobs={knob.name: knob for knob in _DECENTRALIZED_KNOBS},
-        run=_run_decentralized_spec,
-        description="Sparrow-style probe-based schedulers (the paper's scale)",
-    ),
-    description="Sparrow-style probe-based schedulers (the paper's scale)",
+    _run_plane_spec,
+    _DECENTRALIZED_KNOBS,
+    "Sparrow-style probe-based schedulers (the paper's scale)",
 )
-SPEC_KINDS.register(
+_register_kind(
     "batch",
-    SpecKind(
-        name="batch",
-        systems=BATCH_SYSTEMS,
-        knobs={knob.name: knob for knob in _BATCH_KNOBS},
-        run=_run_batch_spec,
-        description=(
-            "periodic scheduling rounds over an accumulated pending "
-            "buffer (Firmament-style batch mode)"
-        ),
-    ),
-    description="periodic batch-mode rounds over a pending buffer",
+    _run_plane_spec,
+    _BATCH_KNOBS,
+    "periodic scheduling rounds over an accumulated pending buffer "
+    "(Firmament-style batch mode)",
+    summary="periodic batch-mode rounds over a pending buffer",
 )
-SPEC_KINDS.register(
+_register_kind(
     "single_job",
-    SpecKind(
-        name="single_job",
-        systems=SINGLE_JOB_SYSTEMS,
-        knobs={knob.name: knob for knob in _SINGLE_JOB_KNOBS},
-        run=_run_single_job_spec,
-        description="one synthetic job on a dedicated cluster (Fig. 3)",
-    ),
-    description="one synthetic job on a dedicated cluster (Fig. 3)",
+    _run_single_job_spec,
+    _SINGLE_JOB_KNOBS,
+    "one synthetic job on a dedicated cluster (Fig. 3)",
 )
-SPEC_KINDS.register(
+_register_kind(
     "serving",
-    SpecKind(
-        name="serving",
-        systems=SERVING_SYSTEMS,
-        knobs={knob.name: knob for knob in _SERVING_KNOBS},
-        run=_run_serving_spec,
-        description=(
-            "open-loop arrival stream at a target rho with windowed "
-            "steady-state tail metrics (workload.utilization is rho, "
-            "workload.num_jobs the injection safety cap)"
-        ),
-    ),
-    description="open-loop heavy-traffic stream with steady-state tails",
+    _run_serving_spec,
+    _SERVING_KNOBS,
+    "open-loop arrival stream at a target rho with windowed steady-state "
+    "tail metrics (workload.utilization is rho, workload.num_jobs the "
+    "injection safety cap)",
+    summary="open-loop heavy-traffic stream with steady-state tails",
 )
 
 
@@ -1481,11 +1388,6 @@ __all__ = [
     "ServingSystem",
     "SPEC_KINDS",
     "SYSTEMS",
-    "CENTRALIZED_SYSTEMS",
-    "DECENTRALIZED_SYSTEMS",
-    "BATCH_SYSTEMS",
-    "SINGLE_JOB_SYSTEMS",
-    "SERVING_SYSTEMS",
     "SPECULATION_POLICIES",
     "STRAGGLER_MODELS",
     "BLACKLIST_POLICIES",

@@ -315,7 +315,7 @@ def run_serving_spec(spec) -> SimulationResult:
         cooldown=float(knobs.pop("cooldown", ServingRegime.cooldown)),
         window=float(knobs.pop("window", ServingRegime.window)),
     )
-    descriptor = registry.SERVING_SYSTEMS.get(spec.system).factory
+    descriptor = registry.SYSTEMS.get(spec.system, plane="serving").factory
     return run_serving(
         wspec,
         descriptor.plane,

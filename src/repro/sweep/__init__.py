@@ -25,12 +25,7 @@ from repro.sweep.runner import (
     evaluate,
     set_default_runner,
 )
-from repro.sweep.spec import (
-    CENTRALIZED_SYSTEMS,
-    DECENTRALIZED_SYSTEMS,
-    RunSpec,
-    WorkloadParams,
-)
+from repro.sweep.spec import RunSpec, WorkloadParams
 from repro.sweep.study import (
     Cell,
     CellAggregate,
@@ -52,8 +47,6 @@ __all__ = [
     "default_runner",
     "set_default_runner",
     "default_version_tag",
-    "CENTRALIZED_SYSTEMS",
-    "DECENTRALIZED_SYSTEMS",
     "Cell",
     "CellAggregate",
     "Study",

@@ -28,17 +28,6 @@ from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from repro import registry as _registry
 
-#: Snapshot of the registered system names at import time, kept for
-#: backward compatibility. Validation uses the live registries, so
-#: systems registered later are accepted by RunSpec even though they do
-#: not appear in these tuples.
-CENTRALIZED_SYSTEMS = _registry.CENTRALIZED_SYSTEMS.names()
-DECENTRALIZED_SYSTEMS = _registry.DECENTRALIZED_SYSTEMS.names()
-
-#: Knob names per kind (snapshots of the registry schemas).
-CENTRALIZED_KNOBS = frozenset(_registry.spec_kind("centralized").knobs)
-DECENTRALIZED_KNOBS = frozenset(_registry.spec_kind("decentralized").knobs)
-
 _SCALAR_TYPES = (bool, int, float, str, type(None))
 
 #: Names accepted by :func:`repro.speculation.make_speculation_policy`.
@@ -128,7 +117,8 @@ class RunSpec:
         A registered spec kind: ``"centralized"``, ``"decentralized"``
         or ``"single_job"`` (see :data:`repro.registry.SPEC_KINDS`).
     system:
-        System name, resolved in the kind's systems registry.
+        System name, resolved on the kind's plane of
+        :data:`repro.registry.SYSTEMS`.
     workload:
         Trace shape and generation seed. (``single_job`` specs use only
         ``seed`` — the job is synthesized from the knobs.)
@@ -152,7 +142,7 @@ class RunSpec:
 
     def __post_init__(self) -> None:
         kind = _registry.spec_kind(self.kind)
-        kind.systems.get(self.system)
+        _registry.SYSTEMS.get(self.system, plane=self.kind)
         _registry.SPECULATION_POLICIES.get(self.speculation)
         items = (
             tuple(sorted(self.knobs.items()))

@@ -172,4 +172,5 @@ def test_power_of_d_rejects_non_positive():
 
 
 def test_batch_registry_lists_all_centralized_policies():
-    assert set(registry.BATCH_SYSTEMS.names()) == {"fair", "srpt", "hopper"}
+    batch = registry.SYSTEMS.entries("batch")
+    assert {entry.name for entry in batch} == {"fair", "srpt", "hopper"}

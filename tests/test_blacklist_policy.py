@@ -154,14 +154,14 @@ def _centralized_run(blacklist_policy):
     from repro.centralized.config import CentralizedConfig, SpeculationMode
     from repro.centralized.simulator import CentralizedSimulator
     from repro.cluster.cluster import Cluster
-    from repro.registry import CENTRALIZED_SYSTEMS
+    from repro.registry import SYSTEMS
 
     trace = build_trace(QUICK)
     num_machines = QUICK.total_slots // 4
     model = MachineCorrelatedStragglerModel(num_machines=num_machines)
     simulator = CentralizedSimulator(
         cluster=Cluster(num_machines=num_machines, slots_per_machine=4),
-        policy=CENTRALIZED_SYSTEMS.get("hopper").factory(epsilon=0.1),
+        policy=SYSTEMS.get("centralized/hopper").factory(epsilon=0.1),
         speculation=lambda: LATE(),
         trace=trace.fresh_copy(),
         straggler_model=model,
@@ -340,14 +340,14 @@ def test_budgeted_spec_budget_tracks_evictions():
     from repro.centralized.config import CentralizedConfig, SpeculationMode
     from repro.centralized.simulator import CentralizedSimulator
     from repro.cluster.cluster import Cluster
-    from repro.registry import CENTRALIZED_SYSTEMS
+    from repro.registry import SYSTEMS
     from repro.stragglers.model import NoStragglerModel
     from repro.workload.job import make_single_phase_job
     from repro.workload.traces import Trace
 
     simulator = CentralizedSimulator(
         cluster=Cluster(num_machines=10, slots_per_machine=4),
-        policy=CENTRALIZED_SYSTEMS.get("hopper").factory(epsilon=0.1),
+        policy=SYSTEMS.get("centralized/hopper").factory(epsilon=0.1),
         speculation=lambda: LATE(),
         trace=Trace(jobs=[make_single_phase_job(0, 0.0, [1.0])]),
         straggler_model=NoStragglerModel(),

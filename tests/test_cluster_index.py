@@ -252,7 +252,7 @@ def test_index_after_simulation_run_matches_scan():
     from repro.stragglers.model import ParetoRedrawStragglerModel
     from repro.workload.generator import SPARK_FACEBOOK_PROFILE, TraceGenerator
     from repro.workload.traces import Trace
-    from repro.registry import CENTRALIZED_SYSTEMS
+    from repro.registry import SYSTEMS
 
     gen = TraceGenerator(
         SPARK_FACEBOOK_PROFILE,
@@ -263,7 +263,7 @@ def test_index_after_simulation_run_matches_scan():
     cluster = Cluster(num_machines=15, slots_per_machine=2)
     simulator = CentralizedSimulator(
         cluster=cluster,
-        policy=CENTRALIZED_SYSTEMS.get("hopper").factory(epsilon=0.1),
+        policy=SYSTEMS.get("centralized/hopper").factory(epsilon=0.1),
         speculation=lambda: LATE(),
         trace=trace.fresh_copy(),
         straggler_model=ParetoRedrawStragglerModel(beta=1.4),

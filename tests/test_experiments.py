@@ -128,7 +128,7 @@ def test_run_decentralized_all_systems():
         run_decentralized(trace, "bogus", spec)
 
 
-def test_run_decentralized_speculation_algorithms():
+def test_run_decentralized_under_each_speculation_algorithm():
     spec = _tiny_spec()
     trace = build_trace(spec)
     for algo in ("late", "mantri", "grass"):

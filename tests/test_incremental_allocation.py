@@ -36,6 +36,7 @@ from repro.core.allocation import (
 )
 from repro.core.fairness import fairness_floors
 from repro.core.incremental import IncrementalAllocator
+from repro.core.virtual_size import virtual_size
 from repro.experiments.harness import WorkloadSpec, build_trace
 from repro.simulation.rng import RandomSource
 from repro.speculation import LATE
@@ -198,10 +199,8 @@ def test_ordered_solves_accept_precomputed_sums_and_floors():
     active = [s for s in states if s.remaining_tasks > 0]
     ascending = sorted(active, key=lambda j: (j.order_key, j.job_id))
     slots = max(1, sum(s.remaining_tasks for s in active) // 2)
-    base, regime = hopper_allocation_ordered(
-        active, ascending, slots, epsilon=0.1
-    )
-    precomp, regime2 = hopper_allocation_ordered(
+    base = hopper_allocation_ordered(active, ascending, slots, epsilon=0.1)
+    precomp = hopper_allocation_ordered(
         active,
         ascending,
         slots,
@@ -209,7 +208,7 @@ def test_ordered_solves_accept_precomputed_sums_and_floors():
         total_virtual=sum(s.virtual_size for s in active),
         floors=fairness_floors(active, slots, 0.1),
     )
-    assert base == precomp and regime == regime2
+    assert base == precomp
     srpt_asc = sorted(active, key=lambda j: (j.remaining_tasks, j.job_id))
     assert srpt_allocation_ordered(active, srpt_asc, slots) == srpt_allocation(
         active, slots
@@ -305,7 +304,6 @@ def test_allocator_regime_flip_matches_full_solve():
     # Rich (slots >> sum of virtual sizes), then constrained, then back.
     for slots in (500, 12, 500, 12):
         assert alloc.allocate(slots) == policy.allocate(states, slots)
-    assert alloc.last_regime == "constrained"
 
 
 # -- property: event-stepped simulation vs from-scratch builders -------------
@@ -340,9 +338,45 @@ def _make_sim(policy, blacklist=None, seed=11):
     )
 
 
+def _from_scratch_states(sim):
+    """From-scratch allocation-state builder: the oracle the
+    simulator's incremental cache must equal. It re-reads every active
+    job's inputs from the job structures on every call."""
+    beta = sim._beta()
+    states = []
+    for jr in sim._jobs.values():
+        remaining = jr.job.remaining_tasks()
+        if remaining <= 0:
+            continue
+        alpha = sim._job_alpha(jr.job)
+        vsize = virtual_size(remaining, beta, alpha)
+        priority = vsize
+        if sim.policy.uses_virtual_sizes and jr.job.num_phases > 1:
+            downstream_tasks = jr.job.downstream_virtual_tasks(sim.config.network_rate)
+            if downstream_tasks > 0:
+                priority = max(vsize, virtual_size(downstream_tasks, beta))
+        max_useful = max(
+            int(math.ceil(vsize)),
+            sim.config.max_copies_cap * remaining,
+        )
+        states.append(
+            JobAllocationState(
+                job_id=jr.job.job_id,
+                virtual_size=vsize,
+                remaining_tasks=remaining,
+                weight=jr.job.weight,
+                priority_size=priority,
+                max_useful_slots=max_useful,
+            )
+        )
+    return states
+
+
 def _step_and_check(sim):
     """Run one replay one event at a time, checking every cache against
-    its from-scratch reference after every single event."""
+    its from-scratch reference after every single event. Returns the
+    result and how many events changed the allocation regime
+    (capacity-constrained <-> rich)."""
     sim.cluster.reset()
     sim.sim.schedule_many(
         (
@@ -352,10 +386,12 @@ def _step_and_check(sim):
         absolute=True,
     )
     events = 0
+    flips = 0
+    regime = None
     while sim.sim.pending_events:
         sim.sim.run(max_events=1)
         events += 1
-        expected = sim._allocation_states()
+        expected = _from_scratch_states(sim)
         assert sim._refresh_allocation_states() == expected
         assert sim._alloc.states() == expected
         assert sim._alloc.ordered() == sim.policy.dispatch_order(expected)
@@ -369,9 +405,13 @@ def _step_and_check(sim):
             assert sim._alloc.allocate(sim._total_slots) == sim.policy.allocate(
                 expected, sim._total_slots
             )
+            constrained = sim._alloc.virtual_size_sum() > sim._total_slots
+            if regime is not None and constrained != regime:
+                flips += 1
+            regime = constrained
     assert events > 200  # the interleaving actually exercised something
     sim._finalize_diagnostics()
-    return sim.metrics.result
+    return sim.metrics.result, flips
 
 
 @pytest.mark.parametrize(
@@ -394,10 +434,15 @@ def test_incremental_caches_match_from_scratch_every_event(policy_factory):
         probation=30.0,
         eviction_cap=0.3,
     )
-    probed = _step_and_check(_make_sim(policy_factory(), blacklist))
+    policy = policy_factory()
+    probed, flips = _step_and_check(_make_sim(policy, blacklist))
     # Guard against vacuous coverage: the run must actually evict (and,
     # with finite probation, reinstate) machines.
     assert len(blacklist.evictions) > 0
+    if isinstance(policy, HopperPolicy):
+        # The incremental solve is checked against the full solve across
+        # real regime flips, not only within one regime.
+        assert flips > 0
 
     # The probing itself must not perturb the replay: a plain run of the
     # identical configuration lands on the same trajectory.
@@ -472,12 +517,11 @@ def test_spec_preemption_tracked_set_matches_full_sweep():
 
 
 def test_shortcut_regime_consistent_with_virtual_sum():
-    # The shortcut reports "rich" — verify that is the regime the full
-    # test would pick whenever caps cover virtual sizes, which the
-    # simulator guarantees (max_useful = max(ceil(vsize), k*remaining)).
-    # With an arbitrary cap below the virtual size the label could
-    # differ, but the allocation is all-caps either way — that case is
-    # pinned by the reference differential above.
+    # Whenever caps cover virtual sizes, which the simulator guarantees
+    # (max_useful = max(ceil(vsize), k*remaining)), the everyone-capped
+    # shortcut only fires in the capacity-rich regime and returns the
+    # caps. Caps below the virtual size are pinned by the reference
+    # differential above.
     rng = random.Random(13)
     for _ in range(50):
         states = [
@@ -506,16 +550,13 @@ def test_shortcut_regime_consistent_with_virtual_sum():
         vsum = sum(s.virtual_size for s in active)
         assert vsum <= cap_sum <= slots  # cap >= ceil(vsize) per job
         ascending = sorted(active, key=lambda j: (j.order_key, j.job_id))
-        alloc, regime = hopper_allocation_ordered(
-            active, ascending, slots, epsilon=0.1
-        )
-        assert regime == "rich"
+        alloc = hopper_allocation_ordered(active, ascending, slots, epsilon=0.1)
         assert not (slots < vsum)
         assert alloc == {s.job_id: s.cap for s in active}
 
 
 def test_caps_default_covers_virtual_size():
-    # The shortcut's regime claim rests on cap >= virtual_size.
+    # The shortcut's regime consistency rests on cap >= virtual_size.
     rng = random.Random(17)
     for _ in range(200):
         remaining = rng.randint(1, 50)

@@ -304,7 +304,8 @@ def test_registered_system_is_usable_end_to_end():
     and executable through the harness with no other edits."""
     from repro.centralized.policies import FairPolicy
 
-    registry.CENTRALIZED_SYSTEMS.register(
+    registry.SYSTEMS.register(
+        "centralized",
         "test-fair-clone",
         lambda epsilon: FairPolicy(),
         description="test-only clone of the fair policy",
@@ -315,7 +316,7 @@ def test_registered_system_is_usable_end_to_end():
         reference = RunSpec("centralized", "fair", TINY).execute()
         assert clone.jobs == reference.jobs
     finally:
-        registry.CENTRALIZED_SYSTEMS.unregister("test-fair-clone")
+        registry.SYSTEMS.unregister("centralized", "test-fair-clone")
     with pytest.raises(ValueError):
         RunSpec("centralized", "test-fair-clone", TINY)
 
@@ -360,14 +361,22 @@ def test_registered_profile_is_resolvable_by_workload_params():
 # -- CLI agreement ----------------------------------------------------------
 
 
+def _list_section(out, title):
+    """The names listed under one ``repro list`` section heading."""
+    lines = out[out.index(f"\n{title}") :].split("\n")[2:]
+    return {line.split()[0] for line in lines[: lines.index("")]}
+
+
 def test_repro_list_output_matches_registry_contents(capsys):
+    from repro.serving.arrivals import ARRIVAL_PROCESSES
+
     assert main(["list"]) == 0
     out = capsys.readouterr().out
     for kind_entry in registry.SPEC_KINDS.entries():
         kind = kind_entry.factory
         assert kind.name in out
-        for system in kind.systems.names():
-            assert system in out
+        for entry in registry.SYSTEMS.entries(kind.name):
+            assert entry.name in out
         for knob in kind.knobs:
             assert knob in out
     for name in registry.SPECULATION_POLICIES.names():
@@ -378,23 +387,109 @@ def test_repro_list_output_matches_registry_contents(capsys):
         assert name in out
     for name in registry.studies().names():
         assert name in out
+    for title, family in (
+        ("Blacklist policies", registry.BLACKLIST_POLICIES),
+        ("Autoscaler policies", registry.AUTOSCALER_POLICIES),
+        ("Arrival processes", ARRIVAL_PROCESSES),
+    ):
+        assert _list_section(out, title) == set(family.names())
+
+
+# -- spec-kind knob schemas -------------------------------------------------
+
+_BLACKLIST_SCHEMA = [
+    ("blacklist_policy", "str", "none"),
+    ("strike_threshold", "int", 3),
+    ("strike_window", "float", 10.0),
+    ("eviction_cap", "float", 0.2),
+]
+_AUTOSCALER_SCHEMA = [
+    ("autoscaler", "str", "none"),
+    ("resize_schedule", "str", None),
+    ("scale_interval", "float", 5.0),
+    ("scale_up_threshold", "float", 0.85),
+    ("scale_down_threshold", "float", 0.3),
+    ("scale_step", "int", 1),
+    ("min_machines", "int", 1),
+]
+_CENTRALIZED_SCHEMA = [
+    ("epsilon", "float", 0.1),
+    ("locality_k_percent", "float", 3.0),
+    ("speculation_mode", "str", None),
+    ("with_locality", "bool", False),
+    ("slots_per_machine", "int", 4),
+    ("straggler_model", "str", "pareto-redraw"),
+    *_BLACKLIST_SCHEMA,
+    *_AUTOSCALER_SCHEMA,
+]
+
+#: Every kind's (name, type, default) knob table, in schema order.
+KNOB_SCHEMAS = {
+    "centralized": _CENTRALIZED_SCHEMA,
+    "decentralized": [
+        ("epsilon", "float", None),
+        ("probe_ratio", "float", None),
+        ("refusal_threshold", "int", 2),
+        ("num_schedulers", "int", 10),
+        ("until", "float", None),
+        ("power_of_d", "int", 1),
+        ("straggler_model", "str", "pareto-redraw"),
+        *_BLACKLIST_SCHEMA,
+        *_AUTOSCALER_SCHEMA,
+    ],
+    "batch": [
+        *_CENTRALIZED_SCHEMA,
+        ("round_interval", "float", 0.5),
+        ("until", "float", None),
+    ],
+    "single_job": [
+        ("beta", "float", 1.4),
+        ("num_tasks", "int", 200),
+        ("normalized_slots", "float", 1.0),
+    ],
+    "serving": [
+        ("arrival_process", "str", "poisson"),
+        ("warmup", "float", 20.0),
+        ("horizon", "float", 120.0),
+        ("cooldown", "float", 20.0),
+        ("window", "float", 20.0),
+        ("heavy_tail", "float", 0.0),
+        ("straggler_model", "str", "pareto-redraw"),
+        *_AUTOSCALER_SCHEMA,
+    ],
+}
+
+
+def test_spec_kind_knob_schemas_are_pinned():
+    assert list(registry.SPEC_KINDS.names()) == list(KNOB_SCHEMAS)
+    for name, expected in KNOB_SCHEMAS.items():
+        knobs = registry.spec_kind(name).knobs.values()
+        table = [
+            (knob.name, registry.type_label(knob.type), knob.default)
+            for knob in knobs
+        ]
+        assert table == expected, name
+    # Sharing the `until` knob must not leak it into the centralized kind.
+    with pytest.raises(registry.KnobError, match="until"):
+        RunSpec("centralized", "hopper", TINY, knobs={"until": 5.0})
 
 
 # -- plane-tagged systems table ---------------------------------------------
 
 
-def test_systems_table_planes_are_live_views():
-    """SYSTEMS is a view over the per-plane registries, not a copy:
-    the old names keep working and stay in sync."""
-    assert registry.SYSTEMS.plane("centralized") is registry.CENTRALIZED_SYSTEMS
-    assert (
-        registry.SYSTEMS.plane("decentralized")
-        is registry.DECENTRALIZED_SYSTEMS
-    )
-    assert registry.SYSTEMS.plane("batch") is registry.BATCH_SYSTEMS
-    assert registry.SYSTEMS.plane("serving") is registry.SERVING_SYSTEMS
+def test_systems_table_filters_by_plane():
+    """A kind's systems are the SYSTEMS entries on its plane."""
+    for plane, names in (
+        ("centralized", ["fair", "srpt", "hopper"]),
+        ("batch", ["fair", "srpt", "hopper"]),
+        ("single_job", ["hopper"]),
+        ("serving", ["hopper", "sparrow-srpt", "hopper-c", "srpt-c"]),
+    ):
+        entries = registry.SYSTEMS.entries(plane)
+        assert [e.name for e in entries] == names
+        assert {e.plane for e in entries} == {plane}
     with pytest.raises(registry.UnknownEntryError, match="scheduler plane"):
-        registry.SYSTEMS.plane("bogus-plane")
+        registry.SYSTEMS.entries("bogus-plane")
 
 
 def test_systems_table_entries_carry_planes():
@@ -405,9 +500,8 @@ def test_systems_table_entries_carry_planes():
     assert "decentralized/sparrow-po2" in by_qualified
     assert "batch/hopper" in by_qualified
     for plane in ("centralized", "decentralized", "batch"):
-        view = registry.SYSTEMS.plane(plane)
-        tagged = [e.name for e in entries if e.plane == plane]
-        assert tagged == list(view.names())
+        tagged = [e for e in entries if e.plane == plane]
+        assert tagged == list(registry.SYSTEMS.entries(plane))
 
 
 def test_systems_table_get_resolves_qualified_and_bare_names():
@@ -441,10 +535,13 @@ def test_systems_table_register_through_table_is_visible_in_view():
         "batch", "test-system", object(), description="temp"
     )
     try:
-        assert "test-system" in registry.BATCH_SYSTEMS
+        batch = registry.SYSTEMS.entries("batch")
+        assert "test-system" in [entry.name for entry in batch]
         assert registry.SYSTEMS.get("batch/test-system").description == "temp"
+        with pytest.raises(registry.DuplicateEntryError):
+            registry.SYSTEMS.register("batch", "test-system", object())
     finally:
-        registry.BATCH_SYSTEMS.unregister("test-system")
+        registry.SYSTEMS.unregister("batch", "test-system")
     with pytest.raises(registry.UnknownEntryError):
         registry.SYSTEMS.get("batch/test-system")
 

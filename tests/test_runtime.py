@@ -328,7 +328,7 @@ def _centralized_sim(num_machines=6, slots_per_machine=2, num_jobs=6):
     from repro.centralized.config import CentralizedConfig, SpeculationMode
     from repro.centralized.simulator import CentralizedSimulator
     from repro.cluster.cluster import Cluster
-    from repro.registry import CENTRALIZED_SYSTEMS
+    from repro.registry import SYSTEMS
     from repro.simulation.rng import RandomSource
     from repro.speculation import LATE
     from repro.stragglers.model import ParetoStragglerModel
@@ -345,7 +345,7 @@ def _centralized_sim(num_machines=6, slots_per_machine=2, num_jobs=6):
         cluster=Cluster(
             num_machines=num_machines, slots_per_machine=slots_per_machine
         ),
-        policy=CENTRALIZED_SYSTEMS.get("hopper").factory(epsilon=0.1),
+        policy=SYSTEMS.get("centralized/hopper").factory(epsilon=0.1),
         speculation=lambda: LATE(),
         trace=trace.fresh_copy(),
         straggler_model=ParetoStragglerModel(straggler_prob=0.5),
