@@ -1,7 +1,7 @@
 """Ablation: Hopper's two-regime split vs forcing one guideline always.
 
-DESIGN.md calls out the regime bifurcation (Guideline 2 under contention,
-Guideline 3 otherwise) as the core design choice; this benchmark forces
+Hopper's core design choice is the regime bifurcation (Guideline 2 under
+contention, Guideline 3 otherwise); this benchmark forces
 each regime on permanently and compares against the adaptive policy, and
 also ablates the 2/beta virtual-size multiplier (setting beta=2 makes the
 multiplier exactly 1, i.e. plain SRPT-with-speculation sizing).

@@ -17,7 +17,7 @@ def _run(beta):
         beta=beta,
         num_tasks=120,
         normalized_slots=(0.6, 0.8, 1.0, 1.2, 1.4, 1.6, 1.8, 2.0, 2.5),
-        repetitions=8,
+        seeds=tuple(range(8)),
         runner=RUNNER,
     )
 

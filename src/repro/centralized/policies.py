@@ -159,7 +159,9 @@ class HopperPolicy(CentralizedPolicy):
     """Speculation-aware allocation (Pseudocode 1) with ε-fairness.
 
     ``force_regime`` is an ablation hook: "constrained" always applies
-    Guideline 2, "rich" always Guideline 3 (see DESIGN.md ablations).
+    Guideline 2, "rich" always Guideline 3
+    (``benchmarks/bench_ablation_regimes.py`` compares both with the
+    adaptive policy).
     """
 
     name = "hopper"

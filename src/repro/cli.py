@@ -37,287 +37,26 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro import registry
 from repro.metrics.tables import print_table
 from repro.sweep import (
     ResultCache,
     RunSpec,
+    Study,
     SweepRunner,
     WorkloadParams,
 )
 
 
-# --------------------------------------------------------------------------
-# Figure registry
-# --------------------------------------------------------------------------
-
-@dataclass
-class FigureDef:
-    """One CLI-runnable paper figure."""
-
-    name: str
-    description: str
-    func: Callable[..., Any]
-    printer: Callable[[Any], None]
-    quick: Dict[str, Any]
-    takes_runner: bool = True
-
-
-def _print_fig3(curve) -> None:
-    from repro.experiments.figures import knee_position
-
-    print_table(
-        "Fig 3: completion vs normalized slots (paper: knee near 2/beta)",
-        ("slots/tasks", "norm. completion"),
-        curve,
-    )
-    print(f"knee position: {knee_position(curve):.2f}")
-
-
-def _print_fig5(rows) -> None:
-    print_table(
-        "Fig 5: ratio vs centralized Hopper "
-        "(paper: within ~15% at d>=4 / 2-3 refusals)",
-        ("system", "parameter", "utilization", "ratio vs centralized"),
-        [(r.system, r.parameter, r.utilization, r.ratio) for r in rows],
-    )
-
-
-def _print_fig6(rows) -> None:
-    print_table(
-        "Fig 6: reduction (%) in avg job duration "
-        "(paper: 50-60% at 60% util falling to <20% at >=80%)",
-        ("utilization", "vs Sparrow", "vs Sparrow-SRPT"),
-        [(r.utilization, r.vs_sparrow, r.vs_sparrow_srpt) for r in rows],
-    )
-
-
-def _print_bin_dict(title: str):
-    def printer(out: Dict[str, float]) -> None:
-        print_table(title, ("job bin", "reduction %"), sorted(out.items()))
-
-    return printer
-
-
-def _print_fig8a(out) -> None:
-    print_table(
-        "Fig 8a: per-job gain distribution vs Sparrow-SRPT "
-        "(paper: ~70% of jobs improve)",
-        ("percentile", "gain %"),
-        [
-            ("p10", out["p10"]),
-            ("p50", out["p50"]),
-            ("p90", out["p90"]),
-            ("mean", out["mean"]),
-        ],
-    )
-
-
-def _print_fig8b(out) -> None:
-    print_table(
-        "Fig 8b: reduction vs Sparrow-SRPT by DAG length",
-        ("dag length", "reduction %"),
-        sorted(out.items()),
-    )
-
-
-def _print_fig9(out) -> None:
-    print_table(
-        "Fig 9: gains vs Sparrow-SRPT per speculation algorithm "
-        "(paper: gains hold across LATE/Mantri/GRASS)",
-        ("algorithm", "bin", "reduction %"),
-        [
-            (algorithm, bin_name, gain)
-            for algorithm, bins in out.items()
-            for bin_name, gain in bins.items()
-        ],
-    )
-
-
-def _print_fig10(rows) -> None:
-    print_table(
-        "Fig 10: fairness knob epsilon "
-        "(paper: eps~0.1 keeps most gains, few jobs slowed)",
-        ("epsilon", "gain vs SRPT %", "frac slowed", "mean slowdown",
-         "worst slowdown"),
-        [
-            (r.epsilon, r.gain_vs_srpt, r.fraction_slowed, r.mean_slowdown,
-             r.worst_slowdown)
-            for r in rows
-        ],
-    )
-
-
-def _print_fig11(out) -> None:
-    print_table(
-        "Fig 11: Hopper's gain vs Sparrow-SRPT by probe ratio "
-        "(paper: gains increase up to ratio ~4)",
-        ("utilization", "probe ratio", "reduction %"),
-        [
-            (utilization, ratio, gain)
-            for utilization, inner in out.items()
-            for ratio, gain in sorted(inner.items())
-        ],
-    )
-
-
-def _print_fig12(out) -> None:
-    print_table(
-        "Fig 12: centralized Hopper vs SRPT (paper: up to ~50%)",
-        ("slice", "reduction %"),
-        [("overall", out["overall"])]
-        + [(f"bin {k}", v) for k, v in out["by_bin"].items()]
-        + [
-            (f"dag length {k}", v)
-            for k, v in sorted(out["by_dag_length"].items())
-        ],
-    )
-
-
-def _print_fig13(rows) -> None:
-    print_table(
-        "Fig 13: locality allowance k "
-        "(paper: small k buys locality without losing gains)",
-        ("k %", "gain vs SRPT %", "locality fraction"),
-        [(r.k_percent, r.gain_vs_srpt, r.locality_fraction) for r in rows],
-    )
-
-
-def _print_headline(out) -> None:
-    print_table(
-        "Headline gains (paper: decentralized up to 66%, centralized up "
-        "to 50%)",
-        ("comparison", "reduction %"),
-        [
-            ("decentralized Hopper vs Sparrow-SRPT",
-             out["decentralized_vs_sparrow_srpt"]),
-            ("centralized Hopper vs SRPT", out["centralized_vs_srpt"]),
-        ],
-    )
-
-
-def _registry() -> Dict[str, FigureDef]:
-    from repro.experiments import figures
-
-    defs = [
-        FigureDef(
-            "fig3",
-            "Sharp threshold in the value of extra slots (knee at 2/beta)",
-            figures.fig3_threshold,
-            _print_fig3,
-            quick=dict(
-                num_tasks=50,
-                normalized_slots=(0.6, 1.0, 1.4, 1.8, 2.2),
-                repetitions=3,
-            ),
-        ),
-        FigureDef(
-            "fig5a",
-            "Decentralized-to-centralized ratio vs probe count d",
-            figures.fig5a_probe_count,
-            _print_fig5,
-            quick=dict(
-                probe_ratios=(2.0, 4.0),
-                utilizations=(0.7,),
-                num_jobs=25,
-                total_slots=80,
-            ),
-        ),
-        FigureDef(
-            "fig5b",
-            "Decentralized-to-centralized ratio vs refusal threshold",
-            figures.fig5b_refusal_count,
-            _print_fig5,
-            quick=dict(
-                refusal_counts=(0, 2),
-                utilizations=(0.7,),
-                num_jobs=25,
-                total_slots=80,
-            ),
-        ),
-        FigureDef(
-            "fig6",
-            "Decentralized Hopper gains vs utilization (Facebook profile)",
-            figures.fig6_utilization_gains,
-            _print_fig6,
-            quick=dict(utilizations=(0.7,), num_jobs=30, total_slots=100),
-        ),
-        FigureDef(
-            "fig7",
-            "Gains by job-size bin vs Sparrow-SRPT",
-            figures.fig7_job_bins,
-            _print_bin_dict(
-                "Fig 7: reduction vs Sparrow-SRPT by job-size bin "
-                "(paper: all bins gain; small jobs most)"
-            ),
-            quick=dict(num_jobs=40, total_slots=100),
-        ),
-        FigureDef(
-            "fig8a",
-            "CDF of per-job gains vs Sparrow-SRPT",
-            figures.fig8a_gain_cdf,
-            _print_fig8a,
-            quick=dict(num_jobs=40, total_slots=100),
-        ),
-        FigureDef(
-            "fig8b",
-            "Gains vs Sparrow-SRPT by DAG length",
-            figures.fig8b_dag_length,
-            _print_fig8b,
-            quick=dict(num_jobs=40, total_slots=100),
-        ),
-        FigureDef(
-            "fig9",
-            "Gains under LATE / Mantri / GRASS speculation",
-            figures.fig9_speculation_algorithms,
-            _print_fig9,
-            quick=dict(num_jobs=30, total_slots=100),
-        ),
-        FigureDef(
-            "fig10",
-            "Fairness knob epsilon: gains vs slowdowns",
-            figures.fig10_fairness,
-            _print_fig10,
-            quick=dict(epsilons=(0.0, 0.1), num_jobs=25, total_slots=80),
-        ),
-        FigureDef(
-            "fig11",
-            "Gain vs Sparrow-SRPT across probe ratios",
-            figures.fig11_probe_ratio,
-            _print_fig11,
-            quick=dict(
-                probe_ratios=(2.0, 4.0),
-                utilizations=(0.7,),
-                num_jobs=30,
-                total_slots=100,
-            ),
-        ),
-        FigureDef(
-            "fig12",
-            "Centralized Hopper vs centralized SRPT",
-            figures.fig12_centralized,
-            _print_fig12,
-            quick=dict(num_jobs=30, total_slots=60),
-        ),
-        FigureDef(
-            "fig13",
-            "Data locality allowance k",
-            figures.fig13_locality,
-            _print_fig13,
-            quick=dict(k_values=(0.0, 5.0), num_jobs=25, total_slots=60),
-        ),
-        FigureDef(
-            "headline",
-            "The paper's headline aggregate gains (Sections 1 and 7)",
-            figures.headline_gains,
-            _print_headline,
-            quick=dict(num_jobs=40, total_slots=120),
-        ),
-    ]
-    return {d.name: d for d in defs}
+def _figures() -> Dict[str, Study]:
+    """Registered studies that render a paper figure, by name."""
+    return {
+        entry.name: entry.factory
+        for entry in registry.studies().entries()
+        if entry.factory.render is not None
+    }
 
 
 # --------------------------------------------------------------------------
@@ -361,12 +100,10 @@ def _print_entries(title: str, entries) -> None:
 def _cmd_list(args: argparse.Namespace) -> int:
     from repro.serving.arrivals import ARRIVAL_PROCESSES
 
-    figure_registry = _registry()
-    width = max(len(name) for name in figure_registry)
-    print("Available figures (python -m repro run <name> [...]):\n")
-    for name, definition in figure_registry.items():
-        print(f"  {name.ljust(width)}  {definition.description}")
-
+    _print_entries(
+        "Available figures (python -m repro run <name> [...])",
+        list(_figures().values()),
+    )
     _print_entries(
         "Studies (python -m repro study <name> --seeds 1,2,3)",
         registry.studies().entries(),
@@ -410,8 +147,8 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    registry = _registry()
-    unknown = [name for name in args.figures if name not in registry]
+    figures = _figures()
+    unknown = [name for name in args.figures if name not in figures]
     if unknown:
         print(
             f"unknown figure(s): {', '.join(unknown)}; "
@@ -421,11 +158,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 2
     runner = _build_runner(args)
     for name in args.figures:
-        definition = registry[name]
-        kwargs: Dict[str, Any] = dict(definition.quick) if args.quick else {}
-        if definition.takes_runner:
-            kwargs["runner"] = runner
-        definition.printer(definition.func(**kwargs))
+        study = figures[name]
+        study.render(study.figure(quick=args.quick, runner=runner))
     _print_stats(runner)
     return 0
 

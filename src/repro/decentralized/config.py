@@ -50,8 +50,8 @@ class DecentralizedConfig:
         Fairness knob; 1.0 disables fairness. Schedulers flag jobs below
         ``(1-eps) * total_slots / N_est`` as starved; workers serve
         starved jobs first. N_est is the scheduler's own job count scaled
-        by the number of schedulers (a piggyback-only approximation, see
-        DESIGN.md).
+        by the number of schedulers: no message carries the global job
+        count, so each scheduler assumes jobs spread evenly.
     speculation_check_interval:
         Scheduler-side straggler-scan period.
     default_beta / learn_beta:

@@ -4,9 +4,8 @@ The paper's schedulers piggyback virtual-size updates on messages that
 flow anyway (§5.3). We model that with a :class:`JobGossip` object shared
 between a job's scheduler and the workers holding its requests: the
 scheduler refreshes it whenever it touches the job, and workers read it
-when making queue decisions. This slightly over-approximates freshness
-(a worker may see an update without a message addressed to it); the
-approximation is called out in DESIGN.md.
+when making queue decisions. This slightly over-approximates freshness:
+a worker may see an update without a message addressed to it.
 """
 
 from __future__ import annotations

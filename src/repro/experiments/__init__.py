@@ -1,9 +1,12 @@
-"""Experiment harness: one entry point per paper table/figure.
+"""Experiment harness: one study per paper table/figure.
 
-Each ``figN_*`` function in :mod:`repro.experiments.figures` regenerates
-the corresponding figure's rows/series at laptop scale and returns plain
-data structures; ``benchmarks/`` wraps them in pytest-benchmark targets
-that print paper-vs-measured tables.
+Each paper figure in :mod:`repro.experiments.figures` is one registered
+:class:`repro.sweep.Study` holding its grid of cells, a ``reduce`` that
+turns the study result into the figure's rows/series, and a ``render``
+that prints them; adding a figure means writing those three in one
+``Study``. ``figN_*`` names are aliases of ``FIGN_STUDY.figure``, and
+``benchmarks/`` wraps them in pytest-benchmark targets that print
+paper-vs-measured tables.
 """
 
 from repro.experiments.harness import (

@@ -1,18 +1,24 @@
-"""Per-figure experiment entry points (see DESIGN.md §4 for the index).
+"""Paper figures as studies: one grid, one reducer, one printer each.
 
-Each function regenerates one paper figure/table at laptop scale and
-returns plain data (lists of rows / dicts) that the benchmarks print and
-assert shape properties on. Parameters default to sizes that run in
-seconds; pass larger values to approach the paper's scale.
+Every figure (Fig. 3, 5a/5b and 6–13, plus the headline gains) is one
+registered :class:`repro.sweep.Study`:
 
-Every figure is expressed as a registered :class:`repro.sweep.Study` —
-a labelled grid of :class:`repro.sweep.RunSpec` cells (``seed ->
-spec``). The figure functions run their study at a single seed and
-reduce the grid to the paper's derived quantities; the CLI ``study``
-subcommand runs the *same* grid with seed replication and reports
+* ``_figN_cells`` builds the labelled grid of
+  :class:`repro.sweep.RunSpec` cells (``seed -> spec``) and holds every
+  grid default;
+* ``_reduce_figN`` turns the :class:`repro.sweep.StudyResult` into the
+  paper's derived quantities (plain rows / dicts), finding reference
+  cells by their labels;
+* ``_print_figN`` prints those quantities as a paper-vs-measured table.
+
+``FIGN_STUDY.figure(seeds=None, runner=None, quick=False, **params)``
+runs the grid and returns the reduced data; the public ``figN_*`` names
+are aliases of it, taking the grid builder's keyword parameters.
+``python -m repro run figN`` renders the figure and ``python -m repro
+study figN`` runs the *same* grid with seed replication and reports
 mean/p95 with bootstrap confidence intervals. Fig. 3's single-job
-threshold loop, formerly a bespoke serial loop, now rides the same
-machinery via the registrable ``single_job`` spec kind.
+threshold loop rides the same machinery via the registrable
+``single_job`` spec kind (its seeds are repetition indices).
 
 All replays go through a :class:`repro.sweep.SweepRunner` (pass
 ``runner=`` to control parallelism/caching; the default runner is
@@ -24,7 +30,7 @@ identical results.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from repro.metrics.analysis import (
     gain_cdf,
@@ -34,8 +40,17 @@ from repro.metrics.analysis import (
     reduction_by_dag_length,
     slowdown_stats,
 )
-from repro.sweep import RunSpec, SweepRunner, WorkloadParams
-from repro.sweep.study import Cell, Study, cell, register_study, with_axis
+from repro.metrics.collector import SimulationResult
+from repro.metrics.tables import print_table
+from repro.sweep import RunSpec, WorkloadParams
+from repro.sweep.study import (
+    Cell,
+    Study,
+    StudyResult,
+    cell,
+    register_study,
+    with_axis,
+)
 from repro.workload.generator import (
     BING_PROFILE,
     FACEBOOK_PROFILE,
@@ -61,6 +76,49 @@ def _workload(
         seed=seed,
         **kwargs,
     )
+
+
+def _spark_profile(profile_name: str) -> str:
+    profile = (
+        SPARK_FACEBOOK_PROFILE
+        if profile_name == "facebook"
+        else SPARK_BING_PROFILE
+    )
+    return profile.name
+
+
+def _systems(
+    kind: str,
+    systems: Sequence[str],
+    workload: Callable[[int], WorkloadParams],
+    **spec_args: Any,
+) -> List[Cell]:
+    """One cell per system, each replaying ``workload(seed)`` on ``kind``."""
+    return [
+        cell(
+            lambda seed, s=system: RunSpec(kind, s, workload(seed), **spec_args),
+            system=system,
+        )
+        for system in systems
+    ]
+
+
+def _runs(
+    result: StudyResult, **labels: Any
+) -> List[Tuple[Dict[str, Any], SimulationResult]]:
+    """``(labels, run)`` at the first seed for every cell whose labels
+    include ``labels``, in grid order."""
+    return [
+        (cell_.label_dict(), run)
+        for cell_, run in zip(result.cells, result.first_seed_results)
+        if labels.items() <= cell_.label_dict().items()
+    ]
+
+
+def _run(result: StudyResult, **labels: Any) -> SimulationResult:
+    """The first-seed run of the one cell whose labels include ``labels``."""
+    ((_, run),) = _runs(result, **labels)
+    return run
 
 
 # --------------------------------------------------------------------------
@@ -106,55 +164,26 @@ def _fig3_cells(
     ]
 
 
-FIG3_STUDY = register_study(
-    Study(
-        name="fig3",
-        description=(
-            "single-job completion vs normalized slots; knee near 2/beta "
-            "(seeds are repetition indices)"
-        ),
-        build_cells=_fig3_cells,
-        seeds=tuple(range(8)),
-        metric=lambda result: result.jobs[0].duration,
-        metric_name="single-job completion time",
-        quick=dict(num_tasks=50, normalized_slots=(0.6, 1.0, 1.4, 1.8, 2.2)),
-    )
-)
+def _single_job_duration(result: SimulationResult) -> float:
+    return result.jobs[0].duration
 
 
-def fig3_threshold(
-    beta: float = 1.4,
-    num_tasks: int = 200,
-    normalized_slots: Sequence[float] = (
-        0.6, 0.8, 1.0, 1.2, 1.4, 1.6, 1.8, 2.0, 2.25, 2.5,
-    ),
-    repetitions: int = 30,
-    seed: int = 11,
-    runner: Optional[SweepRunner] = None,
-) -> List[Tuple[float, float]]:
+def _reduce_fig3(result: StudyResult) -> List[Tuple[float, float]]:
     """Single-job completion time vs normalized slot count.
 
-    Returns (slots / num_tasks, median completion normalized by the best
-    point). The knee should sit near ``2 / beta`` (the red line in
-    Fig. 3). LATE is run uncapped so that the job can actually exploit
-    slots beyond one-per-task — the question the figure asks is how much
-    that exploitation is worth.
+    Returns (slots / num_tasks, median completion over the repetitions
+    normalized by the best point). The knee should sit near ``2 / beta``
+    (the red line in Fig. 3). LATE is run uncapped so that the job can
+    actually exploit slots beyond one-per-task — the question the figure
+    asks is how much that exploitation is worth.
     """
-    result = FIG3_STUDY.run(
-        seeds=tuple(range(repetitions)),
-        runner=runner,
-        beta=beta,
-        num_tasks=num_tasks,
-        normalized_slots=normalized_slots,
-        base_seed=seed,
-    )
     raw: List[Tuple[float, float]] = []
-    for norm, durations in zip(
-        normalized_slots, result.values(FIG3_STUDY.metric)
+    for cell_, durations in zip(
+        result.cells, result.values(_single_job_duration)
     ):
         samples = sorted(durations)
         median = samples[len(samples) // 2]
-        raw.append((norm, median))
+        raw.append((cell_.label_dict()["normalized_slots"], median))
     best = min(v for _, v in raw)
     return [(norm, v / best) for norm, v in raw]
 
@@ -173,6 +202,39 @@ def knee_position(curve: Sequence[Tuple[float, float]]) -> float:
     return curve[-1][0]
 
 
+def _print_fig3(curve: List[Tuple[float, float]]) -> None:
+    print_table(
+        "Fig 3: completion vs normalized slots (paper: knee near 2/beta)",
+        ("slots/tasks", "norm. completion"),
+        curve,
+    )
+    print(f"knee position: {knee_position(curve):.2f}")
+
+
+FIG3_STUDY = register_study(
+    Study(
+        name="fig3",
+        description=(
+            "single-job completion vs normalized slots; knee near 2/beta "
+            "(seeds are repetition indices)"
+        ),
+        build_cells=_fig3_cells,
+        seeds=tuple(range(30)),
+        metric=_single_job_duration,
+        metric_name="single-job completion time",
+        quick=dict(
+            num_tasks=50,
+            normalized_slots=(0.6, 1.0, 1.4, 1.8, 2.2),
+            seeds=tuple(range(3)),
+        ),
+        reduce=_reduce_fig3,
+        render=_print_fig3,
+    )
+)
+
+fig3_threshold = FIG3_STUDY.figure
+
+
 # --------------------------------------------------------------------------
 # Figures 5a/5b: probes and refusals vs the centralized scheduler
 # --------------------------------------------------------------------------
@@ -186,6 +248,9 @@ class DecentralizationRow:
     utilization: float
     system: str
     ratio: float
+
+
+_CENTRALIZED_HOPPER = "hopper (centralized)"
 
 
 def _fig5a_cells(
@@ -204,7 +269,7 @@ def _fig5a_cells(
         cells.append(
             cell(
                 lambda seed, wl=wl: RunSpec("centralized", "hopper", wl(seed)),
-                system="hopper (centralized)",
+                system=_CENTRALIZED_HOPPER,
                 parameter="-",
                 utilization=utilization,
             )
@@ -255,7 +320,7 @@ def _fig5b_cells(
         cells.append(
             cell(
                 lambda seed, wl=wl: RunSpec("centralized", "hopper", wl(seed)),
-                system="hopper (centralized)",
+                system=_CENTRALIZED_HOPPER,
                 parameter="-",
                 utilization=utilization,
             )
@@ -277,20 +342,49 @@ def _fig5b_cells(
     return cells
 
 
-def _fig5_cells(
-    probe_ratios: Sequence[float] = (2.0, 4.0, 6.0, 8.0, 10.0),
-    refusal_counts: Sequence[int] = (0, 1, 2, 3, 5, 8),
-    utilizations: Sequence[float] = (0.6, 0.8),
-    num_jobs: int = 120,
-    total_slots: int = 300,
-) -> List[Cell]:
-    """Fig. 5a and 5b as one grid, distinguished by a ``variant`` axis."""
+def _fig5_cells(**params: Any) -> List[Cell]:
+    """Fig. 5a and 5b as one grid, distinguished by a ``variant`` axis.
+
+    ``probe_ratios`` goes to the 5a half, ``refusal_counts`` to the 5b
+    half, and every other parameter to both."""
+
+    def without(name: str) -> Dict[str, Any]:
+        return {key: value for key, value in params.items() if key != name}
+
     return with_axis(
-        _fig5a_cells(probe_ratios, utilizations, num_jobs, total_slots),
-        variant="probe-count",
+        _fig5a_cells(**without("refusal_counts")), variant="probe-count"
     ) + with_axis(
-        _fig5b_cells(refusal_counts, utilizations, num_jobs, total_slots),
-        variant="refusal-count",
+        _fig5b_cells(**without("probe_ratios")), variant="refusal-count"
+    )
+
+
+def _reduce_fig5(result: StudyResult) -> List[DecentralizationRow]:
+    """Ratio of each decentralized cell's mean job duration to centralized
+    Hopper's at the same utilization (Fig. 5a: probe count d, with
+    Sparrow alongside; Fig. 5b: refusal threshold)."""
+    return [
+        DecentralizationRow(
+            parameter=labels["parameter"],
+            utilization=labels["utilization"],
+            system=labels["system"],
+            ratio=run.mean_job_duration
+            / _run(
+                result,
+                system=_CENTRALIZED_HOPPER,
+                utilization=labels["utilization"],
+            ).mean_job_duration,
+        )
+        for labels, run in _runs(result)
+        if labels["system"] != _CENTRALIZED_HOPPER
+    ]
+
+
+def _print_fig5(rows: List[DecentralizationRow]) -> None:
+    print_table(
+        "Fig 5: ratio vs centralized Hopper "
+        "(paper: within ~15% at d>=4 / 2-3 refusals)",
+        ("system", "parameter", "utilization", "ratio vs centralized"),
+        [(r.system, r.parameter, r.utilization, r.ratio) for r in rows],
     )
 
 
@@ -305,6 +399,8 @@ FIG5A_STUDY = register_study(
             num_jobs=25,
             total_slots=80,
         ),
+        reduce=_reduce_fig5,
+        render=_print_fig5,
     )
 )
 
@@ -321,6 +417,8 @@ FIG5B_STUDY = register_study(
             num_jobs=25,
             total_slots=80,
         ),
+        reduce=_reduce_fig5,
+        render=_print_fig5,
     )
 )
 
@@ -329,89 +427,12 @@ FIG5_STUDY = register_study(
         name="fig5",
         description="fig5a + fig5b combined (probe count and refusals)",
         build_cells=_fig5_cells,
-        quick=dict(
-            probe_ratios=(2.0, 4.0),
-            refusal_counts=(0, 2),
-            utilizations=(0.7,),
-            num_jobs=25,
-            total_slots=80,
-        ),
+        quick={**FIG5A_STUDY.quick, **FIG5B_STUDY.quick},
     )
 )
 
-
-def fig5a_probe_count(
-    probe_ratios: Sequence[float] = (2.0, 4.0, 6.0, 8.0, 10.0),
-    utilizations: Sequence[float] = (0.6, 0.8),
-    num_jobs: int = 120,
-    total_slots: int = 300,
-    runner: Optional[SweepRunner] = None,
-) -> List[DecentralizationRow]:
-    """Ratio of decentralized Hopper (and Sparrow) to centralized Hopper
-    as the probe count d varies (Fig. 5a)."""
-    results = FIG5A_STUDY.run(
-        runner=runner,
-        probe_ratios=probe_ratios,
-        utilizations=utilizations,
-        num_jobs=num_jobs,
-        total_slots=total_slots,
-    ).first_seed_results
-    rows: List[DecentralizationRow] = []
-    group = len(probe_ratios) + 2
-    for i, utilization in enumerate(utilizations):
-        reference = results[i * group].mean_job_duration
-        for j, ratio in enumerate(probe_ratios):
-            rows.append(
-                DecentralizationRow(
-                    parameter=ratio,
-                    utilization=utilization,
-                    system="hopper",
-                    ratio=results[i * group + 1 + j].mean_job_duration
-                    / reference,
-                )
-            )
-        rows.append(
-            DecentralizationRow(
-                parameter=2.0,
-                utilization=utilization,
-                system="sparrow",
-                ratio=results[(i + 1) * group - 1].mean_job_duration
-                / reference,
-            )
-        )
-    return rows
-
-
-def fig5b_refusal_count(
-    refusal_counts: Sequence[int] = (0, 1, 2, 3, 5, 8),
-    utilizations: Sequence[float] = (0.6, 0.8),
-    num_jobs: int = 120,
-    total_slots: int = 300,
-    runner: Optional[SweepRunner] = None,
-) -> List[DecentralizationRow]:
-    """Ratio vs centralized as the refusal threshold varies (Fig. 5b)."""
-    results = FIG5B_STUDY.run(
-        runner=runner,
-        refusal_counts=refusal_counts,
-        utilizations=utilizations,
-        num_jobs=num_jobs,
-        total_slots=total_slots,
-    ).first_seed_results
-    rows: List[DecentralizationRow] = []
-    group = len(refusal_counts) + 1
-    for i, utilization in enumerate(utilizations):
-        reference = results[i * group].mean_job_duration
-        for j, refusals in enumerate(refusal_counts):
-            rows.append(
-                DecentralizationRow(
-                    parameter=float(refusals),
-                    utilization=utilization,
-                    system="hopper",
-                    ratio=results[i * group + 1 + j].mean_job_duration
-                    / reference,
-                )
-            )
-    return rows
+fig5a_probe_count = FIG5A_STUDY.figure
+fig5b_refusal_count = FIG5B_STUDY.figure
 
 
 # --------------------------------------------------------------------------
@@ -431,24 +452,48 @@ def _fig6_cells(
     num_jobs: int = 150,
     total_slots: int = 400,
 ) -> List[Cell]:
-    profile = (
-        SPARK_FACEBOOK_PROFILE
-        if profile_name == "facebook"
-        else SPARK_BING_PROFILE
-    )
-    return [
-        cell(
-            lambda seed, u=utilization, s=system: RunSpec(
-                "decentralized",
-                s,
-                _workload(profile.name, num_jobs, u, total_slots, seed=seed),
+    profile = _spark_profile(profile_name)
+    cells: List[Cell] = []
+    for utilization in utilizations:
+        def wl(seed: int, utilization: float = utilization) -> WorkloadParams:
+            return _workload(
+                profile, num_jobs, utilization, total_slots, seed=seed
+            )
+
+        cells += with_axis(
+            _systems(
+                "decentralized", ("hopper", "sparrow", "sparrow-srpt"), wl
             ),
             utilization=utilization,
-            system=system,
         )
-        for utilization in utilizations
-        for system in ("hopper", "sparrow", "sparrow-srpt")
-    ]
+    return cells
+
+
+def _reduce_fig6(result: StudyResult) -> List[UtilizationGainRow]:
+    """Reduction in average job duration of decentralized Hopper vs
+    Sparrow and Sparrow-SRPT across utilizations (Fig. 6a/6b)."""
+    rows: List[UtilizationGainRow] = []
+    for labels, hopper in _runs(result, system="hopper"):
+        utilization = labels["utilization"]
+        sparrow = _run(result, utilization=utilization, system="sparrow")
+        srpt = _run(result, utilization=utilization, system="sparrow-srpt")
+        rows.append(
+            UtilizationGainRow(
+                utilization=utilization,
+                vs_sparrow=mean_reduction_percent(sparrow, hopper),
+                vs_sparrow_srpt=mean_reduction_percent(srpt, hopper),
+            )
+        )
+    return rows
+
+
+def _print_fig6(rows: List[UtilizationGainRow]) -> None:
+    print_table(
+        "Fig 6: reduction (%) in avg job duration "
+        "(paper: 50-60% at 60% util falling to <20% at >=80%)",
+        ("utilization", "vs Sparrow", "vs Sparrow-SRPT"),
+        [(r.utilization, r.vs_sparrow, r.vs_sparrow_srpt) for r in rows],
+    )
 
 
 FIG6_STUDY = register_study(
@@ -460,37 +505,12 @@ FIG6_STUDY = register_study(
         ),
         build_cells=_fig6_cells,
         quick=dict(utilizations=(0.7,), num_jobs=30, total_slots=100),
+        reduce=_reduce_fig6,
+        render=_print_fig6,
     )
 )
 
-
-def fig6_utilization_gains(
-    profile_name: str = "facebook",
-    utilizations: Sequence[float] = (0.6, 0.7, 0.8, 0.9),
-    num_jobs: int = 150,
-    total_slots: int = 400,
-    runner: Optional[SweepRunner] = None,
-) -> List[UtilizationGainRow]:
-    """Reduction in average job duration of decentralized Hopper vs
-    Sparrow and Sparrow-SRPT across utilizations (Fig. 6a/6b)."""
-    results = FIG6_STUDY.run(
-        runner=runner,
-        profile_name=profile_name,
-        utilizations=utilizations,
-        num_jobs=num_jobs,
-        total_slots=total_slots,
-    ).first_seed_results
-    rows: List[UtilizationGainRow] = []
-    for i, utilization in enumerate(utilizations):
-        hopper, sparrow, srpt = results[i * 3 : i * 3 + 3]
-        rows.append(
-            UtilizationGainRow(
-                utilization=utilization,
-                vs_sparrow=mean_reduction_percent(sparrow, hopper),
-                vs_sparrow_srpt=mean_reduction_percent(srpt, hopper),
-            )
-        )
-    return rows
+fig6_utilization_gains = FIG6_STUDY.figure
 
 
 # --------------------------------------------------------------------------
@@ -503,24 +523,34 @@ def _fig7_cells(
     num_jobs: int = 200,
     total_slots: int = 400,
 ) -> List[Cell]:
-    profile = (
-        SPARK_FACEBOOK_PROFILE
-        if profile_name == "facebook"
-        else SPARK_BING_PROFILE
+    profile = _spark_profile(profile_name)
+    return _systems(
+        "decentralized",
+        ("hopper", "sparrow-srpt"),
+        lambda seed: _workload(
+            profile, num_jobs, utilization, total_slots, seed=seed
+        ),
     )
-    return [
-        cell(
-            lambda seed, s=system: RunSpec(
-                "decentralized",
-                s,
-                _workload(
-                    profile.name, num_jobs, utilization, total_slots, seed=seed
-                ),
-            ),
-            system=system,
-        )
-        for system in ("hopper", "sparrow-srpt")
-    ]
+
+
+def _reduce_fig7(result: StudyResult) -> Dict[str, float]:
+    """Per-bin reduction vs Sparrow-SRPT (Fig. 7); keys are bin labels in
+    size order, then ``overall``."""
+    hopper = _run(result, system="hopper")
+    srpt = _run(result, system="sparrow-srpt")
+    by_bin = reduction_by_bin(srpt, hopper)
+    out = {bin_label(i): gain for i, gain in sorted(by_bin.items())}
+    out["overall"] = mean_reduction_percent(srpt, hopper)
+    return out
+
+
+def _print_fig7(out: Dict[str, float]) -> None:
+    print_table(
+        "Fig 7: reduction vs Sparrow-SRPT by job-size bin "
+        "(paper: all bins gain; small jobs most)",
+        ("job bin", "reduction %"),
+        list(out.items()),
+    )
 
 
 FIG7_STUDY = register_study(
@@ -529,29 +559,12 @@ FIG7_STUDY = register_study(
         description="Hopper vs Sparrow-SRPT, reduction by job-size bin",
         build_cells=_fig7_cells,
         quick=dict(num_jobs=40, total_slots=100),
+        reduce=_reduce_fig7,
+        render=_print_fig7,
     )
 )
 
-
-def fig7_job_bins(
-    profile_name: str = "facebook",
-    utilization: float = 0.6,
-    num_jobs: int = 200,
-    total_slots: int = 400,
-    runner: Optional[SweepRunner] = None,
-) -> Dict[str, float]:
-    """Per-bin reduction vs Sparrow-SRPT (Fig. 7); keys are bin labels."""
-    hopper, srpt = FIG7_STUDY.run(
-        runner=runner,
-        profile_name=profile_name,
-        utilization=utilization,
-        num_jobs=num_jobs,
-        total_slots=total_slots,
-    ).first_seed_results
-    by_bin = reduction_by_bin(srpt, hopper)
-    out = {bin_label(i): gain for i, gain in sorted(by_bin.items())}
-    out["overall"] = mean_reduction_percent(srpt, hopper)
-    return out
+fig7_job_bins = FIG7_STUDY.figure
 
 
 # --------------------------------------------------------------------------
@@ -563,49 +576,20 @@ def _fig8a_cells(
     num_jobs: int = 200,
     total_slots: int = 400,
 ) -> List[Cell]:
-    return [
-        cell(
-            lambda seed, s=system: RunSpec(
-                "decentralized",
-                s,
-                _workload(
-                    "spark-facebook",
-                    num_jobs,
-                    utilization,
-                    total_slots,
-                    seed=seed,
-                ),
-            ),
-            system=system,
-        )
-        for system in ("hopper", "sparrow-srpt")
-    ]
-
-
-FIG8A_STUDY = register_study(
-    Study(
-        name="fig8a",
-        description="per-job gain CDF of Hopper vs Sparrow-SRPT",
-        build_cells=_fig8a_cells,
-        quick=dict(num_jobs=40, total_slots=100),
+    return _systems(
+        "decentralized",
+        ("hopper", "sparrow-srpt"),
+        lambda seed: _workload(
+            "spark-facebook", num_jobs, utilization, total_slots, seed=seed
+        ),
     )
-)
 
 
-def fig8a_gain_cdf(
-    utilization: float = 0.6,
-    num_jobs: int = 200,
-    total_slots: int = 400,
-    runner: Optional[SweepRunner] = None,
-) -> Dict[str, object]:
+def _reduce_fig8a(result: StudyResult) -> Dict[str, object]:
     """CDF of per-job gains vs Sparrow-SRPT plus summary percentiles."""
-    hopper, srpt = FIG8A_STUDY.run(
-        runner=runner,
-        utilization=utilization,
-        num_jobs=num_jobs,
-        total_slots=total_slots,
-    ).first_seed_results
-    cdf = gain_cdf(srpt, hopper)
+    cdf = gain_cdf(
+        _run(result, system="sparrow-srpt"), _run(result, system="hopper")
+    )
     gains = [g for g, _ in cdf]
     return {
         "cdf": cdf,
@@ -616,29 +600,61 @@ def fig8a_gain_cdf(
     }
 
 
+def _print_fig8a(out: Dict[str, object]) -> None:
+    print_table(
+        "Fig 8a: per-job gain distribution vs Sparrow-SRPT "
+        "(paper: ~70% of jobs improve)",
+        ("percentile", "gain %"),
+        [(name, out[name]) for name in ("p10", "p50", "p90", "mean")],
+    )
+
+
+FIG8A_STUDY = register_study(
+    Study(
+        name="fig8a",
+        description="per-job gain CDF of Hopper vs Sparrow-SRPT",
+        build_cells=_fig8a_cells,
+        quick=dict(num_jobs=40, total_slots=100),
+        reduce=_reduce_fig8a,
+        render=_print_fig8a,
+    )
+)
+
+fig8a_gain_cdf = FIG8A_STUDY.figure
+
+
 def _fig8b_cells(
     utilization: float = 0.6,
     num_jobs: int = 220,
     total_slots: int = 400,
 ) -> List[Cell]:
-    return [
-        cell(
-            lambda seed, s=system: RunSpec(
-                "decentralized",
-                s,
-                _workload(
-                    "facebook",  # full DAG mix
-                    num_jobs,
-                    utilization,
-                    total_slots,
-                    seed=seed,
-                    max_phase_tasks=120,
-                ),
-            ),
-            system=system,
-        )
-        for system in ("hopper", "sparrow-srpt")
-    ]
+    return _systems(
+        "decentralized",
+        ("hopper", "sparrow-srpt"),
+        lambda seed: _workload(
+            "facebook",  # full DAG mix
+            num_jobs,
+            utilization,
+            total_slots,
+            seed=seed,
+            max_phase_tasks=120,
+        ),
+    )
+
+
+def _reduce_fig8b(result: StudyResult) -> Dict[int, float]:
+    """Reduction vs Sparrow-SRPT grouped by DAG length (Fig. 8b)."""
+    return reduction_by_dag_length(
+        _run(result, system="sparrow-srpt"), _run(result, system="hopper")
+    )
+
+
+def _print_fig8b(out: Dict[int, float]) -> None:
+    print_table(
+        "Fig 8b: reduction vs Sparrow-SRPT by DAG length",
+        ("dag length", "reduction %"),
+        sorted(out.items()),
+    )
 
 
 FIG8B_STUDY = register_study(
@@ -647,24 +663,12 @@ FIG8B_STUDY = register_study(
         description="Hopper vs Sparrow-SRPT, reduction by DAG length",
         build_cells=_fig8b_cells,
         quick=dict(num_jobs=40, total_slots=100),
+        reduce=_reduce_fig8b,
+        render=_print_fig8b,
     )
 )
 
-
-def fig8b_dag_length(
-    utilization: float = 0.6,
-    num_jobs: int = 220,
-    total_slots: int = 400,
-    runner: Optional[SweepRunner] = None,
-) -> Dict[int, float]:
-    """Reduction vs Sparrow-SRPT grouped by DAG length (Fig. 8b)."""
-    hopper, srpt = FIG8B_STUDY.run(
-        runner=runner,
-        utilization=utilization,
-        num_jobs=num_jobs,
-        total_slots=total_slots,
-    ).first_seed_results
-    return reduction_by_dag_length(srpt, hopper)
+fig8b_dag_length = FIG8B_STUDY.figure
 
 
 # --------------------------------------------------------------------------
@@ -677,26 +681,52 @@ def _fig9_cells(
     num_jobs: int = 150,
     total_slots: int = 400,
 ) -> List[Cell]:
-    return [
-        cell(
-            lambda seed, a=algorithm, s=system: RunSpec(
+    def wl(seed: int) -> WorkloadParams:
+        return _workload(
+            "spark-facebook", num_jobs, utilization, total_slots, seed=seed
+        )
+
+    cells: List[Cell] = []
+    for algorithm in algorithms:
+        cells += with_axis(
+            _systems(
                 "decentralized",
-                s,
-                _workload(
-                    "spark-facebook",
-                    num_jobs,
-                    utilization,
-                    total_slots,
-                    seed=seed,
-                ),
-                speculation=a,
+                ("hopper", "sparrow-srpt"),
+                wl,
+                speculation=algorithm,
             ),
             speculation=algorithm,
-            system=system,
         )
-        for algorithm in algorithms
-        for system in ("hopper", "sparrow-srpt")
-    ]
+    return cells
+
+
+def _reduce_fig9(result: StudyResult) -> Dict[str, Dict[str, float]]:
+    """Overall and per-bin gains of Hopper vs Sparrow-SRPT, pairing both
+    systems with each speculation algorithm (Fig. 9)."""
+    out: Dict[str, Dict[str, float]] = {}
+    for labels, hopper in _runs(result, system="hopper"):
+        algorithm = labels["speculation"]
+        srpt = _run(result, speculation=algorithm, system="sparrow-srpt")
+        per_bin = {
+            bin_label(i): gain
+            for i, gain in sorted(reduction_by_bin(srpt, hopper).items())
+        }
+        per_bin["overall"] = mean_reduction_percent(srpt, hopper)
+        out[algorithm] = per_bin
+    return out
+
+
+def _print_fig9(out: Dict[str, Dict[str, float]]) -> None:
+    print_table(
+        "Fig 9: gains vs Sparrow-SRPT per speculation algorithm "
+        "(paper: gains hold across LATE/Mantri/GRASS)",
+        ("algorithm", "bin", "reduction %"),
+        [
+            (algorithm, bin_name, gain)
+            for algorithm, bins in out.items()
+            for bin_name, gain in bins.items()
+        ],
+    )
 
 
 FIG9_STUDY = register_study(
@@ -705,36 +735,12 @@ FIG9_STUDY = register_study(
         description="gains under LATE / Mantri / GRASS speculation",
         build_cells=_fig9_cells,
         quick=dict(num_jobs=30, total_slots=100),
+        reduce=_reduce_fig9,
+        render=_print_fig9,
     )
 )
 
-
-def fig9_speculation_algorithms(
-    algorithms: Sequence[str] = ("late", "mantri", "grass"),
-    utilization: float = 0.6,
-    num_jobs: int = 150,
-    total_slots: int = 400,
-    runner: Optional[SweepRunner] = None,
-) -> Dict[str, Dict[str, float]]:
-    """Overall and per-bin gains of Hopper vs Sparrow-SRPT, pairing both
-    systems with each speculation algorithm (Fig. 9)."""
-    results = FIG9_STUDY.run(
-        runner=runner,
-        algorithms=algorithms,
-        utilization=utilization,
-        num_jobs=num_jobs,
-        total_slots=total_slots,
-    ).first_seed_results
-    out: Dict[str, Dict[str, float]] = {}
-    for i, algorithm in enumerate(algorithms):
-        hopper, srpt = results[i * 2 : i * 2 + 2]
-        per_bin = {
-            bin_label(i): gain
-            for i, gain in sorted(reduction_by_bin(srpt, hopper).items())
-        }
-        per_bin["overall"] = mean_reduction_percent(srpt, hopper)
-        out[algorithm] = per_bin
-    return out
+fig9_speculation_algorithms = FIG9_STUDY.figure
 
 
 # --------------------------------------------------------------------------
@@ -748,6 +754,9 @@ class FairnessRow:
     fraction_slowed: float
     mean_slowdown: float
     worst_slowdown: float
+
+
+_FAIR_REFERENCE = "hopper (fair reference)"
 
 
 def _fig10_cells(
@@ -771,7 +780,7 @@ def _fig10_cells(
             lambda seed: RunSpec(
                 "decentralized", "hopper", wl(seed), knobs={"epsilon": 0.0}
             ),
-            system="hopper (fair reference)",
+            system=_FAIR_REFERENCE,
             epsilon=0.0,
         ),
     ]
@@ -788,48 +797,54 @@ def _fig10_cells(
     return cells
 
 
-FIG10_STUDY = register_study(
-    Study(
-        name="fig10",
-        description="fairness knob epsilon: gains vs slowdowns",
-        build_cells=_fig10_cells,
-        quick=dict(epsilons=(0.0, 0.1), num_jobs=25, total_slots=80),
-    )
-)
-
-
-def fig10_fairness(
-    epsilons: Sequence[float] = (0.0, 0.05, 0.10, 0.15, 0.20, 0.30),
-    utilization: float = 0.7,
-    num_jobs: int = 150,
-    total_slots: int = 400,
-    runner: Optional[SweepRunner] = None,
-) -> List[FairnessRow]:
+def _reduce_fig10(result: StudyResult) -> List[FairnessRow]:
     """Gains and slowdown-vs-fair as epsilon varies (Fig. 10a/b/c).
 
     The slowdown reference is Hopper at epsilon=0 (perfectly fair floors),
     the paper's "perfectly fair allocation"."""
-    results = FIG10_STUDY.run(
-        runner=runner,
-        epsilons=epsilons,
-        utilization=utilization,
-        num_jobs=num_jobs,
-        total_slots=total_slots,
-    ).first_seed_results
-    srpt, fair_reference = results[0], results[1]
+    srpt = _run(result, system="sparrow-srpt")
+    fair_reference = _run(result, system=_FAIR_REFERENCE)
     rows: List[FairnessRow] = []
-    for epsilon, result in zip(epsilons, results[2:]):
-        fraction, mean_slow, worst = slowdown_stats(fair_reference, result)
+    for labels, run in _runs(result, system="hopper"):
+        fraction, mean_slow, worst = slowdown_stats(fair_reference, run)
         rows.append(
             FairnessRow(
-                epsilon=epsilon,
-                gain_vs_srpt=mean_reduction_percent(srpt, result),
+                epsilon=labels["epsilon"],
+                gain_vs_srpt=mean_reduction_percent(srpt, run),
                 fraction_slowed=fraction,
                 mean_slowdown=mean_slow,
                 worst_slowdown=worst,
             )
         )
     return rows
+
+
+def _print_fig10(rows: List[FairnessRow]) -> None:
+    print_table(
+        "Fig 10: fairness knob epsilon "
+        "(paper: eps~0.1 keeps most gains, few jobs slowed)",
+        ("epsilon", "gain vs SRPT %", "frac slowed", "mean slowdown",
+         "worst slowdown"),
+        [
+            (r.epsilon, r.gain_vs_srpt, r.fraction_slowed, r.mean_slowdown,
+             r.worst_slowdown)
+            for r in rows
+        ],
+    )
+
+
+FIG10_STUDY = register_study(
+    Study(
+        name="fig10",
+        description="fairness knob epsilon: gains vs slowdowns",
+        build_cells=_fig10_cells,
+        quick=dict(epsilons=(0.0, 0.1), num_jobs=25, total_slots=80),
+        reduce=_reduce_fig10,
+        render=_print_fig10,
+    )
+)
+
+fig10_fairness = FIG10_STUDY.figure
 
 
 # --------------------------------------------------------------------------
@@ -876,6 +891,34 @@ def _fig11_cells(
     return cells
 
 
+def _reduce_fig11(result: StudyResult) -> Dict[float, Dict[float, float]]:
+    """Hopper's gain vs Sparrow-SRPT as the probe ratio varies
+    (Fig. 11); keyed [utilization][probe_ratio] -> reduction %."""
+    out: Dict[float, Dict[float, float]] = {}
+    for labels, srpt in _runs(result, system="sparrow-srpt"):
+        utilization = labels["utilization"]
+        out[utilization] = {
+            hopper_labels["probe_ratio"]: mean_reduction_percent(srpt, hopper)
+            for hopper_labels, hopper in _runs(
+                result, utilization=utilization, system="hopper"
+            )
+        }
+    return out
+
+
+def _print_fig11(out: Dict[float, Dict[float, float]]) -> None:
+    print_table(
+        "Fig 11: Hopper's gain vs Sparrow-SRPT by probe ratio "
+        "(paper: gains increase up to ratio ~4)",
+        ("utilization", "probe ratio", "reduction %"),
+        [
+            (utilization, ratio, gain)
+            for utilization, inner in out.items()
+            for ratio, gain in sorted(inner.items())
+        ],
+    )
+
+
 FIG11_STUDY = register_study(
     Study(
         name="fig11",
@@ -887,37 +930,12 @@ FIG11_STUDY = register_study(
             num_jobs=30,
             total_slots=100,
         ),
+        reduce=_reduce_fig11,
+        render=_print_fig11,
     )
 )
 
-
-def fig11_probe_ratio(
-    probe_ratios: Sequence[float] = (2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0),
-    utilizations: Sequence[float] = (0.6, 0.8),
-    num_jobs: int = 120,
-    total_slots: int = 300,
-    runner: Optional[SweepRunner] = None,
-) -> Dict[float, Dict[float, float]]:
-    """Hopper's gain vs Sparrow-SRPT as the probe ratio varies
-    (Fig. 11); keyed [utilization][probe_ratio] -> reduction %."""
-    results = FIG11_STUDY.run(
-        runner=runner,
-        probe_ratios=probe_ratios,
-        utilizations=utilizations,
-        num_jobs=num_jobs,
-        total_slots=total_slots,
-    ).first_seed_results
-    out: Dict[float, Dict[float, float]] = {}
-    group = len(probe_ratios) + 1
-    for i, utilization in enumerate(utilizations):
-        srpt = results[i * group]
-        out[utilization] = {
-            ratio: mean_reduction_percent(
-                srpt, results[i * group + 1 + j]
-            )
-            for j, ratio in enumerate(probe_ratios)
-        }
-    return out
+fig11_probe_ratio = FIG11_STUDY.figure
 
 
 # --------------------------------------------------------------------------
@@ -931,56 +949,29 @@ def _fig12_cells(
     total_slots: int = 200,
 ) -> List[Cell]:
     profile = FACEBOOK_PROFILE if profile_name == "facebook" else BING_PROFILE
-    return [
-        cell(
-            lambda seed, s=system: RunSpec(
-                "centralized",
-                s,
-                _workload(
-                    profile.name,
-                    num_jobs,
-                    utilization,
-                    total_slots,
-                    seed=seed,
-                    max_phase_tasks=300,
-                ),
-            ),
-            system=system,
-        )
-        for system in ("hopper", "srpt")
-    ]
-
-
-FIG12_STUDY = register_study(
-    Study(
-        name="fig12",
-        description="centralized Hopper vs centralized SRPT",
-        build_cells=_fig12_cells,
-        quick=dict(num_jobs=30, total_slots=60),
+    return _systems(
+        "centralized",
+        ("hopper", "srpt"),
+        lambda seed: _workload(
+            profile.name,
+            num_jobs,
+            utilization,
+            total_slots,
+            seed=seed,
+            max_phase_tasks=300,
+        ),
     )
-)
 
 
-def fig12_centralized(
-    profile_name: str = "facebook",
-    utilization: float = 0.7,
-    num_jobs: int = 200,
-    total_slots: int = 200,
-    runner: Optional[SweepRunner] = None,
-) -> Dict[str, object]:
+def _reduce_fig12(result: StudyResult) -> Dict[str, object]:
     """Centralized Hopper vs centralized SRPT+best-effort-LATE: overall,
     per-bin, per-DAG-length (Fig. 12a/12b).
 
     The "Spark-like" variant (small interactive jobs) shows modestly
     higher gains than "Hadoop-like", mirroring the paper's observation.
     """
-    hopper, srpt = FIG12_STUDY.run(
-        runner=runner,
-        profile_name=profile_name,
-        utilization=utilization,
-        num_jobs=num_jobs,
-        total_slots=total_slots,
-    ).first_seed_results
+    hopper = _run(result, system="hopper")
+    srpt = _run(result, system="srpt")
     return {
         "overall": mean_reduction_percent(srpt, hopper),
         "by_bin": {
@@ -989,6 +980,33 @@ def fig12_centralized(
         },
         "by_dag_length": reduction_by_dag_length(srpt, hopper),
     }
+
+
+def _print_fig12(out: Dict[str, Any]) -> None:
+    print_table(
+        "Fig 12: centralized Hopper vs SRPT (paper: up to ~50%)",
+        ("slice", "reduction %"),
+        [("overall", out["overall"])]
+        + [(f"bin {k}", v) for k, v in out["by_bin"].items()]
+        + [
+            (f"dag length {k}", v)
+            for k, v in sorted(out["by_dag_length"].items())
+        ],
+    )
+
+
+FIG12_STUDY = register_study(
+    Study(
+        name="fig12",
+        description="centralized Hopper vs centralized SRPT",
+        build_cells=_fig12_cells,
+        quick=dict(num_jobs=30, total_slots=60),
+        reduce=_reduce_fig12,
+        render=_print_fig12,
+    )
+)
+
+fig12_centralized = FIG12_STUDY.figure
 
 
 # --------------------------------------------------------------------------
@@ -1047,43 +1065,41 @@ def _fig13_cells(
     return cells
 
 
+def _reduce_fig13(result: StudyResult) -> List[LocalityRow]:
+    """Centralized Hopper with data locality: gains and fraction of
+    data-local tasks as the allowance k varies (Fig. 13)."""
+    srpt = _run(result, system="srpt")
+    return [
+        LocalityRow(
+            k_percent=labels["k_percent"],
+            gain_vs_srpt=mean_reduction_percent(srpt, run),
+            locality_fraction=run.data_locality_fraction,
+        )
+        for labels, run in _runs(result, system="hopper")
+    ]
+
+
+def _print_fig13(rows: List[LocalityRow]) -> None:
+    print_table(
+        "Fig 13: locality allowance k "
+        "(paper: small k buys locality without losing gains)",
+        ("k %", "gain vs SRPT %", "locality fraction"),
+        [(r.k_percent, r.gain_vs_srpt, r.locality_fraction) for r in rows],
+    )
+
+
 FIG13_STUDY = register_study(
     Study(
         name="fig13",
         description="data-locality allowance k: gains and local fraction",
         build_cells=_fig13_cells,
         quick=dict(k_values=(0.0, 5.0), num_jobs=25, total_slots=60),
+        reduce=_reduce_fig13,
+        render=_print_fig13,
     )
 )
 
-
-def fig13_locality(
-    k_values: Sequence[float] = (0.0, 1.0, 3.0, 5.0, 7.0, 10.0, 15.0),
-    utilization: float = 0.7,
-    num_jobs: int = 150,
-    total_slots: int = 200,
-    runner: Optional[SweepRunner] = None,
-) -> List[LocalityRow]:
-    """Centralized Hopper with data locality: gains and fraction of
-    data-local tasks as the allowance k varies (Fig. 13)."""
-    results = FIG13_STUDY.run(
-        runner=runner,
-        k_values=k_values,
-        utilization=utilization,
-        num_jobs=num_jobs,
-        total_slots=total_slots,
-    ).first_seed_results
-    srpt = results[0]
-    rows: List[LocalityRow] = []
-    for k, result in zip(k_values, results[1:]):
-        rows.append(
-            LocalityRow(
-                k_percent=k,
-                gain_vs_srpt=mean_reduction_percent(srpt, result),
-                locality_fraction=result.data_locality_fraction,
-            )
-        )
-    return rows
+fig13_locality = FIG13_STUDY.figure
 
 
 # --------------------------------------------------------------------------
@@ -1107,32 +1123,43 @@ def _headline_cells(
             max_phase_tasks=300,
         )
 
-    return [
-        cell(
-            lambda seed: RunSpec(
-                "decentralized", "hopper", decentralized_wl(seed)
-            ),
-            kind="decentralized",
-            system="hopper",
+    return with_axis(
+        _systems(
+            "decentralized", ("hopper", "sparrow-srpt"), decentralized_wl
         ),
-        cell(
-            lambda seed: RunSpec(
-                "decentralized", "sparrow-srpt", decentralized_wl(seed)
-            ),
-            kind="decentralized",
-            system="sparrow-srpt",
+        kind="decentralized",
+    ) + with_axis(
+        _systems("centralized", ("hopper", "srpt"), centralized_wl),
+        kind="centralized",
+    )
+
+
+def _reduce_headline(result: StudyResult) -> Dict[str, float]:
+    """The paper's headline numbers: decentralized Hopper vs the best
+    decentralized baseline, and centralized Hopper vs centralized SRPT."""
+    return {
+        "decentralized_vs_sparrow_srpt": mean_reduction_percent(
+            _run(result, kind="decentralized", system="sparrow-srpt"),
+            _run(result, kind="decentralized", system="hopper"),
         ),
-        cell(
-            lambda seed: RunSpec("centralized", "hopper", centralized_wl(seed)),
-            kind="centralized",
-            system="hopper",
+        "centralized_vs_srpt": mean_reduction_percent(
+            _run(result, kind="centralized", system="srpt"),
+            _run(result, kind="centralized", system="hopper"),
         ),
-        cell(
-            lambda seed: RunSpec("centralized", "srpt", centralized_wl(seed)),
-            kind="centralized",
-            system="srpt",
-        ),
-    ]
+    }
+
+
+def _print_headline(out: Dict[str, float]) -> None:
+    print_table(
+        "Headline gains (paper: decentralized up to 66%, centralized up "
+        "to 50%)",
+        ("comparison", "reduction %"),
+        [
+            ("decentralized Hopper vs Sparrow-SRPT",
+             out["decentralized_vs_sparrow_srpt"]),
+            ("centralized Hopper vs SRPT", out["centralized_vs_srpt"]),
+        ],
+    )
 
 
 HEADLINE_STUDY = register_study(
@@ -1141,23 +1168,9 @@ HEADLINE_STUDY = register_study(
         description="the paper's headline aggregate gains (Sections 1 and 7)",
         build_cells=_headline_cells,
         quick=dict(num_jobs=40, total_slots=120),
+        reduce=_reduce_headline,
+        render=_print_headline,
     )
 )
 
-
-def headline_gains(
-    num_jobs: int = 150,
-    total_slots: int = 400,
-    runner: Optional[SweepRunner] = None,
-) -> Dict[str, float]:
-    """The paper's headline numbers: decentralized Hopper vs the best
-    decentralized baseline, and centralized Hopper vs centralized SRPT."""
-    hopper_d, srpt_d, hopper_c, srpt_c = HEADLINE_STUDY.run(
-        runner=runner, num_jobs=num_jobs, total_slots=total_slots
-    ).first_seed_results
-    return {
-        "decentralized_vs_sparrow_srpt": mean_reduction_percent(
-            srpt_d, hopper_d
-        ),
-        "centralized_vs_srpt": mean_reduction_percent(srpt_c, hopper_c),
-    }
+headline_gains = HEADLINE_STUDY.figure

@@ -11,6 +11,7 @@ therefore the *same* grid, differing only in the seed list:
 
     study = registry.studies().get("fig6").factory
     study.run(seeds=(1, 2, 3)).aggregate()     # mean +/- CI per cell
+    study.render(study.figure())               # the paper figure's table
 
 Studies register by name in :data:`repro.registry.STUDIES` (the paper
 figures register theirs in :mod:`repro.experiments.figures`) and run
@@ -131,7 +132,7 @@ class StudyResult:
     @property
     def first_seed_results(self) -> List[SimulationResult]:
         """One result per cell at the first seed — the single-seed view
-        the figure functions reduce (grid order == cell order)."""
+        most figure reducers read (grid order == cell order)."""
         return [per_cell[0] for per_cell in self.results]
 
     def values(self, metric: Optional[MetricFn] = None) -> List[List[float]]:
@@ -181,13 +182,18 @@ class Study:
         ``(**params) -> Sequence[Cell]``; params default inside the
         builder, so ``build_cells()`` is the paper-scale grid.
     seeds:
-        Default seed list (single-seed figure reproduction uses the
-        first). For ``single_job`` studies the seeds are repetition
-        indices.
+        Default seed list (most figure reducers read only the first).
+        For ``single_job`` studies the seeds are repetition indices.
     metric / metric_name:
         Per-run scalar the CLI aggregates (mean/p95/CI).
     quick:
-        Scaled-down builder params for smoke tests (CLI ``--quick``).
+        Scaled-down builder params for smoke tests (CLI ``--quick``). A
+        ``seeds`` entry replaces the default seed list under ``--quick``.
+    reduce / render:
+        A paper figure's presentation: ``reduce`` turns a
+        :class:`StudyResult` into the figure's plain data and ``render``
+        prints it. Studies with a ``render`` are what ``repro run``
+        lists and runs.
     """
 
     name: str
@@ -197,9 +203,12 @@ class Study:
     metric: MetricFn = _mean_job_duration
     metric_name: str = DEFAULT_METRIC_NAME
     quick: Mapping[str, Any] = field(default_factory=dict)
+    reduce: Optional[Callable[[StudyResult], Any]] = None
+    render: Optional[Callable[[Any], None]] = None
 
     def cells(self, quick: bool = False, **params: Any) -> List[Cell]:
         merged: Dict[str, Any] = dict(self.quick) if quick else {}
+        merged.pop("seeds", None)
         merged.update(params)
         return list(self.build_cells(**merged))
 
@@ -215,7 +224,9 @@ class Study:
         All specs go through a single runner call, so dedup, caching and
         process-pool parallelism apply across the full cell x seed grid.
         """
-        seed_list = tuple(self.seeds if seeds is None else seeds)
+        if seeds is None:
+            seeds = self.quick.get("seeds", self.seeds) if quick else self.seeds
+        seed_list = tuple(seeds)
         if not seed_list:
             raise ValueError("need at least one seed")
         cells = self.cells(quick=quick, **params)
@@ -233,6 +244,20 @@ class Study:
             seeds=seed_list,
             cells=tuple(cells),
             results=tuple(per_cell),
+        )
+
+    def figure(
+        self,
+        seeds: Optional[Sequence[int]] = None,
+        runner: Optional[SweepRunner] = None,
+        quick: bool = False,
+        **params: Any,
+    ) -> Any:
+        """Run the study and reduce it to the figure's data."""
+        if self.reduce is None:
+            raise ValueError(f"study {self.name!r} has no figure reducer")
+        return self.reduce(
+            self.run(seeds=seeds, runner=runner, quick=quick, **params)
         )
 
 

@@ -16,6 +16,14 @@ def test_run_rejects_unknown_figure(capsys):
     assert "unknown figure" in capsys.readouterr().err
 
 
+def test_run_fig7_prints_bins_in_size_order(capsys):
+    assert main(["run", "fig7", "--quick", "--serial"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("job bin"))
+    rows = [line.split()[0] for line in lines[start + 1 :] if line.strip()]
+    assert rows[:4] == ["1-50", "51-150", "151-500", "overall"]
+
+
 def test_run_quick_figure_with_cache(tmp_path, capsys):
     args = [
         "run",

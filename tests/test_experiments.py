@@ -144,7 +144,7 @@ def test_fig3_threshold_curve_shape():
         beta=1.4,
         num_tasks=50,
         normalized_slots=(0.6, 1.0, 1.4, 1.8, 2.2),
-        repetitions=3,
+        seeds=tuple(range(3)),
     )
     assert len(curve) == 5
     values = [v for _, v in curve]

@@ -24,7 +24,7 @@ import pytest
 
 from repro import registry
 from repro.metrics.serialize import result_to_dict
-from repro.sweep import RunSpec, WorkloadParams
+from repro.sweep import ResultCache, RunSpec, WorkloadParams
 from repro.sweep.runner import SweepRunner
 
 #: study name -> sha256 of the canonical JSON of its quick-grid results
@@ -108,10 +108,56 @@ def test_every_registered_study_is_pinned():
     assert set(registry.studies().names()) == set(GOLDEN_STUDY_DIGESTS)
 
 
+@pytest.fixture(scope="module")
+def shared_runner(tmp_path_factory):
+    """One cached runner for the module: the figure digests below replay
+    the same quick grids as the study digests, so they hit its cache."""
+    return SweepRunner(
+        parallel=False, cache=ResultCache(root=tmp_path_factory.mktemp("cache"))
+    )
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_STUDY_DIGESTS))
-def test_study_results_match_seed_engine(name):
-    runner = SweepRunner(parallel=False)
-    assert study_results_digest(name, runner) == GOLDEN_STUDY_DIGESTS[name]
+def test_study_results_match_seed_engine(name, shared_runner):
+    assert study_results_digest(name, shared_runner) == GOLDEN_STUDY_DIGESTS[name]
+
+
+#: figure name -> sha256 of ``repr(study.figure(quick=True))``: the
+#: reduced data every paper figure prints, captured before the figure
+#: functions became study reducers (the oracle for that move).
+GOLDEN_FIGURE_DIGESTS = {
+    "fig3": "d005619f2144a5f8e56883830c3817de30f759a5977c90964125044e2e0a86f0",
+    "fig5a": "51f1d94b1b8be350d80891d990b881dfdc55b7198c71c31f1710957a6e16310b",
+    "fig5b": "e913035a462967554943ef84e34152d441acaf4efadc0cb16765181a14307e9a",
+    "fig6": "db47ccf630de518194897a805a4e947bea2b590d2a239b598433f9ac171254e1",
+    "fig7": "bba58b5910411601aad01561aa6b9932f441e8b2332961ce0e24b3b9628634c9",
+    "fig8a": "f622756976cdde0282a0d90a0ac138f46fa02f9418cdafc95ee5004aea183c53",
+    "fig8b": "2b731fadc5698490fd545c1d0d7efa58b89cb16101bd0cf4e96c5591a49d9a40",
+    "fig9": "c3553cf9d741f9efb0e92d90109f62a8a613da4dce58c6c7e2340a0afa442f3d",
+    "fig10": "c5e9b35223bf9fb0d2c1e30664fce1a38d59001040b5e435a28fb95e093a3d40",
+    "fig11": "de5b018287f4f52832f4a1658258415e017f55365f6ffb9449edcf6bbbcba4c6",
+    "fig12": "d8eda1936cfd9b53ff1e18c0cc8e6d40f21982583a83ed1d6a9fad2cc0757dee",
+    "fig13": "a3e2e8026e2451b6edff51e4e2b5f1d39827e8d4d947af1be173e72510419f7b",
+    "headline": "da8d2b77afe22f51db0e0e24bb29c43771443d9b65b935b79192e8f5807e4d1e",
+}
+
+
+def test_every_figure_is_pinned():
+    """A study that renders a figure must pin its reduced value here."""
+    figures = {
+        name
+        for name in registry.studies().names()
+        if registry.STUDIES.get(name).factory.render is not None
+    }
+    assert figures == set(GOLDEN_FIGURE_DIGESTS)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_FIGURE_DIGESTS))
+def test_figure_values_are_pinned(name, shared_runner):
+    study = registry.studies().get(name).factory
+    value = study.figure(quick=True, runner=shared_runner)
+    digest = hashlib.sha256(repr(value).encode("utf-8")).hexdigest()
+    assert digest == GOLDEN_FIGURE_DIGESTS[name]
 
 
 def test_scale_cell_spec_digest_is_pinned():

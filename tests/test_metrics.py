@@ -13,6 +13,7 @@ from repro.metrics.analysis import (
     slowdown_stats,
 )
 from repro.metrics.collector import JobRecord, MetricsCollector, SimulationResult
+from repro.metrics.tables import format_table
 
 
 def _record(job_id, duration, num_tasks=10, dag_length=1, arrival=0.0):
@@ -160,3 +161,17 @@ def test_slowdown_stats_no_slowdowns():
     fair = _result([10.0, 10.0])
     cand = _result([9.0, 10.0])
     assert slowdown_stats(fair, cand) == (0.0, 0.0, 0.0)
+
+
+def test_format_table_sizes_columns_by_widest_cell():
+    wide = "decentralized Hopper vs Sparrow-SRPT"
+    text = format_table(
+        "t", ("comparison", "reduction %"), [(wide, -6.4), ("short", 19.15)]
+    )
+    header, first, second = text.splitlines()[2:]
+    # The second column starts at the same offset on every line.
+    column = len(wide) + 2
+    assert header[column:].startswith("reduction %")
+    assert first[column:].startswith("-6.40")
+    assert second[column:].startswith("19.15")
+    assert header.startswith("comparison".ljust(column))

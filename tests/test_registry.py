@@ -395,6 +395,22 @@ def test_repro_list_output_matches_registry_contents(capsys):
         assert _list_section(out, title) == set(family.names())
 
 
+def test_repro_list_and_run_share_one_figure_source(capsys):
+    """``repro list`` shows exactly the studies ``repro run`` accepts:
+    those with a render."""
+    assert main(["list"]) == 0
+    out = capsys.readouterr().out
+    figures = {
+        name
+        for name in registry.studies().names()
+        if registry.STUDIES.get(name).factory.render is not None
+    }
+    assert _list_section(out, "Available figures") == figures
+    assert "scale" not in figures
+    assert main(["run", "scale"]) == 2
+    assert "unknown figure" in capsys.readouterr().err
+
+
 # -- spec-kind knob schemas -------------------------------------------------
 
 _BLACKLIST_SCHEMA = [

@@ -192,6 +192,41 @@ def test_fig3_study_uses_single_job_kind():
     assert study.cells(quick=True)[0].make_spec(5).run_seed == 5
 
 
+def test_quick_seeds_replace_the_default_seed_list():
+    study = Study(
+        name="tiny-quick-seeds",
+        description="quick seeds",
+        build_cells=_tiny_cells,
+        seeds=(1, 2),
+        quick=dict(systems=("hopper",), seeds=(3,)),
+    )
+    runner = SweepRunner(parallel=False)
+    # ``seeds`` is a seed list, never a grid parameter.
+    assert len(study.cells(quick=True)) == 1
+    assert study.run(quick=True, runner=runner).seeds == (3,)
+    assert study.run(runner=runner).seeds == (1, 2)
+    assert study.run(seeds=(4,), quick=True, runner=runner).seeds == (4,)
+
+
+def test_figure_reduces_the_study_run():
+    runner = SweepRunner(parallel=False)
+    with pytest.raises(ValueError, match="no figure reducer"):
+        TINY_STUDY.figure(runner=runner)
+    study = Study(
+        name="tiny-figure",
+        description="job counts",
+        build_cells=_tiny_cells,
+        reduce=lambda result: [r.num_jobs for r in result.first_seed_results],
+    )
+    assert study.figure(runner=runner, systems=("hopper",)) == [10]
+
+
+def test_fig3_figure_defaults_to_thirty_repetitions():
+    study = studies().get("fig3").factory
+    assert study.seeds == tuple(range(30))
+    assert study.quick["seeds"] == tuple(range(3))
+
+
 def test_figure_study_single_seed_matches_figure_function():
     """The figure function and its study share one grid: the figure's
     derived numbers must be computable from the study's first seed."""
