@@ -8,6 +8,12 @@ complete. We use the standard Hill / MLE estimator for the Pareto shape:
 
 over a sliding window of recent durations, clamped to a sane range so a
 few early samples cannot destabilise the virtual-size computation.
+
+:func:`fit_pareto_shape` is the one-shot fit and the oracle the tests diff
+the online estimator against. :class:`OnlineBetaEstimator` keeps each
+window sample's Hill term beside it, so a refit is one O(window) float sum
+with no ``log`` calls; the terms are rebuilt only when the window minimum
+x_m changes, which a heavy-tailed stream does rarely.
 """
 
 from __future__ import annotations
@@ -48,7 +54,15 @@ class OnlineBetaEstimator:
 
     Until ``min_samples`` observations arrive, :attr:`beta` returns the
     prior ``default_beta``; afterwards it returns the windowed MLE clamped
-    to ``clamp_range``.
+    to ``clamp_range``. The value is the float ``fit_pareto_shape`` gives
+    on the window, bit for bit.
+
+    Beside each window sample the estimator keeps its Hill term
+    ``log(d / x_m)`` (exactly 0.0 for a sample equal to x_m, a no-op in a
+    float sum), a monotone min-deque that tracks x_m through eviction and
+    the count of samples equal to x_m. A refit is then ``n / sum(terms)``
+    in window order: an O(window) float sum with no logs and no minimum
+    scan. The terms are rebuilt only when x_m changes.
     """
 
     def __init__(
@@ -74,21 +88,55 @@ class OnlineBetaEstimator:
         self.min_samples = min_samples
         self.clamp_range = clamp_range
         self.refresh_every = refresh_every
-        self._samples: Deque[float] = deque(maxlen=window)
+        self._window = window
+        self._samples: Deque[float] = deque()
+        self._terms: Deque[float] = deque()  # log(d / xm), aligned with samples
+        self._minima: Deque[float] = deque()  # nondecreasing; front is xm
+        self._xm = math.inf
+        self._ties = 0  # samples equal to xm
         self._observations = 0
-        self._cached_beta: Optional[float] = None
-        self._observations_at_fit = -1
+        # The prior until min_samples observations: a window that is not
+        # full holds exactly one sample per observation.
+        self._cached_beta = default_beta
+        self._next_fit = min_samples
 
     @property
     def num_observations(self) -> int:
         return self._observations
 
     def observe(self, duration: float) -> None:
-        """Record one completed task duration."""
-        if duration <= 0:
+        """Record one completed task duration (non-positive, NaN and
+        infinite durations are ignored)."""
+        if not 0 < duration < math.inf:
             return
-        self._samples.append(float(duration))
+        d = float(duration)
+        samples, minima = self._samples, self._minima
+        if len(samples) == self._window:
+            gone = samples.popleft()
+            self._terms.popleft()
+            if gone == self._xm:
+                minima.popleft()
+                self._ties -= 1
+        while minima and minima[-1] > d:
+            minima.pop()
+        minima.append(d)
+        samples.append(d)
         self._observations += 1
+        xm = minima[0]
+        if xm != self._xm:
+            self._xm = xm
+            self._rebuild_terms()
+        elif d == xm:
+            self._terms.append(0.0)
+            self._ties += 1
+        else:
+            self._terms.append(math.log(d / xm))
+
+    def _rebuild_terms(self) -> None:
+        """Recompute every Hill term against the new window minimum."""
+        xm, log = self._xm, math.log
+        self._terms = deque([log(d / xm) for d in self._samples])
+        self._ties = self._samples.count(xm)
 
     @property
     def beta(self) -> float:
@@ -96,21 +144,17 @@ class OnlineBetaEstimator:
 
         The fit is refreshed at most every ``refresh_every`` observations;
         in between the cached value is returned (O(1))."""
-        if len(self._samples) < self.min_samples:
-            return self.default_beta
-        stale = (
-            self._cached_beta is None
-            or self._observations - self._observations_at_fit
-            >= self.refresh_every
-        )
-        if stale:
-            try:
-                estimate = fit_pareto_shape(self._samples)
+        if self._observations >= self._next_fit:
+            # The same sum fit_pareto_shape takes: the 0.0 terms of samples
+            # equal to xm leave it (and Python 3.12's compensated sum) as is.
+            log_sum = sum(self._terms)
+            if log_sum > 0:
                 lo, hi = self.clamp_range
+                estimate = (len(self._samples) - self._ties) / log_sum
                 self._cached_beta = min(hi, max(lo, estimate))
-            except ValueError:
+            else:  # no tail information: fit_pareto_shape raises
                 self._cached_beta = self.default_beta
-            self._observations_at_fit = self._observations
+            self._next_fit = self._observations + self.refresh_every
         return self._cached_beta
 
     def relative_error(self, true_beta: float) -> float:

@@ -1,8 +1,12 @@
 """Tests for online beta fitting and alpha (intermediate data) estimation."""
 
+import math
 import random
+from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.estimation.alpha import AlphaEstimator
 from repro.estimation.beta import OnlineBetaEstimator, fit_pareto_shape
@@ -92,6 +96,111 @@ def test_online_estimator_validation():
         OnlineBetaEstimator(clamp_range=(2.0, 1.0))
     with pytest.raises(ValueError):
         OnlineBetaEstimator(refresh_every=0)
+
+
+def test_online_estimator_ignores_non_finite():
+    est = OnlineBetaEstimator(min_samples=5, refresh_every=1)
+    clean = OnlineBetaEstimator(min_samples=5, refresh_every=1)
+    rng = random.Random(4)
+    dist = ParetoDistribution(shape=1.4)
+    for duration in dist.sample_many(rng, 100):
+        est.observe(duration)
+        clean.observe(duration)
+    before = (est.beta, est.num_observations)
+    for bad in (math.nan, math.inf, -math.inf):
+        est.observe(bad)
+        assert (est.beta, est.num_observations) == before
+    # Nothing was kept: later refits match an estimator that never saw them.
+    for duration in dist.sample_many(rng, 10):
+        est.observe(duration)
+        clean.observe(duration)
+        assert est.beta == clean.beta
+
+
+# -- incremental refit vs the one-shot oracle -----------------------------------
+
+
+def _full_fit(est, window_samples):
+    """What the estimator must return: the clamped oracle fit of the window."""
+    if len(window_samples) < est.min_samples:
+        return est.default_beta
+    lo, hi = est.clamp_range
+    try:
+        return min(hi, max(lo, fit_pareto_shape(window_samples)))
+    except ValueError:
+        return est.default_beta
+
+
+def _assert_tracks_full_fit(stream, window, min_samples=20):
+    est = OnlineBetaEstimator(min_samples=min_samples, window=window, refresh_every=1)
+    recent = deque(maxlen=window)
+    for duration in stream:
+        est.observe(duration)
+        recent.append(duration)
+        assert est.beta == _full_fit(est, recent)
+
+
+_DURATIONS = st.one_of(
+    # the whole positive range: subnormal minima overflow d / xm to inf
+    st.floats(min_value=0.0, max_value=1e6, exclude_min=True),
+    # quantized durations: ties at (and evictions of) the window minimum
+    st.sampled_from([0.25, 0.5, 1.0, 2.0]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    min_samples=st.integers(min_value=2, max_value=6),
+    extra=st.integers(min_value=0, max_value=10),
+    stream=st.lists(_DURATIONS, max_size=80),
+)
+def test_incremental_refit_equals_full_fit(min_samples, extra, stream):
+    _assert_tracks_full_fit(stream, min_samples + extra, min_samples)
+
+
+def test_incremental_refit_equals_full_fit_on_pareto_stream():
+    rng = random.Random(5)
+    dist = ParetoDistribution(shape=1.4, scale=1.0)
+    _assert_tracks_full_fit(dist.sample_many(rng, 12_000), window=5000)
+
+
+@pytest.mark.parametrize(
+    "stream",
+    [
+        [3.0] * 40,  # all-equal window: no tail information
+        [float(v) for v in range(60, 0, -1)],  # a new minimum every sample
+        [float(v) for v in range(1, 61)],  # the minimum is evicted every step
+        [1.0, 1.0, 2.0, 1.0, 4.0] * 12 + [5.0, 6.0] * 20,  # ties leave the window
+    ],
+    ids=["all-equal", "new-minima", "evicted-minima", "evicted-ties"],
+)
+def test_incremental_refit_equals_full_fit_edge_cases(stream):
+    _assert_tracks_full_fit(stream, window=8, min_samples=4)
+
+
+def test_terms_rebuilt_only_when_window_minimum_changes(monkeypatch):
+    rebuilds = 0
+    rebuild = OnlineBetaEstimator._rebuild_terms
+
+    def counting_rebuild(self):
+        nonlocal rebuilds
+        rebuilds += 1
+        rebuild(self)
+
+    monkeypatch.setattr(OnlineBetaEstimator, "_rebuild_terms", counting_rebuild)
+    est = OnlineBetaEstimator(window=5000, refresh_every=50)
+    rng = random.Random(6)
+    dist = ParetoDistribution(shape=1.4, scale=1.0)
+    recent = deque(maxlen=5000)
+    minimum_changes, minimum = 0, None
+    for duration in dist.sample_many(rng, 20_000):
+        est.observe(duration)
+        est.beta  # refit on the simulators' cadence
+        recent.append(duration)
+        if min(recent) != minimum:
+            minimum_changes += 1
+            minimum = min(recent)
+    assert 0 < rebuilds <= minimum_changes
 
 
 # -- alpha ----------------------------------------------------------------------
