@@ -731,15 +731,24 @@ class CentralizedSimulator:
         spec_ids = self._spec_job_ids
         if not spec_ids:
             return
-        now = self.sim.now
+        # Collect the over-target jobs first and sort only those: most
+        # reschedules find none. A kill touches only its own job's
+        # counters, so filtering up front selects the same jobs and
+        # excesses the sorted walk would.
         jobs = self._jobs
-        for job_id in sorted(spec_ids):
+        over = []
+        for job_id in spec_ids:
             jr = jobs.get(job_id)
             if jr is None or jr.running_speculative <= 0:
                 continue
             excess = jr.running_copies - targets.get(job_id, 0)
-            if excess <= 0:
-                continue
+            if excess > 0:
+                over.append((job_id, excess))
+        if not over:
+            return
+        now = self.sim.now
+        for job_id, excess in sorted(over):
+            jr = jobs[job_id]
             victims = jr.view.live_speculative_copies()
             victims.sort(key=lambda c: c.elapsed(now))
             for victim in victims[: min(excess, len(victims))]:
@@ -799,11 +808,6 @@ class CentralizedSimulator:
             if self._launch_copy(jr, task, speculative=False):
                 progress = True
 
-    def _job_speculation_candidates(self, jr: _JobRuntime) -> list:
-        return jr.speculation_candidates(
-            self.sim.now, self._spec_eval_min_interval
-        )
-
     def _dispatch_speculation(
         self,
         order: List[JobAllocationState],
@@ -822,13 +826,25 @@ class CentralizedSimulator:
                 return
             if pool_limit is not None and self._running_spec_copies >= pool_limit:
                 return
+            if targets is not None and jr.running_copies >= targets.get(
+                state.job_id, 0
+            ):
+                # At target: the candidate loop below would launch
+                # nothing, so only restamp the throttle cache and leave
+                # its list owed — a later read evaluates it at the
+                # stamped time, exactly as an eager scan here would have.
+                jr.refresh_speculation_cache(now, min_interval)
+                continue
             # Inlined cache fast path of JobRuntime.speculation_candidates
             # — this sweep visits every active job per reschedule and the
             # throttle hits far more often than it misses.
-            if jr.spec_dirty or now - jr.spec_cache_time >= min_interval:
+            candidates = jr.spec_candidates
+            if (
+                candidates is None
+                or jr.spec_dirty
+                or now - jr.spec_cache_time >= min_interval
+            ):
                 candidates = jr.speculation_candidates(now, min_interval)
-            else:
-                candidates = jr.spec_candidates
             for request in candidates:
                 if cluster.free_slots <= 0:
                     return

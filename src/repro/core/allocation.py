@@ -20,7 +20,7 @@ gets at least ``(1 - eps) * S / N`` slots.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
 
 from repro.core.fairness import fairness_floors
@@ -47,6 +47,11 @@ class JobAllocationState:
     max_useful_slots:
         Hard cap on usable slots (e.g. 2 copies per remaining task).
         ``None`` means uncapped.
+    cap:
+        Derived, not an argument: ``max_useful_slots`` when given, else
+        room for the virtual size or two copies of every task, whichever
+        is larger. Computed once at construction (the solve reads it
+        many times per job) and ignored by ``==`` and ``hash``.
     """
 
     job_id: int
@@ -55,6 +60,7 @@ class JobAllocationState:
     weight: float = 1.0
     priority_size: Optional[float] = None
     max_useful_slots: Optional[int] = None
+    cap: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.virtual_size < 0:
@@ -63,6 +69,10 @@ class JobAllocationState:
             raise ValueError("remaining_tasks must be non-negative")
         if self.weight <= 0:
             raise ValueError("weight must be positive")
+        cap = self.max_useful_slots
+        if cap is None:
+            cap = max(int(math.ceil(self.virtual_size)), 2 * self.remaining_tasks)
+        object.__setattr__(self, "cap", cap)
 
     @property
     def order_key(self) -> float:
@@ -71,14 +81,6 @@ class JobAllocationState:
             if self.priority_size is not None
             else self.virtual_size
         )
-
-    @property
-    def cap(self) -> int:
-        if self.max_useful_slots is not None:
-            return self.max_useful_slots
-        # Default: room for the virtual size or two copies of every task,
-        # whichever is larger.
-        return max(int(math.ceil(self.virtual_size)), 2 * self.remaining_tasks)
 
 
 def is_capacity_constrained(
@@ -103,8 +105,9 @@ def _distribute_remainder(
     clusters, where leftover is thousands — so the final integer state
     is computed in closed form instead: after ``r`` complete passes each
     job has received ``min(deficit, r)``, and the remaining slots go one
-    each, in order, to the jobs whose deficit exceeds ``r``. Pure
-    integer arithmetic, bit-identical to the loop it replaces.
+    each, in order, to the jobs whose deficit exceeds ``r``. ``r`` comes
+    from one water-fill over the ascending deficits. Pure integer
+    arithmetic, bit-identical to the loop it replaces.
     """
     if leftover <= 0 or not order:
         return leftover
@@ -122,16 +125,20 @@ def _distribute_remainder(
             if d > 0:
                 alloc[job.job_id] += d
         return leftover - total
-    # Largest complete-pass count r with sum(min(d, r)) <= leftover.
-    lo, hi = 0, max(deficits)
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if sum(d if d < mid else mid for d in deficits) <= leftover:
-            lo = mid
-        else:
-            hi = mid - 1
-    r = lo
-    rem = leftover - sum(d if d < r else r for d in deficits)
+    # Largest complete-pass count r with sum(min(d, r)) <= leftover:
+    # raise the water level through the ascending deficits. ``filled``
+    # is the sum of the deficits already under water, ``above`` the
+    # number of jobs still above it. total > leftover guarantees a
+    # break, at the latest on the largest deficit.
+    filled = 0
+    above = len(deficits)
+    for d in sorted(deficits):
+        if filled + above * d > leftover:
+            break
+        filled += d
+        above -= 1
+    r = (leftover - filled) // above
+    rem = leftover - filled - above * r
     for job, d in zip(order, deficits):
         give = d if d < r else r
         if rem > 0 and d > give:
@@ -232,9 +239,10 @@ def hopper_allocation_ordered(
 
     if floors is None:
         floors = fairness_floors(active, total_slots, epsilon)
-    alloc: Dict[int, int] = {
-        j.job_id: min(floors[j.job_id], j.cap) for j in active
-    }
+    alloc: Dict[int, int] = {}
+    for job, cap in zip(active, caps):
+        floor = floors[job.job_id]
+        alloc[job.job_id] = floor if floor < cap else cap
     leftover = total_slots - sum(alloc.values())
 
     if total_virtual is None:
@@ -251,10 +259,16 @@ def hopper_allocation_ordered(
         for job in ascending:
             if leftover <= 0:
                 break
-            target = min(int(job.virtual_size), job.cap)
-            give = min(leftover, max(0, target - alloc[job.job_id]))
-            alloc[job.job_id] += give
-            leftover -= give
+            job_id = job.job_id
+            target = int(job.virtual_size)
+            if target > job.cap:
+                target = job.cap
+            give = target - alloc[job_id]
+            if give > 0:
+                if give > leftover:
+                    give = leftover
+                alloc[job_id] += give
+                leftover -= give
         # Rounding / floor interactions can leave slack; spill it smallest
         # jobs first, up to caps.
         leftover = _distribute_remainder(alloc, active, leftover, ascending)
@@ -271,10 +285,16 @@ def hopper_allocation_ordered(
         for job in ascending:
             if leftover <= 0:
                 break
-            target = min(int(shares[job.job_id]), job.cap)
-            give = min(leftover, max(0, target - alloc[job.job_id]))
-            alloc[job.job_id] += give
-            leftover -= give
+            job_id = job.job_id
+            target = int(shares[job_id])
+            if target > job.cap:
+                target = job.cap
+            give = target - alloc[job_id]
+            if give > 0:
+                if give > leftover:
+                    give = leftover
+                alloc[job_id] += give
+                leftover -= give
         # Remaining slots (fractional parts): largest fractional share first.
         frac_order = sorted(
             active,

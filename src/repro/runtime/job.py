@@ -61,10 +61,11 @@ class JobRuntime:
         self.pending_ids: Set[int] = set()
         self.activated_phases: Set[int] = set()
         self.spec_policy = spec_policy
-        # Throttled speculation-candidate cache.
+        # Throttled speculation-candidate cache; ``None`` marks a list
+        # that is owed (see refresh_speculation_cache).
         self.spec_dirty = True
         self.spec_cache_time = -float("inf")
-        self.spec_candidates: list = []
+        self.spec_candidates: Optional[list] = []
         # Allocation-state input cache for the centralized family's
         # incremental allocator (repro.core.incremental): remaining task
         # count, predicted alpha, and downstream virtual tasks change
@@ -177,16 +178,37 @@ class JobRuntime:
 
     # -- speculation candidates --------------------------------------------
 
-    def speculation_candidates(self, now: float, min_interval: float) -> list:
-        """Throttled candidate evaluation: re-run the policy's scan only
-        when this job's copies changed or the throttle interval elapsed."""
+    def refresh_speculation_cache(self, now: float, min_interval: float) -> None:
+        """Advance the throttle cache without evaluating the policy.
+
+        When this job's copies changed or the throttle interval elapsed,
+        the cache is restamped at ``now`` and its list marked *owed*
+        (``spec_candidates = None``): the scan is deferred until someone
+        reads the list, or skipped entirely if the next launch, kill or
+        finish dirties the cache first."""
         if self.spec_dirty or now - self.spec_cache_time >= min_interval:
-            self.spec_candidates = self.spec_policy.speculation_candidates(
-                self.view, now
-            )
             self.spec_cache_time = now
             self.spec_dirty = False
-        return self.spec_candidates
+            self.spec_candidates = None
+
+    def speculation_candidates(self, now: float, min_interval: float) -> list:
+        """Throttled candidate evaluation: re-run the policy's scan only
+        when this job's copies changed or the throttle interval elapsed.
+
+        An owed list (see :meth:`refresh_speculation_cache`) is computed
+        by calling the policy at ``spec_cache_time``, not ``now``. That
+        is the list an eager refresh would have cached: the policy's
+        result depends only on ``(view, now)``, and the view changes
+        only through a launch, kill or finish of this job's copies, each
+        of which sets ``spec_dirty`` and so discards the owed list."""
+        self.refresh_speculation_cache(now, min_interval)
+        candidates = self.spec_candidates
+        if candidates is None:
+            candidates = self.spec_policy.speculation_candidates(
+                self.view, self.spec_cache_time
+            )
+            self.spec_candidates = candidates
+        return candidates
 
     def mark_copies_changed(self) -> None:
         """Invalidate the speculation-candidate cache."""

@@ -237,7 +237,18 @@ class SpeculationPolicy(ABC):
     def speculation_candidates(
         self, view: JobExecutionView, now: float
     ) -> List[SpeculationRequest]:
-        """Tasks worth duplicating right now, best-benefit first."""
+        """Tasks worth duplicating right now, best-benefit first.
+
+        Contract: the result is a pure function of ``(view, now)`` — no
+        state of the policy or the view that changes between calls may
+        alter it (LATE, Mantri, GRASS and none all comply; GRASS also
+        reads ``job.remaining_tasks()``, which moves only when a task of
+        the job finishes). The runtime's throttle cache relies on this:
+        it may stamp the cache at ``now`` and evaluate the list later
+        with that same ``now`` (an *owed* list, see
+        :meth:`repro.runtime.job.JobRuntime.speculation_candidates`),
+        and every view change in between — a launch, kill or finish —
+        discards the owed list first."""
 
     def max_copies_per_task(self) -> int:
         """Upper bound on simultaneous copies of one task (original

@@ -62,6 +62,15 @@ class LATE(SpeculationPolicy):
         if not copies_by_task:
             return []
 
+        # How many tasks may speculate at once. Checked before the rate
+        # read: skipping that read only postpones the view's idempotent
+        # merge of pending rates.
+        num_running_tasks = len(copies_by_task)
+        cap = max(1, int(self.speculative_cap_fraction * num_running_tasks))
+        budget = cap - view.num_speculating_tasks
+        if budget <= 0:
+            return []
+
         # Slow-task threshold: progress-rate percentile among running
         # copies. The sorted rate multiset is maintained incrementally by
         # the view; every task keyed in copies_by_task has at least one
@@ -74,13 +83,6 @@ class LATE(SpeculationPolicy):
         else:
             rate_threshold = float("inf")
 
-        # How many tasks may speculate at once.
-        num_running_tasks = len(copies_by_task)
-        cap = max(1, int(self.speculative_cap_fraction * num_running_tasks))
-        budget = cap - view.num_speculating_tasks
-        if budget <= 0:
-            return []
-
         max_copies = self.max_copies_per_task()
         detect_after = self.detect_after
         requests: List[SpeculationRequest] = []
@@ -91,8 +93,16 @@ class LATE(SpeculationPolicy):
             task = first.task
             if task.state is _FINISHED or len(copies) >= max_copies:
                 continue
-            if len(copies) == 1:
-                slowest = first
+            # The cheap filters (detection window, slow-task rate) run
+            # before the time-left estimate; all are pure, so the order
+            # does not change which tasks pass.
+            single = len(copies) == 1
+            slowest = first if single else max(copies, key=lambda c: c.duration)
+            if now - slowest.start_time < detect_after:
+                continue
+            if 1.0 / slowest.duration > rate_threshold:
+                continue  # not among the slow tasks
+            if single:
                 # estimated_remaining of the only copy, inlined.
                 if now <= first.start_time:
                     trem = task.size
@@ -101,12 +111,7 @@ class LATE(SpeculationPolicy):
                     if trem < 0.0:
                         trem = 0.0
             else:
-                slowest = max(copies, key=lambda c: c.duration)
                 trem = min(c.estimated_remaining(now) for c in copies)
-            if now - slowest.start_time < detect_after:
-                continue
-            if 1.0 / slowest.duration > rate_threshold:
-                continue  # not among the slow tasks
             # The race's current best copy decides whether a fresh draw
             # can still win.
             tnew = view.estimate_new_copy_duration(task)

@@ -289,3 +289,48 @@ def test_speculation_fraction_in_plausible_range():
         config=CentralizedConfig(epsilon=1.0),
     )
     assert 0.01 < result.speculation_task_fraction < 0.6
+
+
+class _RecordingLATE(LATE):
+    """LATE that records ``(job_id, now)`` for every evaluation."""
+
+    def __init__(self, calls):
+        super().__init__()
+        self.calls = calls
+
+    def speculation_candidates(self, view, now):
+        self.calls.append((view.job.job_id, now))
+        return super().speculation_candidates(view, now)
+
+
+def test_job_at_target_gets_no_speculation_scan_but_its_cache_advances():
+    calls = []
+    trace = Trace(jobs=[make_single_phase_job(0, 0.0, [4.0] * 4)])
+    sim = CentralizedSimulator(
+        cluster=Cluster(num_machines=16, slots_per_machine=1),
+        policy=HopperPolicy(epsilon=1.0),
+        speculation=lambda: _RecordingLATE(calls),
+        trace=trace,
+        straggler_model=NoStragglerModel(),
+        config=CentralizedConfig(epsilon=1.0),
+        random_source=RandomSource(seed=7),
+    )
+    sim.run(until=1.0)
+    now = sim.sim.now
+    jr = sim._jobs[0]
+    assert jr.running_copies == 4 and sim.cluster.free_slots > 0
+    order = sim._alloc.ordered()
+
+    # At target with a stale cache: no scan, but the stamp moves to now
+    # and the list is owed.
+    jr.spec_dirty = False
+    jr.spec_cache_time = now - 10.0
+    calls.clear()
+    sim._dispatch_speculation(order, {0: jr.running_copies}, pool_limit=None)
+    assert calls == []
+    assert jr.spec_cache_time == now
+    assert jr.spec_candidates is None
+
+    # Below target, the owed list is evaluated at the stamped time.
+    sim._dispatch_speculation(order, {0: jr.running_copies + 1}, pool_limit=None)
+    assert calls == [(0, now)]

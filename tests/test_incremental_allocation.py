@@ -17,10 +17,13 @@ that constraint from three sides:
   against the old all-jobs sweep on a straggler-heavy replay.
 """
 
+import dataclasses
 import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.centralized.config import CentralizedConfig, SpeculationMode
 from repro.centralized.policies import FairPolicy, HopperPolicy, SRPTPolicy
@@ -29,6 +32,7 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.policy import StrikeBlacklistPolicy
 from repro.core.allocation import (
     JobAllocationState,
+    _distribute_remainder,
     hopper_allocation,
     hopper_allocation_ordered,
     srpt_allocation,
@@ -224,6 +228,85 @@ def test_everyone_capped_shortcut_returns_caps():
     alloc = hopper_allocation(states, slots, epsilon=0.1)
     assert alloc == {s.job_id: s.cap for s in states}
     assert alloc == _ref_hopper(states, slots, epsilon=0.1)
+
+
+# -- remainder distribution and derived caps --------------------------------
+
+
+def _capped(caps):
+    return [
+        JobAllocationState(
+            job_id=i, virtual_size=1.0, remaining_tasks=1, max_useful_slots=c
+        )
+        for i, c in enumerate(caps)
+    ]
+
+
+@st.composite
+def _remainder_cases(draw):
+    """Jobs (cap, current allocation) in a dispatch order, plus a
+    leftover drawn from the edges (1, total deficit - 1) or anywhere."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    caps = draw(st.lists(st.integers(0, 12), min_size=n, max_size=n))
+    given_alloc = [draw(st.integers(0, c + 2)) for c in caps]
+    order = draw(st.permutations(range(n)))
+    deficit = sum(max(0, c - a) for c, a in zip(caps, given_alloc))
+    leftover = draw(
+        st.one_of(
+            st.just(1),
+            st.just(max(1, deficit - 1)),
+            st.integers(min_value=1, max_value=deficit + 5),
+        )
+    )
+    return caps, given_alloc, list(order), leftover
+
+
+def _check_remainder(caps, given_alloc, order, leftover):
+    jobs = _capped(caps)
+    ordered = [jobs[i] for i in order]
+    got = dict(enumerate(given_alloc))
+    want = dict(got)
+    got_left = _distribute_remainder(got, jobs, leftover, ordered)
+    want_left = _ref_distribute(want, leftover, ordered)
+    assert got == want
+    assert got_left == want_left
+
+
+@given(_remainder_cases())
+@settings(max_examples=300, deadline=None)
+@example(([5, 5, 5, 5], [0, 0, 0, 0], [2, 0, 3, 1], 11))  # tied deficits
+@example(([0, 3, 0, 7], [0, 3, 0, 1], [0, 1, 2, 3], 4))  # zero deficits
+@example(([9], [2], [0], 3))  # a single job
+@example(([4, 1, 6], [0, 0, 0], [2, 1, 0], 1))  # leftover = 1
+@example(([4, 1, 6], [1, 0, 2], [1, 2, 0], 7))  # total deficit - 1
+def test_distribute_remainder_matches_round_robin_loop(case):
+    _check_remainder(*case)
+
+
+def test_cap_is_derived_once_and_ignored_by_equality():
+    s = JobAllocationState(job_id=3, virtual_size=4.5, remaining_tasks=2)
+    assert s.cap == 5  # max(ceil(4.5), 2 * 2)
+    twin = JobAllocationState(job_id=3, virtual_size=4.5, remaining_tasks=2)
+    object.__setattr__(twin, "cap", 99)
+    assert s == twin
+    assert hash(s) == hash(twin)
+    assert "cap" not in repr(s)
+    # replace() rebuilds through __init__, so the cap follows the inputs.
+    assert dataclasses.replace(s, remaining_tasks=10).cap == 20
+    assert dataclasses.replace(s, max_useful_slots=3).cap == 3
+    with pytest.raises(ValueError):
+        dataclasses.replace(s, cap=7)
+
+
+def test_default_cap_matches_the_formula():
+    rng = random.Random(23)
+    for _ in range(300):
+        remaining = rng.randint(0, 60)
+        vsize = remaining * rng.uniform(0.0, 3.0) + rng.choice([0.0, 0.5])
+        s = JobAllocationState(job_id=0, virtual_size=vsize, remaining_tasks=remaining)
+        assert s.cap == max(int(math.ceil(vsize)), 2 * remaining)
+        capped = dataclasses.replace(s, max_useful_slots=remaining)
+        assert capped.cap == remaining
 
 
 # -- allocator unit tests ----------------------------------------------------

@@ -176,6 +176,60 @@ def test_speculation_candidate_cache_throttles():
     assert policy.calls == 3  # interval elapsed
 
 
+class _RecordingPolicy:
+    """Speculation policy stub recording the ``now`` of every call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def speculation_candidates(self, view, now):
+        self.calls.append(now)
+        return [("list", now)]
+
+
+def test_refresh_of_stale_cache_defers_the_policy_call():
+    policy = _RecordingPolicy()
+    jr = JobRuntime(_job_with_tasks(1), policy)
+    jr.refresh_speculation_cache(1.0, 0.25)  # dirty at construction
+    assert policy.calls == []
+    assert jr.spec_cache_time == 1.0
+    assert not jr.spec_dirty
+    assert jr.spec_candidates is None  # owed
+    jr.refresh_speculation_cache(1.1, 0.25)  # fresh: no restamp
+    assert jr.spec_cache_time == 1.0
+    jr.refresh_speculation_cache(1.5, 0.25)  # interval elapsed
+    assert policy.calls == []
+    assert jr.spec_cache_time == 1.5
+
+
+def test_owed_list_is_evaluated_at_the_stamped_time_once():
+    policy = _RecordingPolicy()
+    jr = JobRuntime(_job_with_tasks(1), policy)
+    jr.refresh_speculation_cache(1.0, 0.25)
+    # A read within the interval, cache not dirty: one policy call at
+    # the stamped time, not at the read's time.
+    assert jr.speculation_candidates(1.2, 0.25) == [("list", 1.0)]
+    assert policy.calls == [1.0]
+    assert jr.speculation_candidates(1.24, 0.25) == [("list", 1.0)]
+    assert policy.calls == [1.0]  # second read reuses the list
+
+
+def test_dirtying_the_job_discards_an_owed_list():
+    policy = _RecordingPolicy()
+    jr = JobRuntime(_job_with_tasks(1), policy)
+    jr.refresh_speculation_cache(1.0, 0.25)
+    jr.mark_copies_changed()
+    assert jr.speculation_candidates(1.1, 0.25) == [("list", 1.1)]
+    assert policy.calls == [1.1]
+    assert jr.spec_cache_time == 1.1
+    # An owed list restamped by a dirty refresh is evaluated at the new
+    # stamp too.
+    jr.mark_copies_changed()
+    jr.refresh_speculation_cache(1.2, 0.25)
+    assert jr.speculation_candidates(1.3, 0.25) == [("list", 1.2)]
+    assert policy.calls == [1.1, 1.2]
+
+
 # -- JobExecutionView: live-speculative index -------------------------------
 
 

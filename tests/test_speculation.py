@@ -1,5 +1,7 @@
 """Tests for the LATE / Mantri / GRASS speculation algorithms."""
 
+import random
+
 import pytest
 
 from repro.speculation import (
@@ -9,7 +11,7 @@ from repro.speculation import (
     NoSpeculation,
     make_speculation_policy,
 )
-from repro.speculation.base import JobExecutionView
+from repro.speculation.base import JobExecutionView, SpeculationRequest
 from repro.stragglers.progress import TaskCopy
 from repro.workload.job import make_single_phase_job
 from repro.workload.task import TaskState
@@ -207,3 +209,133 @@ def test_policies_never_duplicate_finished_tasks():
         copy.task.state = TaskState.FINISHED
         view.remove_copy(copy)
         assert policy.speculation_candidates(view, 5.0) == []
+
+
+# -- LATE against the pre-reordering body ------------------------------------
+
+
+def _ref_late(policy, view, now):
+    """LATE's candidate scan as it read before its cheap filters were
+    moved first (rate read before the budget exit, trem before the
+    detection and slow-rate tests). Kept verbatim as the oracle."""
+    copies_by_task = view.copies_by_task
+    if not copies_by_task:
+        return []
+
+    # Slow-task threshold: progress-rate percentile among running
+    # copies. The sorted rate multiset is maintained incrementally by
+    # the view; every task keyed in copies_by_task has at least one
+    # live copy and (both simulators prune copies of finished tasks
+    # synchronously) is unfinished, so len() is the running count.
+    rates = view.sorted_progress_rates(now)
+    if rates:
+        idx = max(0, min(len(rates) - 1, int(policy.slow_task_pct * len(rates))))
+        rate_threshold = rates[idx]
+    else:
+        rate_threshold = float("inf")
+
+    # How many tasks may speculate at once.
+    num_running_tasks = len(copies_by_task)
+    cap = max(1, int(policy.speculative_cap_fraction * num_running_tasks))
+    budget = cap - view.num_speculating_tasks
+    if budget <= 0:
+        return []
+
+    max_copies = policy.max_copies_per_task()
+    detect_after = policy.detect_after
+    requests = []
+    for copies in copies_by_task.values():
+        if not copies:
+            continue
+        first = copies[0]
+        task = first.task
+        if task.state is TaskState.FINISHED or len(copies) >= max_copies:
+            continue
+        if len(copies) == 1:
+            slowest = first
+            # estimated_remaining of the only copy, inlined.
+            if now <= first.start_time:
+                trem = task.size
+            else:
+                trem = first.start_time + first.duration - now
+                if trem < 0.0:
+                    trem = 0.0
+        else:
+            slowest = max(copies, key=lambda c: c.duration)
+            trem = min(c.estimated_remaining(now) for c in copies)
+        if now - slowest.start_time < detect_after:
+            continue
+        if 1.0 / slowest.duration > rate_threshold:
+            continue  # not among the slow tasks
+        # The race's current best copy decides whether a fresh draw
+        # can still win.
+        tnew = view.estimate_new_copy_duration(task)
+        if trem <= tnew:
+            continue  # a new copy cannot win the race
+        requests.append(
+            SpeculationRequest(
+                task=task,
+                expected_new_duration=tnew,
+                expected_benefit=trem - tnew,
+            )
+        )
+    return policy._slowest_first(requests)[:budget]
+
+
+def _random_view(seed, now):
+    """A view of 1-14 tasks racing 0-3 live copies each, registered in
+    start order; some copies start exactly at ``now``."""
+    rng = random.Random(seed)
+    num_tasks = rng.randint(1, 14)
+    view = _view(num_tasks, sizes=[rng.uniform(0.5, 6.0) for _ in range(num_tasks)])
+    view.completed_durations.extend(
+        rng.uniform(0.5, 8.0) for _ in range(rng.choice([0, 0, 1, 4]))
+    )
+    launches = []
+    for index in range(num_tasks):
+        for k in range(rng.choice([0, 1, 1, 1, 2, 2, 3])):
+            start = rng.choice([now, now, now - 0.5, now - 1.0])
+            start -= rng.choice([0.0, rng.uniform(0.0, 4.0)])
+            duration = rng.choice([2.0, rng.uniform(0.3, 12.0)])
+            launches.append((start, index, duration, k > 0))
+    launches.sort(key=lambda launch: launch[0])
+    for copy_id, (start, index, duration, speculative) in enumerate(launches):
+        _run_copy(view, index, start, duration, copy_id, speculative)
+    if rng.random() < 0.1 and view.copies_by_task:
+        task_id = rng.choice(sorted(view.copies_by_task))
+        view.copies_by_task[task_id][0].task.state = TaskState.FINISHED
+    return view
+
+
+def _requests(requests):
+    return [
+        (r.task.task_id, r.expected_new_duration, r.expected_benefit)
+        for r in requests
+    ]
+
+
+@pytest.mark.parametrize("detect_after", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("max_copies", [2, 3])
+def test_late_matches_reference_on_random_views(detect_after, max_copies):
+    now = 5.0
+    seen_budget_exit = seen_requests = seen_multi_copy = 0
+    for seed in range(300):
+        policy = LATE(
+            detect_after=detect_after,
+            slow_task_pct=random.Random(seed).choice([0.1, 0.25, 0.6, 1.0]),
+            speculative_cap_fraction=random.Random(seed + 1).choice([0.1, 0.3, 1.0]),
+            max_copies=max_copies,
+        )
+        # Separate but identical views: the old body's rate read merges
+        # pending rates, so neither call may see the other's side effect.
+        got = policy.speculation_candidates(_random_view(seed, now), now)
+        view = _random_view(seed, now)
+        want = _ref_late(policy, view, now)
+        assert _requests(got) == _requests(want), seed
+        # Both bodies agree on the same (already merged) view too.
+        assert _requests(policy.speculation_candidates(view, now)) == _requests(want)
+        cap = max(1, int(policy.speculative_cap_fraction * len(view.copies_by_task)))
+        seen_budget_exit += cap - view.num_speculating_tasks <= 0
+        seen_requests += bool(want)
+        seen_multi_copy += view.num_speculating_tasks > 0
+    assert seen_budget_exit and seen_requests and seen_multi_copy
