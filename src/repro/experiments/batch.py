@@ -27,15 +27,8 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.metrics.collector import SimulationResult
 from repro.sweep import RunSpec, WorkloadParams
 from repro.sweep.study import Cell, Study, cell, register_study
-
-
-def mean_jct(result: SimulationResult) -> float:
-    """Mean job completion time — buffering delay is additive per job,
-    so the mean is the round-interval sweep's honest headline."""
-    return result.mean_job_duration
 
 
 def _batch_rounds_cells(
@@ -45,60 +38,37 @@ def _batch_rounds_cells(
     total_slots: int = 200,
     utilization: float = 0.7,
 ) -> List[Cell]:
+    workload = WorkloadParams(
+        profile="spark-facebook",
+        num_jobs=num_jobs,
+        utilization=utilization,
+        total_slots=total_slots,
+    )
     cells: List[Cell] = []
     for spec_policy in speculation:
-        def make_baseline(
-            seed: int, spec_policy: str = spec_policy
-        ) -> RunSpec:
-            return RunSpec(
-                "centralized",
-                "hopper",
-                WorkloadParams(
-                    profile="spark-facebook",
-                    num_jobs=num_jobs,
-                    utilization=utilization,
-                    total_slots=total_slots,
-                    seed=seed,
-                ),
-                speculation=spec_policy,
-            )
-
         cells.append(
             cell(
-                make_baseline,
+                RunSpec("centralized", "hopper", workload, speculation=spec_policy),
                 kind="centralized",
                 round_interval=0.0,
                 speculation=spec_policy,
             )
         )
-        for interval in round_intervals:
-            def make_batch(
-                seed: int,
-                interval: float = interval,
-                spec_policy: str = spec_policy,
-            ) -> RunSpec:
-                return RunSpec(
+        cells.extend(
+            cell(
+                RunSpec(
                     "batch",
                     "hopper",
-                    WorkloadParams(
-                        profile="spark-facebook",
-                        num_jobs=num_jobs,
-                        utilization=utilization,
-                        total_slots=total_slots,
-                        seed=seed,
-                    ),
+                    workload,
                     speculation=spec_policy,
                     knobs={"round_interval": interval},
-                )
-
-            cells.append(
-                cell(
-                    make_batch,
-                    kind="batch",
-                    round_interval=interval,
-                    speculation=spec_policy,
-                )
+                ),
+                kind="batch",
+                round_interval=interval,
+                speculation=spec_policy,
             )
+            for interval in round_intervals
+        )
     return cells
 
 
@@ -110,7 +80,6 @@ BATCH_ROUNDS_STUDY = register_study(
             "interval x plane x speculation; metric is mean JCT"
         ),
         build_cells=_batch_rounds_cells,
-        metric=mean_jct,
         metric_name="mean JCT",
         quick=dict(
             round_intervals=(0.5, 2.0),

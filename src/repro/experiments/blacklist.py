@@ -41,37 +41,22 @@ def _blacklist_cells(
     utilization: float = 0.6,
     total_slots: int = 400,
 ) -> List[Cell]:
-    cells: List[Cell] = []
-    for model in straggler_models:
-        for kind, system in systems:
-            def make_spec(
-                seed: int,
-                model: str = model,
-                kind: str = kind,
-                system: str = system,
-            ) -> RunSpec:
-                return RunSpec(
-                    kind,
-                    system,
-                    WorkloadParams(
-                        profile="facebook",
-                        num_jobs=num_jobs,
-                        utilization=utilization,
-                        total_slots=total_slots,
-                        seed=seed,
-                    ),
-                    knobs={"straggler_model": model},
-                )
-
-            cells.append(
-                cell(
-                    make_spec,
-                    straggler_model=model,
-                    kind=kind,
-                    system=system,
-                )
-            )
-    return cells
+    workload = WorkloadParams(
+        profile="facebook",
+        num_jobs=num_jobs,
+        utilization=utilization,
+        total_slots=total_slots,
+    )
+    return [
+        cell(
+            RunSpec(kind, system, workload, knobs={"straggler_model": model}),
+            straggler_model=model,
+            kind=kind,
+            system=system,
+        )
+        for model in straggler_models
+        for kind, system in systems
+    ]
 
 
 BLACKLIST_STUDY = register_study(

@@ -61,44 +61,29 @@ def _blacklist_policy_cells(
     utilization: float = 0.6,
     total_slots: int = 400,
 ) -> List[Cell]:
+    workload = WorkloadParams(
+        profile="facebook",
+        num_jobs=num_jobs,
+        utilization=utilization,
+        total_slots=total_slots,
+    )
     cells: List[Cell] = []
     for model in straggler_models:
         for policy in policies:
-            for kind, system in systems:
-
-                def make_spec(
-                    seed: int,
-                    model: str = model,
-                    policy: str = policy,
-                    kind: str = kind,
-                    system: str = system,
-                ) -> RunSpec:
-                    knobs: Dict[str, object] = {"straggler_model": model}
-                    if policy != "none":
-                        knobs.update(STRIKE_KNOBS)
-                        knobs["blacklist_policy"] = policy
-                    return RunSpec(
-                        kind,
-                        system,
-                        WorkloadParams(
-                            profile="facebook",
-                            num_jobs=num_jobs,
-                            utilization=utilization,
-                            total_slots=total_slots,
-                            seed=seed,
-                        ),
-                        knobs=knobs,
-                    )
-
-                cells.append(
-                    cell(
-                        make_spec,
-                        straggler_model=model,
-                        eviction=policy,
-                        kind=kind,
-                        system=system,
-                    )
+            knobs: Dict[str, object] = {"straggler_model": model}
+            if policy != "none":
+                knobs.update(STRIKE_KNOBS)
+                knobs["blacklist_policy"] = policy
+            cells.extend(
+                cell(
+                    RunSpec(kind, system, workload, knobs=knobs),
+                    straggler_model=model,
+                    eviction=policy,
+                    kind=kind,
+                    system=system,
                 )
+                for kind, system in systems
+            )
     return cells
 
 

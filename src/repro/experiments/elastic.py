@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from repro.metrics.collector import SimulationResult
 from repro.sweep import RunSpec, WorkloadParams
 from repro.sweep.study import Cell, Study, cell, register_study
 
@@ -45,12 +44,6 @@ _PLANE_SLOTS_PER_MACHINE: Dict[str, int] = {
     "batch": 4,
     "decentralized": 1,
 }
-
-
-def mean_jct(result: SimulationResult) -> float:
-    """Mean job completion time — resize churn is additive per job, so
-    the mean is the amplitude sweep's honest headline."""
-    return result.mean_job_duration
 
 
 def _resize_knobs(kind: str, amplitude: float, total_slots: int) -> dict:
@@ -79,44 +72,35 @@ def _elastic_cells(
     utilization: float = 0.7,
     total_slots: int = 400,
 ) -> List[Cell]:
+    workload = WorkloadParams(
+        profile="spark-facebook",
+        num_jobs=num_jobs,
+        utilization=utilization,
+        total_slots=total_slots,
+    )
     cells: List[Cell] = []
     for amplitude in amplitudes:
         for kind, system in planes:
-            for spec_policy in speculation:
-                def make_spec(
-                    seed: int,
-                    amplitude: float = amplitude,
-                    kind: str = kind,
-                    system: str = system,
-                    spec_policy: str = spec_policy,
-                ) -> RunSpec:
-                    knobs = _resize_knobs(kind, amplitude, total_slots)
-                    if kind == "batch":
-                        # Spelled explicitly so the batch cells stay
-                        # pinned even if the plane default ever moves.
-                        knobs["round_interval"] = 0.5
-                    return RunSpec(
+            knobs = _resize_knobs(kind, amplitude, total_slots)
+            if kind == "batch":
+                # Spelled explicitly so the batch cells stay pinned even
+                # if the plane default ever moves.
+                knobs["round_interval"] = 0.5
+            cells.extend(
+                cell(
+                    RunSpec(
                         kind,
                         system,
-                        WorkloadParams(
-                            profile="spark-facebook",
-                            num_jobs=num_jobs,
-                            utilization=utilization,
-                            total_slots=total_slots,
-                            seed=seed,
-                        ),
+                        workload,
                         speculation=spec_policy,
                         knobs=knobs,
-                    )
-
-                cells.append(
-                    cell(
-                        make_spec,
-                        kind=kind,
-                        amplitude=amplitude,
-                        speculation=spec_policy,
-                    )
+                    ),
+                    kind=kind,
+                    amplitude=amplitude,
+                    speculation=spec_policy,
                 )
+                for spec_policy in speculation
+            )
     return cells
 
 
@@ -128,7 +112,6 @@ ELASTIC_STUDY = register_study(
             "under a scheduled autoscaler; metric is mean JCT"
         ),
         build_cells=_elastic_cells,
-        metric=mean_jct,
         metric_name="mean JCT",
         quick=dict(
             num_jobs=24,

@@ -3,9 +3,9 @@
 Every figure (Fig. 3, 5a/5b and 6–13, plus the headline gains) is one
 registered :class:`repro.sweep.Study`:
 
-* ``_figN_cells`` builds the labelled grid of
-  :class:`repro.sweep.RunSpec` cells (``seed -> spec``) and holds every
-  grid default;
+* ``_figN_cells`` builds the labelled grid of cells, each a complete
+  :class:`repro.sweep.RunSpec` template that the study reseeds per
+  seed, and holds every grid default;
 * ``_reduce_figN`` turns the :class:`repro.sweep.StudyResult` into the
   paper's derived quantities (plain rows / dicts), finding reference
   cells by their labels;
@@ -30,7 +30,7 @@ identical results.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.metrics.analysis import (
     gain_cdf,
@@ -60,24 +60,6 @@ from repro.workload.generator import (
 )
 
 
-def _workload(
-    profile_name: str,
-    num_jobs: int,
-    utilization: float,
-    total_slots: int,
-    seed: int = 42,
-    **kwargs,
-) -> WorkloadParams:
-    return WorkloadParams(
-        profile=profile_name,
-        num_jobs=num_jobs,
-        utilization=utilization,
-        total_slots=total_slots,
-        seed=seed,
-        **kwargs,
-    )
-
-
 def _spark_profile(profile_name: str) -> str:
     profile = (
         SPARK_FACEBOOK_PROFILE
@@ -90,15 +72,12 @@ def _spark_profile(profile_name: str) -> str:
 def _systems(
     kind: str,
     systems: Sequence[str],
-    workload: Callable[[int], WorkloadParams],
+    workload: WorkloadParams,
     **spec_args: Any,
 ) -> List[Cell]:
-    """One cell per system, each replaying ``workload(seed)`` on ``kind``."""
+    """One cell per system, each replaying ``workload`` on ``kind``."""
     return [
-        cell(
-            lambda seed, s=system: RunSpec(kind, s, workload(seed), **spec_args),
-            system=system,
-        )
+        cell(RunSpec(kind, system, workload, **spec_args), system=system)
         for system in systems
     ]
 
@@ -134,33 +113,31 @@ def _fig3_cells(
     base_seed: int = 11,
 ) -> List[Cell]:
     """One cell per normalized slot count; study *seeds* are repetition
-    indices (``run_seed``), matching the original figure loop exactly."""
-
-    def make(norm: float):
-        def make_spec(repetition: int, norm: float = norm) -> RunSpec:
-            return RunSpec(
+    indices (``single_job`` specs reseed ``run_seed``), matching the
+    original figure loop exactly."""
+    workload = WorkloadParams(
+        profile="facebook",
+        num_jobs=1,
+        utilization=0.5,
+        total_slots=1,
+        seed=base_seed,
+        max_phase_tasks=None,
+    )
+    return [
+        cell(
+            RunSpec(
                 "single_job",
                 "hopper",
-                WorkloadParams(
-                    profile="facebook",
-                    num_jobs=1,
-                    utilization=0.5,
-                    total_slots=1,
-                    seed=base_seed,
-                    max_phase_tasks=None,
-                ),
+                workload,
                 knobs={
                     "beta": float(beta),
                     "num_tasks": int(num_tasks),
                     "normalized_slots": float(norm),
                 },
-                run_seed=repetition,
-            )
-
-        return make_spec
-
-    return [
-        cell(make(norm), normalized_slots=norm) for norm in normalized_slots
+            ),
+            normalized_slots=norm,
+        )
+        for norm in normalized_slots
     ]
 
 
@@ -261,14 +238,10 @@ def _fig5a_cells(
 ) -> List[Cell]:
     cells: List[Cell] = []
     for utilization in utilizations:
-        def wl(seed: int, utilization: float = utilization) -> WorkloadParams:
-            return _workload(
-                "spark-facebook", num_jobs, utilization, total_slots, seed=seed
-            )
-
+        workload = WorkloadParams("spark-facebook", num_jobs, utilization, total_slots)
         cells.append(
             cell(
-                lambda seed, wl=wl: RunSpec("centralized", "hopper", wl(seed)),
+                RunSpec("centralized", "hopper", workload),
                 system=_CENTRALIZED_HOPPER,
                 parameter="-",
                 utilization=utilization,
@@ -276,10 +249,10 @@ def _fig5a_cells(
         )
         cells.extend(
             cell(
-                lambda seed, wl=wl, ratio=ratio: RunSpec(
+                RunSpec(
                     "decentralized",
                     "hopper",
-                    wl(seed),
+                    workload,
                     knobs={"probe_ratio": ratio},
                 ),
                 system="hopper",
@@ -290,10 +263,10 @@ def _fig5a_cells(
         )
         cells.append(
             cell(
-                lambda seed, wl=wl: RunSpec(
+                RunSpec(
                     "decentralized",
                     "sparrow",
-                    wl(seed),
+                    workload,
                     knobs={"probe_ratio": 2.0},
                 ),
                 system="sparrow",
@@ -312,14 +285,10 @@ def _fig5b_cells(
 ) -> List[Cell]:
     cells: List[Cell] = []
     for utilization in utilizations:
-        def wl(seed: int, utilization: float = utilization) -> WorkloadParams:
-            return _workload(
-                "spark-facebook", num_jobs, utilization, total_slots, seed=seed
-            )
-
+        workload = WorkloadParams("spark-facebook", num_jobs, utilization, total_slots)
         cells.append(
             cell(
-                lambda seed, wl=wl: RunSpec("centralized", "hopper", wl(seed)),
+                RunSpec("centralized", "hopper", workload),
                 system=_CENTRALIZED_HOPPER,
                 parameter="-",
                 utilization=utilization,
@@ -327,10 +296,10 @@ def _fig5b_cells(
         )
         cells.extend(
             cell(
-                lambda seed, wl=wl, refusals=refusals: RunSpec(
+                RunSpec(
                     "decentralized",
                     "hopper",
-                    wl(seed),
+                    workload,
                     knobs={"refusal_threshold": refusals},
                 ),
                 system="hopper",
@@ -455,14 +424,11 @@ def _fig6_cells(
     profile = _spark_profile(profile_name)
     cells: List[Cell] = []
     for utilization in utilizations:
-        def wl(seed: int, utilization: float = utilization) -> WorkloadParams:
-            return _workload(
-                profile, num_jobs, utilization, total_slots, seed=seed
-            )
-
         cells += with_axis(
             _systems(
-                "decentralized", ("hopper", "sparrow", "sparrow-srpt"), wl
+                "decentralized",
+                ("hopper", "sparrow", "sparrow-srpt"),
+                WorkloadParams(profile, num_jobs, utilization, total_slots),
             ),
             utilization=utilization,
         )
@@ -523,12 +489,11 @@ def _fig7_cells(
     num_jobs: int = 200,
     total_slots: int = 400,
 ) -> List[Cell]:
-    profile = _spark_profile(profile_name)
     return _systems(
         "decentralized",
         ("hopper", "sparrow-srpt"),
-        lambda seed: _workload(
-            profile, num_jobs, utilization, total_slots, seed=seed
+        WorkloadParams(
+            _spark_profile(profile_name), num_jobs, utilization, total_slots
         ),
     )
 
@@ -579,9 +544,7 @@ def _fig8a_cells(
     return _systems(
         "decentralized",
         ("hopper", "sparrow-srpt"),
-        lambda seed: _workload(
-            "spark-facebook", num_jobs, utilization, total_slots, seed=seed
-        ),
+        WorkloadParams("spark-facebook", num_jobs, utilization, total_slots),
     )
 
 
@@ -631,12 +594,11 @@ def _fig8b_cells(
     return _systems(
         "decentralized",
         ("hopper", "sparrow-srpt"),
-        lambda seed: _workload(
+        WorkloadParams(
             "facebook",  # full DAG mix
             num_jobs,
             utilization,
             total_slots,
-            seed=seed,
             max_phase_tasks=120,
         ),
     )
@@ -681,18 +643,14 @@ def _fig9_cells(
     num_jobs: int = 150,
     total_slots: int = 400,
 ) -> List[Cell]:
-    def wl(seed: int) -> WorkloadParams:
-        return _workload(
-            "spark-facebook", num_jobs, utilization, total_slots, seed=seed
-        )
-
+    workload = WorkloadParams("spark-facebook", num_jobs, utilization, total_slots)
     cells: List[Cell] = []
     for algorithm in algorithms:
         cells += with_axis(
             _systems(
                 "decentralized",
                 ("hopper", "sparrow-srpt"),
-                wl,
+                workload,
                 speculation=algorithm,
             ),
             speculation=algorithm,
@@ -765,30 +723,22 @@ def _fig10_cells(
     num_jobs: int = 150,
     total_slots: int = 400,
 ) -> List[Cell]:
-    def wl(seed: int) -> WorkloadParams:
-        return _workload(
-            "spark-facebook", num_jobs, utilization, total_slots, seed=seed
-        )
-
+    workload = WorkloadParams("spark-facebook", num_jobs, utilization, total_slots)
     cells = [
         cell(
-            lambda seed: RunSpec("decentralized", "sparrow-srpt", wl(seed)),
+            RunSpec("decentralized", "sparrow-srpt", workload),
             system="sparrow-srpt",
             epsilon="-",
         ),
         cell(
-            lambda seed: RunSpec(
-                "decentralized", "hopper", wl(seed), knobs={"epsilon": 0.0}
-            ),
+            RunSpec("decentralized", "hopper", workload, knobs={"epsilon": 0.0}),
             system=_FAIR_REFERENCE,
             epsilon=0.0,
         ),
     ]
     cells.extend(
         cell(
-            lambda seed, e=epsilon: RunSpec(
-                "decentralized", "hopper", wl(seed), knobs={"epsilon": e}
-            ),
+            RunSpec("decentralized", "hopper", workload, knobs={"epsilon": epsilon}),
             system="hopper",
             epsilon=epsilon,
         )
@@ -859,16 +809,10 @@ def _fig11_cells(
 ) -> List[Cell]:
     cells: List[Cell] = []
     for utilization in utilizations:
-        def wl(seed: int, utilization: float = utilization) -> WorkloadParams:
-            return _workload(
-                "spark-facebook", num_jobs, utilization, total_slots, seed=seed
-            )
-
+        workload = WorkloadParams("spark-facebook", num_jobs, utilization, total_slots)
         cells.append(
             cell(
-                lambda seed, wl=wl: RunSpec(
-                    "decentralized", "sparrow-srpt", wl(seed)
-                ),
+                RunSpec("decentralized", "sparrow-srpt", workload),
                 utilization=utilization,
                 system="sparrow-srpt",
                 probe_ratio="-",
@@ -876,10 +820,10 @@ def _fig11_cells(
         )
         cells.extend(
             cell(
-                lambda seed, wl=wl, ratio=ratio: RunSpec(
+                RunSpec(
                     "decentralized",
                     "hopper",
-                    wl(seed),
+                    workload,
                     knobs={"probe_ratio": ratio},
                 ),
                 utilization=utilization,
@@ -952,12 +896,11 @@ def _fig12_cells(
     return _systems(
         "centralized",
         ("hopper", "srpt"),
-        lambda seed: _workload(
+        WorkloadParams(
             profile.name,
             num_jobs,
             utilization,
             total_slots,
-            seed=seed,
             max_phase_tasks=300,
         ),
     )
@@ -1026,23 +969,20 @@ def _fig13_cells(
     num_jobs: int = 150,
     total_slots: int = 200,
 ) -> List[Cell]:
-    def wl(seed: int) -> WorkloadParams:
-        return _workload(
-            "facebook",
-            num_jobs,
-            utilization,
-            total_slots,
-            seed=seed,
-            max_phase_tasks=200,
-            locality_machines=total_slots // 4,
-        )
-
+    workload = WorkloadParams(
+        "facebook",
+        num_jobs,
+        utilization,
+        total_slots,
+        max_phase_tasks=200,
+        locality_machines=total_slots // 4,
+    )
     cells = [
         cell(
-            lambda seed: RunSpec(
+            RunSpec(
                 "centralized",
                 "srpt",
-                wl(seed),
+                workload,
                 knobs={"with_locality": True},
             ),
             system="srpt",
@@ -1051,10 +991,10 @@ def _fig13_cells(
     ]
     cells.extend(
         cell(
-            lambda seed, k=k: RunSpec(
+            RunSpec(
                 "centralized",
                 "hopper",
-                wl(seed),
+                workload,
                 knobs={"with_locality": True, "locality_k_percent": k},
             ),
             system="hopper",
@@ -1110,26 +1050,21 @@ def _headline_cells(
     num_jobs: int = 150,
     total_slots: int = 400,
 ) -> List[Cell]:
-    def decentralized_wl(seed: int) -> WorkloadParams:
-        return _workload("spark-facebook", num_jobs, 0.6, total_slots, seed=seed)
-
-    def centralized_wl(seed: int) -> WorkloadParams:
-        return _workload(
-            "facebook",
-            num_jobs,
-            0.7,
-            total_slots // 2,
-            seed=seed,
-            max_phase_tasks=300,
-        )
-
     return with_axis(
         _systems(
-            "decentralized", ("hopper", "sparrow-srpt"), decentralized_wl
+            "decentralized",
+            ("hopper", "sparrow-srpt"),
+            WorkloadParams("spark-facebook", num_jobs, 0.6, total_slots),
         ),
         kind="decentralized",
     ) + with_axis(
-        _systems("centralized", ("hopper", "srpt"), centralized_wl),
+        _systems(
+            "centralized",
+            ("hopper", "srpt"),
+            WorkloadParams(
+                "facebook", num_jobs, 0.7, total_slots // 2, max_phase_tasks=300
+            ),
+        ),
         kind="centralized",
     )
 

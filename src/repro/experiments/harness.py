@@ -95,43 +95,57 @@ def _resolve_straggler_model(
     return straggler_model
 
 
-def _resolve_blacklist_policy(
-    blacklist_policy: Union[BlacklistPolicy, str, None],
+def _cluster_policies(
     num_machines: int,
-    **strike_knobs: Optional[float],
-) -> Optional[BlacklistPolicy]:
-    """Accept a policy instance, a registry name, or None/"none" (off).
+    blacklist_policy: Union[BlacklistPolicy, str, None] = None,
+    strike_threshold: Optional[int] = None,
+    strike_window: Optional[float] = None,
+    eviction_cap: Optional[float] = None,
+    autoscaler: Union[AutoscalerPolicy, str, None] = None,
+    resize_schedule: Optional[str] = None,
+    scale_interval: Optional[float] = None,
+    scale_up_threshold: Optional[float] = None,
+    scale_down_threshold: Optional[float] = None,
+    scale_step: Optional[int] = None,
+    min_machines: Optional[int] = None,
+) -> dict:
+    """The ``blacklist_policy`` / ``autoscaler`` simulator kwargs, built
+    from the blacklist and autoscaler knob groups every plane accepts.
 
-    The strike knobs (``strike_threshold`` / ``strike_window`` /
-    ``eviction_cap``) only apply when the policy is built by name here;
-    omitted (None) knobs keep the policy's own defaults.
+    Each policy may be an instance, a registry name, or None/"none"
+    (off). A group's other knobs only apply when its policy is built by
+    name here; omitted (None) knobs keep the policy's own defaults.
+    ``"none"`` resolves through the registry to None, so a run that
+    spells the default explicitly builds the exact same simulator.
     ``num_machines`` is the run's cluster size (bounds the eviction cap).
+    Unknown keywords raise ``TypeError``.
     """
     if isinstance(blacklist_policy, str):
-        return registry.make_blacklist_policy(
-            blacklist_policy, num_machines=num_machines, **_given(strike_knobs)
+        blacklist_policy = registry.make_blacklist_policy(
+            blacklist_policy,
+            num_machines=num_machines,
+            **_given(
+                strike_threshold=strike_threshold,
+                strike_window=strike_window,
+                eviction_cap=eviction_cap,
+            ),
         )
-    return blacklist_policy
-
-
-def _resolve_autoscaler(
-    autoscaler: Union[AutoscalerPolicy, str, None],
-    **scale_knobs: Union[str, float, None],
-) -> Optional[AutoscalerPolicy]:
-    """Accept a policy instance, a registry name, or None/"none" (off).
-
-    The scale knobs (``resize_schedule`` / ``scale_interval`` / ...)
-    only apply when the policy is built by name here; omitted (None)
-    knobs keep the policy's own defaults. ``"none"`` resolves through
-    the registry to None, so a run that spells the default explicitly
-    builds the exact same simulator.
-    """
     if isinstance(autoscaler, str):
-        return registry.make_autoscaler(autoscaler, **_given(scale_knobs))
-    return autoscaler
+        autoscaler = registry.make_autoscaler(
+            autoscaler,
+            **_given(
+                resize_schedule=resize_schedule,
+                scale_interval=scale_interval,
+                scale_up_threshold=scale_up_threshold,
+                scale_down_threshold=scale_down_threshold,
+                scale_step=scale_step,
+                min_machines=min_machines,
+            ),
+        )
+    return dict(blacklist_policy=blacklist_policy, autoscaler=autoscaler)
 
 
-def _given(knobs: dict) -> dict:
+def _given(**knobs) -> dict:
     """The knobs a caller actually set (None means "omitted")."""
     return {name: value for name, value in knobs.items() if value is not None}
 
@@ -161,25 +175,17 @@ def _centralized_family_kwargs(
     slots_per_machine: int = 4,
     run_seed: int = 7,
     config: Optional[CentralizedConfig] = None,
-    blacklist_policy: Union[BlacklistPolicy, str, None] = None,
-    strike_threshold: Optional[int] = None,
-    strike_window: Optional[float] = None,
-    eviction_cap: Optional[float] = None,
-    autoscaler: Union[AutoscalerPolicy, str, None] = None,
-    resize_schedule: Optional[str] = None,
-    scale_interval: Optional[float] = None,
-    scale_up_threshold: Optional[float] = None,
-    scale_down_threshold: Optional[float] = None,
-    scale_step: Optional[int] = None,
-    min_machines: Optional[int] = None,
     obs=_OBS_FROM_ENV,
+    **knobs,
 ) -> dict:
     """Constructor kwargs shared by the centralized and batch planes.
 
-    This is the one keyword list of both builders. Both planes build
-    the exact same cluster, config, and seed hierarchy — the batch
-    plane only adds *when* dispatch happens, so keeping construction
-    common here keeps the entropy streams aligned between them.
+    This is the one keyword list of both builders; the blacklist and
+    autoscaler groups go through ``knobs`` to :func:`_cluster_policies`.
+    Both planes build the exact same cluster, config, and seed
+    hierarchy — the batch plane only adds *when* dispatch happens, so
+    keeping construction common here keeps the entropy streams aligned
+    between them.
 
     ``policy`` names a system on ``plane`` in
     :data:`repro.registry.SYSTEMS`; string-valued ``straggler_model`` /
@@ -224,22 +230,7 @@ def _centralized_family_kwargs(
         config=config,
         datastore=datastore,
         random_source=RandomSource(seed=run_seed),
-        blacklist_policy=_resolve_blacklist_policy(
-            blacklist_policy,
-            num_machines,
-            strike_threshold=strike_threshold,
-            strike_window=strike_window,
-            eviction_cap=eviction_cap,
-        ),
-        autoscaler=_resolve_autoscaler(
-            autoscaler,
-            resize_schedule=resize_schedule,
-            scale_interval=scale_interval,
-            scale_up_threshold=scale_up_threshold,
-            scale_down_threshold=scale_down_threshold,
-            scale_step=scale_step,
-            min_machines=min_machines,
-        ),
+        **_cluster_policies(num_machines, **knobs),
         obs=_resolve_obs(obs),
     )
 
@@ -327,18 +318,8 @@ def build_decentralized_simulator(
     straggler_model: Union[StragglerModel, str, None] = None,
     run_seed: int = 7,
     config: Optional[DecentralizedConfig] = None,
-    blacklist_policy: Union[BlacklistPolicy, str, None] = None,
-    strike_threshold: Optional[int] = None,
-    strike_window: Optional[float] = None,
-    eviction_cap: Optional[float] = None,
-    autoscaler: Union[AutoscalerPolicy, str, None] = None,
-    resize_schedule: Optional[str] = None,
-    scale_interval: Optional[float] = None,
-    scale_up_threshold: Optional[float] = None,
-    scale_down_threshold: Optional[float] = None,
-    scale_step: Optional[int] = None,
-    min_machines: Optional[int] = None,
     obs=_OBS_FROM_ENV,
+    **knobs,
 ) -> DecentralizedSimulator:
     """Construct (without running) a decentralized simulator for ``trace``.
 
@@ -349,8 +330,10 @@ def build_decentralized_simulator(
     policy the simulator evicts struck workers from the probe pool
     mid-run (see :mod:`repro.cluster.policy`); with an autoscaler it
     grows/shrinks the worker set mid-run (see
-    :mod:`repro.cluster.elastic`). The serving driver builds through
-    here too, then primes the engine before ``run()``.
+    :mod:`repro.cluster.elastic`). Both knob groups go through
+    ``knobs`` to :func:`_cluster_policies`; unknown keywords raise
+    ``TypeError``. The serving driver builds through here too, then
+    primes the engine before ``run()``.
     """
     defaults = registry.SYSTEMS.get(system, plane="decentralized").factory()
     if config is None:
@@ -382,22 +365,7 @@ def build_decentralized_simulator(
         config=config,
         random_source=RandomSource(seed=run_seed),
         name=system,
-        blacklist_policy=_resolve_blacklist_policy(
-            blacklist_policy,
-            spec.total_slots,
-            strike_threshold=strike_threshold,
-            strike_window=strike_window,
-            eviction_cap=eviction_cap,
-        ),
-        autoscaler=_resolve_autoscaler(
-            autoscaler,
-            resize_schedule=resize_schedule,
-            scale_interval=scale_interval,
-            scale_up_threshold=scale_up_threshold,
-            scale_down_threshold=scale_down_threshold,
-            scale_step=scale_step,
-            min_machines=min_machines,
-        ),
+        **_cluster_policies(spec.total_slots, **knobs),
         obs=_resolve_obs(obs),
     )
 

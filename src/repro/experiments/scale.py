@@ -43,67 +43,45 @@ def _scale_cells(
     num_jobs: int = 150,
     utilization: float = 0.6,
 ) -> List[Cell]:
+    workloads = {
+        total_slots: WorkloadParams(
+            profile="spark-facebook",
+            num_jobs=num_jobs,
+            utilization=utilization,
+            total_slots=total_slots,
+        )
+        for total_slots in cluster_sizes
+    }
     cells: List[Cell] = []
     for total_slots in cluster_sizes:
         for system in systems:
-            for ratio in probe_ratios:
-                def make_spec(
-                    seed: int,
-                    total_slots: int = total_slots,
-                    system: str = system,
-                    ratio: float = ratio,
-                ) -> RunSpec:
-                    return RunSpec(
+            cells.extend(
+                cell(
+                    RunSpec(
                         "decentralized",
                         system,
-                        WorkloadParams(
-                            profile="spark-facebook",
-                            num_jobs=num_jobs,
-                            utilization=utilization,
-                            total_slots=total_slots,
-                            seed=seed,
-                        ),
+                        workloads[total_slots],
                         knobs={"probe_ratio": ratio},
-                    )
-
-                cells.append(
-                    cell(
-                        make_spec,
-                        kind="decentralized",
-                        total_slots=total_slots,
-                        system=system,
-                        probe_ratio=ratio,
-                    )
+                    ),
+                    kind="decentralized",
+                    total_slots=total_slots,
+                    system=system,
+                    probe_ratio=ratio,
                 )
+                for ratio in probe_ratios
+            )
     # Centralized axis: same cluster sizes and workload, one omniscient
     # scheduler (no probe-ratio dimension).
     for total_slots in cluster_sizes:
-        for system in centralized_systems:
-            def make_centralized_spec(
-                seed: int,
-                total_slots: int = total_slots,
-                system: str = system,
-            ) -> RunSpec:
-                return RunSpec(
-                    "centralized",
-                    system,
-                    WorkloadParams(
-                        profile="spark-facebook",
-                        num_jobs=num_jobs,
-                        utilization=utilization,
-                        total_slots=total_slots,
-                        seed=seed,
-                    ),
-                )
-
-            cells.append(
-                cell(
-                    make_centralized_spec,
-                    kind="centralized",
-                    total_slots=total_slots,
-                    system=system,
-                )
+        cells.extend(
+            cell(
+                RunSpec("centralized", system, workloads[total_slots]),
+                kind="centralized",
+                total_slots=total_slots,
+                system=system,
             )
+            for system in centralized_systems
+        )
     return cells
 
 

@@ -58,45 +58,38 @@ def _steady_state_cells(
     cooldown: float = 30.0,
     window: float = 40.0,
 ) -> List[Cell]:
+    knobs = {
+        "arrival_process": arrival_process,
+        "warmup": warmup,
+        "horizon": horizon,
+        "cooldown": cooldown,
+        "window": window,
+    }
     cells: List[Cell] = []
     for rho in rhos:
+        workload = WorkloadParams(
+            profile="spark-facebook",
+            num_jobs=max_jobs,
+            utilization=rho,
+            total_slots=total_slots,
+        )
         for system in systems:
-            for spec_policy in speculation:
-                def make_spec(
-                    seed: int,
-                    rho: float = rho,
-                    system: str = system,
-                    spec_policy: str = spec_policy,
-                ) -> RunSpec:
-                    return RunSpec(
+            cells.extend(
+                cell(
+                    RunSpec(
                         "serving",
                         system,
-                        WorkloadParams(
-                            profile="spark-facebook",
-                            num_jobs=max_jobs,
-                            utilization=rho,
-                            total_slots=total_slots,
-                            seed=seed,
-                        ),
+                        workload,
                         speculation=spec_policy,
-                        knobs={
-                            "arrival_process": arrival_process,
-                            "warmup": warmup,
-                            "horizon": horizon,
-                            "cooldown": cooldown,
-                            "window": window,
-                        },
-                    )
-
-                cells.append(
-                    cell(
-                        make_spec,
-                        kind="serving",
-                        rho=rho,
-                        system=system,
-                        speculation=spec_policy,
-                    )
+                        knobs=knobs,
+                    ),
+                    kind="serving",
+                    rho=rho,
+                    system=system,
+                    speculation=spec_policy,
                 )
+                for spec_policy in speculation
+            )
     return cells
 
 

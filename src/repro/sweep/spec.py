@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from repro import registry as _registry
@@ -198,13 +198,17 @@ class RunSpec:
         )
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
-    def label(self) -> str:
-        """Short human-readable tag for logs and CLI output."""
-        wl = self.workload
-        return (
-            f"{self.kind[0]}:{self.system}"
-            f"@{wl.profile}/u{wl.utilization:g}/n{wl.num_jobs}/s{wl.seed}"
-        )
+    def reseeded(self, seed: int) -> "RunSpec":
+        """This spec replayed under study seed ``seed``.
+
+        The seed lands in ``workload.seed``, except for ``single_job``
+        specs, where it is the repetition index and lands in
+        ``run_seed``. Everything else, validation included, is as if the
+        spec had been written out with that seed.
+        """
+        if self.kind == "single_job":
+            return replace(self, run_seed=seed)
+        return replace(self, workload=replace(self.workload, seed=seed))
 
     # -- execution -------------------------------------------------------------
 

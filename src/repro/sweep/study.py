@@ -2,9 +2,10 @@
 
 A :class:`Study` is the layer above a raw sweep. Where a sweep is a flat
 list of :class:`~repro.sweep.spec.RunSpec`, a study is a *labelled grid*
-of cells, each cell a function ``seed -> RunSpec``. Running a study with
-``seeds=[1, 2, 3]`` replays every cell once per seed (all through one
-deduplicating, cacheable :class:`~repro.sweep.runner.SweepRunner` call)
+of cells, each cell a complete ``RunSpec`` template. Running a study with
+``seeds=[1, 2, 3]`` replays every template once per seed (see
+:meth:`~repro.sweep.spec.RunSpec.reseeded`), all through one
+deduplicating, cacheable :class:`~repro.sweep.runner.SweepRunner` call,
 and aggregates a per-cell metric into mean / p95 / bootstrap confidence
 intervals. Single-seed figure reproduction and multi-seed CI tables are
 therefore the *same* grid, differing only in the seed list:
@@ -49,24 +50,33 @@ def _mean_job_duration(result: SimulationResult) -> float:
 
 @dataclass(frozen=True)
 class Cell:
-    """One grid cell: axis labels plus a seed-parameterized spec maker."""
+    """One grid cell: axis labels plus a complete RunSpec template.
+
+    A study seed only reseeds the template (see
+    :meth:`~repro.sweep.spec.RunSpec.reseeded`), so the grid is plain
+    data: every cell's spec can be printed, hashed and compared.
+    """
 
     labels: Tuple[Tuple[str, Any], ...]
-    make_spec: Callable[[int], RunSpec]
+    spec: RunSpec
+
+    def make_spec(self, seed: int) -> RunSpec:
+        """The template replayed under study seed ``seed``."""
+        return self.spec.reseeded(seed)
 
     def label_dict(self) -> Dict[str, Any]:
         return dict(self.labels)
 
 
-def cell(make_spec: Callable[[int], RunSpec], **labels: Any) -> Cell:
-    """Convenience constructor: ``cell(fn, system="hopper", u=0.6)``."""
-    return Cell(labels=tuple(labels.items()), make_spec=make_spec)
+def cell(spec: RunSpec, **labels: Any) -> Cell:
+    """Convenience constructor: ``cell(spec, system="hopper", u=0.6)``."""
+    return Cell(labels=tuple(labels.items()), spec=spec)
 
 
 def with_axis(cells: Sequence[Cell], **labels: Any) -> List[Cell]:
     """Prepend fixed axis labels to every cell (used to merge grids)."""
     extra = tuple(labels.items())
-    return [Cell(labels=extra + c.labels, make_spec=c.make_spec) for c in cells]
+    return [Cell(labels=extra + c.labels, spec=c.spec) for c in cells]
 
 
 def bootstrap_ci(

@@ -258,6 +258,87 @@ def test_centralized_cell_spec_digests_match(name):
     )
 
 
+#: Seeds every cell is reseeded with for :data:`GOLDEN_CELL_SPEC_DIGESTS`.
+CELL_SPEC_SEEDS = (0, 1, 7, 42, 43)
+
+#: study name -> sha256 over both grids (full, then quick) of the study:
+#: each cell's labels plus ``make_spec(s).digest()`` for every seed in
+#: :data:`CELL_SPEC_SEEDS`. Captured while every cell was still a
+#: hand-written ``seed -> RunSpec`` closure, so it pins that replacing
+#: them with reseeded templates keeps every cache key and grid order.
+GOLDEN_CELL_SPEC_DIGESTS = {
+    "batch_rounds": "4f028d7ed6c7819b9396db6e846cc9df6158bb7f3dc6a7fcd989215129a72f47",
+    "blacklist": "37571eeea68953dfb7579af7c781d4d2f10c3e5348e53692d33d22f4b5d26d02",
+    "blacklist_policy": (
+        "5471692646a41f7defd082ab0a4d9c3776d61d9ed1be89aa910b0d8b96ffab69"
+    ),
+    "elastic": "a095440d1a2da2405a44675bbe7769c20ddd7533a37b1e99b9d261c56e938555",
+    "fig10": "dbdc10fa23a32f3d8c88539a0cd7b3b4a59965e8bf922e0c73a6f345a5bebad9",
+    "fig11": "4139e1c149b031d14cd5fdb9f0003dcc7b2ea93cee4290c8a06d0168abe2d349",
+    "fig12": "b7a74404c87d7617788e3a6f2a14587620510c69848d250dde499444fc485c68",
+    "fig13": "1077a31b1c8218e4bc5f2f0a40af97b152ec18b5b6f76f7326c4ac30c47217c8",
+    "fig3": "0ee1e847f46f07162d182485b0bcdfd70e59e9eb553a366975a2df9f5b9c872b",
+    "fig5": "cbebb9f09b750e46bbba779b94399cdb5687dff2bebe17801a61eb18f7cde7c1",
+    "fig5a": "3a076a161a808594489d120db316cfb4ed4147c2c2fa9664247013f87b6729fd",
+    "fig5b": "e0392f6bc61c903c150d5f6f38892bbf2bec6cabab58e0079dbbb687603c13fd",
+    "fig6": "b3c0de6b51c1d52c6939e9051888461accaeaccfea8aeee821816b6b50fd583f",
+    "fig7": "af91e204802e78419a3eba7e357757d77db819eb12f6e8d110839f4d0c883aae",
+    # fig7's default profile is facebook, whose Spark variant is fig8a's.
+    "fig8a": "af91e204802e78419a3eba7e357757d77db819eb12f6e8d110839f4d0c883aae",
+    "fig8b": "b8813425adf0a4cd872a0950d38f53ba2162517a39fd585907354b85ca97c40d",
+    "fig9": "63d545040784c2e8761d4a35d660d3c23b33fcccacaa4f4580e623e170eb0c0c",
+    "headline": "31e4b0c97ef57a949748d84ef125e2806683e9865f971b0a67d75420881b11bc",
+    "scale": "e9efbb369ff5f940074439f840d71c3e1d53f6d8d94a019faf084de6ffbb059a",
+    "steady_state": "da16e293e0b857780b237495443bb349888589198397d65c8bc7275c35d3d174",
+}
+
+
+def _cell_spec_digest(name: str) -> str:
+    study = registry.studies().get(name).factory
+    payload = json.dumps(
+        [
+            [c.labels, [c.make_spec(s).digest() for s in CELL_SPEC_SEEDS]]
+            for quick in (False, True)
+            for c in study.cells(quick=quick)
+        ],
+        separators=(",", ":"),
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def test_every_study_pins_its_cell_specs():
+    assert set(registry.studies().names()) == set(GOLDEN_CELL_SPEC_DIGESTS)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CELL_SPEC_DIGESTS))
+def test_cell_spec_digests_match(name):
+    assert _cell_spec_digest(name) == GOLDEN_CELL_SPEC_DIGESTS[name]
+
+
+def _seedless(spec: RunSpec) -> dict:
+    data = spec.to_dict()
+    if spec.kind == "single_job":
+        del data["run_seed"]
+    else:
+        del data["workload"]["seed"]
+    return data
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CELL_SPEC_DIGESTS))
+def test_study_seed_only_moves_the_seed_field(name):
+    """A study seed lands in ``workload.seed`` (``run_seed`` for
+    ``single_job``, where it is a repetition index) and nowhere else."""
+    study = registry.studies().get(name).factory
+    for quick in (False, True):
+        for c in study.cells(quick=quick):
+            a, b = c.make_spec(1), c.make_spec(43)
+            assert _seedless(a) == _seedless(b), c.labels
+            if a.kind == "single_job":
+                assert (a.run_seed, b.run_seed) == (1, 43), c.labels
+            else:
+                assert (a.workload.seed, b.workload.seed) == (1, 43), c.labels
+
+
 def _result_payload(results) -> str:
     return json.dumps(
         [result_to_dict(r) for r in results],

@@ -27,21 +27,7 @@ TINY = WorkloadParams(
 
 def _tiny_cells(systems=("hopper", "sparrow-srpt")):
     return [
-        cell(
-            lambda seed, s=system: RunSpec(
-                "decentralized",
-                s,
-                WorkloadParams(
-                    profile="spark-facebook",
-                    num_jobs=10,
-                    utilization=0.6,
-                    total_slots=40,
-                    max_phase_tasks=20,
-                    seed=seed,
-                ),
-            ),
-            system=system,
-        )
+        cell(RunSpec("decentralized", system, TINY), system=system)
         for system in systems
     ]
 
@@ -154,7 +140,7 @@ def test_cell_and_with_axis_helpers():
     cells = _tiny_cells()
     extended = with_axis(cells, variant="probe")
     assert extended[0].labels == (("variant", "probe"), ("system", "hopper"))
-    assert extended[0].make_spec is cells[0].make_spec
+    assert extended[0].spec is cells[0].spec
     assert cells[0].label_dict() == {"system": "hopper"}
 
 
