@@ -4,8 +4,9 @@ The paper-vs-measured formatter lives in :mod:`repro.metrics.tables` so
 the ``python -m repro`` CLI and these benchmarks print identical tables.
 On top of it, :func:`report_table` mirrors every printed table into
 ``BENCH_<name>.json`` next to the repo root (override the directory with
-``REPRO_BENCH_DIR``) — the machine-readable perf/figure trajectory that
-``benchmarks/check_regression.py`` and external tooling consume.
+``REPRO_BENCH_DIR``), a machine-readable copy of the figure tables for
+external tooling. Speed is measured by the end-to-end benchmark in
+``benchmarks/e2e/``, not here.
 """
 
 from __future__ import annotations
@@ -45,19 +46,6 @@ def _load_bench_doc(name: str) -> Dict[str, Any]:
         "schema_version": BENCH_SCHEMA_VERSION,
         "tables": [],
     }
-
-
-def write_bench_json(name: str, payload: Dict[str, Any]) -> Path:
-    """Write ``BENCH_<name>.json`` (adds benchmark/schema keys)."""
-    doc = {
-        "benchmark": name,
-        "schema_version": BENCH_SCHEMA_VERSION,
-        **payload,
-    }
-    path = bench_json_path(name)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=False) + "\n")
-    return path
 
 
 def record_table(
@@ -106,5 +94,4 @@ __all__ = [
     "print_table",
     "record_table",
     "report_table",
-    "write_bench_json",
 ]

@@ -13,7 +13,7 @@ from repro.estimation.alpha import AlphaEstimator
 from repro.experiments.harness import (
     WorkloadSpec,
     build_trace,
-    run_centralized,
+    run_simulator,
 )
 from repro.metrics.analysis import mean_reduction_percent
 from repro.workload.generator import FACEBOOK_PROFILE
@@ -57,11 +57,11 @@ def dag_scheduling_demo() -> None:
         max_phase_tasks=120,
     )
     trace = build_trace(spec)
-    srpt = run_centralized(trace, "srpt", spec)
-    with_alpha = run_centralized(trace, "hopper", spec)
+    srpt = run_simulator("srpt", trace, spec, plane="centralized")
+    with_alpha = run_simulator("hopper", trace, spec, plane="centralized")
     no_alpha_config = CentralizedConfig(use_alpha=False)
-    without_alpha = run_centralized(
-        trace, "hopper", spec, config=no_alpha_config
+    without_alpha = run_simulator(
+        "hopper", trace, spec, plane="centralized", config=no_alpha_config
     )
     print(f"SRPT baseline        : {srpt.mean_job_duration:7.2f}")
     print(f"Hopper (with alpha)  : {with_alpha.mean_job_duration:7.2f} "

@@ -12,7 +12,7 @@ Run:  python examples/decentralized_cluster.py
 from repro.experiments.harness import (
     WorkloadSpec,
     build_trace,
-    run_decentralized,
+    run_simulator,
 )
 from repro.metrics.analysis import mean_reduction_percent
 from repro.workload.generator import SPARK_FACEBOOK_PROFILE
@@ -32,7 +32,7 @@ def main() -> None:
               f"{spec.total_slots} workers) ===")
         results = {}
         for system in ("sparrow", "sparrow-srpt", "hopper"):
-            result = run_decentralized(trace, system, spec)
+            result = run_simulator(system, trace, spec, plane="decentralized")
             results[system] = result
             print(
                 f"{system:<14} mean={result.mean_job_duration:7.2f}  "

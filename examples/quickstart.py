@@ -12,7 +12,7 @@ Run:  python examples/quickstart.py
 from repro.experiments.harness import (
     WorkloadSpec,
     build_trace,
-    run_centralized,
+    run_simulator,
 )
 from repro.metrics.analysis import mean_reduction_percent
 from repro.workload.generator import FACEBOOK_PROFILE
@@ -30,8 +30,8 @@ def main() -> None:
     print(f"workload: {len(trace)} jobs, {trace.total_tasks} tasks, "
           f"target utilization {spec.utilization:.0%}")
 
-    srpt = run_centralized(trace, "srpt", spec)
-    hopper = run_centralized(trace, "hopper", spec)
+    srpt = run_simulator("srpt", trace, spec, plane="centralized")
+    hopper = run_simulator("hopper", trace, spec, plane="centralized")
 
     print(f"\n{'scheduler':<22}{'mean job duration':>20}{'spec copies':>14}")
     for result in (srpt, hopper):

@@ -26,9 +26,6 @@ Subcommands
 ``trace capture / trace export``
     Record a structured JSONL event trace of one instrumented run, and
     convert it to Chrome ``chrome://tracing`` / Perfetto JSON.
-``bench trajectory``
-    Render the events/sec trajectory of the committed ``BENCH_*.json``
-    files across the repo's git history.
 """
 
 from __future__ import annotations
@@ -562,38 +559,6 @@ def _cmd_plane(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.obs import trajectory as traj
-
-    names = [name for name in args.names.split(",") if name]
-    if not names:
-        print("--names needs at least one benchmark name", file=sys.stderr)
-        return 2
-    try:
-        histories = traj.report(names, repo_root=args.repo_root)
-    except traj.TrajectoryError as exc:
-        # Non-blocking by design: trajectory is a reporting aid, and CI
-        # smokes must not fail on shallow clones or missing git.
-        print(f"[trajectory] unavailable: {exc}", file=sys.stderr)
-        return 0
-    for name in names:
-        entries = histories[name]
-        if not entries:
-            print(f"\nBENCH_{name}.json: no committed throughput history")
-            continue
-        print_table(
-            f"BENCH_{name}.json: events/sec across commits",
-            ("commit", "date", "subject", "events/sec", "delta"),
-            traj.trajectory_rows(entries),
-        )
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(traj.format_markdown(histories))
-            handle.write("\n")
-        print(f"\nwrote markdown report to {args.output}")
-    return 0
-
-
 # --------------------------------------------------------------------------
 # Entry point
 # --------------------------------------------------------------------------
@@ -889,39 +854,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     preview_parser.set_defaults(handler=_cmd_workload)
 
-    bench_parser = subparsers.add_parser(
-        "bench", help="benchmark reporting helpers"
-    )
-    bench_sub = bench_parser.add_subparsers(dest="action", required=True)
-    trajectory_parser = bench_sub.add_parser(
-        "trajectory",
-        help=(
-            "render the events/sec trajectory of committed BENCH_*.json "
-            "files across git history"
-        ),
-    )
-    from repro.obs.trajectory import DEFAULT_BENCH_NAMES
-
-    default_names = ",".join(DEFAULT_BENCH_NAMES)
-    trajectory_parser.add_argument(
-        "--names",
-        default=default_names,
-        metavar="N1,N2,...",
-        help=f"comma-separated bench names (default: {default_names})",
-    )
-    trajectory_parser.add_argument(
-        "--repo-root",
-        default=".",
-        metavar="DIR",
-        help="git repository to read history from (default: .)",
-    )
-    trajectory_parser.add_argument(
-        "--output",
-        default=None,
-        metavar="PATH",
-        help="also write a Markdown report to PATH",
-    )
-    trajectory_parser.set_defaults(handler=_cmd_bench)
     return parser
 
 

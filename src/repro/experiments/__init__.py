@@ -12,8 +12,7 @@ paper-vs-measured tables.
 from repro.experiments.harness import (
     WorkloadSpec,
     build_trace,
-    run_centralized,
-    run_decentralized,
+    run_simulator,
 )
 from repro.experiments import figures
 from repro.experiments.motivating import (
@@ -24,8 +23,7 @@ from repro.experiments.motivating import (
 __all__ = [
     "WorkloadSpec",
     "build_trace",
-    "run_centralized",
-    "run_decentralized",
+    "run_simulator",
     "figures",
     "MotivatingExampleResult",
     "run_motivating_example",

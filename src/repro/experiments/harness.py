@@ -254,21 +254,6 @@ def build_centralized_simulator(
     )
 
 
-def run_centralized(
-    trace: Trace,
-    policy: str,
-    spec: WorkloadSpec,
-    until: Optional[float] = None,
-    **kwargs,
-) -> SimulationResult:
-    """Replay ``trace`` under one centralized policy (build, then run).
-
-    See :func:`build_centralized_simulator` for every keyword.
-    """
-    simulator = build_centralized_simulator(trace, policy, spec, **kwargs)
-    return simulator.run(until=until)
-
-
 def build_batch_simulator(
     trace: Trace,
     policy: str,
@@ -288,21 +273,6 @@ def build_batch_simulator(
         round_interval=round_interval,
         **_centralized_family_kwargs(trace, policy, spec, "batch", **knobs),
     )
-
-
-def run_batch(
-    trace: Trace,
-    policy: str,
-    spec: WorkloadSpec,
-    until: Optional[float] = None,
-    **kwargs,
-) -> SimulationResult:
-    """Replay ``trace`` under the batch plane (build, then run).
-
-    See :func:`build_batch_simulator` for every keyword.
-    """
-    simulator = build_batch_simulator(trace, policy, spec, **kwargs)
-    return simulator.run(until=until)
 
 
 def build_decentralized_simulator(
@@ -368,21 +338,6 @@ def build_decentralized_simulator(
         **_cluster_policies(spec.total_slots, **knobs),
         obs=_resolve_obs(obs),
     )
-
-
-def run_decentralized(
-    trace: Trace,
-    system: str,
-    spec: WorkloadSpec,
-    until: Optional[float] = None,
-    **kwargs,
-) -> SimulationResult:
-    """Replay ``trace`` under one decentralized system (build, then run).
-
-    See :func:`build_decentralized_simulator` for every keyword.
-    """
-    simulator = build_decentralized_simulator(trace, system, spec, **kwargs)
-    return simulator.run(until=until)
 
 
 # --------------------------------------------------------------------------

@@ -15,8 +15,9 @@ opened — per-event work no longer rebuilds O(active jobs) state):
   :class:`~repro.cluster.index.ClusterIndex` (this is the regime the
   old O(machines)-per-reschedule scan could not reach).
 
-``benchmarks/bench_scale.py`` tracks the events/sec both axes run at
-and gates CI on it. The ``--quick`` grid is unchanged from the study's
+The study reports job completion times, not speed; the end-to-end
+benchmark (``benchmarks/e2e/``) times 100k-slot replays in its
+``elastic-100k`` workload. The ``--quick`` grid is unchanged from the study's
 birth (decentralized Hopper at 2k/10k slots) so its golden digest in
 ``tests/test_golden_results.py`` keeps pinning bit-identical replays;
 the centralized axis lives in the full grid.

@@ -13,7 +13,8 @@ to a simulator at construction, and every hot-path site guards its
 instrumentation with a single ``is not None`` check — with no bundle the
 replay is bit-identical to the uninstrumented engine (proven by the
 pinned golden digests and the differential tests in
-``tests/test_obs.py``, and measured by ``benchmarks/bench_obs.py``).
+``tests/test_obs.py``, which also count zero calls into every sink on
+an uninstrumented run).
 
 Enablement is deliberately out-of-band: observability is *not* part of
 :class:`~repro.sweep.spec.RunSpec` (it must never change a content

@@ -12,8 +12,6 @@ from repro.experiments.harness import (
     build_batch_simulator,
     build_simulator,
     build_trace,
-    run_batch,
-    run_centralized,
     run_simulator,
 )
 from repro.metrics.serialize import result_to_dict
@@ -28,7 +26,9 @@ def _durations(result):
 
 
 def test_batch_run_completes_every_job():
-    result = run_batch(build_trace(SPEC), "hopper", SPEC, round_interval=0.5)
+    result = run_simulator(
+        "hopper", build_trace(SPEC), SPEC, plane="batch", round_interval=0.5
+    )
     assert result.num_jobs == SPEC.num_jobs
     assert result.scheduler_name == "batch-hopper"
     assert result.mean_job_duration > 0.0
@@ -51,11 +51,11 @@ def test_batch_rejects_negative_round_interval():
 def test_longer_rounds_do_not_speed_up_jobs():
     """Buffering delay is additive: a coarser round interval cannot make
     mean JCT better than a fine one on the same trace."""
-    fine = run_batch(
-        build_trace(SPEC), "hopper", SPEC, round_interval=0.25
+    fine = run_simulator(
+        "hopper", build_trace(SPEC), SPEC, plane="batch", round_interval=0.25
     )
-    coarse = run_batch(
-        build_trace(SPEC), "hopper", SPEC, round_interval=4.0
+    coarse = run_simulator(
+        "hopper", build_trace(SPEC), SPEC, plane="batch", round_interval=4.0
     )
     assert coarse.mean_job_duration >= fine.mean_job_duration
 
@@ -67,10 +67,10 @@ def test_zero_round_interval_converges_to_centralized_schedule():
     entropy stream, same per-job durations) once stragglers and
     speculation are off."""
     kwargs = dict(straggler_model="none", speculation="none")
-    batch = run_batch(
-        build_trace(SPEC), "hopper", SPEC, round_interval=0.0, **kwargs
+    batch = run_simulator(
+        "batch/hopper", build_trace(SPEC), SPEC, round_interval=0.0, **kwargs
     )
-    central = run_centralized(build_trace(SPEC), "hopper", SPEC, **kwargs)
+    central = run_simulator("centralized/hopper", build_trace(SPEC), SPEC, **kwargs)
     assert _durations(batch) == _durations(central)
 
 

@@ -7,14 +7,21 @@ run full simulations under machine-correlated stragglers and assert the
 drains away as the policy evicts — rather than pinning digests.
 """
 
+import collections
+import json
+
 import pytest
 
+from repro.centralized import simulator as centralized_simulator
 from repro.cluster.policy import BlacklistPolicy, StrikeBlacklistPolicy
+from repro.decentralized import simulator as decentralized_simulator
+from repro.metrics.serialize import result_to_dict
+from repro.obs import OBS_ENV
 from repro.simulation.rng import RandomSource
 from repro.speculation import LATE
 from repro.stragglers.model import MachineCorrelatedStragglerModel
 from repro.workload.generator import FACEBOOK_PROFILE
-from repro.experiments.harness import WorkloadSpec, build_trace
+from repro.experiments.harness import WorkloadSpec, build_trace, run_simulator
 
 QUICK = WorkloadSpec(
     profile=FACEBOOK_PROFILE,
@@ -243,6 +250,48 @@ def test_flaky_busy_slot_share_monotonically_drops(plane):
         baseline_ledger.copies, model.flaky_machines
     )
     assert baseline[-1] > curve[-1]
+
+
+# -- armed but idle: no stragglers, no strike evidence -----------------------
+
+
+def _counted(calls, key, function):
+    def wrapper(*args, **kwargs):
+        calls[key] += 1
+        return function(*args, **kwargs)
+
+    return wrapper
+
+
+@pytest.mark.parametrize("plane", ["centralized", "batch", "decentralized"])
+def test_armed_policy_without_stragglers_stays_idle(plane, monkeypatch):
+    """With strikes armed and no stragglers, every finished copy takes
+    the ``min_strike_ratio`` fast path: the policy sees no observation,
+    evicts nothing, and the result equals the policy-off run."""
+    monkeypatch.delenv(OBS_ENV, raising=False)
+    calls = collections.Counter()
+    # The batch plane runs the centralized simulator's completion path.
+    for module in (centralized_simulator, decentralized_simulator):
+        monkeypatch.setattr(
+            module,
+            "evaluate_completion",
+            _counted(calls, "evaluate", module.evaluate_completion),
+        )
+    monkeypatch.setattr(
+        StrikeBlacklistPolicy,
+        "observe_completion",
+        _counted(calls, "observe", StrikeBlacklistPolicy.observe_completion),
+    )
+    trace = build_trace(QUICK)
+    knobs = dict(plane=plane, straggler_model="none")
+    armed = run_simulator("hopper", trace, QUICK, blacklist_policy="strikes", **knobs)
+    finished = armed.total_copies - armed.killed_copies
+    assert finished > 0
+    assert calls["observe"] == 0
+    assert calls["evaluate"] == finished
+    assert armed.evictions == 0
+    off = run_simulator("hopper", trace, QUICK, **knobs)
+    assert json.dumps(result_to_dict(armed)) == json.dumps(result_to_dict(off))
 
 
 # -- eviction edge cases -----------------------------------------------------

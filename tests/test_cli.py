@@ -247,22 +247,6 @@ def test_elastic_study_profile_reports_resize_counters(capsys, monkeypatch):
     assert "elastic.add_machine_events" in out
 
 
-def test_bench_trajectory_reports_committed_history(tmp_path, capsys):
-    # The repo's own history carries BENCH_scale.json points.
-    report_path = str(tmp_path / "trajectory.md")
-    assert main(["bench", "trajectory", "--output", report_path]) == 0
-    out = capsys.readouterr().out
-    assert "BENCH_scale.json" in out
-    assert "# Benchmark trajectory" in open(report_path).read()
-
-
-def test_bench_trajectory_outside_git_is_nonfatal(tmp_path, capsys):
-    assert main(
-        ["bench", "trajectory", "--repo-root", str(tmp_path)]
-    ) == 0
-    assert "unavailable" in capsys.readouterr().err
-
-
 def test_workload_preview_prints_calibration_and_arrival_table(capsys):
     assert main(
         [
@@ -305,11 +289,3 @@ def test_workload_preview_rejects_bad_inputs(capsys):
     ) == 2
     assert "--rho must be in (0, 1)" in capsys.readouterr().err
 
-
-def test_bench_trajectory_default_names_include_serving():
-    from repro.cli import build_parser
-    from repro.obs.trajectory import DEFAULT_BENCH_NAMES
-
-    args = build_parser().parse_args(["bench", "trajectory"])
-    assert "serving" in DEFAULT_BENCH_NAMES
-    assert args.names == ",".join(DEFAULT_BENCH_NAMES)

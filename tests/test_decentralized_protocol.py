@@ -249,7 +249,7 @@ def test_request_conservation_over_a_full_run():
     from repro.experiments.harness import (
         WorkloadSpec,
         build_trace,
-        run_decentralized,
+        run_simulator,
     )
     from repro.obs import Obs
 
@@ -258,9 +258,9 @@ def test_request_conservation_over_a_full_run():
     )
     trace = build_trace(spec)
     obs = Obs()
-    result = run_decentralized(
+    result = run_simulator(
+        "decentralized/hopper",
         trace,
-        "hopper",
         spec,
         straggler_model="machine-correlated",
         blacklist_policy="strikes",
@@ -282,9 +282,9 @@ def test_request_conservation_over_a_full_run():
         counts.get("msg.batches", 0) + counts.get("msg.coalesced", 0)
     )
     # The unconditional field matches an uninstrumented replay exactly.
-    bare = run_decentralized(
+    bare = run_simulator(
+        "decentralized/hopper",
         trace,
-        "hopper",
         spec,
         straggler_model="machine-correlated",
         blacklist_policy="strikes",

@@ -41,9 +41,7 @@ from repro.experiments.harness import (
     build_decentralized_simulator,
     build_simulator,
     build_trace,
-    run_batch,
-    run_centralized,
-    run_decentralized,
+    run_simulator,
 )
 from repro.metrics.serialize import result_to_dict
 from repro.obs import Obs
@@ -251,27 +249,21 @@ def test_floors_memo_invalidates_on_membership_change():
 
 _SPEC = WorkloadSpec(num_jobs=12, utilization=0.6, total_slots=48, seed=9)
 
-_RUNNERS = {
-    "centralized": run_centralized,
-    "batch": run_batch,
-    "decentralized": run_decentralized,
-}
-
-
-@pytest.mark.parametrize("plane", sorted(_RUNNERS))
+@pytest.mark.parametrize("plane", ["batch", "centralized", "decentralized"])
 def test_planes_complete_trace_through_shrink_and_grow(plane):
     """A shrink mid-run kills running copies; the kill→requeue path must
     still complete every job once capacity returns, on every plane."""
     trace = build_trace(_SPEC)
-    result = _RUNNERS[plane](
-        trace,
+    result = run_simulator(
         "hopper",
+        trace,
         _SPEC,
+        plane=plane,
         autoscaler="schedule",
         resize_schedule="2:-4,10:+4",
     )
     assert len(result.jobs) == _SPEC.num_jobs
-    baseline = _RUNNERS[plane](trace, "hopper", _SPEC)
+    baseline = run_simulator("hopper", trace, _SPEC, plane=plane)
     assert len(baseline.jobs) == _SPEC.num_jobs
     # The resize is not inert: some job's completion time moved.
     resized = {r.job_id: r.finish_time for r in result.jobs}
@@ -415,17 +407,22 @@ def test_windowed_utilization_handles_zero_capacity_samples():
 # -- counters-only observability ---------------------------------------------
 
 
-@pytest.mark.parametrize("runner", [run_centralized, run_decentralized])
-def test_resizes_run_with_counters_only_obs(runner):
+@pytest.mark.parametrize(
+    "plane",
+    ["centralized", "decentralized"],
+    ids=["run_centralized", "run_decentralized"],
+)
+def test_resizes_run_with_counters_only_obs(plane):
     """Regression: ``Obs()`` carries counters but no tracer, and the
     controller's capacity-change instant used to dereference the missing
     tracer on the first applied resize."""
     obs = Obs()
     assert obs.tracer is None
-    result = runner(
-        build_trace(_SPEC),
+    result = run_simulator(
         "hopper",
+        build_trace(_SPEC),
         _SPEC,
+        plane=plane,
         autoscaler="schedule",
         resize_schedule="2:-2,6:+2",
         obs=obs,

@@ -6,9 +6,7 @@ import pytest
 from repro.experiments.harness import (
     WorkloadSpec,
     build_trace,
-    run_batch,
-    run_centralized,
-    run_decentralized,
+    run_simulator,
 )
 from repro.experiments.motivating import (
     TASKS,
@@ -84,25 +82,21 @@ def test_run_centralized_all_policies():
     spec = _tiny_spec()
     trace = build_trace(spec)
     for policy in ("fair", "srpt", "hopper"):
-        result = run_centralized(trace, policy, spec)
+        result = run_simulator(policy, trace, spec, plane="centralized")
         assert result.num_jobs == 20
     with pytest.raises(ValueError):
-        run_centralized(trace, "bogus", spec)
+        run_simulator("bogus", trace, spec, plane="centralized")
 
 
 @pytest.mark.parametrize(
-    "runner, system",
-    [
-        (run_centralized, "srpt"),
-        (run_batch, "hopper"),
-        (run_decentralized, "hopper"),
-    ],
+    "system",
+    ["centralized/srpt", "batch/hopper", "decentralized/hopper"],
     ids=["run_centralized", "run_batch", "run_decentralized"],
 )
-def test_run_centralized_does_not_mutate_trace(runner, system):
+def test_run_centralized_does_not_mutate_trace(system):
     spec = _tiny_spec()
     trace = build_trace(spec)
-    first = runner(trace, system, spec)
+    first = run_simulator(system, trace, spec)
     assert first.num_jobs == 20
     for job in trace.jobs:
         assert job.finish_time is None
@@ -114,7 +108,7 @@ def test_run_centralized_does_not_mutate_trace(runner, system):
             assert task.finish_time is None
             assert not task.completed_by_speculative
     # Replayable again, with an identical result.
-    second = runner(trace, system, spec)
+    second = run_simulator(system, trace, spec)
     assert result_to_dict(second) == result_to_dict(first)
 
 
@@ -122,17 +116,19 @@ def test_run_decentralized_all_systems():
     spec = _tiny_spec()
     trace = build_trace(spec)
     for system in ("sparrow", "sparrow-srpt", "hopper"):
-        result = run_decentralized(trace, system, spec)
+        result = run_simulator(system, trace, spec, plane="decentralized")
         assert result.num_jobs == 20
     with pytest.raises(ValueError):
-        run_decentralized(trace, "bogus", spec)
+        run_simulator("bogus", trace, spec, plane="decentralized")
 
 
 def test_run_decentralized_under_each_speculation_algorithm():
     spec = _tiny_spec()
     trace = build_trace(spec)
     for algo in ("late", "mantri", "grass"):
-        result = run_decentralized(trace, "hopper", spec, speculation=algo)
+        result = run_simulator(
+            "hopper", trace, spec, plane="decentralized", speculation=algo
+        )
         assert result.num_jobs == 20
 
 

@@ -1,6 +1,6 @@
 """Observability tests: primitives, trace correctness on pinned runs,
 zero-perturbation differentials, schema-2 serialization, conservation
-counters, and the git-history trajectory report.
+counters, and the zero-cost-when-off call counts.
 
 The pinned-trace digest below plays the same role as the golden study
 digests: the simulation is deterministic, so the full JSONL trace of a
@@ -9,20 +9,20 @@ fixed workload is reproducible byte for byte. If an intentional change
 the inline snippet in ``test_decentralized_trace_digest_is_pinned``.
 """
 
+import collections
 import hashlib
 import json
-import subprocess
 
 import pytest
 
 from repro.experiments.harness import (
     WorkloadSpec,
     build_trace,
-    run_centralized,
-    run_decentralized,
+    run_simulator,
 )
 from repro.metrics.serialize import result_from_dict, result_to_dict
 from repro.obs import (
+    OBS_ENV,
     Counters,
     Obs,
     PhaseTimers,
@@ -31,7 +31,9 @@ from repro.obs import (
     aggregate_timers,
     obs_from_env,
 )
-from repro.obs import trajectory as traj
+from repro.serving.driver import run_serving
+from repro.serving.windows import ServingRegime
+from repro.workload.generator import profile_by_name
 
 #: One small decentralized workload reused across the pinned-trace tests.
 SPEC = WorkloadSpec(num_jobs=12, utilization=0.6, total_slots=60, seed=5)
@@ -149,7 +151,7 @@ def test_aggregate_timers_and_counters_skip_empty_reports():
 @pytest.fixture(scope="module")
 def traced_run():
     obs = Obs(trace=True)
-    result = run_decentralized(build_trace(SPEC), "hopper", SPEC, obs=obs)
+    result = run_simulator("decentralized/hopper", build_trace(SPEC), SPEC, obs=obs)
     return obs, result
 
 
@@ -212,10 +214,9 @@ def test_obs_on_does_not_perturb_results(kind):
     simulation results; instrumentation may never consume entropy or
     reorder events. With obs off the document is the pre-obs schema-1
     shape exactly (that is what keeps the golden study digests pinned)."""
-    runner = run_centralized if kind == "centralized" else run_decentralized
     trace = build_trace(SPEC)
-    off = runner(trace, "hopper", SPEC, obs=None)
-    on = runner(trace, "hopper", SPEC, obs=Obs(trace=True))
+    off = run_simulator("hopper", trace, SPEC, plane=kind, obs=None)
+    on = run_simulator("hopper", trace, SPEC, plane=kind, obs=Obs(trace=True))
 
     off_doc = result_to_dict(off)
     assert off_doc["schema_version"] == 1
@@ -230,14 +231,80 @@ def test_obs_on_does_not_perturb_results(kind):
     )
 
 
+# -- zero cost when off: call counts -----------------------------------------
+
+#: The bundle and every recording method of its three sinks.
+_OBS_SINKS = (
+    (Obs, "__init__"),
+    (Counters, "inc"),
+    (PhaseTimers, "add"),
+    (PhaseTimers, "phase"),
+    (Tracer, "instant"),
+    (Tracer, "begin"),
+    (Tracer, "end"),
+)
+
+
+def _counted(calls, key, method):
+    def wrapper(*args, **kwargs):
+        calls[key] += 1
+        return method(*args, **kwargs)
+
+    return wrapper
+
+
+@pytest.fixture()
+def obs_calls(monkeypatch):
+    """Count every call into an observability sink, with ``REPRO_OBS``
+    cleared so a run without ``obs=`` is uninstrumented."""
+    monkeypatch.delenv(OBS_ENV, raising=False)
+    calls = collections.Counter()
+    for cls, name in _OBS_SINKS:
+        key = f"{cls.__name__}.{name}"
+        monkeypatch.setattr(cls, name, _counted(calls, key, getattr(cls, name)))
+    return calls
+
+
+@pytest.mark.parametrize("plane", ["centralized", "batch", "decentralized"])
+def test_obs_off_replay_makes_no_obs_call(plane, obs_calls):
+    result = run_simulator("hopper", build_trace(SPEC), SPEC, plane=plane)
+    assert result.obs is None
+    assert dict(obs_calls) == {}
+
+
+@pytest.mark.parametrize("plane", ["centralized", "decentralized"])
+def test_obs_off_serving_makes_no_obs_call(plane, obs_calls):
+    spec = WorkloadSpec(
+        profile=profile_by_name("spark-facebook"),
+        num_jobs=200,
+        utilization=0.8,
+        total_slots=60,
+        seed=11,
+    )
+    regime = ServingRegime(warmup=5.0, horizon=40.0, cooldown=5.0, window=10.0)
+    result = run_serving(spec, plane, "hopper", regime)
+    assert result.serving is not None
+    assert result.obs is None
+    assert dict(obs_calls) == {}
+
+
+def test_obs_call_counter_sees_an_instrumented_run(obs_calls):
+    """Control for the two tests above: the wrappers do intercept the
+    simulators' calls, so a zero count means no call was made."""
+    run_simulator("decentralized/hopper", build_trace(SPEC), SPEC, obs=Obs(trace=True))
+    assert obs_calls["Obs.__init__"] == 1
+    for key in ("Counters.inc", "Tracer.instant", "Tracer.begin", "Tracer.end"):
+        assert obs_calls[key] > 0, key
+
+
 # -- schema-2 serialization --------------------------------------------------
 
 
 def test_schema2_round_trip_preserves_obs_section():
     obs = Obs(trace=True)
-    result = run_decentralized(
+    result = run_simulator(
+        "decentralized/hopper",
         build_trace(SPEC),
-        "hopper",
         SPEC,
         straggler_model="machine-correlated",
         blacklist_policy="strikes",
@@ -262,7 +329,7 @@ def test_schema2_round_trip_preserves_obs_section():
 
 def test_unknown_schema_version_rejected():
     doc = result_to_dict(
-        run_decentralized(build_trace(SPEC), "hopper", SPEC, obs=None)
+        run_simulator("decentralized/hopper", build_trace(SPEC), SPEC, obs=None)
     )
     doc["schema_version"] = 99
     with pytest.raises(ValueError):
@@ -274,9 +341,9 @@ def test_unknown_schema_version_rejected():
 
 def test_decentralized_eviction_accounting_and_conservation():
     obs = Obs(trace=True)
-    result = run_decentralized(
+    result = run_simulator(
+        "decentralized/hopper",
         build_trace(SPEC),
-        "hopper",
         SPEC,
         straggler_model="machine-correlated",
         blacklist_policy="strikes",
@@ -312,9 +379,9 @@ def test_decentralized_eviction_accounting_and_conservation():
 
 def test_centralized_eviction_accounting_and_phase_timers():
     obs = Obs(trace=True)
-    result = run_centralized(
+    result = run_simulator(
+        "centralized/hopper",
         build_trace(SPEC),
-        "hopper",
         SPEC,
         straggler_model="machine-correlated",
         blacklist_policy="strikes",
@@ -340,9 +407,9 @@ def test_machine_strikes_survive_without_obs():
     """Strike totals are unconditional diagnostics: they populate the
     in-memory result even on an uninstrumented run (they ride the
     existing blacklist bookkeeping, not the obs hot path)."""
-    result = run_centralized(
+    result = run_simulator(
+        "centralized/hopper",
         build_trace(SPEC),
-        "hopper",
         SPEC,
         straggler_model="machine-correlated",
         blacklist_policy="strikes",
@@ -352,83 +419,3 @@ def test_machine_strikes_survive_without_obs():
     assert result.evictions > 0
     assert result.obs is None  # and serialization stays schema 1
 
-
-# -- trajectory reporting ----------------------------------------------------
-
-
-def _git(repo, *args):
-    subprocess.run(
-        [
-            "git",
-            "-C",
-            str(repo),
-            "-c",
-            "user.email=test@example.com",
-            "-c",
-            "user.name=test",
-            *args,
-        ],
-        check=True,
-        capture_output=True,
-    )
-
-
-@pytest.fixture()
-def bench_repo(tmp_path):
-    repo = tmp_path / "repo"
-    repo.mkdir()
-    _git(repo, "init", "-q")
-    for rate in (1000.0, 1500.0):
-        (repo / "BENCH_demo.json").write_text(
-            json.dumps(
-                {
-                    "benchmark": "demo",
-                    "aggregate": {"events_per_sec": rate},
-                    "per_system": {
-                        "decentralized": {"events_per_sec": rate * 2}
-                    },
-                }
-            )
-        )
-        _git(repo, "add", "BENCH_demo.json")
-        _git(repo, "commit", "-q", "-m", f"bench at {rate:g}")
-    # A table-mirror document (no aggregate) must be skipped, not fatal.
-    (repo / "BENCH_demo.json").write_text(json.dumps({"tables": {}}))
-    _git(repo, "add", "BENCH_demo.json")
-    _git(repo, "commit", "-q", "-m", "table mirror")
-    return repo
-
-
-def test_bench_history_replays_commits_oldest_first(bench_repo):
-    entries = traj.bench_history("demo", repo_root=str(bench_repo))
-    assert [e["events_per_sec"] for e in entries] == [1000.0, 1500.0]
-    assert entries[0]["subject"] == "bench at 1000"
-    assert entries[1]["per_system"] == {"decentralized": 3000.0}
-
-
-def test_trajectory_rows_and_markdown(bench_repo):
-    entries = traj.bench_history("demo", repo_root=str(bench_repo))
-    rows = traj.trajectory_rows(entries)
-    assert rows[0][-1] == "—"
-    assert rows[1][-1] == "+50.0%"
-    markdown = traj.format_markdown({"demo": entries})
-    assert "## BENCH_demo.json" in markdown
-    assert "| 1,500 | +50.0% |" in markdown
-
-
-def test_bench_history_limit_keeps_newest(bench_repo):
-    entries = traj.bench_history(
-        "demo", repo_root=str(bench_repo), limit=1
-    )
-    assert [e["events_per_sec"] for e in entries] == [1500.0]
-
-
-def test_missing_history_is_empty_not_fatal(bench_repo):
-    assert traj.bench_history("nope", repo_root=str(bench_repo)) == []
-
-
-def test_trajectory_error_outside_git(tmp_path):
-    plain = tmp_path / "plain"
-    plain.mkdir()
-    with pytest.raises(traj.TrajectoryError):
-        traj.bench_history("demo", repo_root=str(plain))

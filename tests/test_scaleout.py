@@ -1,12 +1,9 @@
 """Unit tests for the scale-out machinery added with the scale study:
 engine batching/compaction, order-preserving message coalescing,
-incremental speculation bookkeeping, straggler batch draws, the
-machine-correlated registry wiring, and the CI regression gate."""
+incremental speculation bookkeeping, straggler batch draws and the
+machine-correlated registry wiring."""
 
-import importlib.util
-import json
 import random
-from pathlib import Path
 
 import pytest
 
@@ -353,126 +350,19 @@ def test_harness_wires_cluster_size_into_machine_correlated(monkeypatch):
     monkeypatch.setattr(harness.registry, "make_straggler_model", spy)
     wspec = harness.WorkloadSpec(num_jobs=4, total_slots=24)
     trace = harness.build_trace(wspec)
-    harness.run_decentralized(
-        trace, "hopper", wspec, straggler_model="machine-correlated"
+    harness.run_simulator(
+        "decentralized/hopper",
+        trace,
+        wspec,
+        straggler_model="machine-correlated",
     )
     assert seen["num_machines"] == 24  # one slot per worker
-    harness.run_centralized(
+    harness.run_simulator(
+        "centralized/srpt",
         trace,
-        "srpt",
         wspec,
         straggler_model="machine-correlated",
         slots_per_machine=4,
     )
     assert seen["num_machines"] == 6  # 24 slots / 4 per machine
 
-
-# -- the CI regression gate --------------------------------------------------
-
-def _load_check_regression():
-    path = Path(__file__).resolve().parent.parent / "benchmarks"
-    spec = importlib.util.spec_from_file_location(
-        "check_regression", path / "check_regression.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def _bench_doc(rates):
-    rows = [
-        {
-            "total_slots": slots,
-            "num_jobs": 10,
-            "probe_ratio": 4.0,
-            "events_per_sec": rate,
-            "events": 1000,
-            "wall_seconds": 1000 / rate,
-        }
-        for slots, rate in rates.items()
-    ]
-    total = sum(r["events"] for r in rows)
-    wall = sum(r["wall_seconds"] for r in rows)
-    return {
-        "benchmark": "scale",
-        "schema_version": 1,
-        "rows": rows,
-        "aggregate": {
-            "total_events": total,
-            "total_wall_seconds": wall,
-            "events_per_sec": total / wall,
-        },
-    }
-
-
-def test_check_regression_passes_within_threshold(tmp_path, capsys):
-    mod = _load_check_regression()
-    baseline = tmp_path / "base.json"
-    current = tmp_path / "cur.json"
-    baseline.write_text(json.dumps(_bench_doc({1000: 100000.0})))
-    current.write_text(json.dumps(_bench_doc({1000: 60000.0})))
-    rc = mod.main(
-        ["--baseline", str(baseline), "--current", str(current)]
-    )
-    assert rc == 0
-    assert "no benchmark regressions" in capsys.readouterr().out
-
-
-def test_check_regression_fails_past_threshold(tmp_path, capsys):
-    mod = _load_check_regression()
-    baseline = tmp_path / "base.json"
-    current = tmp_path / "cur.json"
-    baseline.write_text(json.dumps(_bench_doc({1000: 100000.0})))
-    current.write_text(json.dumps(_bench_doc({1000: 40000.0})))
-    rc = mod.main(
-        ["--baseline", str(baseline), "--current", str(current)]
-    )
-    assert rc == 1
-    assert "REGRESSION" in capsys.readouterr().out
-
-
-def test_check_regression_fails_when_baseline_rows_go_missing(
-    tmp_path, capsys
-):
-    """Losing a baseline grid point (e.g. an axis dropped from the CI
-    bench invocation) must fail the gate, not silently shrink it."""
-    mod = _load_check_regression()
-    baseline = tmp_path / "base.json"
-    current = tmp_path / "cur.json"
-    base_doc = _bench_doc({1000: 100000.0, 5000: 90000.0})
-    base_doc["rows"][1]["system"] = "centralized"
-    base_doc["per_system"] = {
-        "decentralized": {"events_per_sec": 100000.0},
-        "centralized": {"events_per_sec": 90000.0},
-    }
-    cur_doc = _bench_doc({1000: 95000.0})
-    cur_doc["per_system"] = {
-        "decentralized": {"events_per_sec": 95000.0},
-    }
-    baseline.write_text(json.dumps(base_doc))
-    current.write_text(json.dumps(cur_doc))
-    rc = mod.main(
-        ["--baseline", str(baseline), "--current", str(current)]
-    )
-    out = capsys.readouterr().out
-    assert rc == 1
-    assert "MISSING from current run" in out
-    assert "centralized aggregate" in out
-
-
-def test_check_regression_fails_on_corrupt_baseline_rate(tmp_path, capsys):
-    """A zero/negative baseline rate used to be silently skipped, which
-    neutered the gate for that row; it must be a violation instead."""
-    mod = _load_check_regression()
-    baseline = tmp_path / "base.json"
-    current = tmp_path / "cur.json"
-    base_doc = _bench_doc({1000: 100000.0})
-    base_doc["rows"][0]["events_per_sec"] = 0.0
-    baseline.write_text(json.dumps(base_doc))
-    current.write_text(json.dumps(_bench_doc({1000: 90000.0})))
-    rc = mod.main(
-        ["--baseline", str(baseline), "--current", str(current)]
-    )
-    out = capsys.readouterr().out
-    assert rc == 1
-    assert "INVALID BASELINE" in out

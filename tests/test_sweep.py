@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.experiments.harness import build_trace, run_centralized
+from repro.experiments.harness import build_trace, run_simulator
 from repro.metrics.collector import JobRecord, SimulationResult
 from repro.metrics.serialize import (
     dumps_result,
@@ -304,7 +304,7 @@ def test_execute_matches_direct_harness_call():
     spec = RunSpec("centralized", "srpt", TINY)
     via_spec = spec.execute()
     wspec = TINY.to_workload_spec()
-    direct = run_centralized(build_trace(wspec), "srpt", wspec)
+    direct = run_simulator("centralized/srpt", build_trace(wspec), wspec)
     assert via_spec == direct
 
 
