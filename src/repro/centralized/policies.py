@@ -111,7 +111,7 @@ class FairPolicy(CentralizedPolicy):
     ) -> Dict[int, int]:
         # Water-filling iterates the insertion-ordered active list
         # directly (no internal sort to hoist); the incremental win for
-        # fair is the cached states + memoized targets, not the solve.
+        # fair is the cached states, not the solve.
         return fair_allocation(active, total_slots)
 
 

@@ -27,7 +27,7 @@ Scale-out notes (10k+-slot clusters):
   on the runtime and recomputed only for jobs a task-finish dirtied
   (plus a lazy sweep when the beta or alpha-history epoch moves), the
   dispatch order lives in a delta-maintained sorted container, and
-  targets are memoized while nothing changed — see
+  fairness floors and the virtual-size sum are memoized — see
   :class:`repro.core.incremental.IncrementalAllocator`. The property
   tests hold the cache equal to a from-scratch rebuild after every
   event;
@@ -188,8 +188,8 @@ class CentralizedSimulator:
 
         self._rng = self.random_source.child("centralized").rng
         self._jobs: Dict[int, _JobRuntime] = {}
-        # Incremental allocation engine: cached per-job states, the
-        # delta-maintained dispatch order, and the targets memo.
+        # Incremental allocation engine: cached per-job states and the
+        # delta-maintained dispatch order.
         self._alloc = IncrementalAllocator(policy)
         self._alloc_beta: Optional[float] = None  # beta states were built at
         self._alloc_history = -1  # alpha history version ditto

@@ -20,17 +20,18 @@ Policies (registered in ``repro.registry`` under ``AUTOSCALER_POLICIES``):
 The planes apply a resize of Δ machines incrementally, with no
 wholesale rebuild or rescan on the resize path:
 
-* membership is O(Δ·log machines): ``Cluster.machines_to_retire`` picks
-  a shrink's victims walking down from the highest id (past any
-  machines an earlier shrink retired there), and ``add_machine`` /
-  ``remove_machine`` delta-update ``_total_slots``, the O(1) live
-  machine count and the Fenwick
+* centralized membership is O(Δ·log machines):
+  ``Cluster.machines_to_retire`` picks a shrink's victims walking down
+  from the highest id (past any machines an earlier shrink retired
+  there), and ``add_machine`` / ``remove_machine`` delta-update
+  ``_total_slots``, the O(1) live machine count and the Fenwick
   :class:`~repro.cluster.index.ClusterIndex`;
 * a centralized shrink makes one O(live copies) pass that buckets the
   running copies of every retiring machine, then kills and requeues
   per machine;
-* the decentralized probe pool is extended or truncated in O(Δ) — it is
-  the ascending list of live workers, and a shrink retires its tail;
+* the decentralized plane keeps no cluster: its probe pool is extended
+  or truncated in O(Δ) — it is the ascending list of live workers, and
+  a shrink retires its tail;
 * the :class:`~repro.core.incremental.IncrementalAllocator` floors memo
   invalidates through its existing ``(membership_version, total_slots)``
   key with no new hooks.

@@ -5,13 +5,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-@dataclass
+@dataclass(slots=True)
 class Machine:
     """A cluster machine with a fixed number of task slots.
 
     The evaluation cluster in the paper has 200 machines with 16 cores
     each; we keep machines abstract (id, rack, slot count) and let the
-    simulators track which slots are busy.
+    simulators track which slots are busy. Slotted (no instance dict):
+    a 100k-machine fleet pays for its fields only.
     """
 
     machine_id: int

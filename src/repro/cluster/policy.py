@@ -25,8 +25,9 @@ The policy itself never touches the cluster: the owning simulator
 (centralized dispatch/reschedule path or decentralized probe/launch
 path) performs the eviction — killing running copies through the
 :class:`~repro.runtime.CopyLedger`, requeueing lost originals, then
-calling ``Cluster.apply_blacklist`` (which rebuilds the
-:class:`~repro.cluster.index.ClusterIndex`). Policies register in
+updating its membership (centralized: ``Cluster.apply_blacklist``, which
+rebuilds the :class:`~repro.cluster.index.ClusterIndex`; decentralized:
+a rebuild of the probe sample pool). Policies register in
 :data:`repro.registry.BLACKLIST_POLICIES` and are reachable from
 ``RunSpec`` via the ``blacklist_policy`` / ``strike_threshold`` /
 ``strike_window`` / ``eviction_cap`` knobs.

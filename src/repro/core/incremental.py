@@ -11,10 +11,7 @@ state *between* events and updates it by delta, the same way
   simulator's ``_jobs`` dict, so materializing them yields exactly the
   list a from-scratch rebuild over the active jobs would produce;
 * the policy's **dispatch order is a sorted container** (bisect-maintained
-  key list) updated per upsert/remove instead of re-sorted per event;
-* the last **targets dict is memoized** on (state version, slot count) —
-  an event that changed nothing allocation-relevant (a lost speculation
-  race, a periodic straggler scan) reuses it outright.
+  key list) updated per upsert/remove instead of re-sorted per event.
 
 Byte-identity with the from-scratch path is the design constraint, since
 every golden study digest pins replay output. Two rules follow:
@@ -55,7 +52,7 @@ class IncrementalAllocator:
 
     ``states()`` / ``ordered()`` materialize the insertion-ordered active
     list and the policy-sorted dispatch order; ``allocate()`` returns the
-    policy targets, memoized while nothing changed.
+    policy targets.
     """
 
     __slots__ = (
@@ -67,9 +64,6 @@ class IncrementalAllocator:
         "_membership_version",
         "_insertion_cache",
         "_ordered_cache",
-        "_targets",
-        "_targets_version",
-        "_targets_slots",
         "_vsum",
         "_vsum_version",
         "_floors",
@@ -94,9 +88,6 @@ class IncrementalAllocator:
         self._membership_version = 0
         self._insertion_cache: Optional[List[JobAllocationState]] = None
         self._ordered_cache: Optional[List[JobAllocationState]] = None
-        self._targets: Optional[Dict[int, int]] = None
-        self._targets_version = -1
-        self._targets_slots = -1
         # Insertion-order sum of virtual sizes, memoized per version:
         # the regime test, Guideline 3's denominator, and the
         # guideline-decision metric all consume the identical float.
@@ -136,7 +127,7 @@ class IncrementalAllocator:
 
     def upsert(self, state: JobAllocationState) -> bool:
         """Insert or replace one job's state; returns True if anything
-        changed (False leaves the targets memo valid)."""
+        changed (False leaves the version, and every memo, valid)."""
         job_id = state.job_id
         old = self._states.get(job_id)
         if old == state:
@@ -175,9 +166,6 @@ class IncrementalAllocator:
         self._states.clear()
         self._keys.clear()
         self._entries.clear()
-        self._targets = None
-        self._targets_version = -1
-        self._targets_slots = -1
         self._membership_version += 1
         self._floors = None
         self._floors_key = (-1, -1)
@@ -233,25 +221,12 @@ class IncrementalAllocator:
         return self._floors
 
     def allocate(self, total_slots: int) -> Dict[int, int]:
-        """Policy targets for the current state set.
-
-        Reuses the previous targets verbatim when no state changed and
-        the slot pool is the same size (targets are a pure function of
-        both). Otherwise runs the policy's ordered solve over the
-        maintained orders."""
-        if (
-            self._targets is not None
-            and self._targets_version == self._version
-            and self._targets_slots == total_slots
-        ):
-            return self._targets
-        self._targets = self.policy.allocate_ordered(
+        """Policy targets for the current state set: the policy's
+        ordered solve over the maintained orders."""
+        return self.policy.allocate_ordered(
             self.states(),
             self.ordered(),
             total_slots,
             total_virtual=self.virtual_size_sum(),
             floors=self._fairness_floors(total_slots),
         )
-        self._targets_version = self._version
-        self._targets_slots = total_slots
-        return self._targets

@@ -21,23 +21,31 @@ Scale-out notes (10k+-slot clusters):
   workers that hold requests instead of leaving tombstones for every
   worker to lazily scan past.
 
+Membership lives in three places, none of them a cluster model (the
+plane never acquires a slot on one, so it keeps none):
+
+* each :class:`~repro.decentralized.worker.Worker` carries ``evicted``
+  (blacklisted or retired: no queueing, no episodes) and ``retired``
+  (removed by an autoscaler shrink, permanently);
+* a :class:`~repro.cluster.blacklist.Blacklist` the simulator owns when
+  a blacklist policy is set records the evicted worker ids;
+* the probe sample pool is the ascending list of live, non-blacklisted
+  workers. Growth appends to it; a shrink retires its top ids.
+
 Blacklisting (§2.2): an optional
 :class:`~repro.cluster.policy.BlacklistPolicy` observes copy
 completions; eviction removes the worker from the probe sample pool,
-drops its queued requests, kills its running copies through the ledger
-(requeueing originals whose last copy died, with a fresh probe each),
-and records the decision in a mirror :class:`~repro.cluster.cluster.
-Cluster` whose ``apply_blacklist`` call rebuilds the shared
-:class:`~repro.cluster.index.ClusterIndex` — the same substrate the
-centralized plane uses. With no policy (the default) the probe/launch
-path is untouched and replays are bit-identical.
+drops its queued requests and kills its running copies through the
+ledger (requeueing originals whose last copy died, with a fresh probe
+each). With no policy (the default) the probe/launch path is untouched
+and replays are bit-identical.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.cluster.cluster import Cluster
+from repro.cluster.blacklist import Blacklist
 from repro.cluster.elastic import AutoscalerPolicy, ElasticController
 from repro.cluster.policy import BlacklistPolicy, evaluate_completion
 from repro.decentralized.config import DecentralizedConfig
@@ -140,23 +148,17 @@ class DecentralizedSimulator:
         self._open_batch_time = 0.0
         self._open_batch_seq = -1
         self._metrics_result = self.metrics.result
-        # Blacklisting: until the first eviction or shrink the sample
-        # pool IS the worker list (same object — identical entropy
-        # consumption); with no policy and no autoscaler no mirror
-        # cluster exists and the hot paths pay one None check.
+        # Membership (see module docs): until the first eviction or
+        # shrink the sample pool IS the worker list (same object —
+        # identical entropy consumption). The blacklist exists only with
+        # a policy; without one the hot paths pay one None check.
         self.blacklist_policy = blacklist_policy
+        self.blacklist: Optional[Blacklist] = (
+            Blacklist() if blacklist_policy is not None else None
+        )
         self._slots_per_worker = slots_per_worker
         self._sample_pool: List[Worker] = self.workers
         self._power_of_d = self.config.power_of_d
-        self.cluster: Optional[Cluster] = None
-        if blacklist_policy is not None or autoscaler is not None:
-            # Mirror cluster: membership bookkeeping on the shared
-            # substrate (blacklist flags, retirement, free-machine
-            # index); its slots are never acquired.
-            self.cluster = Cluster(
-                num_machines=num_workers,
-                slots_per_machine=slots_per_worker,
-            )
         self._autoscaler = autoscaler
         self._elastic: Optional[ElasticController] = None
         if autoscaler is not None:
@@ -472,7 +474,7 @@ class DecentralizedSimulator:
         victims = worker.evict()
         # Blacklist + pool refresh BEFORE requeueing, so the replacement
         # probes sent below can never target the worker being evicted.
-        self.cluster.blacklist.add(worker_id)
+        self.blacklist.add(worker_id)
         self._apply_blacklist()
         orphaned: List[Tuple[SchedulerAgent, SchedulerJob, Task]] = []
         for copy in victims:
@@ -502,7 +504,7 @@ class DecentralizedSimulator:
     def _reinstate_worker(self, worker_id: int) -> None:
         """Probation served: the worker rejoins the probe pool."""
         self.workers[worker_id].reinstate()
-        self.cluster.blacklist.remove(worker_id)
+        self.blacklist.remove(worker_id)
         self._apply_blacklist()
         self.metrics.record_reinstatement()
         obs = self.obs
@@ -514,23 +516,21 @@ class DecentralizedSimulator:
                 )
 
     def _apply_blacklist(self) -> None:
-        """Propagate the blacklist through the shared cluster substrate
-        (machine flags + index rebuild), refresh the probe sample pool,
-        and resize the schedulers' ε-fair floors."""
+        """Rebuild the probe sample pool from the blacklist and resize
+        the schedulers' ε-fair floors."""
         obs = self.obs
         if obs is None:
-            self._rebuild_cluster_state()
+            self._rebuild_sample_pool()
         else:
             with obs.timers.phase("index.rebuild"):
-                self._rebuild_cluster_state()
+                self._rebuild_sample_pool()
 
-    def _rebuild_cluster_state(self) -> None:
-        cluster = self.cluster
-        cluster.apply_blacklist()
-        workers = self.workers
+    def _rebuild_sample_pool(self) -> None:
+        is_blacklisted = self.blacklist.is_blacklisted
         self._sample_pool = [
-            workers[machine_id]
-            for machine_id in cluster.index.free_machine_ids()
+            worker
+            for worker in self.workers
+            if not worker.retired and not is_blacklisted(worker.worker_id)
         ]
         total = len(self._sample_pool) * self._slots_per_worker
         # Live capacity, kept current so external probes (the serving
@@ -542,7 +542,7 @@ class DecentralizedSimulator:
     # -- elastic membership (autoscaler resizes) ------------------------------
 
     def _refresh_membership(self, delta: int) -> None:
-        """Incremental counterpart of :meth:`_rebuild_cluster_state` for
+        """Incremental counterpart of :meth:`_rebuild_sample_pool` for
         an autoscaler resize of ``delta`` workers, in O(|delta|).
 
         The probe pool is always the ascending list of live,
@@ -573,16 +573,15 @@ class DecentralizedSimulator:
         """ADD_MACHINE: grow the worker set. New workers take fresh ids
         (append-only, so per-id state everywhere stays valid) and join
         the probe sample pool immediately."""
+        workers = self.workers
         for _ in range(count):
-            worker_id = len(self.workers)
-            self.workers.append(
+            workers.append(
                 Worker(
-                    worker_id=worker_id,
+                    worker_id=len(workers),
                     num_slots=self._slots_per_worker,
                     sim=self,
                 )
             )
-            self.cluster.add_machine(num_slots=self._slots_per_worker)
         self._refresh_membership(count)
         return count
 
@@ -591,17 +590,19 @@ class DecentralizedSimulator:
         ids first) through the eviction teardown — kill running copies,
         requeue originals whose last copy died with a fresh probe each —
         but via machine *retirement*, which no later blacklist pass can
-        undo. Clamped so at least ``min_machines`` workers stay live."""
-        cluster = self.cluster
-        machine_ids = cluster.machines_to_retire(
-            count, self._autoscaler.min_machines
-        )
-        if not machine_ids:
+        undo. Clamped so at least ``min_machines`` workers stay live.
+
+        The pool is the ascending list of live, non-blacklisted workers,
+        so the victims are its top ``count`` entries, highest id first."""
+        pool = self._sample_pool
+        count = min(count, len(pool) - max(1, self._autoscaler.min_machines))
+        if count <= 0:
             return 0
+        retiring = pool[: -count - 1 : -1]
         orphaned: List[Tuple[SchedulerAgent, SchedulerJob, Task]] = []
-        for machine_id in machine_ids:
-            victims = self.workers[machine_id].evict()
-            cluster.remove_machine(machine_id)
+        for worker in retiring:
+            victims = worker.evict()
+            worker.retired = True
             for copy in victims:
                 scheduler = self._owner.get(copy.task.job_id)
                 sj = scheduler.jobs.get(copy.task.job_id) if scheduler else None
@@ -612,8 +613,8 @@ class DecentralizedSimulator:
                     orphaned.append((scheduler, sj, copy.task))
         # Pool refresh BEFORE requeueing (same ordering as eviction), so
         # the replacement probes can never target a retired worker.
-        self._refresh_membership(-len(machine_ids))
+        self._refresh_membership(-count)
         for scheduler, sj, task in orphaned:
             if sj.view.num_live_copies(task) == 0:
                 scheduler.requeue_task(sj, task)
-        return len(machine_ids)
+        return count

@@ -31,6 +31,10 @@ from repro.stragglers.progress import TaskCopy
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.decentralized.simulator import DecentralizedSimulator
 
+#: The queue and running list of a worker that never held one: shared,
+#: immutable, and swapped for a real list on the first append.
+_UNALLOCATED: tuple = ()
+
 
 class Episode:
     """One slot-selection episode (possibly spanning several refusals)."""
@@ -48,7 +52,13 @@ class Episode:
 
 
 class Worker:
-    """A machine with task slots and a queue of reservation requests."""
+    """A machine with task slots and a queue of reservation requests.
+
+    ``queue`` and ``running`` are allocated on first use: both start as
+    one shared empty tuple and become lists on the first append, so an
+    idle worker in a 100k-worker fleet owns no lists. Once allocated
+    they stay lists.
+    """
 
     __slots__ = (
         "worker_id",
@@ -59,6 +69,7 @@ class Worker:
         "pending_episodes",
         "running",
         "evicted",
+        "retired",
         "_policy",
         "_refusal_threshold",
         "_result",
@@ -74,11 +85,14 @@ class Worker:
         self.worker_id = worker_id
         self.num_slots = num_slots
         self.sim = sim
-        self.queue: List[Request] = []
+        self.queue: List[Request] = _UNALLOCATED
         self.busy_slots = 0
         self.pending_episodes = 0  # episodes awaiting a scheduler reply
-        self.running: List[TaskCopy] = []
-        self.evicted = False  # blacklisted mid-run; no queueing/episodes
+        self.running: List[TaskCopy] = _UNALLOCATED
+        self.evicted = False  # blacklisted or retired; no queueing/episodes
+        # Removed by an autoscaler shrink: permanent, unlike a blacklist
+        # eviction, which probation may undo.
+        self.retired = False
         # Config is immutable after simulator construction; snapshot the
         # per-episode-step scalars.
         self._policy = sim.config.worker_policy
@@ -146,7 +160,7 @@ class Worker:
             self._result.requests_dropped += dropped
             if self._counters is not None:
                 self._counters.inc("probe.purged", dropped)
-        self.queue.clear()
+            self.queue.clear()
         return list(self.running)
 
     def reinstate(self) -> None:
@@ -164,6 +178,8 @@ class Worker:
                 self._counters.inc("probe.dropped")
             return
         if request.gossip.active:
+            if self.queue is _UNALLOCATED:
+                self.queue = []
             self.queue.append(request)
             self.sim.note_request_queued(request.job_id, self.worker_id)
             if self._counters is not None:
@@ -382,6 +398,8 @@ class Worker:
 
     def bind_copy(self, copy: TaskCopy) -> None:
         self.busy_slots += 1
+        if self.running is _UNALLOCATED:
+            self.running = []
         self.running.append(copy)
 
     def release_copy(self, copy: TaskCopy) -> None:

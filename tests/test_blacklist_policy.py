@@ -416,8 +416,9 @@ def test_budgeted_spec_budget_tracks_evictions():
 
 
 def test_probation_reinstates_machines_end_to_end():
-    """strikes-probation: machines leave and rejoin mid-run; the cluster
-    substrate tracks the policy's view exactly at end of run."""
+    """strikes-probation: machines leave and rejoin mid-run; the
+    simulator's blacklist tracks the policy's view exactly at end of
+    run."""
     policy = StrikeBlacklistPolicy(
         num_machines=QUICK.total_slots,
         strike_threshold=3,
@@ -429,7 +430,7 @@ def test_probation_reinstates_machines_end_to_end():
     assert policy.evictions
     assert policy.reinstatements, "probation never reinstated a worker"
     assert (
-        simulator.cluster.blacklist.blacklisted_machines
+        simulator.blacklist.blacklisted_machines
         == set(policy.evicted_machines)
     )
     for worker in simulator.workers:

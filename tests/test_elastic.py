@@ -448,19 +448,33 @@ def _random_schedule(rng: random.Random, max_step: int) -> str:
     return ",".join(entries)
 
 
+def _live_worker_ids(simulator) -> list:
+    """From-scratch rescan of decentralized membership: the ids of
+    workers neither retired nor on the simulator's blacklist, ascending."""
+    blacklisted = simulator.blacklist.is_blacklisted
+    return [
+        w.worker_id
+        for w in simulator.workers
+        if not w.retired and not blacklisted(w.worker_id)
+    ]
+
+
 def _assert_resize_invariants(simulator, plane: str) -> None:
-    cluster = simulator.cluster
-    live = sum(1 for m in cluster.machines if not m.retired and not m.blacklisted)
-    assert cluster.live_machine_count() == live
     if plane == "decentralized":
         workers = simulator.workers
         pool = simulator._sample_pool
-        assert pool == [workers[i] for i in cluster.index.free_machine_ids()]
+        assert pool == [workers[i] for i in _live_worker_ids(simulator)]
+        blacklisted = simulator.blacklist.is_blacklisted
+        for w in workers:
+            assert w.evicted == (w.retired or blacklisted(w.worker_id))
         assert simulator.total_slots == len(pool) * simulator._slots_per_worker
         numerator = (1.0 - simulator.config.epsilon) * simulator.total_slots
         for scheduler in simulator.schedulers:
             assert scheduler._fair_numerator == numerator
     else:
+        cluster = simulator.cluster
+        live = sum(1 for m in cluster.machines if not m.retired and not m.blacklisted)
+        assert cluster.live_machine_count() == live
         for jr in simulator._jobs.values():
             for copies in jr.view.copies_by_task.values():
                 for copy in copies:
@@ -491,7 +505,6 @@ def test_resize_invariants_hold_through_eviction_churn(plane, seed):
     )
     controller = simulator._elastic
     add, remove = controller._add, controller._remove
-    cluster = simulator.cluster
     stats = {"resizes": 0, "killing_shrinks": 0}
 
     def checked_add(count):
@@ -502,13 +515,19 @@ def test_resize_invariants_hold_through_eviction_churn(plane, seed):
 
     def checked_remove(count):
         floor = simulator._autoscaler.min_machines
-        retiring = cluster.machines_to_retire(count, floor)
         if plane == "centralized":
+            cluster = simulator.cluster
+            retiring = cluster.machines_to_retire(count, floor)
             busy = sum(cluster.machines[m].busy_slots for m in retiring)
         else:
+            # The top live ids of the rescan, highest first.
+            live = _live_worker_ids(simulator)
+            retiring = live[::-1][: max(0, min(count, len(live) - max(1, floor)))]
             busy = sum(simulator.workers[m].busy_slots for m in retiring)
         applied = remove(count)
         assert applied == len(retiring)
+        if plane == "decentralized":
+            assert all(simulator.workers[m].retired for m in retiring)
         stats["resizes"] += 1
         stats["killing_shrinks"] += busy > 0
         _assert_resize_invariants(simulator, plane)

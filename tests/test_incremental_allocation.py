@@ -365,16 +365,14 @@ def test_allocator_reserve_fixes_insertion_position():
     assert [s.job_id for s in alloc.states()] == [0, 1]
 
 
-def test_allocator_upsert_noop_keeps_targets_memo():
+def test_allocator_upsert_noop_keeps_version():
     alloc = IncrementalAllocator(HopperPolicy(epsilon=0.1))
     alloc.reserve(0)
     alloc.upsert(_state(0, 5.0, 5))
     before = alloc.version
-    targets = alloc.allocate(10)
+    alloc.allocate(10)
     assert alloc.upsert(_state(0, 5.0, 5)) is False
     assert alloc.version == before
-    assert alloc.allocate(10) is targets  # memo hit: identical object
-    assert alloc.allocate(11) is not targets  # slot change busts it
 
 
 def test_allocator_regime_flip_matches_full_solve():

@@ -562,8 +562,10 @@ def test_decentralized_eviction_kills_requeues_and_completes():
     assert worker.evicted and worker.queue == [] and worker.running == []
     assert worker.busy_slots == 0
     assert simulator._request_holders == {}
-    # The mirror substrate recorded the eviction and rebuilt its index.
-    assert simulator.cluster.blacklist.is_blacklisted(worker.worker_id)
-    assert worker.worker_id not in simulator.cluster.index.free_machine_ids()
+    # The simulator's blacklist recorded the eviction and the rebuilt
+    # pool holds every other worker.
+    assert simulator.blacklist.is_blacklisted(worker.worker_id)
+    assert simulator.blacklist.blacklisted_machines == {worker.worker_id}
     assert worker not in simulator._sample_pool
     assert len(simulator._sample_pool) == num_workers - 1
+    assert simulator._sample_pool == [w for w in simulator.workers if w is not worker]
