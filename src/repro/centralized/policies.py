@@ -159,9 +159,8 @@ class HopperPolicy(CentralizedPolicy):
     """Speculation-aware allocation (Pseudocode 1) with ε-fairness.
 
     ``force_regime`` is an ablation hook: "constrained" always applies
-    Guideline 2, "rich" always Guideline 3
-    (``benchmarks/bench_ablation_regimes.py`` compares both with the
-    adaptive policy).
+    Guideline 2, "rich" always Guideline 3 (``tests/test_paper_shapes.py``
+    compares both with the adaptive policy).
     """
 
     name = "hopper"

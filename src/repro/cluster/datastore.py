@@ -8,7 +8,7 @@ and answers locality queries.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.simulation.rng import RandomSource
 from repro.workload.job import Job
@@ -80,6 +80,3 @@ class DataStore:
     def duration_multiplier(self, task: Task, machine_id: int) -> float:
         """Penalty multiplier for running ``task`` on ``machine_id``."""
         return 1.0 if self.is_local(task, machine_id) else self.remote_penalty
-
-    def local_machines(self, task: Task) -> Sequence[int]:
-        return self._placements.get(task.task_id, task.preferred_machines)

@@ -21,14 +21,6 @@ class ResponseType(enum.Enum):
     NON_REFUSABLE = "non_refusable"
 
 
-class SchedulerReply(enum.Enum):
-    """Scheduler -> worker replies to a slot offer (Pseudocode 2)."""
-
-    ACCEPT = "accept"  # a task descriptor accompanies the reply
-    REFUSE = "refuse"  # job already at its desired speculation level
-    NO_TASK = "no_task"  # job finished / nothing left — purge requests
-
-
 @dataclass(slots=True)
 class JobGossip:
     """Piggybacked per-job state, written by the scheduler.

@@ -5,8 +5,7 @@ Each paper figure in :mod:`repro.experiments.figures` is one registered
 turns the study result into the figure's rows/series, and a ``render``
 that prints them; adding a figure means writing those three in one
 ``Study``. ``figN_*`` names are aliases of ``FIGN_STUDY.figure``, and
-``benchmarks/`` wraps them in pytest-benchmark targets that print
-paper-vs-measured tables.
+``tests/test_paper_shapes.py`` checks what each figure must show.
 """
 
 from repro.experiments.harness import (

@@ -1,7 +1,8 @@
 """Uniform paper-vs-measured table formatting.
 
-Shared by the ``python -m repro`` CLI and the pytest-benchmark scripts so
-every surface prints identical tables.
+The CLI and every figure study's ``render`` print through
+:func:`print_table`, so ``python -m repro run`` and the paper-shape
+tests print identical tables.
 """
 
 from __future__ import annotations

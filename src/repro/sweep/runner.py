@@ -156,9 +156,6 @@ class SweepRunner:
         assert all(r is not None for r in results)
         return results  # type: ignore[return-value]
 
-    def run_one(self, spec: RunSpec) -> SimulationResult:
-        return self.run([spec])[0]
-
     def _execute_pending(
         self, specs: Sequence[RunSpec], stats: SweepStats
     ) -> List[SimulationResult]:

@@ -87,11 +87,6 @@ class Trace:
     def total_work(self) -> float:
         return sum(t.size for j in self.jobs for t in j.all_tasks())
 
-    @property
-    def makespan_lower_bound(self) -> float:
-        """Total work / infinite parallelism is 0; this is last arrival."""
-        return self.jobs[-1].arrival_time if self.jobs else 0.0
-
     def offered_utilization(self, total_slots: int) -> float:
         """Empirical offered load over the arrival window."""
         if not self.jobs or total_slots <= 0:

@@ -28,15 +28,16 @@ def test_table1_shape():
 
 def test_motivating_example_matches_paper():
     results = {r.strategy: r for r in run_motivating_example()}
+    # Exact reproduction of the example's arithmetic.
     # Figure 1a: best-effort speculation delays job A's speculation.
-    assert results["best_effort"].completion_a == pytest.approx(20.0)
-    assert results["best_effort"].completion_b == pytest.approx(30.0)
+    assert results["best_effort"].completion_a == 20.0
+    assert results["best_effort"].completion_b == 30.0
     # Figure 1b: budgeted speculation rescues A but pushes B out.
-    assert results["budgeted"].completion_a == pytest.approx(12.0)
-    assert results["budgeted"].completion_b == pytest.approx(32.0)
+    assert results["budgeted"].completion_a == 12.0
+    assert results["budgeted"].completion_b == 32.0
     # Figure 2: coordination gets the best of both.
-    assert results["hopper"].completion_a == pytest.approx(12.0)
-    assert results["hopper"].completion_b == pytest.approx(22.0)
+    assert results["hopper"].completion_a == 12.0
+    assert results["hopper"].completion_b == 22.0
 
 
 def test_motivating_hopper_dominates_on_average():
