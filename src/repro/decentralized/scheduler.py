@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from typing import Dict, Optional, Set, Tuple, TYPE_CHECKING
 
+from repro.decentralized.config import WorkerPolicy
 from repro.decentralized.messages import JobGossip, Request, ResponseType
 from repro.runtime import JobRuntime
 from repro.speculation.base import SpeculationPolicy
@@ -50,9 +51,6 @@ class SchedulerJob(JobRuntime):
         self.spec_probed_tasks: Set[int] = set()
         self.last_activity = now
 
-    def next_pending(self) -> Optional[Task]:
-        return self.pop_pending()
-
 
 class SchedulerAgent:
     """One autonomous scheduler (of many)."""
@@ -72,8 +70,9 @@ class SchedulerAgent:
         self._fair_numerator = (1.0 - config.epsilon) * sim.total_slots
         self._num_schedulers = config.num_schedulers
         self._use_alpha = config.use_alpha
-        from repro.decentralized.config import WorkerPolicy
-
+        # Hopper's coordination: every reservation request can be
+        # redeemed for a speculative copy. The baselines must issue fresh
+        # probes per speculative copy instead (see Request.spec_ok).
         self._spec_eligible_requests = (
             config.worker_policy is WorkerPolicy.HOPPER
         )
@@ -101,19 +100,13 @@ class SchedulerAgent:
         self._refresh_gossip(sj)
         self._send_probes(sj, len(fresh))
 
-    def _requests_are_spec_eligible(self) -> bool:
-        """Hopper's coordination: every reservation request can be
-        redeemed for a speculative copy. The baselines must issue fresh
-        probes per speculative copy instead (see Request.spec_ok)."""
-        return self._spec_eligible_requests
-
     def _send_probes(
         self, sj: SchedulerJob, num_tasks: int, spec_ok: Optional[bool] = None
     ) -> None:
         if num_tasks <= 0:
             return
         if spec_ok is None:
-            spec_ok = self._requests_are_spec_eligible()
+            spec_ok = self._spec_eligible_requests
         budget = self.sim.config.max_probes_per_job - sj.probes_sent
         count = min(
             int(math.ceil(self.sim.config.probe_ratio * num_tasks)),
@@ -248,7 +241,7 @@ class SchedulerAgent:
             self._offer_reservation(worker, episode, request, rtype, sj)
             return
 
-        task = sj.next_pending()
+        task = sj.pop_pending()
         speculative = False
         if task is None and request.spec_ok:
             # Speculative copies only ever come from the job's speculation
@@ -334,7 +327,7 @@ class SchedulerAgent:
             return
         sj.last_activity = self._engine._now
         self._refresh_gossip(sj)
-        task = sj.next_pending()
+        task = sj.pop_pending()
         speculative = False
         if task is None and request.spec_ok:
             task = self._next_speculative_task(sj)
@@ -388,11 +381,10 @@ class SchedulerAgent:
         """Periodic straggler scan + gossip refresh + liveness nudge."""
         now = self.sim.sim.now
         interval = self.sim.config.speculation_check_interval
-        spec_eligible_requests = self._requests_are_spec_eligible()
         for sj in list(self.jobs.values()):
             sj.spec_dirty = True
             self._refresh_gossip(sj)
-            if not spec_eligible_requests:
+            if not self._spec_eligible_requests:
                 self._send_baseline_spec_probes(sj)
             if (
                 self.sim.config.nudge_probes > 0

@@ -21,16 +21,23 @@ Scale-out notes (10k+-slot clusters):
   workers that hold requests instead of leaving tombstones for every
   worker to lazily scan past.
 
-Membership lives in three places, none of them a cluster model (the
-plane never acquires a slot on one, so it keeps none):
+Membership is kept as worker ids, none of it a cluster model (the
+plane never acquires a slot on one, so it keeps none). An idle worker
+costs its store slot, its pool entry and its flag byte, about 20 bytes:
 
-* each :class:`~repro.decentralized.worker.Worker` carries ``evicted``
-  (blacklisted or retired: no queueing, no episodes) and ``retired``
-  (removed by an autoscaler shrink, permanently);
+* the worker store ``workers`` holds ``None`` for every id nothing has
+  addressed yet; :meth:`DecentralizedSimulator.worker` creates the
+  :class:`~repro.decentralized.worker.Worker` on first contact (a probe
+  sample, an eviction or a reinstatement). Each one carries ``evicted``
+  (blacklisted or retired: no queueing, no episodes);
+* a ``bytearray`` of retired flags marks the ids an autoscaler shrink
+  removed: permanently, unlike a blacklist eviction, which probation
+  may undo, and whether or not their worker exists;
 * a :class:`~repro.cluster.blacklist.Blacklist` the simulator owns when
   a blacklist policy is set records the evicted worker ids;
-* the probe sample pool is the ascending list of live, non-blacklisted
-  workers. Growth appends to it; a shrink retires its top ids.
+* the probe sample pool is an ``array('l')`` of the ascending ids of
+  live, non-blacklisted workers. Growth appends to it; a shrink retires
+  its top ids.
 
 Blacklisting (§2.2): an optional
 :class:`~repro.cluster.policy.BlacklistPolicy` observes copy
@@ -43,6 +50,7 @@ and replays are bit-identical.
 
 from __future__ import annotations
 
+from array import array
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cluster.blacklist import Blacklist
@@ -124,11 +132,12 @@ class DecentralizedSimulator:
             network_rate=self.config.network_rate
         )
 
-        self.workers: List[Worker] = [
-            Worker(worker_id=i, num_slots=slots_per_worker, sim=self)
-            for i in range(num_workers)
-        ]
+        # Worker store (see module docs): None until first contact.
+        self.workers: List[Optional[Worker]] = [None] * num_workers
+        self._retired = bytearray(num_workers)
         self.total_slots = num_workers * slots_per_worker
+        # Copies running fleet-wide, kept by Worker.bind_copy/release_copy.
+        self.busy_slots = 0
         self.schedulers: List[SchedulerAgent] = [
             SchedulerAgent(scheduler_id=i, sim=self)
             for i in range(self.config.num_schedulers)
@@ -148,16 +157,16 @@ class DecentralizedSimulator:
         self._open_batch_time = 0.0
         self._open_batch_seq = -1
         self._metrics_result = self.metrics.result
-        # Membership (see module docs): until the first eviction or
-        # shrink the sample pool IS the worker list (same object —
-        # identical entropy consumption). The blacklist exists only with
-        # a policy; without one the hot paths pay one None check.
+        # Membership (see module docs). rng.sample picks by index, so an
+        # array of ids draws the same ids as a list of the same workers.
+        # The blacklist exists only with a policy; without one the hot
+        # paths pay one None check.
         self.blacklist_policy = blacklist_policy
         self.blacklist: Optional[Blacklist] = (
             Blacklist() if blacklist_policy is not None else None
         )
         self._slots_per_worker = slots_per_worker
-        self._sample_pool: List[Worker] = self.workers
+        self._sample_pool = array("l", range(num_workers))
         self._power_of_d = self.config.power_of_d
         self._autoscaler = autoscaler
         self._elastic: Optional[ElasticController] = None
@@ -167,11 +176,7 @@ class DecentralizedSimulator:
                 policy=autoscaler,
                 add_machines=self._autoscale_add,
                 remove_machines=self._autoscale_remove,
-                # O(live workers) per reactive sample — paid only on the
-                # sampling cadence, never on the message hot path.
-                busy_slots=lambda: sum(
-                    w.busy_slots for w in self._sample_pool
-                ),
+                busy_slots=lambda: self.busy_slots,
                 total_slots=lambda: self.total_slots,
                 keep_sampling=lambda: self._active_jobs > 0,
                 obs=obs,
@@ -227,34 +232,47 @@ class DecentralizedSimulator:
         for fn, args in batch:
             fn(*args)
 
+    def worker(self, worker_id: int) -> Worker:
+        """The worker with ``worker_id``, created on first contact. A
+        worker first addressed after its id was retired starts evicted."""
+        worker = self.workers[worker_id]
+        if worker is None:
+            worker = Worker(worker_id, self._slots_per_worker, self)
+            if self._retired[worker_id]:
+                worker.evicted = True
+            self.workers[worker_id] = worker
+        return worker
+
     def sample_workers(self, count: int) -> List[Worker]:
         """Sample ``count`` distinct non-evicted workers (all, if fewer).
 
         With ``power_of_d == 1`` (the default) this is plain uniform
-        sampling over the pool — without a blacklist policy the pool is
-        the full worker list, the same object, so entropy use is
-        unchanged. With ``power_of_d > 1`` the sampler draws ``d x
-        count`` candidates uniformly and keeps the ``count``
-        least-loaded (queue depth plus busy slots; ties keep the draw
-        order, so the choice is deterministic given the draw).
+        sampling over the pool of ids. With ``power_of_d > 1`` the
+        sampler draws ``d x count`` candidate ids uniformly and keeps
+        the ``count`` least-loaded (queue depth plus busy slots, 0 for
+        a worker not yet created; ties keep the draw order, so the
+        choice is deterministic given the draw).
         """
         pool = self._sample_pool
+        workers = self.workers
         if count >= len(pool):
-            return list(pool)
-        d = self._power_of_d
-        if d == 1:
-            return self.rng.sample(pool, count)
-        candidates = self.rng.sample(pool, min(count * d, len(pool)))
-        if len(candidates) <= count:
-            return candidates
-        order = sorted(
-            range(len(candidates)),
-            key=lambda i: (
-                len(candidates[i].queue) + candidates[i].busy_slots,
-                i,
-            ),
-        )
-        return [candidates[i] for i in order[:count]]
+            ids = pool
+        elif self._power_of_d == 1:
+            ids = self.rng.sample(pool, count)
+        else:
+            drawn = self.rng.sample(
+                pool, min(count * self._power_of_d, len(pool))
+            )
+
+            def load(i: int) -> Tuple[int, int]:
+                worker = workers[drawn[i]]
+                if worker is None:
+                    return 0, i
+                return len(worker.queue) + worker.busy_slots, i
+
+            order = sorted(range(len(drawn)), key=load)
+            ids = [drawn[i] for i in order[:count]]
+        return [workers[i] or self.worker(i) for i in ids]
 
     def gossip_for(self, job_id: int):
         """Latest gossip for a job, or None if it completed."""
@@ -470,8 +488,7 @@ class DecentralizedSimulator:
     def _evict_worker(self, worker_id: int) -> None:
         """Blacklist a worker mid-run: drop it from the probe pool, kill
         its running copies, and requeue tasks whose last copy died."""
-        worker = self.workers[worker_id]
-        victims = worker.evict()
+        victims = self.worker(worker_id).evict()
         # Blacklist + pool refresh BEFORE requeueing, so the replacement
         # probes sent below can never target the worker being evicted.
         self.blacklist.add(worker_id)
@@ -503,7 +520,7 @@ class DecentralizedSimulator:
 
     def _reinstate_worker(self, worker_id: int) -> None:
         """Probation served: the worker rejoins the probe pool."""
-        self.workers[worker_id].reinstate()
+        self.worker(worker_id).reinstate()
         self.blacklist.remove(worker_id)
         self._apply_blacklist()
         self.metrics.record_reinstatement()
@@ -527,11 +544,15 @@ class DecentralizedSimulator:
 
     def _rebuild_sample_pool(self) -> None:
         is_blacklisted = self.blacklist.is_blacklisted
-        self._sample_pool = [
-            worker
-            for worker in self.workers
-            if not worker.retired and not is_blacklisted(worker.worker_id)
-        ]
+        retired = self._retired
+        self._sample_pool = array(
+            "l",
+            (
+                worker_id
+                for worker_id in range(len(retired))
+                if not retired[worker_id] and not is_blacklisted(worker_id)
+            ),
+        )
         total = len(self._sample_pool) * self._slots_per_worker
         # Live capacity, kept current so external probes (the serving
         # driver's utilization sampler) never count evicted workers.
@@ -545,23 +566,16 @@ class DecentralizedSimulator:
         """Incremental counterpart of :meth:`_rebuild_sample_pool` for
         an autoscaler resize of ``delta`` workers, in O(|delta|).
 
-        The probe pool is always the ascending list of live,
-        non-blacklisted worker ids. Growth appends ids above all of
-        them; a shrink retires the highest live, non-blacklisted ids —
-        exactly the pool's tail. So the pool is extended or truncated,
-        never rebuilt, and the derived state (live capacity, ε-fair
-        floors) follows its length."""
+        The probe pool is always the ascending ids of live,
+        non-blacklisted workers. Growth appends ids above all of them; a
+        shrink retires the highest live, non-blacklisted ids — exactly
+        the pool's tail. So the pool is extended or truncated, never
+        rebuilt, and the derived state (live capacity, ε-fair floors)
+        follows its length."""
         pool = self._sample_pool
-        workers = self.workers
-        if pool is workers:
-            # Until the first shrink or blacklist pass the pool IS the
-            # worker list, which already holds any appended workers. A
-            # shrink copies it first so truncation never drops workers;
-            # rng.sample sees the same order and length either way.
-            if delta < 0:
-                pool = self._sample_pool = workers[:delta]
-        elif delta > 0:
-            pool.extend(workers[-delta:])
+        if delta > 0:
+            size = len(self.workers)
+            pool.extend(range(size - delta, size))
         else:
             del pool[delta:]
         total = len(pool) * self._slots_per_worker
@@ -572,16 +586,10 @@ class DecentralizedSimulator:
     def _autoscale_add(self, count: int) -> int:
         """ADD_MACHINE: grow the worker set. New workers take fresh ids
         (append-only, so per-id state everywhere stays valid) and join
-        the probe sample pool immediately."""
-        workers = self.workers
-        for _ in range(count):
-            workers.append(
-                Worker(
-                    worker_id=len(workers),
-                    num_slots=self._slots_per_worker,
-                    sim=self,
-                )
-            )
+        the probe sample pool immediately; none is created until first
+        contact."""
+        self.workers.extend([None] * count)
+        self._retired.extend(bytes(count))
         self._refresh_membership(count)
         return count
 
@@ -592,17 +600,22 @@ class DecentralizedSimulator:
         but via machine *retirement*, which no later blacklist pass can
         undo. Clamped so at least ``min_machines`` workers stay live.
 
-        The pool is the ascending list of live, non-blacklisted workers,
-        so the victims are its top ``count`` entries, highest id first."""
+        The pool holds the ascending ids of live, non-blacklisted
+        workers, so the victims are its top ``count`` entries, highest
+        id first. Only workers that exist have anything to tear down."""
         pool = self._sample_pool
         count = min(count, len(pool) - max(1, self._autoscaler.min_machines))
         if count <= 0:
             return 0
-        retiring = pool[: -count - 1 : -1]
+        workers = self.workers
+        retired = self._retired
         orphaned: List[Tuple[SchedulerAgent, SchedulerJob, Task]] = []
-        for worker in retiring:
+        for worker_id in pool[: -count - 1 : -1]:
+            retired[worker_id] = 1
+            worker = workers[worker_id]
+            if worker is None:
+                continue
             victims = worker.evict()
-            worker.retired = True
             for copy in victims:
                 scheduler = self._owner.get(copy.task.job_id)
                 sj = scheduler.jobs.get(copy.task.job_id) if scheduler else None

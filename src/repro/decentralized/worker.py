@@ -31,10 +31,6 @@ from repro.stragglers.progress import TaskCopy
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.decentralized.simulator import DecentralizedSimulator
 
-#: The queue and running list of a worker that never held one: shared,
-#: immutable, and swapped for a real list on the first append.
-_UNALLOCATED: tuple = ()
-
 
 class Episode:
     """One slot-selection episode (possibly spanning several refusals)."""
@@ -54,10 +50,9 @@ class Episode:
 class Worker:
     """A machine with task slots and a queue of reservation requests.
 
-    ``queue`` and ``running`` are allocated on first use: both start as
-    one shared empty tuple and become lists on the first append, so an
-    idle worker in a 100k-worker fleet owns no lists. Once allocated
-    they stay lists.
+    The simulator creates a worker on first contact (see
+    :meth:`~repro.decentralized.simulator.DecentralizedSimulator.worker`),
+    so an idle worker in a large fleet is only an id, never an object.
     """
 
     __slots__ = (
@@ -69,7 +64,6 @@ class Worker:
         "pending_episodes",
         "running",
         "evicted",
-        "retired",
         "_policy",
         "_refusal_threshold",
         "_result",
@@ -85,14 +79,11 @@ class Worker:
         self.worker_id = worker_id
         self.num_slots = num_slots
         self.sim = sim
-        self.queue: List[Request] = _UNALLOCATED
+        self.queue: List[Request] = []
         self.busy_slots = 0
         self.pending_episodes = 0  # episodes awaiting a scheduler reply
-        self.running: List[TaskCopy] = _UNALLOCATED
+        self.running: List[TaskCopy] = []
         self.evicted = False  # blacklisted or retired; no queueing/episodes
-        # Removed by an autoscaler shrink: permanent, unlike a blacklist
-        # eviction, which probation may undo.
-        self.retired = False
         # Config is immutable after simulator construction; snapshot the
         # per-episode-step scalars.
         self._policy = sim.config.worker_policy
@@ -113,18 +104,14 @@ class Worker:
         """Drop all queued requests of ``job_id`` (scheduler said no-task)."""
         if not self.sim.worker_holds_job(job_id, self.worker_id):
             return
-        before = len(self.queue)
-        self.queue = [r for r in self.queue if r.job_id != job_id]
-        removed = before - len(self.queue)
+        removed = self.drop_completed_job(job_id)
         if removed:
             self.sim.note_requests_removed(job_id, self.worker_id, removed)
-            self._result.requests_dropped += removed
-            if self._counters is not None:
-                self._counters.inc("probe.purged", removed)
 
-    def drop_completed_job(self, job_id: int) -> None:
-        """Index-driven purge on job completion (index entry already
-        removed by the caller, so no unregistration here)."""
+    def drop_completed_job(self, job_id: int) -> int:
+        """Drop and count the queued requests of ``job_id``; returns how
+        many. On job completion the caller already removed the request
+        index entry, so nothing is unregistered here."""
         before = len(self.queue)
         self.queue = [r for r in self.queue if r.job_id != job_id]
         removed = before - len(self.queue)
@@ -132,6 +119,7 @@ class Worker:
             self._result.requests_dropped += removed
             if self._counters is not None:
                 self._counters.inc("probe.purged", removed)
+        return removed
 
     def consume_request(self, request: Request) -> None:
         """Remove this exact queued request (on task assignment)."""
@@ -178,8 +166,6 @@ class Worker:
                 self._counters.inc("probe.dropped")
             return
         if request.gossip.active:
-            if self.queue is _UNALLOCATED:
-                self.queue = []
             self.queue.append(request)
             self.sim.note_request_queued(request.job_id, self.worker_id)
             if self._counters is not None:
@@ -398,12 +384,12 @@ class Worker:
 
     def bind_copy(self, copy: TaskCopy) -> None:
         self.busy_slots += 1
-        if self.running is _UNALLOCATED:
-            self.running = []
+        self.sim.busy_slots += 1
         self.running.append(copy)
 
     def release_copy(self, copy: TaskCopy) -> None:
         self.busy_slots -= 1
+        self.sim.busy_slots -= 1
         try:
             self.running.remove(copy)
         except ValueError:

@@ -170,9 +170,7 @@ def _decentralized_probe(simulator) -> _PlaneProbe:
             for scheduler in simulator.schedulers
             for sj in scheduler.jobs.values()
         ),
-        busy_slots=lambda: sum(
-            worker.busy_slots for worker in simulator.workers
-        ),
+        busy_slots=lambda: simulator.busy_slots,
         # simulator.total_slots is maintained as *live* capacity (it
         # shrinks on eviction/retirement and grows on autoscale-add) —
         # unlike summing worker.num_slots, which counts dead workers.

@@ -331,10 +331,10 @@ def test_eviction_requeues_speculative_orphans():
     eviction must requeue it even though the killed copy was
     speculative, or the job hangs forever."""
     simulator, scheduler, sj = _direct_decentralized_sim()
-    task = sj.next_pending()
+    task = sj.pop_pending()
     sj.occupied += 2  # the accepts' eager occupancy reservations
-    simulator.start_copy(simulator.workers[0], task, False)
-    simulator.start_copy(simulator.workers[1], task, True)
+    simulator.start_copy(simulator.worker(0), task, False)
+    simulator.start_copy(simulator.worker(1), task, True)
 
     simulator._evict_worker(0)  # original dies; spec sibling carries it
     assert task.task_id not in sj.pending_ids
@@ -350,10 +350,10 @@ def test_raced_accept_on_evicted_worker_requeues_orphans():
     bind time; if the task has no other live copy it must be requeued —
     speculative or not."""
     simulator, scheduler, sj = _direct_decentralized_sim()
-    task = sj.next_pending()
+    task = sj.pop_pending()
     sj.occupied += 1
-    simulator.workers[2].evict()
-    simulator.start_copy(simulator.workers[2], task, True)
+    simulator.worker(2).evict()
+    simulator.start_copy(simulator.worker(2), task, True)
     assert sj.view.num_live_copies(task) == 0
     assert task.task_id in sj.pending_ids
     assert sj.occupied == 0
@@ -364,15 +364,15 @@ def test_requeue_probes_skip_the_evicted_worker():
     go out, or a replacement probe can target the dying worker and be
     silently dropped."""
     simulator, scheduler, sj = _direct_decentralized_sim()
-    task = sj.next_pending()
+    task = sj.pop_pending()
     sj.occupied += 1
-    simulator.start_copy(simulator.workers[3], task, False)
+    simulator.start_copy(simulator.worker(3), task, False)
 
     pools = []
     original = simulator.sample_workers
 
     def spying_sample(count):
-        pools.append({w.worker_id for w in simulator._sample_pool})
+        pools.append(set(simulator._sample_pool))
         return original(count)
 
     simulator.sample_workers = spying_sample
@@ -433,14 +433,15 @@ def test_probation_reinstates_machines_end_to_end():
         simulator.blacklist.blacklisted_machines
         == set(policy.evicted_machines)
     )
-    for worker in simulator.workers:
-        expected = worker.worker_id in policy.evicted_machines
-        assert worker.evicted == expected
-    pool_ids = {w.worker_id for w in simulator._sample_pool}
+    worker_ids = range(len(simulator.workers))
+    for worker_id in worker_ids:
+        expected = worker_id in policy.evicted_machines
+        assert simulator.worker(worker_id).evicted == expected
+    pool_ids = set(simulator._sample_pool)
     assert pool_ids == {
-        w.worker_id
-        for w in simulator.workers
-        if w.worker_id not in policy.evicted_machines
+        worker_id
+        for worker_id in worker_ids
+        if worker_id not in policy.evicted_machines
     }
     # Reinstated workers finished the run doing work again or at least
     # rejoined the pool; every job still completed.

@@ -58,7 +58,7 @@ def _capture_offers(monkeypatch, offered):
 
 def test_worker_candidates_dedupe_by_job_and_spec_flag():
     sim = _sim()
-    worker = sim.workers[0]
+    worker = sim.worker(0)
     g = _gossip(1, 5.0, 4)
     worker.queue = [
         Request(g, 0.0, spec_ok=False),
@@ -78,7 +78,7 @@ def test_worker_drops_requests_of_inactive_jobs_on_arrival():
     """Queue invariant: requests of completed jobs never enter the queue
     (eager purging replaced the old lazy _purge_inactive scan)."""
     sim = _sim()
-    worker = sim.workers[0]
+    worker = sim.worker(0)
     dead = _gossip(1, 5.0, 4, active=False)
     live = _gossip(2, 5.0, 4)
     worker.on_request(Request(dead, 0.0))
@@ -96,7 +96,7 @@ def test_completed_job_requests_are_purged_from_holders():
     """On job completion the per-job request index purges exactly the
     workers holding that job's requests."""
     sim = _sim()
-    first, second = sim.workers[0], sim.workers[1]
+    first, second = sim.worker(0), sim.worker(1)
     target = _gossip(7, 5.0, 4)
     other = _gossip(8, 5.0, 4)
     first.on_request(Request(target, 0.0))
@@ -114,7 +114,7 @@ def test_completed_job_requests_are_purged_from_holders():
 
 def test_hopper_worker_prefers_smallest_virtual_size(monkeypatch):
     sim = _sim()
-    worker = sim.workers[0]
+    worker = sim.worker(0)
     big = Request(_gossip(1, 50.0, 40), 0.0)
     small = Request(_gossip(2, 5.0, 4), 1.0)
     worker.queue = [big, small]
@@ -131,7 +131,7 @@ def test_hopper_worker_prefers_smallest_virtual_size(monkeypatch):
 
 def test_hopper_worker_serves_starved_jobs_first(monkeypatch):
     sim = _sim(epsilon=0.1)
-    worker = sim.workers[0]
+    worker = sim.worker(0)
     normal = Request(_gossip(1, 2.0, 2), 0.0)
     starved = Request(_gossip(2, 90.0, 70, starved=True), 1.0)
     worker.queue = [normal, starved]
@@ -146,7 +146,7 @@ def test_hopper_worker_serves_starved_jobs_first(monkeypatch):
 
 def test_hopper_worker_non_refusable_after_threshold(monkeypatch):
     sim = _sim(refusal_threshold=1)
-    worker = sim.workers[0]
+    worker = sim.worker(0)
     worker.queue = [Request(_gossip(1, 5.0, 4), 0.0)]
     offered = []
     _capture_offers(monkeypatch, offered)
@@ -162,7 +162,7 @@ def test_hopper_worker_non_refusable_after_threshold(monkeypatch):
 
 def test_hopper_worker_serves_smallest_unsatisfied_from_refusal_info(monkeypatch):
     sim = _sim(refusal_threshold=1)
-    worker = sim.workers[0]
+    worker = sim.worker(0)
     worker.queue = [
         Request(_gossip(1, 30.0, 20), 0.0),
         Request(_gossip(2, 9.0, 6), 0.0),
@@ -183,7 +183,7 @@ def test_hopper_worker_serves_smallest_unsatisfied_from_refusal_info(monkeypatch
 
 def test_fifo_worker_takes_oldest_request(monkeypatch):
     sim = _sim(worker_policy=WorkerPolicy.FIFO)
-    worker = sim.workers[0]
+    worker = sim.worker(0)
     newer = Request(_gossip(1, 1.0, 1), 5.0)
     older = Request(_gossip(2, 99.0, 80), 1.0)
     worker.queue = [newer, older]
@@ -199,7 +199,7 @@ def test_fifo_worker_takes_oldest_request(monkeypatch):
 
 def test_srpt_worker_takes_fewest_remaining(monkeypatch):
     sim = _sim(worker_policy=WorkerPolicy.SRPT)
-    worker = sim.workers[0]
+    worker = sim.worker(0)
     big = Request(_gossip(1, 99.0, 80), 0.0)
     small = Request(_gossip(2, 10.0, 3), 5.0)
     worker.queue = [big, small]
@@ -214,7 +214,7 @@ def test_srpt_worker_takes_fewest_remaining(monkeypatch):
 
 def test_worker_slot_accounting_with_pending_episode():
     sim = _sim()
-    worker = sim.workers[0]
+    worker = sim.worker(0)
     assert worker.available_slots == 1
     worker.pending_episodes = 1
     assert worker.available_slots == 0
@@ -231,7 +231,7 @@ def test_scheduler_refuses_refusable_offer_at_virtual_size():
     result = sim.run(until=10.0)
     assert result.num_jobs == 1
     # all slots free at the end, queue drained of active work
-    assert all(w.busy_slots == 0 for w in sim.workers)
+    assert all(sim.worker(i).busy_slots == 0 for i in range(2))
 
 
 def test_request_defaults_are_spec_eligible():

@@ -343,12 +343,68 @@ def test_decentralized_probe_reports_live_capacity():
     assert probe.total_slots() == 20
     removed = simulator._autoscale_remove(5)
     assert removed == 5
-    dead_sum = sum(w.num_slots for w in simulator.workers)
+    dead_sum = sum(
+        simulator.worker(i).num_slots for i in range(len(simulator.workers))
+    )
     assert dead_sum == 20  # the buggy denominator would still say 20
     assert probe.total_slots() == 15
     added = simulator._autoscale_add(2)
     assert added == 2
     assert probe.total_slots() == 17
+
+
+def test_busy_slot_counter_equals_worker_sum_and_fits_live_capacity(
+    monkeypatch,
+):
+    """The decentralized plane's busy-slot counter (kept by
+    ``Worker.bind_copy``/``release_copy``) equals the per-worker sum and
+    never exceeds live capacity: checked at every serving sample and at
+    the end, through strike eviction and scheduled shrinks and grows."""
+    from repro.serving import driver
+
+    make_probe = driver._PLANE_PROBES["decentralized"]
+    simulators, samples = [], []
+
+    def worker_sum(simulator) -> int:
+        return sum(w.busy_slots for w in simulator.workers if w is not None)
+
+    def checking_probe(simulator):
+        probe = make_probe(simulator)
+        read_busy = probe.busy_slots
+
+        def busy_slots() -> int:
+            busy = read_busy()
+            assert busy == simulator.busy_slots == worker_sum(simulator)
+            assert busy <= simulator.total_slots
+            samples.append(busy)
+            return busy
+
+        probe.busy_slots = busy_slots
+        simulators.append(simulator)
+        return probe
+
+    monkeypatch.setitem(driver._PLANE_PROBES, "decentralized", checking_probe)
+    spec = WorkloadSpec(num_jobs=400, utilization=0.8, total_slots=60, seed=4)
+    result = driver.run_serving(
+        spec,
+        "decentralized",
+        "hopper",
+        ServingRegime(warmup=5.0, horizon=40.0, cooldown=5.0, window=5.0),
+        straggler_model="machine-correlated",
+        obs=None,
+        blacklist_policy="strikes",
+        strike_threshold=2,
+        autoscaler="schedule",
+        resize_schedule="8:-12,16:+6,24:-8,32:+10",
+    )
+    (simulator,) = simulators
+    # Not vacuous: workers were evicted, every resize applied, and the
+    # sampled fleet was busy.
+    assert result.evictions > 0
+    assert simulator._elastic.resizes_applied == 4
+    assert max(samples) > 0
+    assert simulator.busy_slots == worker_sum(simulator)
+    assert simulator.busy_slots <= simulator.total_slots
 
 
 def test_centralized_probe_tracks_resized_cluster():
@@ -452,21 +508,32 @@ def _live_worker_ids(simulator) -> list:
     """From-scratch rescan of decentralized membership: the ids of
     workers neither retired nor on the simulator's blacklist, ascending."""
     blacklisted = simulator.blacklist.is_blacklisted
+    retired = simulator._retired
     return [
-        w.worker_id
-        for w in simulator.workers
-        if not w.retired and not blacklisted(w.worker_id)
+        worker_id
+        for worker_id in range(len(simulator.workers))
+        if not retired[worker_id] and not blacklisted(worker_id)
     ]
+
+
+def _busy_slots(simulator, worker_id: int) -> int:
+    """Busy slots of a worker, 0 for one never created."""
+    worker = simulator.workers[worker_id]
+    return 0 if worker is None else worker.busy_slots
 
 
 def _assert_resize_invariants(simulator, plane: str) -> None:
     if plane == "decentralized":
-        workers = simulator.workers
         pool = simulator._sample_pool
-        assert pool == [workers[i] for i in _live_worker_ids(simulator)]
+        assert list(pool) == _live_worker_ids(simulator)
         blacklisted = simulator.blacklist.is_blacklisted
-        for w in workers:
-            assert w.evicted == (w.retired or blacklisted(w.worker_id))
+        for worker_id, w in enumerate(simulator.workers):
+            if w is None:
+                # Eviction creates the worker, so a blacklisted id exists.
+                assert not blacklisted(worker_id)
+                continue
+            retired = bool(simulator._retired[worker_id])
+            assert w.evicted == (retired or blacklisted(worker_id))
         assert simulator.total_slots == len(pool) * simulator._slots_per_worker
         numerator = (1.0 - simulator.config.epsilon) * simulator.total_slots
         for scheduler in simulator.schedulers:
@@ -523,11 +590,12 @@ def test_resize_invariants_hold_through_eviction_churn(plane, seed):
             # The top live ids of the rescan, highest first.
             live = _live_worker_ids(simulator)
             retiring = live[::-1][: max(0, min(count, len(live) - max(1, floor)))]
-            busy = sum(simulator.workers[m].busy_slots for m in retiring)
+            busy = sum(_busy_slots(simulator, m) for m in retiring)
         applied = remove(count)
         assert applied == len(retiring)
         if plane == "decentralized":
-            assert all(simulator.workers[m].retired for m in retiring)
+            assert all(simulator._retired[m] for m in retiring)
+            assert all(simulator.worker(m).evicted for m in retiring)
         stats["resizes"] += 1
         stats["killing_shrinks"] += busy > 0
         _assert_resize_invariants(simulator, plane)

@@ -1,12 +1,14 @@
 """Fleet memory: what one idle worker or machine costs.
 
 Idle fleet state dominates a 100k-slot run, so each test pins the traced
-bytes per fleet member to a bound derived from ``sys.getsizeof``: the
-member object, the int objects it owns and its slot in each list that
-holds it, with the over-allocation an appended list carries. Anything
-else allocated per member (an instance dict, per-worker lists, a mirror
-machine) breaks the bound. The fixed cost of a one-member fleet is
-subtracted from the measurement.
+bytes per fleet member to a bound derived from ``sys.getsizeof``. A
+machine costs its object, the int objects it owns and its slot in each
+list that holds it, with the over-allocation an appended list carries.
+A decentralized worker nothing has addressed is no object at all: it
+costs a slot in the worker store, an id in the probe pool and a retired
+flag byte, measured after a scheduled shrink and grow-back. Anything else allocated per member (a ``Worker``, an int object,
+per-worker lists, a mirror machine) breaks the bound. The fixed cost of
+a one-member fleet is subtracted from the measurement.
 
 Run as a script to check a larger fleet, e.g. one million workers::
 
@@ -18,6 +20,7 @@ from __future__ import annotations
 import gc
 import sys
 import tracemalloc
+from array import array
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.elastic import ScheduleAutoscaler
@@ -29,6 +32,15 @@ from repro.stragglers.model import NoStragglerModel
 from repro.workload.traces import Trace
 
 FLEET = 20_000
+#: The decentralized fleet's scheduled resize: shrink by this many
+#: workers, then grow back by as many.
+RESIZE = 8
+#: Bytes a decentralized fleet holds beyond its containers whatever its
+#: size: counts that are cached small ints in the one-member baseline
+#: (live capacity, ε-fair floors) are int objects in a large fleet.
+#: About 150 B are measured at 20k workers; one extra byte per worker
+#: would add 20 KB.
+FIXED_ALLOWANCE = 1024
 
 
 def _traced_bytes(build, size: int) -> int:
@@ -75,19 +87,46 @@ def build_decentralized(num_workers: int) -> DecentralizedSimulator:
         straggler_model=NoStragglerModel(),
         random_source=RandomSource(seed=1),
         blacklist_policy=StrikeBlacklistPolicy(num_workers),
-        autoscaler=ScheduleAutoscaler([(10.0, -8), (20.0, 8)]),
+        autoscaler=ScheduleAutoscaler([(10.0, -RESIZE), (20.0, RESIZE)]),
     )
+
+
+def build_resized(num_workers: int) -> DecentralizedSimulator:
+    """A fleet after its scheduled shrink and grow-back: the trace is
+    empty, so running it applies only the two resizes."""
+    simulator = build_decentralized(num_workers)
+    simulator.run()
+    return simulator
+
+
+def _grown_bytes(item, made: int, added: int) -> int:
+    """Bytes of a container of ``item`` made with ``made`` elements and
+    then extended by ``added``, over-allocation included."""
+    grown = item * made
+    grown.extend(item * added)
+    return sys.getsizeof(grown)
+
+
+def _pool_bytes(made: int, cut: int) -> int:
+    """Bytes of an id array made from ``range(made)``, cut by ``cut``
+    ids and grown back by as many, over-allocation included."""
+    pool = array("l", range(made))
+    del pool[-cut:]
+    pool.extend(range(made - cut, made))
+    return sys.getsizeof(pool)
 
 
 def worker_bound(num_workers: int) -> float:
-    """One worker object, its id int and its slot in the worker list
-    (which is also the sample pool until the first shrink)."""
-    worker = build_decentralized(2).workers[-1]
+    """Per worker: a slot in the worker store and a retired flag (both
+    made at the fleet size, then grown by the regrown ids), an id in the
+    probe pool (made at the fleet size, cut, then grown back) and a
+    share of :data:`FIXED_ALLOWANCE`."""
     return (
-        _allocated(worker)
-        + _allocated(num_workers - 1)
-        + _appended_slot_bytes(num_workers)
-    )
+        _grown_bytes([None], num_workers, RESIZE)
+        + _pool_bytes(num_workers, RESIZE)
+        + _grown_bytes(bytearray(1), num_workers, RESIZE)
+        + FIXED_ALLOWANCE
+    ) / num_workers
 
 
 def build_cluster(num_machines: int) -> Cluster:
@@ -109,13 +148,22 @@ def machine_bound(num_machines: int) -> float:
 
 def check_workers(num_workers: int) -> tuple:
     """``(measured, bound)`` bytes per worker at ``num_workers``."""
-    measured = _bytes_per_member(build_decentralized, num_workers)
+    measured = _bytes_per_member(build_resized, num_workers)
     return measured, worker_bound(num_workers)
 
 
-def test_idle_worker_costs_its_object_id_and_list_slot():
+def test_idle_worker_costs_its_store_slot_pool_id_and_flag():
     measured, bound = check_workers(FLEET)
     assert measured <= bound, f"{measured:.1f} B per worker > bound {bound:.1f}"
+
+
+def test_building_and_resizing_a_fleet_creates_no_worker():
+    simulator = build_decentralized(FLEET)
+    assert simulator.workers.count(None) == FLEET
+    simulator.run()
+    assert simulator._elastic.resizes_applied == 2
+    assert simulator.workers.count(None) == FLEET + RESIZE
+    assert len(simulator._sample_pool) == FLEET
 
 
 def test_idle_machine_costs_its_object_ints_and_index_slots():
@@ -127,5 +175,5 @@ def test_idle_machine_costs_its_object_ints_and_index_slots():
 if __name__ == "__main__":
     size = int(sys.argv[1]) if len(sys.argv) > 1 else FLEET
     measured, bound = check_workers(size)
-    print(f"{size} workers: {measured:.1f} B per worker (bound {bound:.1f})")
+    print(f"{size} workers: {measured:.2f} B per worker (bound {bound:.2f})")
     sys.exit(0 if measured <= bound else 1)

@@ -347,6 +347,37 @@ def _result_payload(results) -> str:
     )
 
 
+#: sha256 of one decentralized replay that ranks probe candidates by load
+#: (``power_of_d=2``) while strike eviction and four scheduled resizes
+#: (14 workers retired, 16 added) reshape the probe pool under it.
+GOLDEN_POWER_OF_D_DIGEST = (
+    "3f73b301db6601547e697ff3c8d815631d28bfaf90d40291f2b566b00c6f352d"
+)
+
+
+def test_power_of_d_two_with_evictions_and_resizes_is_pinned():
+    spec = RunSpec(
+        "decentralized",
+        "hopper",
+        WorkloadParams(
+            profile="facebook", num_jobs=30, utilization=0.7,
+            total_slots=80, seed=3,
+        ),
+        knobs={
+            "power_of_d": 2,
+            "straggler_model": "machine-correlated",
+            "blacklist_policy": "strikes",
+            "strike_threshold": 2,
+            "autoscaler": "schedule",
+            "resize_schedule": "2:-6,5:+10,9:-8,14:+6",
+        },
+    )
+    result = spec.execute()
+    assert result.evictions > 0  # not vacuous: the blacklist acted
+    digest = hashlib.sha256(_result_payload([result]).encode()).hexdigest()
+    assert digest == GOLDEN_POWER_OF_D_DIGEST
+
+
 @pytest.mark.parametrize("kind", ["centralized", "decentralized"])
 def test_explicit_none_blacklist_policy_is_byte_identical(kind):
     """Differential: blacklist_policy="none" must not perturb a replay.

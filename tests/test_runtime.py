@@ -539,7 +539,9 @@ def test_decentralized_eviction_kills_requeues_and_completes():
 
     def evict_busiest_worker():
         busiest = max(
-            simulator.workers, key=lambda w: len(w.running), default=None
+            (w for w in simulator.workers if w is not None),
+            key=lambda w: len(w.running),
+            default=None,
         )
         if busiest is not None and busiest.running:
             evicted.append((busiest, list(busiest.running)))
@@ -566,6 +568,8 @@ def test_decentralized_eviction_kills_requeues_and_completes():
     # pool holds every other worker.
     assert simulator.blacklist.is_blacklisted(worker.worker_id)
     assert simulator.blacklist.blacklisted_machines == {worker.worker_id}
-    assert worker not in simulator._sample_pool
+    assert worker.worker_id not in simulator._sample_pool
     assert len(simulator._sample_pool) == num_workers - 1
-    assert simulator._sample_pool == [w for w in simulator.workers if w is not worker]
+    assert list(simulator._sample_pool) == [
+        i for i in range(num_workers) if i != worker.worker_id
+    ]
