@@ -74,13 +74,17 @@ class CentralizedPolicy(ABC):
         total_slots: int,
         total_virtual: Optional[float] = None,
         floors: Optional[Dict[int, int]] = None,
+        cap_sum: Optional[int] = None,
+        caps: Optional[Dict[int, int]] = None,
     ) -> Dict[int, int]:
         """Solve with pre-maintained orders: ``active`` in insertion
         order (pre-filtered to ``remaining_tasks > 0``), ``ascending``
-        sorted by :meth:`sort_key`. ``total_virtual`` and ``floors``
-        are optional precomputed values (the insertion-order virtual
-        size sum and this policy's :meth:`fairness_floors`) the caller
-        may pass to skip recomputing them.
+        sorted by :meth:`sort_key`. ``total_virtual``, ``floors``,
+        ``cap_sum`` and ``caps`` are optional precomputed values (the
+        insertion-order virtual size sum, this policy's
+        :meth:`fairness_floors`, the integer sum of the caps and a
+        ``job_id -> cap`` dict) the caller may pass to skip recomputing
+        them.
 
         The base falls back to the from-scratch solve — correct for any
         policy, incremental for none."""
@@ -108,6 +112,8 @@ class FairPolicy(CentralizedPolicy):
         total_slots: int,
         total_virtual: Optional[float] = None,
         floors: Optional[Dict[int, int]] = None,
+        cap_sum: Optional[int] = None,
+        caps: Optional[Dict[int, int]] = None,
     ) -> Dict[int, int]:
         # Water-filling iterates the insertion-ordered active list
         # directly (no internal sort to hoist); the incremental win for
@@ -143,6 +149,8 @@ class SRPTPolicy(CentralizedPolicy):
         total_slots: int,
         total_virtual: Optional[float] = None,
         floors: Optional[Dict[int, int]] = None,
+        cap_sum: Optional[int] = None,
+        caps: Optional[Dict[int, int]] = None,
     ) -> Dict[int, int]:
         # sort_key == (remaining_tasks, job_id) == the solve's own
         # ascending order, so the maintained dispatch order doubles as
@@ -198,6 +206,8 @@ class HopperPolicy(CentralizedPolicy):
         total_slots: int,
         total_virtual: Optional[float] = None,
         floors: Optional[Dict[int, int]] = None,
+        cap_sum: Optional[int] = None,
+        caps: Optional[Dict[int, int]] = None,
     ) -> Dict[int, int]:
         # sort_key == (order_key, job_id) == the ascending virtual-size
         # order Guideline 2/3 fill in.
@@ -209,4 +219,6 @@ class HopperPolicy(CentralizedPolicy):
             force_regime=self.force_regime,
             total_virtual=total_virtual,
             floors=floors,
+            cap_sum=cap_sum,
+            caps=caps,
         )

@@ -50,6 +50,7 @@ to the policy-free simulator.
 from __future__ import annotations
 
 import math
+from heapq import heappop, heappush
 from typing import Callable, Dict, List, Optional
 
 from repro.centralized.config import CentralizedConfig, SpeculationMode
@@ -80,14 +81,28 @@ from repro.workload.traces import Trace
 class _JobRuntime(LocalityJobRuntime):
     """Centralized per-job state: the shared runtime core with locality
     buckets, plus running-copy counters the dispatcher's deficit math
-    reads."""
+    reads. It keeps its id in the simulator's ``pending_jobs`` set
+    exactly while its pending deque is non-empty."""
 
-    __slots__ = ("running_copies", "running_speculative")
+    __slots__ = ("running_copies", "running_speculative", "_pending_jobs")
 
-    def __init__(self, job: Job, spec_policy: SpeculationPolicy) -> None:
+    def __init__(
+        self, job: Job, spec_policy: SpeculationPolicy, pending_jobs: set
+    ) -> None:
         super().__init__(job, spec_policy)
         self.running_copies = 0
         self.running_speculative = 0
+        self._pending_jobs = pending_jobs
+
+    def _note_queued(self, task: Task) -> None:
+        super()._note_queued(task)
+        if len(self.pending) == 1:
+            self._pending_jobs.add(self.job.job_id)
+
+    def _note_dequeued(self, task: Task) -> None:
+        super()._note_dequeued(task)
+        if not self.pending:
+            self._pending_jobs.discard(self.job.job_id)
 
 
 class CentralizedSimulator:
@@ -135,6 +150,9 @@ class CentralizedSimulator:
         "_alloc_history",
         "_alloc_dirty_jobs",
         "_spec_job_ids",
+        "_pending_job_ids",
+        "_spec_work",
+        "_spec_expiry",
         "_spec_check_scheduled",
         "_jobs_completed",
         "_total_slots",
@@ -195,6 +213,14 @@ class CentralizedSimulator:
         self._alloc_history = -1  # alpha history version ditto
         self._alloc_dirty_jobs: set = set()  # job ids needing recompute
         self._spec_job_ids: set = set()  # jobs with live speculative copies
+        # Work sets of the dispatch passes (see _dispatch_originals and
+        # _dispatch_speculation): jobs with a non-empty pending deque,
+        # jobs whose speculation visit may act, and a min-heap of
+        # (throttle stamp, job id) that returns a job to the latter
+        # once its stamp expires.
+        self._pending_job_ids: set = set()
+        self._spec_work: set = set()
+        self._spec_expiry: List[tuple] = []
         self._spec_check_scheduled = False
         self._jobs_completed = 0
 
@@ -371,9 +397,10 @@ class CentralizedSimulator:
             )
         if self.datastore is not None:
             self.datastore.place_job_inputs(job)
-        jr = _JobRuntime(job, self.speculation_factory())
+        jr = _JobRuntime(job, self.speculation_factory(), self._pending_job_ids)
         jr.activate_runnable_phases()
         self._jobs[job.job_id] = jr
+        self._spec_work.add(job.job_id)  # a fresh cache is dirty
         self._alloc.reserve(job.job_id)
         self._alloc_dirty_jobs.add(job.job_id)
         if self._elastic is not None:
@@ -426,7 +453,7 @@ class CentralizedSimulator:
             self._on_copy_finish,
             jr,
         )
-        jr.spec_dirty = True
+        self._mark_spec_dirty(jr)
         jr.running_copies += 1
         if speculative:
             jr.running_speculative += 1
@@ -438,10 +465,16 @@ class CentralizedSimulator:
         self.cluster.acquire_slot(machine_id)
         return True
 
+    def _mark_spec_dirty(self, jr: _JobRuntime) -> None:
+        """A launch, kill or finish changed ``jr``'s copies: its
+        speculation cache is stale, so its next visit may act."""
+        jr.spec_dirty = True
+        self._spec_work.add(jr.job.job_id)
+
     def _kill_copy(self, copy: TaskCopy, jr: _JobRuntime) -> None:
         self.ledger.kill(copy, jr.view)
         self.cluster.release_slot(copy.machine_id)
-        jr.spec_dirty = True
+        self._mark_spec_dirty(jr)
         jr.running_copies -= 1
         if copy.speculative:
             jr.running_speculative -= 1
@@ -454,7 +487,7 @@ class CentralizedSimulator:
     def _on_copy_finish(self, copy: TaskCopy, jr: _JobRuntime) -> None:
         self.cluster.release_slot(copy.machine_id)
         won = self.ledger.finish(copy, jr.view)
-        jr.spec_dirty = True
+        self._mark_spec_dirty(jr)
         jr.running_copies -= 1
         if copy.speculative:
             jr.running_speculative -= 1
@@ -494,6 +527,8 @@ class CentralizedSimulator:
         self._alloc.remove(job_id)
         self._alloc_dirty_jobs.discard(job_id)
         self._spec_job_ids.discard(job_id)
+        self._pending_job_ids.discard(job_id)
+        self._spec_work.discard(job_id)
         self._jobs_completed += 1
 
     # ---------------------------------------------------------- blacklist ----
@@ -679,11 +714,16 @@ class CentralizedSimulator:
             with obs.timers.phase("policy.allocate"):
                 targets = self._alloc.allocate(original_slots)
         # Same insertion-order float sum the solve's regime test uses,
-        # memoized per state version inside the allocator.
+        # memoized per state version inside the allocator. Every cap is
+        # at least its virtual size (max_useful >= ceil(vsize) in
+        # _refresh_job_state) and rounding is monotone, so the float
+        # sum never exceeds the exact integer cap sum: when the caps
+        # fit, the run is capacity-rich without summing.
+        alloc = self._alloc
         self.metrics.record_guideline_decision(
-            constrained=self._alloc.virtual_size_sum() > self._total_slots
+            constrained=alloc.cap_sum > self._total_slots
+            and alloc.virtual_size_sum() > self._total_slots
         )
-        order = self._alloc.ordered()
 
         # Coordinated mode may reclaim slots from over-target speculative
         # copies (killing a redundant copy loses no unique work) — this is
@@ -696,24 +736,23 @@ class CentralizedSimulator:
             # (small jobs' speculation outranks big jobs' extra
             # originals — the coordination the paper argues for), then
             # work-conserving overflow.
-            self._dispatch_originals(order, targets)
-            self._dispatch_speculation(order, targets, pool_limit=None)
-            self._dispatch_originals(order, targets=None)
+            self._dispatch_originals(targets)
+            self._dispatch_speculation(targets, pool_limit=None)
+            self._dispatch_originals(targets=None)
         elif mode is SpeculationMode.BEST_EFFORT:
             # All originals first; speculation gets only leftover slots.
-            self._dispatch_originals(order, targets)
-            self._dispatch_originals(order, targets=None)
-            self._dispatch_speculation(order, targets=None, pool_limit=None)
+            self._dispatch_originals(targets)
+            self._dispatch_originals(targets=None)
+            self._dispatch_speculation(targets=None, pool_limit=None)
         else:  # BUDGETED
             # Originals may never enter the reserved pool, even when the
             # pool idles — the §3 strawman's defining waste.
             self._dispatch_originals(
-                order,
                 targets=None,
                 original_limit=self._total_slots - self._spec_budget,
             )
             self._dispatch_speculation(
-                order, targets=None, pool_limit=self._spec_budget
+                targets=None, pool_limit=self._spec_budget
             )
 
     def _preempt_excess_speculation(self, targets: Dict[int, int]) -> None:
@@ -756,7 +795,6 @@ class CentralizedSimulator:
 
     def _dispatch_originals(
         self,
-        order: List[JobAllocationState],
         targets: Optional[Dict[int, int]],
         original_limit: Optional[int] = None,
     ) -> None:
@@ -766,11 +804,20 @@ class CentralizedSimulator:
         ``targets=None`` the pass is work-conserving (any pending task may
         take a free slot). ``original_limit`` caps the total number of
         running original copies (budgeted-speculation pool fencing).
+
+        Only jobs with a non-empty pending deque can be deficient, so the
+        pass walks that set in dispatch order — the subsequence of the
+        full order a filter over every active job would keep. Launches
+        only shrink the set, so one ordering serves the whole pass.
         """
+        pending_ids = self._pending_job_ids
+        if not pending_ids:
+            return
         k = self.config.locality_k_percent if self.policy.uses_virtual_sizes else 0.0
         jobs = self._jobs
         cluster = self.cluster
         index = cluster.index
+        order = self._alloc.in_order(pending_ids)
         progress = True
         while progress and cluster.free_slots > 0:
             if (
@@ -782,8 +829,7 @@ class CentralizedSimulator:
             deficient = [
                 s
                 for s in order
-                if s.job_id in jobs
-                and jobs[s.job_id].pending
+                if jobs[s.job_id].pending
                 and (
                     targets is None
                     or jobs[s.job_id].running_copies < targets.get(s.job_id, 0)
@@ -810,41 +856,62 @@ class CentralizedSimulator:
 
     def _dispatch_speculation(
         self,
-        order: List[JobAllocationState],
         targets: Optional[Dict[int, int]],
         pool_limit: Optional[int],
     ) -> None:
+        """Launch speculative copies, smallest jobs first.
+
+        The pass visits only the work set ``_spec_work``: a job outside
+        it is clean, unexpired and holds an evaluated empty candidate
+        list, so its visit would neither restamp its throttle cache nor
+        launch anything. A launch, kill or finish adds a job back
+        (:meth:`_mark_spec_dirty`), and so does the expiry of its stamp
+        (popped from ``_spec_expiry``, whose entries are pushed whenever
+        a visit restamps). A visited job leaves the set once it is in
+        that no-op state; a job the early returns never reach stays.
+        """
         cluster = self.cluster
         jobs = self._jobs
+        work = self._spec_work
         now = self.sim.now
         min_interval = self._spec_eval_min_interval
-        for state in order:
-            jr = jobs.get(state.job_id)
-            if jr is None:
-                continue
+        # Float subtraction is monotone in the stamp, so the heap pops
+        # exactly the stamps the per-job expiry test would accept.
+        expiry = self._spec_expiry
+        while expiry and now - expiry[0][0] >= min_interval:
+            stamp, job_id = heappop(expiry)
+            jr = jobs.get(job_id)
+            if jr is not None and jr.spec_cache_time == stamp:
+                work.add(job_id)
+        if not work:
+            return
+        for state in self._alloc.in_order(work):
+            job_id = state.job_id
+            jr = jobs[job_id]
             if cluster.free_slots <= 0:
                 return
             if pool_limit is not None and self._running_spec_copies >= pool_limit:
                 return
-            if targets is not None and jr.running_copies >= targets.get(
-                state.job_id, 0
-            ):
-                # At target: the candidate loop below would launch
-                # nothing, so only restamp the throttle cache and leave
-                # its list owed — a later read evaluates it at the
-                # stamped time, exactly as an eager scan here would have.
+            stamp = jr.spec_cache_time
+            if targets is not None and jr.running_copies >= targets.get(job_id, 0):
+                # At target: the candidate loop would launch nothing, so
+                # only restamp the throttle cache and leave its list
+                # owed — a later read evaluates it at the stamped time,
+                # exactly as an eager scan here would have.
                 jr.refresh_speculation_cache(now, min_interval)
-                continue
-            # Inlined cache fast path of JobRuntime.speculation_candidates
-            # — this sweep visits every active job per reschedule and the
-            # throttle hits far more often than it misses.
-            candidates = jr.spec_candidates
-            if (
-                candidates is None
-                or jr.spec_dirty
-                or now - jr.spec_cache_time >= min_interval
-            ):
-                candidates = jr.speculation_candidates(now, min_interval)
+                candidates = ()
+            else:
+                # Inlined cache fast path of
+                # JobRuntime.speculation_candidates.
+                candidates = jr.spec_candidates
+                if (
+                    candidates is None
+                    or jr.spec_dirty
+                    or now - stamp >= min_interval
+                ):
+                    candidates = jr.speculation_candidates(now, min_interval)
+            if jr.spec_cache_time != stamp:
+                heappush(expiry, (jr.spec_cache_time, job_id))
             for request in candidates:
                 if cluster.free_slots <= 0:
                     return
@@ -854,7 +921,7 @@ class CentralizedSimulator:
                 ):
                     return
                 if targets is not None and jr.running_copies >= targets.get(
-                    state.job_id, 0
+                    job_id, 0
                 ):
                     break
                 if request.task.is_finished:
@@ -863,3 +930,9 @@ class CentralizedSimulator:
                 if jr.view.num_live_copies(request.task) >= max_copies:
                     continue  # stale cached candidate
                 self._launch_copy(jr, request.task, speculative=True)
+            if (
+                jr.spec_candidates == []
+                and not jr.spec_dirty
+                and now - jr.spec_cache_time < min_interval
+            ):
+                work.discard(job_id)

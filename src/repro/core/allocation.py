@@ -199,6 +199,8 @@ def hopper_allocation_ordered(
     force_regime: Optional[str] = None,
     total_virtual: Optional[float] = None,
     floors: Optional[Dict[int, int]] = None,
+    cap_sum: Optional[int] = None,
+    caps: Optional[Dict[int, int]] = None,
 ) -> Dict[int, int]:
     """:func:`hopper_allocation` with the sort hoisted out.
 
@@ -215,7 +217,10 @@ def hopper_allocation_ordered(
     and ``floors`` (:func:`~repro.core.fairness.fairness_floors` for the
     same set and slots) may be supplied precomputed — the incremental
     engine memoizes both between events; when omitted they are computed
-    here exactly as the from-scratch path does.
+    here exactly as the from-scratch path does. So may ``cap_sum`` and
+    ``caps`` (the integer sum of the active caps and a ``job_id -> cap``
+    dict over the same set), which the engine maintains per upsert;
+    they must be passed together.
     """
     if total_slots < 0:
         raise ValueError("total_slots must be non-negative")
@@ -232,16 +237,20 @@ def hopper_allocation_ordered(
     # remainder pass tops every job up. The result is pure integers, so
     # returning it directly is bit-identical — and on big capacity-rich
     # clusters (the 10k/100k-slot regime, where caps bind long before
-    # slots run out) it turns the per-event solve into one int sum.
-    caps = [j.cap for j in active]
-    if sum(caps) <= total_slots:
-        return {j.job_id: c for j, c in zip(active, caps)}
+    # slots run out) it turns the per-event solve into one int sum, or
+    # into a dict copy when the caller maintains the sum.
+    if caps is None:
+        caps = {j.job_id: j.cap for j in active}
+        cap_sum = sum(caps.values())
+    if cap_sum <= total_slots:
+        return dict(caps)
 
     if floors is None:
         floors = fairness_floors(active, total_slots, epsilon)
     alloc: Dict[int, int] = {}
-    for job, cap in zip(active, caps):
+    for job in active:
         floor = floors[job.job_id]
+        cap = job.cap
         alloc[job.job_id] = floor if floor < cap else cap
     leftover = total_slots - sum(alloc.values())
 

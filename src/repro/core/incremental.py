@@ -22,6 +22,9 @@ every golden study digest pins replay output. Two rules follow:
    maintaining them by add/subtract would drift in the last bits and
    could flip a regime decision. The solves re-sum in O(active) cheap
    float adds; only the state *construction* and *sorting* are delta'd.
+   Integer sums are exact under add/subtract, so they *may* be
+   delta-maintained: the sum of the caps (and the per-job caps) is kept
+   per upsert/remove, and the everyone-capped solve reads it in O(1).
 2. **The maintained sort is exact, not approximate.** Policy sort keys
    end in the unique ``job_id``, so the order is total and the bisect
    container reproduces ``sorted()`` exactly.
@@ -68,6 +71,8 @@ class IncrementalAllocator:
         "_vsum_version",
         "_floors",
         "_floors_key",
+        "_caps",
+        "_cap_sum",
     )
 
     def __init__(self, policy) -> None:
@@ -96,6 +101,10 @@ class IncrementalAllocator:
         # Fairness floors, memoized on (membership version, slots).
         self._floors: Optional[Dict[int, int]] = None
         self._floors_key = (-1, -1)
+        # job_id -> cap of every materialized state, and their exact
+        # integer sum (see rule 1).
+        self._caps: Dict[int, int] = {}
+        self._cap_sum = 0
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -144,6 +153,10 @@ class IncrementalAllocator:
             del self._entries[bisect_left(self._entries, old_key)]
             insort(self._entries, key)
             self._keys[job_id] = key
+        if old is not None:
+            self._cap_sum -= old.cap
+        self._cap_sum += state.cap
+        self._caps[job_id] = state.cap
         # Replacing a present dict key keeps its position — the invariant
         # that makes states() the from-scratch insertion-order list.
         self._states[job_id] = state
@@ -154,7 +167,8 @@ class IncrementalAllocator:
         """Drop a job (completed or no longer active)."""
         if job_id not in self._states:
             return False
-        del self._states[job_id]
+        if self._states.pop(job_id) is not None:
+            self._cap_sum -= self._caps.pop(job_id)
         old_key = self._keys.pop(job_id, None)
         if old_key is not None:
             del self._entries[bisect_left(self._entries, old_key)]
@@ -166,6 +180,8 @@ class IncrementalAllocator:
         self._states.clear()
         self._keys.clear()
         self._entries.clear()
+        self._caps.clear()
+        self._cap_sum = 0
         self._membership_version += 1
         self._floors = None
         self._floors_key = (-1, -1)
@@ -192,7 +208,23 @@ class IncrementalAllocator:
             self._ordered_cache = cached
         return cached
 
+    def in_order(self, job_ids) -> List[JobAllocationState]:
+        """The states of ``job_ids`` in dispatch order — the subsequence
+        of :meth:`ordered` they form, in O(k log k) for k ids instead of
+        O(active). Ids without a materialized state are skipped."""
+        keys = self._keys
+        states = self._states
+        return [
+            states[key[-1]]
+            for key in sorted([keys[j] for j in job_ids if j in keys])
+        ]
+
     # -- solving -----------------------------------------------------------
+
+    @property
+    def cap_sum(self) -> int:
+        """Exact integer sum of the active states' caps."""
+        return self._cap_sum
 
     def virtual_size_sum(self) -> float:
         """Insertion-order sum of active virtual sizes, memoized per
@@ -222,11 +254,20 @@ class IncrementalAllocator:
 
     def allocate(self, total_slots: int) -> Dict[int, int]:
         """Policy targets for the current state set: the policy's
-        ordered solve over the maintained orders."""
+        ordered solve over the maintained orders, caps and cap sum.
+
+        When every cap fits in the pool, the virtual-size sum and the
+        floors are left for the policy to compute (``None``): the
+        everyone-capped solve reads neither, so the O(active) sum is
+        skipped, and a policy that does read them computes the same
+        values from the same states."""
+        capped = self._cap_sum <= total_slots
         return self.policy.allocate_ordered(
             self.states(),
             self.ordered(),
             total_slots,
-            total_virtual=self.virtual_size_sum(),
-            floors=self._fairness_floors(total_slots),
+            total_virtual=None if capped else self.virtual_size_sum(),
+            floors=None if capped else self._fairness_floors(total_slots),
+            cap_sum=self._cap_sum,
+            caps=self._caps,
         )

@@ -143,15 +143,11 @@ class SchedulerAgent:
 
     # -- gossip / estimation -----------------------------------------------
 
-    def _virtual_size(
-        self, sj: SchedulerJob, remaining: Optional[int] = None
-    ) -> float:
+    def _virtual_size(self, sj: SchedulerJob, remaining: int) -> float:
         beta = self.sim.beta()
         alpha = 1.0
         if self._use_alpha and len(sj.job.phases) > 1:
             alpha = self.sim.alpha_estimator.predict_alpha(sj.job)
-        if remaining is None:
-            remaining = sj.job.remaining_tasks()
         # Inlined repro.core.virtual_size.virtual_size (identical float
         # operations in identical order) — this runs per gossip refresh.
         if remaining == 0:

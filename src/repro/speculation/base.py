@@ -9,7 +9,6 @@ separation is exactly the coordination gap the paper closes.
 
 from __future__ import annotations
 
-import statistics
 from abc import ABC, abstractmethod
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
@@ -221,10 +220,21 @@ class JobExecutionView:
         if durations:
             count = len(durations)
             if count != self._median_count:
-                self._median_cache = statistics.median(durations)
+                self._median_cache = _median(durations)
                 self._median_count = count
             return self._median_cache
         return task.size
+
+
+def _median(values: List[float]) -> float:
+    """``statistics.median`` with the same float operations (sort, then
+    the middle element or the mean of the middle two), without importing
+    the statistics module at start-up."""
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[mid]
+    return (ordered[mid - 1] + ordered[mid]) / 2
 
 
 class SpeculationPolicy(ABC):

@@ -19,8 +19,6 @@ execution produce bit-identical results for identical specs.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
@@ -160,6 +158,10 @@ class SweepRunner:
         self, specs: Sequence[RunSpec], stats: SweepStats
     ) -> List[SimulationResult]:
         if self._use_pool(len(specs)):
+            # Imported here so a serial run never loads the pool
+            # machinery (concurrent.futures pulls in multiprocessing).
+            from concurrent.futures.process import BrokenProcessPool
+
             try:
                 return self._execute_parallel(specs, stats)
             except (OSError, PermissionError, BrokenProcessPool):
@@ -173,6 +175,8 @@ class SweepRunner:
     def _execute_parallel(
         self, specs: Sequence[RunSpec], stats: SweepStats
     ) -> List[SimulationResult]:
+        from concurrent.futures import ProcessPoolExecutor
+
         workers = self.max_workers or os.cpu_count() or 1
         workers = min(workers, len(specs))
         payloads = [spec.to_dict() for spec in specs]

@@ -316,21 +316,27 @@ def test_job_at_target_gets_no_speculation_scan_but_its_cache_advances():
         random_source=RandomSource(seed=7),
     )
     sim.run(until=1.0)
-    now = sim.sim.now
     jr = sim._jobs[0]
     assert jr.running_copies == 4 and sim.cluster.free_slots > 0
-    order = sim._alloc.ordered()
+    stamped = jr.spec_cache_time
+    assert not jr.spec_dirty
+
+    # Age the stamp: move the clock past the throttle interval with an
+    # event that touches no copy of the job.
+    min_interval = sim.config.spec_eval_min_interval
+    sim.sim.schedule(2 * min_interval, lambda: None)
+    sim.sim.run(until=stamped + 2 * min_interval)
+    now = sim.sim.now
+    assert now - stamped >= min_interval and not jr.spec_dirty
 
     # At target with a stale cache: no scan, but the stamp moves to now
     # and the list is owed.
-    jr.spec_dirty = False
-    jr.spec_cache_time = now - 10.0
     calls.clear()
-    sim._dispatch_speculation(order, {0: jr.running_copies}, pool_limit=None)
+    sim._dispatch_speculation({0: jr.running_copies}, pool_limit=None)
     assert calls == []
     assert jr.spec_cache_time == now
     assert jr.spec_candidates is None
 
     # Below target, the owed list is evaluated at the stamped time.
-    sim._dispatch_speculation(order, {0: jr.running_copies + 1}, pool_limit=None)
+    sim._dispatch_speculation({0: jr.running_copies + 1}, pool_limit=None)
     assert calls == [(0, now)]

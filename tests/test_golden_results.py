@@ -378,6 +378,54 @@ def test_power_of_d_two_with_evictions_and_resizes_is_pinned():
     assert digest == GOLDEN_POWER_OF_D_DIGEST
 
 
+#: sha256 of centralized Hopper replays that stress the dispatch work
+#: sets, captured before the passes walked work sets instead of every
+#: active job. ``budgeted-shrinks``: budgeted speculation while six
+#: scheduled resizes shrink and regrow a 60-slot cluster; a shrink
+#: leaves originals above the new fence, so four speculation passes
+#: run out of free slots midway. ``capacity-rich``: 120 jobs on 8000
+#: slots, up to 112 active at once, with every solve but two in the
+#: everyone-capped regime (946 of them over more than 100 jobs).
+GOLDEN_WORK_SET_DIGESTS = {
+    "budgeted-shrinks": (
+        "8fafe9dd32f55463a90278f1d3f454abe4f1cb39d60ef2c2d17ec7ac052d388a",
+        RunSpec(
+            "centralized",
+            "hopper",
+            WorkloadParams(
+                profile="spark-facebook", num_jobs=60, utilization=0.9,
+                total_slots=60, seed=2,
+            ),
+            knobs={
+                "speculation_mode": "budgeted",
+                "autoscaler": "schedule",
+                "resize_schedule": "2:-8,4:+8,6:-8,8:+8,10:-8,12:+8",
+            },
+        ),
+    ),
+    "capacity-rich": (
+        "35296c0b44f28b27c59b8fef47ec442b420612a2e4620dc7fcde076cb45d7ba9",
+        RunSpec(
+            "centralized",
+            "hopper",
+            WorkloadParams(
+                profile="spark-facebook", num_jobs=120, utilization=0.6,
+                total_slots=8000, seed=5,
+            ),
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_WORK_SET_DIGESTS))
+def test_work_set_replays_are_pinned(name):
+    digest, spec = GOLDEN_WORK_SET_DIGESTS[name]
+    result = spec.execute()
+    assert result.num_jobs == spec.workload.num_jobs
+    assert result.speculative_copies > 0
+    assert hashlib.sha256(_result_payload([result]).encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("kind", ["centralized", "decentralized"])
 def test_explicit_none_blacklist_policy_is_byte_identical(kind):
     """Differential: blacklist_policy="none" must not perturb a replay.

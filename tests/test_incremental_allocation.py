@@ -12,7 +12,8 @@ that constraint from three sides:
 * **property** — a full simulation stepped one event at a time, with
   arrivals, completions, speculation races, machine eviction, and
   probation reinstatement, asserting after *every* event that the
-  incremental caches match the from-scratch builders;
+  incremental caches match the from-scratch builders, and after every
+  reschedule that the dispatch passes' work sets match scans;
 * **behavioral identity** — the tracked-set speculation preemption sweep
   against the old all-jobs sweep on a straggler-heavy replay.
 """
@@ -48,7 +49,7 @@ from repro.stragglers.model import (
     MachineCorrelatedStragglerModel,
     ParetoRedrawStragglerModel,
 )
-from repro.workload.generator import FACEBOOK_PROFILE
+from repro.workload.generator import FACEBOOK_PROFILE, SPARK_FACEBOOK_PROFILE
 
 
 # -- reference implementation (independent port of Pseudocode 1) -------------
@@ -213,6 +214,12 @@ def test_ordered_solves_accept_precomputed_sums_and_floors():
         floors=fairness_floors(active, slots, 0.1),
     )
     assert base == precomp
+    for pool in (slots, sum(s.cap for s in active)):
+        caps = {s.job_id: s.cap for s in active}
+        assert hopper_allocation_ordered(
+            active, ascending, pool, epsilon=0.1,
+            cap_sum=sum(caps.values()), caps=caps,
+        ) == hopper_allocation_ordered(active, ascending, pool, epsilon=0.1)
     srpt_asc = sorted(active, key=lambda j: (j.remaining_tasks, j.job_id))
     assert srpt_allocation_ordered(active, srpt_asc, slots) == srpt_allocation(
         active, slots
@@ -351,6 +358,12 @@ def test_allocator_tracks_insertion_and_sorted_orders():
             expected = list(live.values())
             assert alloc.states() == expected
             assert alloc.ordered() == sorted(expected, key=policy.sort_key)
+            assert alloc._caps == {s.job_id: s.cap for s in expected}
+            assert alloc._cap_sum == sum(s.cap for s in expected)
+            subset = set(rng.sample(range(next_id + 2), min(5, next_id + 2)))
+            assert alloc.in_order(subset) == [
+                s for s in alloc.ordered() if s.job_id in subset
+            ]
             slots = rng.choice([0, 5, 50, 500])
             assert alloc.allocate(slots) == policy.allocate(expected, slots)
 
@@ -539,6 +552,132 @@ def test_incremental_caches_match_from_scratch_every_event(policy_factory):
     assert plain.mean_job_duration == probed.mean_job_duration
     assert plain.killed_copies == probed.killed_copies
     assert plain.wasted_slot_time == probed.wasted_slot_time
+
+
+# -- property: dispatch work sets after every reschedule ---------------------
+
+
+def _assert_dispatch_work_sets(sim):
+    """The dispatch passes' work sets and the allocator's integer cap
+    bookkeeping against scans of the simulator state; returns how many
+    active jobs the speculation pass may skip."""
+    jobs = sim._jobs
+    assert sim._pending_job_ids == {j for j, jr in jobs.items() if jr.pending}
+    # Outside the speculation work set a visit is a no-op: clean cache,
+    # unexpired stamp, evaluated empty candidate list.
+    now = sim.sim.now
+    min_interval = sim._spec_eval_min_interval
+    for job_id, jr in jobs.items():
+        if job_id not in sim._spec_work:
+            assert not jr.spec_dirty, job_id
+            assert now - jr.spec_cache_time < min_interval, job_id
+            assert jr.spec_candidates == [], job_id
+    expected = _from_scratch_states(sim)
+    assert sim._alloc._caps == {s.job_id: s.cap for s in expected}
+    assert sim._alloc._cap_sum == sum(s.cap for s in expected)
+    return len(jobs.keys() - sim._spec_work)
+
+
+def _checked(plane):
+    """``plane`` with the work-set invariants asserted after every
+    reschedule, counting reschedules, skippable job visits and
+    speculation passes that ran the cluster out of free slots."""
+
+    class Checked(plane):
+        __slots__ = ()
+        reschedules = 0
+        skipped = 0
+        spec_ran_out = 0
+
+        def _reschedule(self):
+            super()._reschedule()
+            type(self).reschedules += 1
+            type(self).skipped += _assert_dispatch_work_sets(self)
+
+        def _dispatch_speculation(self, targets, pool_limit):
+            free = self.cluster.free_slots
+            super()._dispatch_speculation(targets, pool_limit)
+            if free > 0 and self.cluster.free_slots <= 0:
+                type(self).spec_ran_out += 1
+
+    return Checked
+
+
+_SHRINKS = {
+    "autoscaler": "schedule",
+    "resize_schedule": "2:-8,4:+8,6:-8,8:+8,10:-8,12:+8",
+}
+
+#: plane, speculation mode, speculation policy, extra knobs.
+_WORK_SET_GRID = [
+    ("centralized", "integrated", "late", {"blacklist_policy": "strikes"}),
+    ("centralized", "best_effort", "mantri", {}),
+    ("centralized", "budgeted", "late", _SHRINKS),
+    ("centralized", "integrated", "grass", {}),
+    # No throttle: every stamp is expired at once, so no job ever leaves.
+    (
+        "centralized",
+        "integrated",
+        "late",
+        {
+            "config": CentralizedConfig(
+                spec_eval_min_interval=0.0,
+                default_beta=SPARK_FACEBOOK_PROFILE.beta,
+            )
+        },
+    ),
+    ("batch", "integrated", "mantri", {}),
+    ("batch", "budgeted", "grass", {"blacklist_policy": "strikes", **_SHRINKS}),
+]
+
+
+@pytest.mark.parametrize(
+    "plane,mode,speculation,knobs",
+    _WORK_SET_GRID,
+    ids=["-".join(case[:3]) + ("-" + "-".join(case[3]) if case[3] else "")
+         for case in _WORK_SET_GRID],
+)
+def test_dispatch_work_sets_match_scans_after_every_reschedule(
+    plane, mode, speculation, knobs
+):
+    from repro.batch.simulator import BatchSimulator
+    from repro.experiments.harness import _centralized_family_kwargs
+
+    spec = WorkloadSpec(
+        profile=SPARK_FACEBOOK_PROFILE,
+        num_jobs=60,
+        utilization=0.9,
+        total_slots=60,
+        seed=2,
+    )
+    cls = _checked(BatchSimulator if plane == "batch" else CentralizedSimulator)
+    sim = cls(
+        **_centralized_family_kwargs(
+            build_trace(spec),
+            "hopper",
+            spec,
+            plane,
+            speculation=speculation,
+            speculation_mode=mode,
+            straggler_model="machine-correlated",
+            obs=None,
+            **knobs,
+        )
+    )
+    result = sim.run()
+    assert result.num_jobs == spec.num_jobs
+    assert cls.reschedules > 100
+    if "config" in knobs:
+        assert cls.skipped == 0  # unthrottled: every visit restamps
+    else:
+        assert cls.skipped > 0  # the work set does leave jobs out
+    assert result.speculative_copies > 0
+    if "blacklist_policy" in knobs:
+        assert result.evictions > 0
+    if plane == "centralized" and mode == "budgeted":
+        # The shrinks leave originals above the new fence, so a
+        # speculation pass runs the cluster out of slots midway.
+        assert cls.spec_ran_out > 0
 
 
 # -- behavioral identity: tracked-set speculation preemption -----------------

@@ -70,6 +70,18 @@ def test_view_estimate_tnew_uses_median():
     assert view.estimate_new_copy_duration(task) == 2.0
 
 
+def test_local_median_matches_statistics_median():
+    import random
+    import statistics
+
+    from repro.speculation.base import _median
+
+    rng = random.Random(5)
+    for n in range(1, 40):
+        values = [rng.paretovariate(1.3) for _ in range(n)]
+        assert _median(values) == statistics.median(values)
+
+
 def test_view_estimate_tnew_falls_back_to_size():
     view = _view(sizes=[3.0, 1.0, 1.0, 1.0])
     task = view.job.phases[0].tasks[0]

@@ -523,3 +523,29 @@ def test_evaluate_uses_default_runner_override():
         assert sentinel.stats.requested == 1
     finally:
         set_default_runner(None)
+
+
+def test_serial_run_loads_no_pool_or_statistics_modules():
+    """Start-up stays lean: importing the CLI and running a sweep
+    serially loads neither the process-pool machinery nor the
+    statistics module (each costs megabytes of resident memory)."""
+    import os
+    import subprocess
+    import sys
+
+    code = (
+        "import sys\n"
+        "import repro.cli\n"
+        "from repro.sweep import RunSpec, SweepRunner, WorkloadParams\n"
+        "SweepRunner(parallel=False).run([RunSpec('centralized', 'hopper',"
+        " WorkloadParams(num_jobs=5, total_slots=20))])\n"
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing',"
+        " 'statistics') if m in sys.modules))\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"
