@@ -10,6 +10,11 @@ Two hooks exist for the incremental allocation engine
 * :meth:`CentralizedPolicy.sort_key` — the dispatch-order key. It MUST
   end in the unique ``job_id`` (the engine's sorted container needs a
   total order, and maps entries back to states by that trailing id).
+* :meth:`CentralizedPolicy.capped_targets` — the targets when the
+  policy can prove they are exactly the caps, decided from the cap sum
+  alone so the engine returns them before materializing any list. Only
+  Hopper proves it; the default declines, so the Fair and SRPT solves
+  always run.
 * :meth:`CentralizedPolicy.allocate_ordered` — the solve given
   pre-maintained orders. The default falls back to the full
   :meth:`allocate`; policies whose solve begins with a sort override it
@@ -65,6 +70,14 @@ class CentralizedPolicy(ABC):
         policies. Floors depend only on membership, weights, and the
         slot pool, so the incremental engine caches them across the
         per-completion state churn."""
+        return None
+
+    def capped_targets(
+        self, total_slots: int, cap_sum: int, caps: Dict[int, int]
+    ) -> Optional[Dict[int, int]]:
+        """The targets when they are provably ``caps`` (a ``job_id ->
+        cap`` dict over the active states, summing to ``cap_sum``), or
+        None when the full solve must run. The default always declines."""
         return None
 
     def allocate_ordered(
@@ -198,6 +211,16 @@ class HopperPolicy(CentralizedPolicy):
         self, states: Sequence[JobAllocationState], total_slots: int
     ) -> Optional[Dict[int, int]]:
         return core_fairness_floors(states, total_slots, self.epsilon)
+
+    def capped_targets(
+        self, total_slots: int, cap_sum: int, caps: Dict[int, int]
+    ) -> Optional[Dict[int, int]]:
+        # The everyone-capped shortcut of hopper_allocation_ordered,
+        # which proves that caps summing to at most the pool are the
+        # targets whatever the floors, regime or fill order.
+        if cap_sum <= total_slots:
+            return dict(caps)
+        return None
 
     def allocate_ordered(
         self,

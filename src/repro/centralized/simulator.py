@@ -35,7 +35,9 @@ Scale-out notes (10k+-slot clusters):
   :meth:`~repro.simulation.engine.Simulator.schedule_many`;
 * the speculation-preemption sweep enumerates victims from the view's
   live-speculative index instead of walking every live copy, and only
-  visits jobs in the incrementally tracked live-speculation set.
+  visits jobs in the incrementally tracked live-speculation set — while
+  the targets stay the caps, only those whose running count or cap
+  moved since the last sweep.
 
 Blacklisting (§2.2): an optional
 :class:`~repro.cluster.policy.BlacklistPolicy` observes every copy
@@ -149,10 +151,14 @@ class CentralizedSimulator:
         "_alloc_beta",
         "_alloc_history",
         "_alloc_dirty_jobs",
+        "_alpha_job_ids",
         "_spec_job_ids",
         "_pending_job_ids",
         "_spec_work",
+        "_spec_parked",
         "_spec_expiry",
+        "_count_moved",
+        "_sweep_capped",
         "_spec_check_scheduled",
         "_jobs_completed",
         "_total_slots",
@@ -212,6 +218,8 @@ class CentralizedSimulator:
         self._alloc_beta: Optional[float] = None  # beta states were built at
         self._alloc_history = -1  # alpha history version ditto
         self._alloc_dirty_jobs: set = set()  # job ids needing recompute
+        # Jobs whose predicted alpha can move with the alpha history.
+        self._alpha_job_ids: set = set()
         self._spec_job_ids: set = set()  # jobs with live speculative copies
         # Work sets of the dispatch passes (see _dispatch_originals and
         # _dispatch_speculation): jobs with a non-empty pending deque,
@@ -220,7 +228,16 @@ class CentralizedSimulator:
         # once its stamp expires.
         self._pending_job_ids: set = set()
         self._spec_work: set = set()
+        # Jobs a capped speculation pass took out of the work set at
+        # their target (may also hold ids that have since returned).
+        self._spec_parked: set = set()
         self._spec_expiry: List[tuple] = []
+        # Preemption delta (see _preempt_excess_speculation): jobs whose
+        # running-copy count moved since the last sweep (their cap moves
+        # are in the allocator's cap_moved), and whether the last sweep
+        # ran on capped targets.
+        self._count_moved: set = set()
+        self._sweep_capped = False
         self._spec_check_scheduled = False
         self._jobs_completed = 0
 
@@ -338,30 +355,48 @@ class CentralizedSimulator:
             )
         )
 
-    def _refresh_allocation_states(self) -> List[JobAllocationState]:
-        """The active jobs' allocation states, in arrival order.
+    def _refresh_allocation(self) -> int:
+        """Bring the allocator's states up to date; returns how many
+        jobs are active.
 
         Recomputes only jobs dirtied since the last solve, unless the
-        beta value or the alpha history moved (an *epoch* bump) — then
-        every cached state's derived floats are suspect and the sweep
-        re-derives them lazily from the cached inputs, which is still
-        far cheaper than re-reading the job structures."""
+        beta value or the alpha history moved (an *epoch* bump). A beta
+        move makes every cached state's derived floats suspect, and the
+        sweep re-derives them lazily from the cached inputs, which is
+        still far cheaper than re-reading the job structures. An
+        alpha-only move can change only the jobs whose alpha is
+        predicted (``_alpha_job_ids``; every other job's alpha is the
+        constant 1.0) and whose name's history moved since the last
+        epoch: re-deriving any other job would rebuild an equal state."""
         beta = self._beta()
         history = self.alpha_estimator.history_version
-        if beta != self._alloc_beta or history != self._alloc_history:
+        jobs = self._jobs
+        dirty = self._alloc_dirty_jobs
+        if beta != self._alloc_beta:
             realpha = history != self._alloc_history
-            for jr in self._jobs.values():
+            for jr in jobs.values():
                 self._refresh_job_state(jr, beta, realpha)
             self._alloc_beta = beta
             self._alloc_history = history
-            self._alloc_dirty_jobs.clear()
-        elif self._alloc_dirty_jobs:
-            jobs = self._jobs
-            for job_id in self._alloc_dirty_jobs:
+        else:
+            for job_id in dirty:
                 jr = jobs.get(job_id)
                 if jr is not None:
                     self._refresh_job_state(jr, beta, realpha=False)
-            self._alloc_dirty_jobs.clear()
+            if history != self._alloc_history:
+                since = self._alloc_history
+                name_version = self.alpha_estimator.name_version
+                for job_id in self._alpha_job_ids:
+                    jr = jobs[job_id]
+                    if name_version(jr.job.name) > since:
+                        self._refresh_job_state(jr, beta, realpha=True)
+                self._alloc_history = history
+        dirty.clear()
+        return len(self._alloc)
+
+    def _refresh_allocation_states(self) -> List[JobAllocationState]:
+        """The active jobs' allocation states, in arrival order."""
+        self._refresh_allocation()
         return self._alloc.states()
 
     def _pick_machine(self, task: Task) -> Optional[int]:
@@ -400,6 +435,8 @@ class CentralizedSimulator:
         jr = _JobRuntime(job, self.speculation_factory(), self._pending_job_ids)
         jr.activate_runnable_phases()
         self._jobs[job.job_id] = jr
+        if self.config.use_alpha and job.num_phases > 1:
+            self._alpha_job_ids.add(job.job_id)
         self._spec_work.add(job.job_id)  # a fresh cache is dirty
         self._alloc.reserve(job.job_id)
         self._alloc_dirty_jobs.add(job.job_id)
@@ -467,9 +504,12 @@ class CentralizedSimulator:
 
     def _mark_spec_dirty(self, jr: _JobRuntime) -> None:
         """A launch, kill or finish changed ``jr``'s copies: its
-        speculation cache is stale, so its next visit may act."""
+        speculation cache is stale, so its next visit may act, and its
+        running count moved, so the next preemption sweep visits it."""
         jr.spec_dirty = True
-        self._spec_work.add(jr.job.job_id)
+        job_id = jr.job.job_id
+        self._spec_work.add(job_id)
+        self._count_moved.add(job_id)
 
     def _kill_copy(self, copy: TaskCopy, jr: _JobRuntime) -> None:
         self.ledger.kill(copy, jr.view)
@@ -526,9 +566,12 @@ class CentralizedSimulator:
         del self._jobs[job_id]
         self._alloc.remove(job_id)
         self._alloc_dirty_jobs.discard(job_id)
+        self._alpha_job_ids.discard(job_id)
         self._spec_job_ids.discard(job_id)
         self._pending_job_ids.discard(job_id)
         self._spec_work.discard(job_id)
+        self._spec_parked.discard(job_id)
+        self._count_moved.discard(job_id)
         self._jobs_completed += 1
 
     # ---------------------------------------------------------- blacklist ----
@@ -695,11 +738,11 @@ class CentralizedSimulator:
             return
         obs = self.obs
         if obs is None:
-            states = self._refresh_allocation_states()
+            active = self._refresh_allocation()
         else:
             with obs.timers.phase("alloc.refresh"):
-                states = self._refresh_allocation_states()
-        if not states:
+                active = self._refresh_allocation()
+        if not active:
             return
 
         mode = self.config.speculation_mode
@@ -725,11 +768,22 @@ class CentralizedSimulator:
             and alloc.virtual_size_sum() > self._total_slots
         )
 
+        # A job parked at its target returns to the speculation work set
+        # when its cap moves (_dispatch_speculation returns them all once
+        # the targets stop being the caps).
+        parked = self._spec_parked
+        if parked and alloc.cap_moved:
+            moved = parked & alloc.cap_moved
+            self._spec_work.update(moved)
+            parked -= moved
+
         # Coordinated mode may reclaim slots from over-target speculative
         # copies (killing a redundant copy loses no unique work) — this is
         # the "dynamically reallocate the slots" step of Fig. 2.
         if mode is SpeculationMode.INTEGRATED and self.config.preempt_speculative:
             self._preempt_excess_speculation(targets)
+        self._count_moved.clear()
+        alloc.cap_moved.clear()
 
         if mode is SpeculationMode.INTEGRATED:
             # Originals within targets, then speculation within targets
@@ -758,18 +812,33 @@ class CentralizedSimulator:
     def _preempt_excess_speculation(self, targets: Dict[int, int]) -> None:
         """Kill speculative copies of jobs running above their target.
 
-        Victims are the youngest speculative copies (least work lost).
-        Original copies are never preempted. Only jobs in the
-        incrementally tracked live-speculation set are visited — most
-        reschedules have zero live speculative copies, and the old
-        full-job sweep paid O(active jobs) to discover that. Iteration
-        is in ascending job id, which is exactly the arrival-order walk
+        Victims are the youngest speculative copies (least work lost)
+        that are not their task's only live copy: after an eviction or
+        a shrink killed a task's original, its speculative copy carries
+        the task alone, and killing it would lose the task. Original
+        copies are never preempted. Only jobs in the incrementally
+        tracked live-speculation set are visited — most reschedules
+        have zero live speculative copies, and the old full-job sweep
+        paid O(active jobs) to discover that. Iteration is in ascending
+        job id, which is exactly the arrival-order walk
         ``list(self._jobs.items())`` did (job ids are assigned in
         arrival order), so kill order — and therefore every downstream
-        RNG draw — is unchanged."""
+        RNG draw — is unchanged.
+
+        When these targets and the last sweep's are both the caps the
+        allocator returned unsolved, only jobs whose running count or
+        cap moved since that sweep are visited: any other job still has
+        the count and the target the last sweep left it with, so a visit
+        would kill nothing."""
+        alloc = self._alloc
+        capped = targets is alloc.last_capped
+        delta = capped and self._sweep_capped
+        self._sweep_capped = capped
         spec_ids = self._spec_job_ids
         if not spec_ids:
             return
+        if delta:
+            spec_ids = (self._count_moved | alloc.cap_moved) & spec_ids
         # Collect the over-target jobs first and sort only those: most
         # reschedules find none. A kill touches only its own job's
         # counters, so filtering up front selects the same jobs and
@@ -788,10 +857,15 @@ class CentralizedSimulator:
         now = self.sim.now
         for job_id, excess in sorted(over):
             jr = jobs[job_id]
-            victims = jr.view.live_speculative_copies()
+            view = jr.view
+            victims = view.live_speculative_copies()
             victims.sort(key=lambda c: c.elapsed(now))
-            for victim in victims[: min(excess, len(victims))]:
-                self._kill_copy(victim, jr)
+            for victim in victims:
+                if not excess:
+                    break
+                if view.num_live_copies(victim.task) > 1:
+                    self._kill_copy(victim, jr)
+                    excess -= 1
 
     def _dispatch_originals(
         self,
@@ -869,10 +943,23 @@ class CentralizedSimulator:
         (popped from ``_spec_expiry``, whose entries are pushed whenever
         a visit restamps). A visited job leaves the set once it is in
         that no-op state; a job the early returns never reach stays.
+
+        When ``targets`` are the caps the allocator returned unsolved, a
+        job visited at its target whose cache is clean and unexpired
+        afterwards also leaves, into ``_spec_parked``, whatever its
+        list: until its count moves (:meth:`_mark_spec_dirty`), its cap
+        moves (:meth:`_reschedule` returns it) or its stamp expires, a
+        visit would only find it at target again. Any other targets
+        return every parked job first.
         """
         cluster = self.cluster
         jobs = self._jobs
         work = self._spec_work
+        park = targets is not None and targets is self._alloc.last_capped
+        parked = self._spec_parked
+        if parked and not park:
+            work.update(parked)
+            parked.clear()
         now = self.sim.now
         min_interval = self._spec_eval_min_interval
         # Float subtraction is monotone in the stamp, so the heap pops
@@ -893,7 +980,10 @@ class CentralizedSimulator:
             if pool_limit is not None and self._running_spec_copies >= pool_limit:
                 return
             stamp = jr.spec_cache_time
-            if targets is not None and jr.running_copies >= targets.get(job_id, 0):
+            at_target = targets is not None and jr.running_copies >= targets.get(
+                job_id, 0
+            )
+            if at_target:
                 # At target: the candidate loop would launch nothing, so
                 # only restamp the throttle cache and leave its list
                 # owed — a later read evaluates it at the stamped time,
@@ -930,9 +1020,9 @@ class CentralizedSimulator:
                 if jr.view.num_live_copies(request.task) >= max_copies:
                     continue  # stale cached candidate
                 self._launch_copy(jr, request.task, speculative=True)
-            if (
-                jr.spec_candidates == []
-                and not jr.spec_dirty
-                and now - jr.spec_cache_time < min_interval
-            ):
-                work.discard(job_id)
+            if not jr.spec_dirty and now - jr.spec_cache_time < min_interval:
+                if jr.spec_candidates == []:
+                    work.discard(job_id)
+                elif at_target and park:
+                    work.discard(job_id)
+                    parked.add(job_id)

@@ -29,6 +29,18 @@ every golden study digest pins replay output. Two rules follow:
    end in the unique ``job_id``, so the order is total and the bisect
    container reproduces ``sorted()`` exactly.
 
+The everyone-capped solve returns before it builds any list. When the
+caps fit in the pool the policy may prove that its targets are the caps
+(:meth:`~repro.centralized.policies.CentralizedPolicy.capped_targets`;
+Hopper does), and :meth:`IncrementalAllocator.allocate` then returns a
+copy of the maintained ``job_id -> cap`` dict without materializing
+``states()`` or ``ordered()``, whose caches every upsert invalidates.
+It keeps the returned dict in :attr:`IncrementalAllocator.last_capped`
+and collects the ids whose cap moved in
+:attr:`IncrementalAllocator.cap_moved`: in the capped regime those are
+exactly the jobs whose target moved, which lets the simulator's
+preemption sweep and speculation pass skip the rest.
+
 A regime flip (capacity-constrained ↔ rich) needs no special case: the
 full solve is the same sort plus the same ordered solve over the same
 states, order, virtual-size sum and floors, each of which the property
@@ -38,7 +50,7 @@ tests hold equal to its from-scratch value after every event.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 from repro.core.allocation import JobAllocationState
 
@@ -73,6 +85,8 @@ class IncrementalAllocator:
         "_floors_key",
         "_caps",
         "_cap_sum",
+        "last_capped",
+        "cap_moved",
     )
 
     def __init__(self, policy) -> None:
@@ -105,6 +119,11 @@ class IncrementalAllocator:
         # integer sum (see rule 1).
         self._caps: Dict[int, int] = {}
         self._cap_sum = 0
+        # The targets the last allocate() returned unsolved as the caps
+        # (None when it ran the solve), and the ids whose cap changed
+        # (or first materialized) since the owner last cleared the set.
+        self.last_capped: Optional[Dict[int, int]] = None
+        self.cap_moved: Set[int] = set()
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -153,10 +172,15 @@ class IncrementalAllocator:
             del self._entries[bisect_left(self._entries, old_key)]
             insort(self._entries, key)
             self._keys[job_id] = key
-        if old is not None:
+        cap = state.cap
+        if old is None:
+            self.cap_moved.add(job_id)
+        else:
             self._cap_sum -= old.cap
-        self._cap_sum += state.cap
-        self._caps[job_id] = state.cap
+            if old.cap != cap:
+                self.cap_moved.add(job_id)
+        self._cap_sum += cap
+        self._caps[job_id] = cap
         # Replacing a present dict key keeps its position — the invariant
         # that makes states() the from-scratch insertion-order list.
         self._states[job_id] = state
@@ -169,6 +193,7 @@ class IncrementalAllocator:
             return False
         if self._states.pop(job_id) is not None:
             self._cap_sum -= self._caps.pop(job_id)
+            self.cap_moved.discard(job_id)
         old_key = self._keys.pop(job_id, None)
         if old_key is not None:
             del self._entries[bisect_left(self._entries, old_key)]
@@ -182,6 +207,7 @@ class IncrementalAllocator:
         self._entries.clear()
         self._caps.clear()
         self._cap_sum = 0
+        self.cap_moved.clear()
         self._membership_version += 1
         self._floors = None
         self._floors_key = (-1, -1)
@@ -256,12 +282,23 @@ class IncrementalAllocator:
         """Policy targets for the current state set: the policy's
         ordered solve over the maintained orders, caps and cap sum.
 
-        When every cap fits in the pool, the virtual-size sum and the
-        floors are left for the policy to compute (``None``): the
-        everyone-capped solve reads neither, so the O(active) sum is
-        skipped, and a policy that does read them computes the same
-        values from the same states."""
+        When every cap fits in the pool, a policy that proves its
+        targets are the caps gets no list built at all (see the module
+        docstring); otherwise the virtual-size sum and the floors are
+        left for the policy to compute (``None``): the everyone-capped
+        solve reads neither, so the O(active) sum is skipped, and a
+        policy that does read them computes the same values from the
+        same states."""
         capped = self._cap_sum <= total_slots
+        if capped:
+            targets = self.policy.capped_targets(
+                total_slots, self._cap_sum, self._caps
+            )
+            self.last_capped = targets
+            if targets is not None:
+                return targets
+        else:
+            self.last_capped = None
         return self.policy.allocate_ordered(
             self.states(),
             self.ordered(),

@@ -5,6 +5,28 @@ random workers at job submission, answers worker slot offers (accept /
 refuse / no-task), runs the job's speculation algorithm, and piggybacks
 virtual-size, remaining-count and starvation updates on its messages
 (modelled by refreshing the shared :class:`JobGossip`).
+
+Per-offer work follows the job the offer names, not the scheduler's
+job count. Two per-job memos make that so:
+
+* **Demand.** :meth:`SchedulerAgent._has_demand` (a queued task, or a
+  speculative candidate below the copy limit) is memoized on the
+  :class:`SchedulerJob`. A "has pending" answer stays valid until the
+  pending deque changes: a ``pop_pending`` that takes a task (slot
+  offer, late-binding pull), a requeue, or a phase activation. A
+  speculative answer additionally needs the throttle stamp it was
+  computed under to be unchanged and unexpired. Every copy launch, kill
+  or finish and every periodic scan sets ``spec_dirty``, and each of
+  those four sites clears the memo too (a finish may finish a queued
+  task). A valid memo therefore equals a fresh evaluation, and the
+  evaluation it skips would neither prune the queue nor restamp the
+  throttle cache, so replays are unchanged. Refusals, which walk every
+  job of the scheduler in :meth:`~SchedulerAgent._smallest_unsatisfied`,
+  read the memo instead of re-deriving demand.
+* **Virtual size.** The gossip's virtual size is recomputed only when
+  its inputs moved: remaining tasks, beta, and (for a multi-phase job
+  under ``use_alpha``) the alpha estimator's history version for the
+  job's name (:meth:`~repro.estimation.alpha.AlphaEstimator.name_version`).
 """
 
 from __future__ import annotations
@@ -35,6 +57,9 @@ class SchedulerJob(JobRuntime):
         "probes_sent",
         "spec_probed_tasks",
         "last_activity",
+        "demand",
+        "demand_stamp",
+        "vsize_inputs",
     )
 
     def __init__(
@@ -50,6 +75,14 @@ class SchedulerJob(JobRuntime):
         self.probes_sent = 0
         self.spec_probed_tasks: Set[int] = set()
         self.last_activity = now
+        # Demand memo (see the module docstring): None when unknown; a
+        # speculative answer keeps the throttle stamp it was read under,
+        # a "has pending" answer keeps None there.
+        self.demand: Optional[bool] = None
+        self.demand_stamp: Optional[float] = None
+        # (remaining, beta, alpha history of the job's name) the gossip's
+        # virtual size was computed from.
+        self.vsize_inputs: Optional[tuple] = None
 
 
 class SchedulerAgent:
@@ -77,6 +110,7 @@ class SchedulerAgent:
             config.worker_policy is WorkerPolicy.HOPPER
         )
         self._late_binding = config.late_binding
+        self._alpha_estimator = sim.alpha_estimator
         self._send = sim.send
         self._counters = sim._counters  # None unless observability is on
 
@@ -143,13 +177,15 @@ class SchedulerAgent:
 
     # -- gossip / estimation -----------------------------------------------
 
-    def _virtual_size(self, sj: SchedulerJob, remaining: int) -> float:
-        beta = self.sim.beta()
+    def _virtual_size(
+        self, sj: SchedulerJob, remaining: int, beta: float
+    ) -> float:
         alpha = 1.0
         if self._use_alpha and len(sj.job.phases) > 1:
-            alpha = self.sim.alpha_estimator.predict_alpha(sj.job)
+            alpha = self._alpha_estimator.predict_alpha(sj.job)
         # Inlined repro.core.virtual_size.virtual_size (identical float
-        # operations in identical order) — this runs per gossip refresh.
+        # operations in identical order) — this runs whenever a job's
+        # gossip inputs move.
         if remaining == 0:
             return 0.0
         threshold = 2.0 / beta
@@ -169,7 +205,16 @@ class SchedulerAgent:
     def _refresh_gossip(self, sj: SchedulerJob) -> None:
         gossip = sj.gossip
         remaining = sj.job.remaining_tasks()
-        gossip.virtual_size = self._virtual_size(sj, remaining)
+        # beta is read on every refresh: a learning estimator refits on
+        # reads, so skipping a read would move its later fits.
+        beta = self.sim.beta()
+        history = -1  # alpha is constant 1.0 (single phase or alpha off)
+        if self._use_alpha and len(sj.job.phases) > 1:
+            history = self._alpha_estimator.name_version(sj.job.name)
+        inputs = (remaining, beta, history)
+        if inputs != sj.vsize_inputs:
+            sj.vsize_inputs = inputs
+            gossip.virtual_size = self._virtual_size(sj, remaining, beta)
         gossip.remaining_tasks = remaining
         if self._fairness_off:
             gossip.starved = False
@@ -200,7 +245,23 @@ class SchedulerAgent:
         return None
 
     def _has_demand(self, sj: SchedulerJob) -> bool:
-        return sj.has_pending() or self._next_speculative_task(sj) is not None
+        """A queued task or a launchable speculative copy, memoized per
+        job (validity and invalidation: see the module docstring)."""
+        demand = sj.demand
+        if demand is not None:
+            stamp = sj.demand_stamp
+            if stamp is None:
+                return demand
+            if stamp == sj.spec_cache_time and self._engine._now - stamp < 0.25:
+                return demand
+        if sj.has_pending():
+            sj.demand = True
+            sj.demand_stamp = None
+            return True
+        demand = self._next_speculative_task(sj) is not None
+        sj.demand = demand
+        sj.demand_stamp = sj.spec_cache_time
+        return demand
 
     def _smallest_unsatisfied(self) -> Optional[Tuple[float, int, int]]:
         """(virtual size, job id, scheduler id) of this scheduler's
@@ -239,7 +300,9 @@ class SchedulerAgent:
 
         task = sj.pop_pending()
         speculative = False
-        if task is None and request.spec_ok:
+        if task is not None:
+            sj.demand = None
+        elif request.spec_ok:
             # Speculative copies only ever come from the job's speculation
             # algorithm (Hopper is compatible with, not a replacement for,
             # LATE/Mantri/GRASS). A refusable offer is honoured only while
@@ -325,7 +388,9 @@ class SchedulerAgent:
         self._refresh_gossip(sj)
         task = sj.pop_pending()
         speculative = False
-        if task is None and request.spec_ok:
+        if task is not None:
+            sj.demand = None
+        elif request.spec_ok:
             task = self._next_speculative_task(sj)
             speculative = task is not None
         if task is not None:
@@ -340,16 +405,19 @@ class SchedulerAgent:
 
     def on_copy_bound(self, sj: SchedulerJob) -> None:
         sj.spec_dirty = True
+        sj.demand = None
         sj.last_activity = self.sim.sim.now
 
     def on_copy_gone(self, sj: SchedulerJob) -> None:
         sj.occupied -= 1
         sj.spec_dirty = True
+        sj.demand = None
 
     def on_task_finished(self, sj: SchedulerJob, task: Task) -> None:
         """React to a task completing (the simulator already marked it
         finished and collected the race losers via the copy ledger)."""
         sj.spec_dirty = True
+        sj.demand = None
         fresh = sj.activate_runnable_phases()
         if fresh:
             self._send_probes(sj, len(fresh))
@@ -359,6 +427,7 @@ class SchedulerAgent:
         """A worker eviction killed the task's last running copy: put it
         back in the pending queue and probe for a fresh slot."""
         if sj.requeue(task):
+            sj.demand = None
             self._refresh_gossip(sj)
             self._send_probes(sj, 1)
 
@@ -379,6 +448,7 @@ class SchedulerAgent:
         interval = self.sim.config.speculation_check_interval
         for sj in list(self.jobs.values()):
             sj.spec_dirty = True
+            sj.demand = None
             self._refresh_gossip(sj)
             if not self._spec_eligible_requests:
                 self._send_baseline_spec_probes(sj)

@@ -41,6 +41,9 @@ class AlphaEstimator:
         # when their job completes.
         self._alpha_cache: Dict[int, Tuple[int, int, float]] = {}
         self._history_version = 0
+        # job name -> history version right after its latest
+        # observation. A name that is absent has no history at all.
+        self._name_versions: Dict[str, int] = {}
         # Accuracy accounting as a running (error sum, count) — the
         # per-prediction error list it replaces grew without bound
         # under sustained arrivals and was only ever read as a mean.
@@ -65,6 +68,7 @@ class AlphaEstimator:
         total, count = self._sums.get(key, (0.0, 0))
         self._sums[key] = (total + float(output_data), count + 1)
         self._history_version += 1
+        self._name_versions[job_name] = self._history_version
 
     def observe_job(self, job: Job) -> None:
         """Record all phases of a completed job."""
@@ -80,6 +84,15 @@ class AlphaEstimator:
         the job's finished-task count are unchanged; the incremental
         allocation engine uses it as its alpha epoch."""
         return self._history_version
+
+    def name_version(self, job_name: str) -> int:
+        """The :attr:`history_version` right after the latest observation
+        recorded under ``job_name`` (0 if none).
+
+        A job's predicted alpha reads only its own name's history, so it
+        can have moved since history version ``v`` only if this exceeds
+        ``v`` (or the job's finished-task count changed)."""
+        return self._name_versions.get(job_name, 0)
 
     # -- prediction --------------------------------------------------------
 
@@ -112,6 +125,18 @@ class AlphaEstimator:
         ):
             return cached[2]
 
+        if job.name not in self._name_versions:
+            alpha = 1.0  # no phase of this name has a prediction
+        else:
+            alpha = self._alpha_from_history(job)
+        self._alpha_cache[job.job_id] = (
+            finished,
+            self._history_version,
+            alpha,
+        )
+        return alpha
+
+    def _alpha_from_history(self, job: Job) -> float:
         upstream_work = 0.0
         downstream_comm = 0.0
         saw_prediction = False
@@ -130,15 +155,8 @@ class AlphaEstimator:
                         predicted * remaining_fraction / self.network_rate
                     )
         if not saw_prediction or upstream_work <= 0 or downstream_comm <= 0:
-            alpha = 1.0
-        else:
-            alpha = downstream_comm / upstream_work
-        self._alpha_cache[job.job_id] = (
-            finished,
-            self._history_version,
-            alpha,
-        )
-        return alpha
+            return 1.0
+        return downstream_comm / upstream_work
 
     # -- completed-job teardown --------------------------------------------
 

@@ -225,3 +225,154 @@ def test_srpt_worker_policy_prioritizes_small_jobs():
     )
     durations = {r.job_id: r.duration for r in result.jobs}
     assert durations[0] < durations[1]
+
+
+# -- property: scheduler memos after every event ------------------------------
+
+
+def _fresh_demand(sj):
+    """``SchedulerAgent._has_demand`` recomputed from the job state
+    without pruning the queue, restamping the throttle cache or calling
+    the speculation policy: the cached candidate list is current
+    whenever a memo is valid (its stamp is unchanged and unexpired)."""
+    if any(not task.is_finished for task in sj.pending):
+        return True
+    assert isinstance(sj.spec_candidates, list)
+    copies_by_task = sj.view.copies_by_task
+    max_copies = sj.spec_policy.max_copies_per_task()
+    for request in sj.spec_candidates:
+        task = request.task
+        live = copies_by_task.get(task.task_id)
+        if not task.is_finished and (live is None or len(live) < max_copies):
+            return True
+    return False
+
+
+def _assert_scheduler_memos(sim):
+    """Every valid demand memo equals a fresh demand, and every gossip
+    virtual size whose inputs still hold equals the formula on them.
+    Returns (valid demand memos, current virtual sizes) checked."""
+    from repro.core.virtual_size import virtual_size
+
+    now = sim.sim.now
+    # The estimator's current fit, read without the refit a read of
+    # ``beta`` may trigger.
+    beta = (
+        sim.beta_estimator._cached_beta
+        if sim.config.learn_beta
+        else sim.config.default_beta
+    )
+    demands = sizes = 0
+    for agent in sim.schedulers:
+        for sj in agent.jobs.values():
+            stamp = sj.demand_stamp
+            if sj.demand is not None and (
+                stamp is None
+                or (stamp == sj.spec_cache_time and now - stamp < 0.25)
+            ):
+                assert sj.demand == _fresh_demand(sj), sj.job.job_id
+                demands += 1
+            alpha_moves = sim.config.use_alpha and len(sj.job.phases) > 1
+            remaining = sj.job.remaining_tasks()
+            history = -1
+            if alpha_moves:
+                history = sim.alpha_estimator.name_version(sj.job.name)
+            inputs = (remaining, beta, history)
+            if sj.vsize_inputs == inputs:
+                alpha = 1.0
+                if alpha_moves:
+                    alpha = sim.alpha_estimator.predict_alpha(sj.job)
+                expected = virtual_size(remaining, beta, alpha)
+                assert sj.gossip.virtual_size == expected, sj.job.job_id
+                sizes += 1
+    return demands, sizes
+
+
+_STRIKES = {"blacklist_policy": "strikes", "strike_threshold": 2}
+_SHRINKS = {"autoscaler": "schedule", "resize_schedule": "2:-20,5:+20,8:-20"}
+
+#: system, speculation policy, extra knobs.
+_MEMO_GRID = [
+    ("hopper", "late", _STRIKES),
+    ("hopper", "grass", {}),
+    ("hopper", "mantri", _SHRINKS),
+    ("sparrow", "late", {}),
+    ("sparrow-srpt", "mantri", _STRIKES),
+    ("sparrow-lb", "grass", _SHRINKS),
+    ("sparrow-lb", "late", {}),
+]
+
+
+@pytest.mark.parametrize(
+    "system,speculation,knobs",
+    _MEMO_GRID,
+    ids=["-".join([s, p, *k]) for s, p, k in _MEMO_GRID],
+)
+def test_scheduler_memos_match_fresh_values_after_every_event(
+    system, speculation, knobs
+):
+    import hashlib
+    import json
+
+    from repro.experiments.harness import (
+        WorkloadSpec,
+        build_decentralized_simulator,
+        build_trace,
+    )
+    from repro.metrics.serialize import result_to_dict
+
+    spec = WorkloadSpec(
+        profile=SPARK_FACEBOOK_PROFILE,
+        num_jobs=30,
+        utilization=0.8,
+        total_slots=80,
+        seed=3,
+    )
+    trace = build_trace(spec)
+
+    def build():
+        return build_decentralized_simulator(
+            trace,
+            system,
+            spec,
+            speculation=speculation,
+            num_schedulers=3,
+            straggler_model="machine-correlated",
+            obs=None,
+            **knobs,
+        )
+
+    sim = build()
+    sim.sim.schedule_many(
+        (
+            (job.arrival_time, sim._on_job_arrival, (job,))
+            for job in sim.trace
+        ),
+        absolute=True,
+    )
+    if sim._elastic is not None:
+        sim._elastic.prime()
+    events = demands = sizes = 0
+    while sim.sim.pending_events:
+        sim.sim.run(max_events=1)
+        events += 1
+        checked = _assert_scheduler_memos(sim)
+        demands += checked[0]
+        sizes += checked[1]
+    sim._finalize_diagnostics()
+    probed = sim.metrics.result
+    assert probed.num_jobs == spec.num_jobs
+    assert probed.speculative_copies > 0
+    assert events > 1000 and demands > 1000 and sizes > 1000
+    if "blacklist_policy" in knobs:
+        assert probed.evictions > 0
+    if "autoscaler" in knobs:
+        assert sim._elastic.machines_removed > 0
+
+    # The checks consumed no entropy and moved no cache: a plain run of
+    # the same configuration replays identically.
+    def digest(result):
+        payload = json.dumps(result_to_dict(result), sort_keys=True)
+        return hashlib.sha256(payload.encode()).hexdigest()
+
+    assert digest(build().run()) == digest(probed)

@@ -242,6 +242,31 @@ def test_alpha_prediction_uses_history():
     assert est.predict_alpha(new_run) == pytest.approx(2.0)
 
 
+def test_alpha_name_version_tracks_each_names_latest_observation():
+    est = AlphaEstimator()
+    assert est.name_version("etl") == 0
+    est.observe_job(_recurring_job(0, 20.0))
+    etl = est.name_version("etl")
+    assert etl == est.history_version > 0
+    est.observe_job(_recurring_job(1, 30.0, name="report"))
+    # Another name's observation moves the history, not etl's version.
+    assert est.name_version("etl") == etl < est.history_version
+    assert est.name_version("report") == est.history_version
+    assert est.name_version("never-seen") == 0
+
+
+def test_alpha_prediction_depends_only_on_its_names_history():
+    # The contract incremental callers rely on: another name's
+    # observations leave a job's prediction exactly as it was.
+    est = AlphaEstimator()
+    est.observe_job(_recurring_job(0, 20.0))
+    new_run = _recurring_job(9, 21.0)
+    before = est.predict_alpha(new_run)
+    est.observe_job(_recurring_job(1, 90.0, name="report"))
+    assert est.predict_alpha(new_run) == before
+    assert est.predict_alpha(_recurring_job(8, 5.0, name="other")) == 1.0
+
+
 def test_alpha_accuracy_tracking():
     est = AlphaEstimator()
     est.observe_job(_recurring_job(0, 20.0))

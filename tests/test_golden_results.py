@@ -426,6 +426,67 @@ def test_work_set_replays_are_pinned(name):
     assert hashlib.sha256(_result_payload([result]).encode()).hexdigest() == digest
 
 
+#: sha256 of replays whose scheduler work follows the jobs an event
+#: changed, captured before the decentralized demand memo, the capped
+#: solve's early return and the preemption delta existed.
+#: ``sparrow-lb``: late binding, whose reservations and pulls mutate a
+#: job's queue between offers. ``hopper-many``: decentralized Hopper
+#: with GRASS, 150 jobs over 10 schedulers on 8,000 workers.
+#: ``regime-flips``: centralized Hopper on a capacity-rich 2,000-slot
+#: cluster that scheduled shrinks push into the constrained regime and
+#: back (2,765 capped and 1,905 solved reschedules, 6 regime flips, 32
+#: copies preempted).
+GOLDEN_CHANGED_JOBS_DIGESTS = {
+    "sparrow-lb": (
+        "14292408aa19f8c068158d2821ad924988bd62fb925d680d5670757426ef1e2a",
+        RunSpec(
+            "decentralized",
+            "sparrow-lb",
+            WorkloadParams(
+                profile="spark-facebook", num_jobs=60, utilization=0.8,
+                total_slots=200, seed=4,
+            ),
+        ),
+    ),
+    "hopper-many": (
+        "e2386d624465b87f09af45187887af939b2d848fd3886452f918f4eb19c69530",
+        RunSpec(
+            "decentralized",
+            "hopper",
+            WorkloadParams(
+                profile="spark-facebook", num_jobs=150, utilization=0.6,
+                total_slots=8000, seed=5,
+            ),
+            speculation="grass",
+        ),
+    ),
+    "regime-flips": (
+        "a029a66d5f20a14e52e9672e331fd2cbc664af09a07d16e055d1748842fcdc65",
+        RunSpec(
+            "centralized",
+            "hopper",
+            WorkloadParams(
+                profile="spark-facebook", num_jobs=120, utilization=0.6,
+                total_slots=2000, seed=5,
+            ),
+            knobs={
+                "autoscaler": "schedule",
+                "resize_schedule": "20:-400,60:+400,100:-450,140:+450",
+            },
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CHANGED_JOBS_DIGESTS))
+def test_changed_jobs_replays_are_pinned(name):
+    digest, spec = GOLDEN_CHANGED_JOBS_DIGESTS[name]
+    result = spec.execute()
+    assert result.num_jobs == spec.workload.num_jobs
+    assert result.speculative_copies > 0
+    assert hashlib.sha256(_result_payload([result]).encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("kind", ["centralized", "decentralized"])
 def test_explicit_none_blacklist_policy_is_byte_identical(kind):
     """Differential: blacklist_policy="none" must not perturb a replay.

@@ -564,35 +564,88 @@ def _assert_dispatch_work_sets(sim):
     jobs = sim._jobs
     assert sim._pending_job_ids == {j for j, jr in jobs.items() if jr.pending}
     # Outside the speculation work set a visit is a no-op: clean cache,
-    # unexpired stamp, evaluated empty candidate list.
+    # unexpired stamp, and either an evaluated empty candidate list or a
+    # job parked at its target while the targets are the caps.
     now = sim.sim.now
     min_interval = sim._spec_eval_min_interval
+    caps = sim._alloc._caps
     for job_id, jr in jobs.items():
         if job_id not in sim._spec_work:
             assert not jr.spec_dirty, job_id
             assert now - jr.spec_cache_time < min_interval, job_id
-            assert jr.spec_candidates == [], job_id
+            if jr.spec_candidates != []:
+                assert job_id in sim._spec_parked, job_id
+                assert sim._alloc.last_capped is not None, job_id
+                assert jr.running_copies >= caps.get(job_id, 0), job_id
     expected = _from_scratch_states(sim)
     assert sim._alloc._caps == {s.job_id: s.cap for s in expected}
     assert sim._alloc._cap_sum == sum(s.cap for s in expected)
     return len(jobs.keys() - sim._spec_work)
 
 
+def _assert_preemption_delta(sim, targets, last_sweep):
+    """Before a preemption sweep: every job whose running count or cap
+    differs from what the last sweep left (``last_sweep``: job id ->
+    (running copies, cap)) is in the delta sets, and when the sweep
+    walks only the delta, a visit to any job outside it would kill
+    nothing. Returns whether the sweep walks only the delta."""
+    alloc = sim._alloc
+    moved = sim._count_moved | alloc.cap_moved
+    for job_id, jr in sim._jobs.items():
+        counts = (jr.running_copies, alloc._caps.get(job_id))
+        if last_sweep.get(job_id) != counts:
+            assert job_id in moved, job_id
+    delta = targets is alloc.last_capped and sim._sweep_capped
+    if delta:
+        for job_id in sim._spec_job_ids - moved:
+            jr = sim._jobs[job_id]
+            if jr.running_copies > targets.get(job_id, 0):
+                view = jr.view
+                assert all(
+                    view.num_live_copies(c.task) == 1
+                    for c in view.live_speculative_copies()
+                ), job_id
+    return delta
+
+
 def _checked(plane):
     """``plane`` with the work-set invariants asserted after every
-    reschedule, counting reschedules, skippable job visits and
-    speculation passes that ran the cluster out of free slots."""
+    reschedule and the preemption-delta invariants before every sweep,
+    counting reschedules, skippable job visits, delta sweeps, parked
+    jobs and speculation passes that ran the cluster out of free
+    slots."""
 
     class Checked(plane):
         __slots__ = ()
         reschedules = 0
         skipped = 0
+        delta_sweeps = 0
+        parked = 0
         spec_ran_out = 0
+        flips = 0
+        last_sweep = {}
+        last_capped = None
 
         def _reschedule(self):
             super()._reschedule()
             type(self).reschedules += 1
             type(self).skipped += _assert_dispatch_work_sets(self)
+            type(self).parked += len(self._spec_parked - self._spec_work)
+
+        def _preempt_excess_speculation(self, targets):
+            cls = type(self)
+            capped = targets is self._alloc.last_capped
+            cls.flips += cls.last_capped not in (None, capped)
+            cls.last_capped = capped
+            cls.delta_sweeps += _assert_preemption_delta(
+                self, targets, cls.last_sweep
+            )
+            super()._preempt_excess_speculation(targets)
+            caps = self._alloc._caps
+            cls.last_sweep = {
+                job_id: (jr.running_copies, caps.get(job_id))
+                for job_id, jr in self._jobs.items()
+            }
 
         def _dispatch_speculation(self, targets, pool_limit):
             free = self.cluster.free_slots
@@ -611,6 +664,9 @@ _SHRINKS = {
 #: plane, speculation mode, speculation policy, extra knobs.
 _WORK_SET_GRID = [
     ("centralized", "integrated", "late", {"blacklist_policy": "strikes"}),
+    # Shrinks kill originals, leaving speculative copies as their tasks'
+    # only live copies, which the preemption sweep must spare.
+    ("centralized", "integrated", "grass", _SHRINKS),
     ("centralized", "best_effort", "mantri", {}),
     ("centralized", "budgeted", "late", _SHRINKS),
     ("centralized", "integrated", "grass", {}),
@@ -669,8 +725,13 @@ def test_dispatch_work_sets_match_scans_after_every_reschedule(
     assert cls.reschedules > 100
     if "config" in knobs:
         assert cls.skipped == 0  # unthrottled: every visit restamps
+        assert cls.parked == 0  # ditto: no stamp is ever unexpired
     else:
         assert cls.skipped > 0  # the work set does leave jobs out
+        if mode == "integrated":
+            assert cls.parked > 0  # and parks jobs at their target
+    if mode == "integrated":
+        assert cls.delta_sweeps > 0  # sweeps walked only the delta
     assert result.speculative_copies > 0
     if "blacklist_policy" in knobs:
         assert result.evictions > 0
@@ -678,6 +739,38 @@ def test_dispatch_work_sets_match_scans_after_every_reschedule(
         # The shrinks leave originals above the new fence, so a
         # speculation pass runs the cluster out of slots midway.
         assert cls.spec_ran_out > 0
+
+
+def test_work_sets_and_preemption_delta_hold_across_regime_flips():
+    # A capacity-rich cluster that scheduled shrinks push into the
+    # constrained regime and back: parked jobs must return on every
+    # flip, and sweeps alternate between the delta and the full walk.
+    from repro.experiments.harness import _centralized_family_kwargs
+
+    spec = WorkloadSpec(
+        profile=SPARK_FACEBOOK_PROFILE,
+        num_jobs=120,
+        utilization=0.6,
+        total_slots=2000,
+        seed=5,
+    )
+    cls = _checked(CentralizedSimulator)
+    sim = cls(
+        **_centralized_family_kwargs(
+            build_trace(spec),
+            "hopper",
+            spec,
+            "centralized",
+            obs=None,
+            autoscaler="schedule",
+            resize_schedule="20:-400,60:+400,100:-450,140:+450",
+        )
+    )
+    result = sim.run()
+    assert result.num_jobs == spec.num_jobs
+    assert cls.flips >= 4
+    assert cls.delta_sweeps > 1000 and cls.parked > 0
+    assert result.killed_copies > 0
 
 
 # -- behavioral identity: tracked-set speculation preemption -----------------
@@ -734,6 +827,53 @@ def test_spec_preemption_tracked_set_matches_full_sweep():
     assert fast.wasted_slot_time == slow.wasted_slot_time
     assert fast.num_jobs == slow.num_jobs
     assert [j.duration for j in fast.jobs] == [j.duration for j in slow.jobs]
+
+
+#: sha256 of the replay below, captured once the preemption sweep spared
+#: a task's only live copy. Before that fix the replay lost a task and
+#: never finished, so there was no earlier output to pin.
+_SOLE_COPY_DIGEST = (
+    "5ccd54f3a50c087938cf946e565aae4afa4ce558f27e467ee07a82eee8e14d3a"
+)
+
+
+def test_preemption_never_kills_a_tasks_only_live_copy():
+    # Shrinks kill originals mid-run; their speculative siblings then
+    # carry the tasks alone. Killing one as "excess" speculation would
+    # lose its task: the job never completes and, unbounded, the
+    # periodic speculation check re-arms forever.
+    import hashlib
+    import json
+
+    from repro.experiments.harness import _centralized_family_kwargs
+    from repro.metrics.serialize import result_to_dict
+
+    spec = WorkloadSpec(
+        profile=SPARK_FACEBOOK_PROFILE,
+        num_jobs=60,
+        utilization=0.9,
+        total_slots=60,
+        seed=2,
+    )
+    sim = CentralizedSimulator(
+        **_centralized_family_kwargs(
+            build_trace(spec),
+            "hopper",
+            spec,
+            "centralized",
+            speculation="grass",
+            speculation_mode="integrated",
+            straggler_model="machine-correlated",
+            obs=None,
+            **_SHRINKS,
+        )
+    )
+    result = sim.run(until=5000)
+    assert result.num_jobs == spec.num_jobs
+    payload = json.dumps(
+        [result_to_dict(result)], sort_keys=True, separators=(",", ":")
+    )
+    assert hashlib.sha256(payload.encode()).hexdigest() == _SOLE_COPY_DIGEST
 
 
 def test_shortcut_regime_consistent_with_virtual_sum():
