@@ -35,9 +35,18 @@ Scale-out notes (10k+-slot clusters):
   :meth:`~repro.simulation.engine.Simulator.schedule_many`;
 * the speculation-preemption sweep enumerates victims from the view's
   live-speculative index instead of walking every live copy, and only
-  visits jobs in the incrementally tracked live-speculation set — while
-  the targets stay the caps, only those whose running count or cap
-  moved since the last sweep.
+  visits jobs in the incrementally tracked live-speculation set;
+* each reschedule's work follows the jobs that changed. The work sets
+  are fed by the runtime's one change feed (see :mod:`repro.runtime.job`),
+  to which ``_JobRuntime`` subscribes once: a job is in
+  ``_pending_job_ids`` exactly while its pending deque is non-empty,
+  and every change to it (a copy launch, kill or finish, or a cap move)
+  puts it in the speculation work set ``_spec_work`` and in ``_moved``.
+  ``_moved`` is the one definition of a job that *moved* since the last
+  preemption sweep (its running count or its cap did), and every
+  reschedule clears it. While the targets stay the caps, the sweep
+  visits only moved jobs, and a job parked at its target stays out of
+  the speculation work set until it moves or its stamp expires.
 
 Blacklisting (§2.2): an optional
 :class:`~repro.cluster.policy.BlacklistPolicy` observes every copy
@@ -82,19 +91,46 @@ from repro.workload.traces import Trace
 
 class _JobRuntime(LocalityJobRuntime):
     """Centralized per-job state: the shared runtime core with locality
-    buckets, plus running-copy counters the dispatcher's deficit math
-    reads. It keeps its id in the simulator's ``pending_jobs`` set
-    exactly while its pending deque is non-empty."""
+    buckets, running-copy counters the dispatcher's deficit math reads,
+    and the allocation-state inputs. Its overrides of the change feed
+    are the simulator's one subscription to it (see the module
+    docstring)."""
 
-    __slots__ = ("running_copies", "running_speculative", "_pending_jobs")
+    __slots__ = (
+        "running_copies",
+        "running_speculative",
+        "alloc_dirty",
+        "alloc_remaining",
+        "alloc_alpha",
+        "alloc_downstream",
+        "_pending_jobs",
+        "_spec_work",
+        "_moved",
+    )
 
     def __init__(
-        self, job: Job, spec_policy: SpeculationPolicy, pending_jobs: set
+        self,
+        job: Job,
+        spec_policy: SpeculationPolicy,
+        sim: "CentralizedSimulator",
     ) -> None:
         super().__init__(job, spec_policy)
         self.running_copies = 0
         self.running_speculative = 0
-        self._pending_jobs = pending_jobs
+        # Allocation-state inputs for the incremental allocator: the
+        # remaining task count, predicted alpha and downstream virtual
+        # tasks change only when a task of this job finishes (or, for
+        # alpha, when the estimator's history moves), so between those
+        # events virtual sizes are recomputed from these numbers without
+        # touching the job's phase structures. alloc_dirty marks a
+        # pending full recompute.
+        self.alloc_dirty = True
+        self.alloc_remaining = 0
+        self.alloc_alpha = 1.0
+        self.alloc_downstream = 0.0
+        self._pending_jobs = sim._pending_job_ids
+        self._spec_work = sim._spec_work
+        self._moved = sim._moved
 
     def _note_queued(self, task: Task) -> None:
         super()._note_queued(task)
@@ -105,6 +141,16 @@ class _JobRuntime(LocalityJobRuntime):
         super()._note_dequeued(task)
         if not self.pending:
             self._pending_jobs.discard(self.job.job_id)
+
+    def mark_changed(self, copies: bool = True) -> None:
+        # JobRuntime.mark_changed inlined: every launch, kill, finish
+        # and cap move runs this.
+        if copies:
+            self.spec_dirty = True
+        self.changes += 1
+        job_id = self.job.job_id
+        self._spec_work.add(job_id)
+        self._moved.add(job_id)
 
 
 class CentralizedSimulator:
@@ -157,7 +203,7 @@ class CentralizedSimulator:
         "_spec_work",
         "_spec_parked",
         "_spec_expiry",
-        "_count_moved",
+        "_moved",
         "_sweep_capped",
         "_spec_check_scheduled",
         "_jobs_completed",
@@ -221,22 +267,20 @@ class CentralizedSimulator:
         # Jobs whose predicted alpha can move with the alpha history.
         self._alpha_job_ids: set = set()
         self._spec_job_ids: set = set()  # jobs with live speculative copies
-        # Work sets of the dispatch passes (see _dispatch_originals and
-        # _dispatch_speculation): jobs with a non-empty pending deque,
-        # jobs whose speculation visit may act, and a min-heap of
-        # (throttle stamp, job id) that returns a job to the latter
-        # once its stamp expires.
+        # Work sets fed by the runtimes' change feed (see the module
+        # docstring): jobs with a non-empty pending deque, jobs whose
+        # speculation visit may act, and jobs that moved since the last
+        # preemption sweep. A min-heap of (throttle stamp, job id)
+        # returns a job to the speculation work set once its stamp
+        # expires.
         self._pending_job_ids: set = set()
         self._spec_work: set = set()
+        self._moved: set = set()
+        self._spec_expiry: List[tuple] = []
         # Jobs a capped speculation pass took out of the work set at
         # their target (may also hold ids that have since returned).
         self._spec_parked: set = set()
-        self._spec_expiry: List[tuple] = []
-        # Preemption delta (see _preempt_excess_speculation): jobs whose
-        # running-copy count moved since the last sweep (their cap moves
-        # are in the allocator's cap_moved), and whether the last sweep
-        # ran on capped targets.
-        self._count_moved: set = set()
+        # Whether the last preemption sweep ran on capped targets.
         self._sweep_capped = False
         self._spec_check_scheduled = False
         self._jobs_completed = 0
@@ -344,7 +388,7 @@ class CentralizedSimulator:
             int(math.ceil(vsize)),
             self.config.max_copies_cap * remaining,
         )
-        self._alloc.upsert(
+        if self._alloc.upsert(
             JobAllocationState(
                 job_id=job.job_id,
                 virtual_size=vsize,
@@ -353,7 +397,8 @@ class CentralizedSimulator:
                 priority_size=priority,
                 max_useful_slots=max_useful,
             )
-        )
+        ):
+            jr.mark_changed(copies=False)
 
     def _refresh_allocation(self) -> int:
         """Bring the allocator's states up to date; returns how many
@@ -394,11 +439,6 @@ class CentralizedSimulator:
         dirty.clear()
         return len(self._alloc)
 
-    def _refresh_allocation_states(self) -> List[JobAllocationState]:
-        """The active jobs' allocation states, in arrival order."""
-        self._refresh_allocation()
-        return self._alloc.states()
-
     def _pick_machine(self, task: Task) -> Optional[int]:
         """Free machine for a copy: local replica holder if possible."""
         machines = self.cluster.machines
@@ -432,12 +472,12 @@ class CentralizedSimulator:
             )
         if self.datastore is not None:
             self.datastore.place_job_inputs(job)
-        jr = _JobRuntime(job, self.speculation_factory(), self._pending_job_ids)
+        jr = _JobRuntime(job, self.speculation_factory(), self)
         jr.activate_runnable_phases()
+        jr.mark_changed()  # a new job is a change
         self._jobs[job.job_id] = jr
         if self.config.use_alpha and job.num_phases > 1:
             self._alpha_job_ids.add(job.job_id)
-        self._spec_work.add(job.job_id)  # a fresh cache is dirty
         self._alloc.reserve(job.job_id)
         self._alloc_dirty_jobs.add(job.job_id)
         if self._elastic is not None:
@@ -481,7 +521,7 @@ class CentralizedSimulator:
             penalty = self.datastore.duration_multiplier(task, machine_id)
         duration = task.size * slowdown * penalty
         self.ledger.launch(
-            jr.view,
+            jr,
             task,
             machine_id,
             duration,
@@ -490,7 +530,6 @@ class CentralizedSimulator:
             self._on_copy_finish,
             jr,
         )
-        self._mark_spec_dirty(jr)
         jr.running_copies += 1
         if speculative:
             jr.running_speculative += 1
@@ -502,41 +541,25 @@ class CentralizedSimulator:
         self.cluster.acquire_slot(machine_id)
         return True
 
-    def _mark_spec_dirty(self, jr: _JobRuntime) -> None:
-        """A launch, kill or finish changed ``jr``'s copies: its
-        speculation cache is stale, so its next visit may act, and its
-        running count moved, so the next preemption sweep visits it."""
-        jr.spec_dirty = True
-        job_id = jr.job.job_id
-        self._spec_work.add(job_id)
-        self._count_moved.add(job_id)
+    def _release_copy(self, copy: TaskCopy, jr: _JobRuntime) -> None:
+        """A killed or finished copy gives back its slot and its counts."""
+        self.cluster.release_slot(copy.machine_id)
+        jr.running_copies -= 1
+        if copy.speculative:
+            jr.running_speculative -= 1
+            self._running_spec_copies -= 1
+            if jr.running_speculative <= 0:
+                self._spec_job_ids.discard(jr.job.job_id)
+        else:
+            self._running_original_copies -= 1
 
     def _kill_copy(self, copy: TaskCopy, jr: _JobRuntime) -> None:
-        self.ledger.kill(copy, jr.view)
-        self.cluster.release_slot(copy.machine_id)
-        self._mark_spec_dirty(jr)
-        jr.running_copies -= 1
-        if copy.speculative:
-            jr.running_speculative -= 1
-            self._running_spec_copies -= 1
-            if jr.running_speculative <= 0:
-                self._spec_job_ids.discard(jr.job.job_id)
-        else:
-            self._running_original_copies -= 1
+        self.ledger.kill(copy, jr)
+        self._release_copy(copy, jr)
 
     def _on_copy_finish(self, copy: TaskCopy, jr: _JobRuntime) -> None:
-        self.cluster.release_slot(copy.machine_id)
-        won = self.ledger.finish(copy, jr.view)
-        self._mark_spec_dirty(jr)
-        jr.running_copies -= 1
-        if copy.speculative:
-            jr.running_speculative -= 1
-            self._running_spec_copies -= 1
-            if jr.running_speculative <= 0:
-                self._spec_job_ids.discard(jr.job.job_id)
-        else:
-            self._running_original_copies -= 1
-
+        won = self.ledger.finish(copy, jr)
+        self._release_copy(copy, jr)
         if won:
             # Kill the losers of the race.
             for other in self.ledger.finish_task(jr.view, copy):
@@ -546,10 +569,9 @@ class CentralizedSimulator:
             # A won race is the one event that moves this job's
             # allocation inputs (remaining tasks, phase front, alpha).
             jr.alloc_dirty = True
+            self._alloc_dirty_jobs.add(jr.job.job_id)
             if jr.job.is_complete:
                 self._complete_job(jr)
-            else:
-                self._alloc_dirty_jobs.add(jr.job.job_id)
         if self._blacklist_policy is not None:
             self._observe_blacklist(copy, jr)
         self._request_dispatch()
@@ -561,17 +583,18 @@ class CentralizedSimulator:
         self._reschedule()
 
     def _complete_job(self, jr: _JobRuntime) -> None:
+        """Retire a completed job. Its copies are gone, so it has already
+        left ``_spec_job_ids``; ``_alloc_dirty_jobs`` and ``_moved`` are
+        read through ``_jobs`` and cleared by the next reschedule. The
+        other id sets would keep it forever."""
         self.ledger.record_job_completion(jr.job, self.alpha_estimator)
         job_id = jr.job.job_id
         del self._jobs[job_id]
         self._alloc.remove(job_id)
-        self._alloc_dirty_jobs.discard(job_id)
         self._alpha_job_ids.discard(job_id)
-        self._spec_job_ids.discard(job_id)
         self._pending_job_ids.discard(job_id)
         self._spec_work.discard(job_id)
         self._spec_parked.discard(job_id)
-        self._count_moved.discard(job_id)
         self._jobs_completed += 1
 
     # ---------------------------------------------------------- blacklist ----
@@ -768,22 +791,12 @@ class CentralizedSimulator:
             and alloc.virtual_size_sum() > self._total_slots
         )
 
-        # A job parked at its target returns to the speculation work set
-        # when its cap moves (_dispatch_speculation returns them all once
-        # the targets stop being the caps).
-        parked = self._spec_parked
-        if parked and alloc.cap_moved:
-            moved = parked & alloc.cap_moved
-            self._spec_work.update(moved)
-            parked -= moved
-
         # Coordinated mode may reclaim slots from over-target speculative
         # copies (killing a redundant copy loses no unique work) — this is
         # the "dynamically reallocate the slots" step of Fig. 2.
         if mode is SpeculationMode.INTEGRATED and self.config.preempt_speculative:
             self._preempt_excess_speculation(targets)
-        self._count_moved.clear()
-        alloc.cap_moved.clear()
+        self._moved.clear()
 
         if mode is SpeculationMode.INTEGRATED:
             # Originals within targets, then speculation within targets
@@ -826,10 +839,10 @@ class CentralizedSimulator:
         RNG draw — is unchanged.
 
         When these targets and the last sweep's are both the caps the
-        allocator returned unsolved, only jobs whose running count or
-        cap moved since that sweep are visited: any other job still has
-        the count and the target the last sweep left it with, so a visit
-        would kill nothing."""
+        allocator returned unsolved, only the jobs in ``_moved`` (their
+        running count or cap moved since that sweep) are visited: any
+        other job still has the count and the target the last sweep
+        left it with, so a visit would kill nothing."""
         alloc = self._alloc
         capped = targets is alloc.last_capped
         delta = capped and self._sweep_capped
@@ -838,7 +851,7 @@ class CentralizedSimulator:
         if not spec_ids:
             return
         if delta:
-            spec_ids = (self._count_moved | alloc.cap_moved) & spec_ids
+            spec_ids = self._moved & spec_ids
         # Collect the over-target jobs first and sort only those: most
         # reschedules find none. A kill touches only its own job's
         # counters, so filtering up front selects the same jobs and
@@ -939,7 +952,7 @@ class CentralizedSimulator:
         it is clean, unexpired and holds an evaluated empty candidate
         list, so its visit would neither restamp its throttle cache nor
         launch anything. A launch, kill or finish adds a job back
-        (:meth:`_mark_spec_dirty`), and so does the expiry of its stamp
+        (through the change feed), and so does the expiry of its stamp
         (popped from ``_spec_expiry``, whose entries are pushed whenever
         a visit restamps). A visited job leaves the set once it is in
         that no-op state; a job the early returns never reach stays.
@@ -947,10 +960,11 @@ class CentralizedSimulator:
         When ``targets`` are the caps the allocator returned unsolved, a
         job visited at its target whose cache is clean and unexpired
         afterwards also leaves, into ``_spec_parked``, whatever its
-        list: until its count moves (:meth:`_mark_spec_dirty`), its cap
-        moves (:meth:`_reschedule` returns it) or its stamp expires, a
-        visit would only find it at target again. Any other targets
-        return every parked job first.
+        list: until its count or its cap moves (the change feed returns
+        it) or its stamp expires, a visit would only find it at target
+        again. Any other targets return every parked job first. A cap
+        move also returns a job that is not parked; its visit is then a
+        no-op, as for any job outside the set.
         """
         cluster = self.cluster
         jobs = self._jobs

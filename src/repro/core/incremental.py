@@ -35,10 +35,11 @@ caps fit in the pool the policy may prove that its targets are the caps
 Hopper does), and :meth:`IncrementalAllocator.allocate` then returns a
 copy of the maintained ``job_id -> cap`` dict without materializing
 ``states()`` or ``ordered()``, whose caches every upsert invalidates.
-It keeps the returned dict in :attr:`IncrementalAllocator.last_capped`
-and collects the ids whose cap moved in
-:attr:`IncrementalAllocator.cap_moved`: in the capped regime those are
-exactly the jobs whose target moved, which lets the simulator's
+It keeps the returned dict in :attr:`IncrementalAllocator.last_capped`,
+and :meth:`IncrementalAllocator.upsert` reports whether the job's cap
+moved: in the capped regime those are exactly the jobs whose target
+moved. The simulator feeds each such move to the job's change record
+(:meth:`repro.runtime.JobRuntime.mark_changed`), which lets its
 preemption sweep and speculation pass skip the rest.
 
 A regime flip (capacity-constrained ↔ rich) needs no special case: the
@@ -50,7 +51,7 @@ tests hold equal to its from-scratch value after every event.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 from repro.core.allocation import JobAllocationState
 
@@ -86,7 +87,6 @@ class IncrementalAllocator:
         "_caps",
         "_cap_sum",
         "last_capped",
-        "cap_moved",
     )
 
     def __init__(self, policy) -> None:
@@ -120,10 +120,8 @@ class IncrementalAllocator:
         self._caps: Dict[int, int] = {}
         self._cap_sum = 0
         # The targets the last allocate() returned unsolved as the caps
-        # (None when it ran the solve), and the ids whose cap changed
-        # (or first materialized) since the owner last cleared the set.
+        # (None when it ran the solve).
         self.last_capped: Optional[Dict[int, int]] = None
-        self.cap_moved: Set[int] = set()
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -154,8 +152,9 @@ class IncrementalAllocator:
             self._touch()
 
     def upsert(self, state: JobAllocationState) -> bool:
-        """Insert or replace one job's state; returns True if anything
-        changed (False leaves the version, and every memo, valid)."""
+        """Insert or replace one job's state; returns True when the job's
+        cap moved or first materialized. An unchanged state leaves the
+        version, and every memo, valid."""
         job_id = state.job_id
         old = self._states.get(job_id)
         if old == state:
@@ -173,19 +172,15 @@ class IncrementalAllocator:
             insort(self._entries, key)
             self._keys[job_id] = key
         cap = state.cap
-        if old is None:
-            self.cap_moved.add(job_id)
-        else:
+        if old is not None:
             self._cap_sum -= old.cap
-            if old.cap != cap:
-                self.cap_moved.add(job_id)
         self._cap_sum += cap
         self._caps[job_id] = cap
         # Replacing a present dict key keeps its position — the invariant
         # that makes states() the from-scratch insertion-order list.
         self._states[job_id] = state
         self._touch()
-        return True
+        return old is None or old.cap != cap
 
     def remove(self, job_id: int) -> bool:
         """Drop a job (completed or no longer active)."""
@@ -193,7 +188,6 @@ class IncrementalAllocator:
             return False
         if self._states.pop(job_id) is not None:
             self._cap_sum -= self._caps.pop(job_id)
-            self.cap_moved.discard(job_id)
         old_key = self._keys.pop(job_id, None)
         if old_key is not None:
             del self._entries[bisect_left(self._entries, old_key)]
@@ -207,7 +201,6 @@ class IncrementalAllocator:
         self._entries.clear()
         self._caps.clear()
         self._cap_sum = 0
-        self.cap_moved.clear()
         self._membership_version += 1
         self._floors = None
         self._floors_key = (-1, -1)

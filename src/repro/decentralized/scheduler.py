@@ -11,18 +11,20 @@ job count. Two per-job memos make that so:
 
 * **Demand.** :meth:`SchedulerAgent._has_demand` (a queued task, or a
   speculative candidate below the copy limit) is memoized on the
-  :class:`SchedulerJob`. A "has pending" answer stays valid until the
-  pending deque changes: a ``pop_pending`` that takes a task (slot
-  offer, late-binding pull), a requeue, or a phase activation. A
-  speculative answer additionally needs the throttle stamp it was
-  computed under to be unchanged and unexpired. Every copy launch, kill
-  or finish and every periodic scan sets ``spec_dirty``, and each of
-  those four sites clears the memo too (a finish may finish a queued
-  task). A valid memo therefore equals a fresh evaluation, and the
-  evaluation it skips would neither prune the queue nor restamp the
-  throttle cache, so replays are unchanged. Refusals, which walk every
-  job of the scheduler in :meth:`~SchedulerAgent._smallest_unsatisfied`,
-  read the memo instead of re-deriving demand.
+  :class:`SchedulerJob` together with the job's change record
+  (``changes``, see :mod:`repro.runtime.job`). Every mutation the answer
+  depends on bumps the record: a ``pop_pending`` that takes a task (slot
+  offer, late-binding pull), a requeue, a phase activation, a copy
+  launch, kill or finish (through the copy ledger, and a finish may
+  finish a queued task), a declined bind and the periodic scan. So a
+  "has pending" answer is valid while the record holds. A speculative
+  answer also needs the throttle stamp it was computed under to be
+  unchanged and unexpired. A valid memo therefore equals a fresh
+  evaluation, and the evaluation it skips would neither prune the queue
+  nor restamp the throttle cache, so replays are unchanged. Refusals,
+  which walk every job of the scheduler in
+  :meth:`~SchedulerAgent._smallest_unsatisfied`, read the memo instead
+  of re-deriving demand.
 * **Virtual size.** The gossip's virtual size is recomputed only when
   its inputs moved: remaining tasks, beta, and (for a multi-phase job
   under ``use_alpha``) the alpha estimator's history version for the
@@ -58,6 +60,7 @@ class SchedulerJob(JobRuntime):
         "spec_probed_tasks",
         "last_activity",
         "demand",
+        "demand_at",
         "demand_stamp",
         "vsize_inputs",
     )
@@ -75,10 +78,12 @@ class SchedulerJob(JobRuntime):
         self.probes_sent = 0
         self.spec_probed_tasks: Set[int] = set()
         self.last_activity = now
-        # Demand memo (see the module docstring): None when unknown; a
+        # Demand memo (see the module docstring): the answer and the
+        # change record it was computed under (-1: none yet); a
         # speculative answer keeps the throttle stamp it was read under,
         # a "has pending" answer keeps None there.
-        self.demand: Optional[bool] = None
+        self.demand = False
+        self.demand_at = -1
         self.demand_stamp: Optional[float] = None
         # (remaining, beta, alpha history of the job's name) the gossip's
         # virtual size was computed from.
@@ -247,20 +252,21 @@ class SchedulerAgent:
     def _has_demand(self, sj: SchedulerJob) -> bool:
         """A queued task or a launchable speculative copy, memoized per
         job (validity and invalidation: see the module docstring)."""
-        demand = sj.demand
-        if demand is not None:
+        if sj.demand_at == sj.changes:
             stamp = sj.demand_stamp
-            if stamp is None:
-                return demand
-            if stamp == sj.spec_cache_time and self._engine._now - stamp < 0.25:
-                return demand
+            if stamp is None or (
+                stamp == sj.spec_cache_time and self._engine._now - stamp < 0.25
+            ):
+                return sj.demand
         if sj.has_pending():
-            sj.demand = True
-            sj.demand_stamp = None
-            return True
-        demand = self._next_speculative_task(sj) is not None
+            demand = True
+            stamp = None
+        else:
+            demand = self._next_speculative_task(sj) is not None
+            stamp = sj.spec_cache_time
         sj.demand = demand
-        sj.demand_stamp = sj.spec_cache_time
+        sj.demand_at = sj.changes
+        sj.demand_stamp = stamp
         return demand
 
     def _smallest_unsatisfied(self) -> Optional[Tuple[float, int, int]]:
@@ -300,9 +306,7 @@ class SchedulerAgent:
 
         task = sj.pop_pending()
         speculative = False
-        if task is not None:
-            sj.demand = None
-        elif request.spec_ok:
+        if task is None and request.spec_ok:
             # Speculative copies only ever come from the job's speculation
             # algorithm (Hopper is compatible with, not a replacement for,
             # LATE/Mantri/GRASS). A refusable offer is honoured only while
@@ -388,9 +392,7 @@ class SchedulerAgent:
         self._refresh_gossip(sj)
         task = sj.pop_pending()
         speculative = False
-        if task is not None:
-            sj.demand = None
-        elif request.spec_ok:
+        if task is None and request.spec_ok:
             task = self._next_speculative_task(sj)
             speculative = task is not None
         if task is not None:
@@ -404,20 +406,15 @@ class SchedulerAgent:
     # -- execution callbacks (data plane) ------------------------------------
 
     def on_copy_bound(self, sj: SchedulerJob) -> None:
-        sj.spec_dirty = True
-        sj.demand = None
         sj.last_activity = self.sim.sim.now
 
     def on_copy_gone(self, sj: SchedulerJob) -> None:
+        """Release the occupancy a copy held (or reserved at accept)."""
         sj.occupied -= 1
-        sj.spec_dirty = True
-        sj.demand = None
 
     def on_task_finished(self, sj: SchedulerJob, task: Task) -> None:
         """React to a task completing (the simulator already marked it
         finished and collected the race losers via the copy ledger)."""
-        sj.spec_dirty = True
-        sj.demand = None
         fresh = sj.activate_runnable_phases()
         if fresh:
             self._send_probes(sj, len(fresh))
@@ -427,7 +424,6 @@ class SchedulerAgent:
         """A worker eviction killed the task's last running copy: put it
         back in the pending queue and probe for a fresh slot."""
         if sj.requeue(task):
-            sj.demand = None
             self._refresh_gossip(sj)
             self._send_probes(sj, 1)
 
@@ -447,8 +443,7 @@ class SchedulerAgent:
         now = self.sim.sim.now
         interval = self.sim.config.speculation_check_interval
         for sj in list(self.jobs.values()):
-            sj.spec_dirty = True
-            sj.demand = None
+            sj.mark_changed()
             self._refresh_gossip(sj)
             if not self._spec_eligible_requests:
                 self._send_baseline_spec_probes(sj)

@@ -390,6 +390,7 @@ class DecentralizedSimulator:
             # the eager occupancy reservation, and requeue a task that
             # has no live copy left to carry it.
             if sj is not None:
+                sj.mark_changed()
                 scheduler.on_copy_gone(sj)
                 if (
                     not task.is_finished
@@ -401,6 +402,7 @@ class DecentralizedSimulator:
             # Raced with completion between accept and arrival; release the
             # eager occupancy reservation made at accept time.
             if sj is not None:
+                sj.mark_changed()
                 scheduler.on_copy_gone(sj)
             worker.maybe_start_episode()
             return
@@ -410,7 +412,7 @@ class DecentralizedSimulator:
         )
         duration = task.size * slowdown
         copy = self.ledger.launch(
-            sj.view,
+            sj,
             task,
             worker.worker_id,
             duration,
@@ -433,7 +435,7 @@ class DecentralizedSimulator:
         won = self.ledger.record_finish(copy)
         if sj is None:
             return
-        sj.view.remove_copy(copy)
+        self.ledger.detach(copy, sj)
         scheduler.on_copy_gone(sj)
 
         if won:
@@ -452,7 +454,7 @@ class DecentralizedSimulator:
         scheduler: SchedulerAgent,
         sj: SchedulerJob,
     ) -> None:
-        self.ledger.kill(copy, sj.view)
+        self.ledger.kill(copy, sj)
         scheduler.on_copy_gone(sj)
         # The kill travels to the worker as a control message.
         self.metrics.record_message()

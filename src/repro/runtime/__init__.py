@@ -11,13 +11,16 @@ that logic lived twice — once in ``centralized/simulator.py`` (the old
 :mod:`repro.runtime` is the single home for that core:
 
 * :class:`JobRuntime` — per-job execution state (pending queue, phase
-  activation, throttled speculation-candidate cache). The centralized
-  simulator and the decentralized ``SchedulerJob`` both subclass it;
+  activation, throttled speculation-candidate cache) and the job's
+  change feed, the one entry for every mutation a scheduler memo
+  reads. The centralized simulator and the decentralized
+  ``SchedulerJob`` both subclass it;
   :class:`LocalityJobRuntime` layers per-machine locality buckets on
   top for the (centralized) dispatch paths that ask locality questions.
 * :class:`CopyLedger` — task-copy identity and lifecycle (launch,
   finish, kill, task completion, job completion) with the shared
-  view/metrics/estimator bookkeeping.
+  view/metrics/estimator bookkeeping; it feeds each launch, kill and
+  finish to the job's change feed.
 
 Everything here is semantics-preserving refactoring: the golden-digest
 tests (``tests/test_golden_results.py``) pin that simulations on the

@@ -5,6 +5,29 @@ replays: the pending-task queue fed by DAG phase activation, the
 :class:`~repro.speculation.base.JobExecutionView` the speculation policy
 inspects, and the throttled speculation-candidate cache.
 
+It is also the job's **change feed**: every mutation a scheduler memo
+depends on enters through a method of :class:`JobRuntime`, and each
+bumps ``changes``, the job's change record.
+
+* The pending queue's push and pop: :meth:`activate_runnable_phases`,
+  :meth:`requeue` and a :meth:`pop_pending` that takes a task. Per
+  task, the queue also calls the ``_note_queued`` / ``_note_dequeued``
+  index hooks. Pruning finished tasks from the front calls the hooks
+  but is no change: no answer a memo holds depends on a finished task.
+* :meth:`mark_changed` for everything else: a copy launched, was
+  killed or finished (the :class:`~repro.runtime.lifecycle.CopyLedger`
+  calls it), a bind was declined, or a periodic scan asks for a fresh
+  look; each of these also stales the speculation cache. The
+  scheduler's slot cap for the job moving is a change too
+  (``copies=False``: the speculation cache stays valid).
+
+A memo that keeps the record it was computed under is valid while the
+record is unchanged (the decentralized demand memo). A plane that keeps
+cross-job work sets subscribes once, by overriding the index hooks and
+:meth:`mark_changed` in its runtime subclass (the centralized
+``_JobRuntime``). A mutation site then calls only the runtime and need
+not know which memos exist.
+
 :class:`LocalityJobRuntime` adds per-machine buckets counting how many
 queued tasks prefer each machine — a *fast-reject* index for
 locality-aware dispatch, used by the centralized plane only (the
@@ -46,10 +69,7 @@ class JobRuntime:
         "spec_dirty",
         "spec_cache_time",
         "spec_candidates",
-        "alloc_dirty",
-        "alloc_remaining",
-        "alloc_alpha",
-        "alloc_downstream",
+        "changes",
     )
 
     def __init__(
@@ -66,19 +86,7 @@ class JobRuntime:
         self.spec_dirty = True
         self.spec_cache_time = -float("inf")
         self.spec_candidates: Optional[list] = []
-        # Allocation-state input cache for the centralized family's
-        # incremental allocator (repro.core.incremental): remaining task
-        # count, predicted alpha, and downstream virtual tasks change
-        # only when a task of this job finishes (or, for alpha, when the
-        # estimator's history moves), so between those events virtual
-        # sizes can be recomputed from these floats without touching the
-        # job's phase structures. alloc_dirty marks a pending full
-        # recompute. Inert (four slots) on planes that don't allocate
-        # centrally.
-        self.alloc_dirty = True
-        self.alloc_remaining = 0
-        self.alloc_alpha = 1.0
-        self.alloc_downstream = 0.0
+        self.changes = 0  # the change record (see the module docstring)
 
     # -- pending queue ------------------------------------------------------
 
@@ -96,6 +104,8 @@ class JobRuntime:
                         self.pending_ids.add(task.task_id)
                         self._note_queued(task)
                         fresh.append(task)
+        if fresh:
+            self.changes += 1
         return fresh
 
     def _note_queued(self, task: Task) -> None:
@@ -119,20 +129,21 @@ class JobRuntime:
             self._note_dequeued(dropped)
         if not pending:
             return None
+        task = None
         if prefer_machine is not None and self.may_have_local_pending(
             prefer_machine
         ):
-            scan_limit = min(len(pending), 64)
-            for i in range(scan_limit):
-                task = pending[i]
-                if not task.is_finished and task.prefers(prefer_machine):
+            for i in range(min(len(pending), 64)):
+                queued = pending[i]
+                if not queued.is_finished and queued.prefers(prefer_machine):
                     del pending[i]
-                    self.pending_ids.discard(task.task_id)
-                    self._note_dequeued(task)
-                    return task
-        task = pending.popleft()
+                    task = queued
+                    break
+        if task is None:
+            task = pending.popleft()
         self.pending_ids.discard(task.task_id)
         self._note_dequeued(task)
+        self.changes += 1
         return task
 
     def has_pending(self) -> bool:
@@ -174,6 +185,7 @@ class JobRuntime:
         self.pending.append(task)
         self.pending_ids.add(task.task_id)
         self._note_queued(task)
+        self.changes += 1
         return True
 
     # -- speculation candidates --------------------------------------------
@@ -184,8 +196,8 @@ class JobRuntime:
         When this job's copies changed or the throttle interval elapsed,
         the cache is restamped at ``now`` and its list marked *owed*
         (``spec_candidates = None``): the scan is deferred until someone
-        reads the list, or skipped entirely if the next launch, kill or
-        finish dirties the cache first."""
+        reads the list, or skipped entirely if the next
+        :meth:`mark_changed` dirties the cache first."""
         if self.spec_dirty or now - self.spec_cache_time >= min_interval:
             self.spec_cache_time = now
             self.spec_dirty = False
@@ -200,7 +212,8 @@ class JobRuntime:
         is the list an eager refresh would have cached: the policy's
         result depends only on ``(view, now)``, and the view changes
         only through a launch, kill or finish of this job's copies, each
-        of which sets ``spec_dirty`` and so discards the owed list."""
+        of which calls :meth:`mark_changed` and so discards the owed
+        list."""
         self.refresh_speculation_cache(now, min_interval)
         candidates = self.spec_candidates
         if candidates is None:
@@ -210,9 +223,16 @@ class JobRuntime:
             self.spec_candidates = candidates
         return candidates
 
-    def mark_copies_changed(self) -> None:
-        """Invalidate the speculation-candidate cache."""
-        self.spec_dirty = True
+    # -- change feed ----------------------------------------------------------
+
+    def mark_changed(self, copies: bool = True) -> None:
+        """Record a change to this job. ``copies``: a copy launched, was
+        killed or finished, a bind was declined or a periodic scan is
+        due, so the speculation cache is stale; False for a slot-cap
+        move."""
+        if copies:
+            self.spec_dirty = True
+        self.changes += 1
 
 
 class LocalityJobRuntime(JobRuntime):

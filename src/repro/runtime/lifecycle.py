@@ -7,9 +7,13 @@ the beta estimator. The centralized and decentralized simulators differ
 in *slot* accounting (cluster machines vs worker queues) and in the
 order side effects interleave with their control planes, so the ledger
 exposes both a composite :meth:`finish` (centralized) and the
-fine-grained :meth:`settle_finished` / :meth:`record_finish` pieces the
-decentralized simulator needs to keep its episode machinery firing at
-exactly the pre-refactor points.
+fine-grained :meth:`settle_finished` / :meth:`detach` /
+:meth:`record_finish` pieces the decentralized simulator needs to keep
+its episode machinery firing at exactly the pre-refactor points.
+
+Every launch, kill and finish feeds the job's change record through
+:meth:`repro.runtime.JobRuntime.mark_changed`, so neither plane dirties
+its memos at a copy transition itself.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from typing import Dict, List, Optional
 from repro.estimation.alpha import AlphaEstimator
 from repro.estimation.beta import OnlineBetaEstimator
 from repro.metrics.collector import MetricsCollector
+from repro.runtime.job import JobRuntime
 from repro.simulation.engine import EventHandle, Simulator
 from repro.speculation.base import JobExecutionView
 from repro.stragglers.progress import TaskCopy
@@ -71,7 +76,7 @@ class CopyLedger:
 
     def launch(
         self,
-        view: JobExecutionView,
+        jr: JobRuntime,
         task: Task,
         machine_id: int,
         duration: float,
@@ -80,8 +85,8 @@ class CopyLedger:
         on_finish,
         *finish_args,
     ) -> TaskCopy:
-        """Create a copy, register it with the view, schedule its finish
-        event, and record the launch."""
+        """Create a copy, register it with the job's view, schedule its
+        finish event, and record the launch."""
         copy = TaskCopy(
             copy_id=self._next_copy_id,
             task=task,
@@ -91,7 +96,8 @@ class CopyLedger:
             speculative=speculative,
         )
         self._next_copy_id += 1
-        view.register_copy(copy)
+        jr.view.register_copy(copy)
+        jr.mark_changed()
         self.events[copy.copy_id] = self.engine.schedule(
             duration, on_finish, copy, *finish_args
         )
@@ -142,18 +148,24 @@ class CopyLedger:
                 )
         return won
 
-    def finish(self, copy: TaskCopy, view: JobExecutionView) -> bool:
-        """Composite finish: settle, detach from the view, record.
+    def detach(self, copy: TaskCopy, jr: JobRuntime) -> None:
+        """Remove a copy that stopped running from the job's view and
+        feed the change to the job's change record."""
+        jr.view.remove_copy(copy)
+        jr.mark_changed()
+
+    def finish(self, copy: TaskCopy, jr: JobRuntime) -> bool:
+        """Composite finish: settle, detach from the job, record.
 
         Returns True when this copy won the race.
         """
         self.settle_finished(copy)
-        view.remove_copy(copy)
+        self.detach(copy, jr)
         return self.record_finish(copy)
 
     # -- kill ---------------------------------------------------------------
 
-    def kill(self, copy: TaskCopy, view: JobExecutionView) -> None:
+    def kill(self, copy: TaskCopy, jr: JobRuntime) -> None:
         """Cancel a running copy: detach it everywhere and account its
         wasted slot-time."""
         handle = self.events.pop(copy.copy_id, None)
@@ -161,7 +173,7 @@ class CopyLedger:
             handle.cancel()
         copy.killed = True
         copy.end_time = self.engine.now
-        view.remove_copy(copy)
+        self.detach(copy, jr)
         self.metrics.record_copy_killed(copy.resource_time(self.engine.now))
         if self.tracer is not None:
             self.tracer.end(("copy", copy.copy_id), self.engine.now, killed=True)

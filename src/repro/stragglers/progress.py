@@ -3,8 +3,12 @@
 Real frameworks expose per-task progress counters (fraction of input
 processed); LATE/Mantri/GRASS estimate completion times from progress
 *rates*. We model a copy's true duration as ``size * slowdown * locality
-penalty`` and let speculation policies observe elapsed time and progress —
-optionally blurred by multiplicative noise to mimic imperfect counters.
+penalty``, and speculation reads it exactly: progress is linear in
+elapsed time, :meth:`TaskCopy.progress_rate` is ``1/duration`` and
+:meth:`TaskCopy.estimated_remaining` is exact once a copy has started.
+No noise is applied, so a policy's remaining-time estimate is an oracle;
+only the duration of a fresh copy is estimated (from the job's finished
+durations).
 """
 
 from __future__ import annotations

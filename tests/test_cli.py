@@ -1,7 +1,10 @@
 """Smoke tests for the ``python -m repro`` CLI."""
 
+import re
+import shlex
+from pathlib import Path
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 
 def test_list_prints_every_figure(capsys):
@@ -289,3 +292,28 @@ def test_workload_preview_rejects_bad_inputs(capsys):
     ) == 2
     assert "--rho must be in (0, 1)" in capsys.readouterr().err
 
+
+def _readme_commands():
+    """Every ``python -m repro ...`` command line in README.md's fenced
+    code blocks, as an argument list: continuation lines are joined, and
+    environment assignments, a leading ``#`` (a command quoted in a code
+    comment) and trailing shell comments are dropped."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme.read_text(), re.M | re.S)
+    command = re.compile(r"^\s*(?:#\s*)?(?:\w+=\S+\s+)*python3? -m repro\b(.*)$")
+    commands = []
+    for block in blocks:
+        for line in block.replace("\\\n", " ").splitlines():
+            match = command.match(line)
+            if match:
+                commands.append(shlex.split(match.group(1), comments=True))
+    return commands
+
+
+def test_every_readme_command_parses():
+    commands = _readme_commands()
+    assert len(commands) > 20  # the extraction found the examples
+    parser = build_parser()
+    for argv in commands:
+        args = parser.parse_args(argv)
+        assert args.command == argv[0], argv

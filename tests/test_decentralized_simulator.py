@@ -266,7 +266,7 @@ def _assert_scheduler_memos(sim):
     for agent in sim.schedulers:
         for sj in agent.jobs.values():
             stamp = sj.demand_stamp
-            if sj.demand is not None and (
+            if sj.demand_at == sj.changes and (
                 stamp is None
                 or (stamp == sj.spec_cache_time and now - stamp < 0.25)
             ):

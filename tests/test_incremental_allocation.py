@@ -486,7 +486,7 @@ def _step_and_check(sim):
         sim.sim.run(max_events=1)
         events += 1
         expected = _from_scratch_states(sim)
-        assert sim._refresh_allocation_states() == expected
+        sim._refresh_allocation()
         assert sim._alloc.states() == expected
         assert sim._alloc.ordered() == sim.policy.dispatch_order(expected)
         spec_jobs = {
@@ -590,7 +590,7 @@ def _assert_preemption_delta(sim, targets, last_sweep):
     walks only the delta, a visit to any job outside it would kill
     nothing. Returns whether the sweep walks only the delta."""
     alloc = sim._alloc
-    moved = sim._count_moved | alloc.cap_moved
+    moved = sim._moved
     for job_id, jr in sim._jobs.items():
         counts = (jr.running_copies, alloc._caps.get(job_id))
         if last_sweep.get(job_id) != counts:

@@ -169,7 +169,7 @@ def test_speculation_candidate_cache_throttles():
     assert jr.speculation_candidates(0.0, 0.25) == ["sentinel"]
     assert jr.speculation_candidates(0.1, 0.25) == ["sentinel"]
     assert policy.calls == 1  # throttled: cache fresh, not dirty
-    jr.mark_copies_changed()
+    jr.mark_changed()
     jr.speculation_candidates(0.1, 0.25)
     assert policy.calls == 2  # dirty bit forces re-evaluation
     jr.speculation_candidates(0.4, 0.25)
@@ -218,13 +218,13 @@ def test_dirtying_the_job_discards_an_owed_list():
     policy = _RecordingPolicy()
     jr = JobRuntime(_job_with_tasks(1), policy)
     jr.refresh_speculation_cache(1.0, 0.25)
-    jr.mark_copies_changed()
+    jr.mark_changed()
     assert jr.speculation_candidates(1.1, 0.25) == [("list", 1.1)]
     assert policy.calls == [1.1]
     assert jr.spec_cache_time == 1.1
     # An owed list restamped by a dirty refresh is evaluated at the new
     # stamp too.
-    jr.mark_copies_changed()
+    jr.mark_changed()
     jr.refresh_speculation_cache(1.2, 0.25)
     assert jr.speculation_candidates(1.3, 0.25) == [("list", 1.2)]
     assert policy.calls == [1.1, 1.2]
@@ -290,17 +290,18 @@ def _ledger():
 def test_ledger_launch_finish_lifecycle():
     engine, metrics, ledger = _ledger()
     job = _job_with_tasks(1)
-    view = JobExecutionView(job=job)
+    jr = JobRuntime(job)
+    view = jr.view
     task = job.phases[0].tasks[0]
     finished = []
 
     def on_finish(copy):
-        won = ledger.finish(copy, view)
+        won = ledger.finish(copy, jr)
         finished.append((copy, won))
         if won:
             assert ledger.finish_task(view, copy) == []
 
-    copy = ledger.launch(view, task, 0, 2.0, False, True, on_finish)
+    copy = ledger.launch(jr, task, 0, 2.0, False, True, on_finish)
     assert copy.copy_id == 0
     assert view.copies_of(task) == [copy]
     assert copy.copy_id in ledger.events
@@ -316,16 +317,16 @@ def test_ledger_launch_finish_lifecycle():
 def test_ledger_race_kills_losers_and_accounts_waste():
     engine, metrics, ledger = _ledger()
     job = _job_with_tasks(1)
-    view = JobExecutionView(job=job)
+    jr = JobRuntime(job)
     task = job.phases[0].tasks[0]
 
     def on_finish(copy):
-        if ledger.finish(copy, view):
-            for loser in ledger.finish_task(view, copy):
-                ledger.kill(loser, view)
+        if ledger.finish(copy, jr):
+            for loser in ledger.finish_task(jr.view, copy):
+                ledger.kill(loser, jr)
 
-    ledger.launch(view, task, 0, 5.0, False, True, on_finish)
-    speculative = ledger.launch(view, task, 1, 1.0, True, True, on_finish)
+    ledger.launch(jr, task, 0, 5.0, False, True, on_finish)
+    speculative = ledger.launch(jr, task, 1, 1.0, True, True, on_finish)
     engine.run()
     assert task.is_finished and task.completed_by_speculative
     assert speculative.finished
@@ -342,15 +343,49 @@ def test_ledger_race_kills_losers_and_accounts_waste():
 def test_ledger_copy_ids_are_unique_and_monotonic():
     engine, _, ledger = _ledger()
     job = _job_with_tasks(3)
-    view = JobExecutionView(job=job)
+    jr = JobRuntime(job)
     ids = [
         ledger.launch(
-            view, task, 0, 1.0, False, True, lambda c: None
+            jr, task, 0, 1.0, False, True, lambda c: None
         ).copy_id
         for task in job.phases[0].tasks
     ]
     assert ids == [0, 1, 2]
     del engine
+
+
+def test_every_job_mutation_feeds_the_change_record():
+    _, _, ledger = _ledger()
+    jr = JobRuntime(_job_with_tasks(2))
+    records = [jr.changes]
+
+    def changed():
+        """Whether the record moved since the last call."""
+        records.append(jr.changes)
+        return records[-1] != records[-2]
+
+    jr.activate_runnable_phases()
+    assert changed()
+    task = jr.pop_pending()
+    assert changed()
+    assert jr.requeue(task) and changed()
+    jr.refresh_speculation_cache(0.0, 0.25)
+    copy = ledger.launch(jr, task, 0, 1.0, False, True, lambda c: None)
+    assert changed() and jr.spec_dirty
+    jr.refresh_speculation_cache(0.0, 0.25)
+    ledger.kill(copy, jr)
+    assert changed() and jr.spec_dirty
+    copy = ledger.launch(jr, task, 0, 1.0, False, True, lambda c: None)
+    jr.refresh_speculation_cache(0.0, 0.25)
+    ledger.finish(copy, jr)
+    assert changed() and jr.spec_dirty
+    jr.refresh_speculation_cache(0.0, 0.25)
+    jr.mark_changed(copies=False)  # a slot-cap move
+    assert changed() and not jr.spec_dirty
+    # A read changes nothing, and neither does a pop of an empty queue.
+    assert jr.has_pending() and not changed()
+    assert jr.pop_pending() and jr.pop_pending() and changed()
+    assert jr.pop_pending() is None and not changed()
 
 
 def test_ledger_record_job_completion_stamps_job():
