@@ -11,7 +11,7 @@ a worker may see an update without a message addressed to it.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 class ResponseType(enum.Enum):
@@ -47,9 +47,13 @@ class JobGossip:
     active: bool = True
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Request:
     """A reservation request queued at one worker.
+
+    Requests compare by identity: a worker removes the exact request it
+    redeemed, and ``list.remove`` then never calls a field-by-field
+    ``__eq__`` on the entries queued before it.
 
     ``spec_ok`` marks whether this request may be redeemed for a
     *speculative* copy. Decentralized Hopper's requests are all
@@ -63,6 +67,16 @@ class Request:
     gossip: JobGossip
     enqueue_time: float
     spec_ok: bool = True
+    #: The (job, spec_ok) pair as one int: a worker offers a slot at most
+    #: once per episode to each pair, and keys its scans on this. It is
+    #: ``job_id`` itself for a speculation-eligible request (all of
+    #: Hopper's), so it shares the job id's int object, and ``~job_id``
+    #: otherwise.
+    key: int = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        job_id = self.gossip.job_id
+        self.key = job_id if self.spec_ok else ~job_id
 
     @property
     def job_id(self) -> int:

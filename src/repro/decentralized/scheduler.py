@@ -47,6 +47,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.decentralized.simulator import DecentralizedSimulator
     from repro.decentralized.worker import Episode, Worker
 
+#: Minimum interval between two speculation scans of one job (the
+#: ``min_interval`` of :meth:`repro.runtime.JobRuntime.speculation_candidates`).
+_SPEC_THROTTLE = 0.25
+
 
 class SchedulerJob(JobRuntime):
     """Scheduler-side runtime state for one job: the shared
@@ -103,7 +107,7 @@ class SchedulerAgent:
         self.jobs: Dict[int, SchedulerJob] = {}
         config = sim.config
         self._fairness_off = config.epsilon >= 1.0
-        # (1 - eps) * slots, pre-multiplied so _fair_share keeps the exact
+        # (1 - eps) * slots, pre-multiplied so _refresh_gossip keeps the exact
         # float operation order of ((1 - eps) * slots) / n_est.
         self._fair_numerator = (1.0 - config.epsilon) * sim.total_slots
         self._num_schedulers = config.num_schedulers
@@ -115,6 +119,10 @@ class SchedulerAgent:
             config.worker_policy is WorkerPolicy.HOPPER
         )
         self._late_binding = config.late_binding
+        # The beta every gossip refresh reads: the learning estimator,
+        # or None for the fixed default_beta.
+        self._beta_estimator = sim.beta_estimator if config.learn_beta else None
+        self._default_beta = config.default_beta
         self._alpha_estimator = sim.alpha_estimator
         self._send = sim.send
         self._counters = sim._counters  # None unless observability is on
@@ -171,7 +179,8 @@ class SchedulerAgent:
         """Sparrow/Sparrow-SRPT: each newly flagged straggler gets fresh,
         speculation-eligible probes that join the back of worker queues."""
         fresh = 0
-        for request in self._candidates(sj):
+        now = self._engine._now
+        for request in sj.speculation_candidates(now, _SPEC_THROTTLE):
             task_id = request.task.task_id
             if task_id in sj.spec_probed_tasks:
                 continue
@@ -200,22 +209,17 @@ class SchedulerAgent:
         remaining_f = float(remaining)
         return size if size > remaining_f else remaining_f
 
-    def _fair_share(self) -> float:
-        """Approximate ε-fair floor using only local knowledge."""
-        n_local = len(self.jobs)
-        if n_local == 0:
-            return 0.0
-        return self._fair_numerator / (n_local * self._num_schedulers)
-
     def _refresh_gossip(self, sj: SchedulerJob) -> None:
         gossip = sj.gossip
-        remaining = sj.job.remaining_tasks()
+        job = sj.job
+        remaining = job.remaining_tasks()
         # beta is read on every refresh: a learning estimator refits on
         # reads, so skipping a read would move its later fits.
-        beta = self.sim.beta()
+        estimator = self._beta_estimator
+        beta = estimator.beta if estimator is not None else self._default_beta
         history = -1  # alpha is constant 1.0 (single phase or alpha off)
-        if self._use_alpha and len(sj.job.phases) > 1:
-            history = self._alpha_estimator.name_version(sj.job.name)
+        if self._use_alpha and len(job.phases) > 1:
+            history = self._alpha_estimator.name_version(job.name)
         inputs = (remaining, beta, history)
         if inputs != sj.vsize_inputs:
             sj.vsize_inputs = inputs
@@ -223,18 +227,19 @@ class SchedulerAgent:
         gossip.remaining_tasks = remaining
         if self._fairness_off:
             gossip.starved = False
-        else:
-            gossip.starved = (
-                sj.occupied < self._fair_share() and self._has_demand(sj)
-            )
+            return
+        # The ε-fair floor from local knowledge only: this scheduler's
+        # job count stands for every scheduler's.
+        n_local = len(self.jobs)
+        fair_share = 0.0
+        if n_local:
+            fair_share = self._fair_numerator / (n_local * self._num_schedulers)
+        gossip.starved = sj.occupied < fair_share and self._has_demand(sj)
 
     # -- speculation --------------------------------------------------------
 
-    def _candidates(self, sj: SchedulerJob) -> list:
-        return sj.speculation_candidates(self._engine._now, 0.25)
-
     def _next_speculative_task(self, sj: SchedulerJob) -> Optional[Task]:
-        candidates = self._candidates(sj)
+        candidates = sj.speculation_candidates(self._engine._now, _SPEC_THROTTLE)
         if not candidates:
             return None
         copies_by_task = sj.view.copies_by_task
@@ -255,7 +260,8 @@ class SchedulerAgent:
         if sj.demand_at == sj.changes:
             stamp = sj.demand_stamp
             if stamp is None or (
-                stamp == sj.spec_cache_time and self._engine._now - stamp < 0.25
+                stamp == sj.spec_cache_time
+                and self._engine._now - stamp < _SPEC_THROTTLE
             ):
                 return sj.demand
         if sj.has_pending():
@@ -304,7 +310,8 @@ class SchedulerAgent:
             self._offer_reservation(worker, episode, request, rtype, sj)
             return
 
-        task = sj.pop_pending()
+        # An empty queue has nothing to prune: skip the call.
+        task = sj.pop_pending() if sj.pending else None
         speculative = False
         if task is None and request.spec_ok:
             # Speculative copies only ever come from the job's speculation
@@ -429,7 +436,7 @@ class SchedulerAgent:
 
     def on_cluster_resize(self, total_slots: int) -> None:
         """Eviction/reinstatement changed the usable slot count; refresh
-        the snapshotted ε-fair numerator (see ``_fair_share``)."""
+        the snapshotted ε-fair numerator (see ``_refresh_gossip``)."""
         self._fair_numerator = (1.0 - self.sim.config.epsilon) * total_slots
 
     def complete_job(self, sj: SchedulerJob) -> None:

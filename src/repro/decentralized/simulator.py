@@ -11,11 +11,14 @@ all live on the delayed control path.
 Scale-out notes (10k+-slot clusters):
 
 * control messages destined for the same simulation tick are *batched*
-  into one engine event, so a probe burst of ``k`` probes costs one heap
-  push instead of ``k``. The batch is only extended while the engine's
+  into one engine event, so a probe burst of ``k`` probes costs one lane
+  entry instead of ``k``. The batch is only extended while the engine's
   :meth:`~repro.simulation.engine.Simulator.sequence_marker` is
   unchanged — i.e. while provably nothing else has been scheduled — so
-  delivery order is bit-identical to one-event-per-message;
+  delivery order is bit-identical to one-event-per-message. Batches go
+  to the engine's FIFO lane (:meth:`~repro.simulation.engine.Simulator.post`),
+  not its heap: every message pays the same constant delay, so delivery
+  times arrive in send order, and a batch is never cancelled;
 * queued reservation requests are indexed per job
   (``job -> {worker: count}``), so job completion purges exactly the
   workers that hold requests instead of leaving tombstones for every
@@ -215,7 +218,9 @@ class DecentralizedSimulator:
         batch = [(fn, args)]
         self._open_batch = batch
         self._open_batch_time = time
-        sim.schedule_at(time, self._deliver_batch, batch)
+        # The delay is constant, so times come in send order: the lane's
+        # precondition holds.
+        sim.post(time, self._deliver_batch, batch)
         self._open_batch_seq = sim._seq
         if counters is not None:
             counters.inc("msg.sent")
@@ -226,9 +231,10 @@ class DecentralizedSimulator:
     ) -> None:
         if self._open_batch is batch:
             self._open_batch = None
-        if len(batch) > 1:
+        extra = len(batch) - 1
+        if extra:
             # Keep events_processed comparable with unbatched delivery.
-            self.sim.credit_events(len(batch) - 1)
+            self.sim.credit_events(extra)
         for fn, args in batch:
             fn(*args)
 
@@ -281,11 +287,6 @@ class DecentralizedSimulator:
             return None
         sj = scheduler.jobs.get(job_id)
         return sj.gossip if sj is not None else None
-
-    def beta(self) -> float:
-        if self.config.learn_beta:
-            return self.beta_estimator.beta
-        return self.config.default_beta
 
     # -- queued-request index ----------------------------------------------
 

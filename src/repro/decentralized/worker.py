@@ -41,7 +41,7 @@ class Episode:
         self.worker = worker
         self.refusals = 0
         # (job_id, spec_ok) pairs already offered during this episode,
-        # encoded as job_id*2 + spec_ok (cheaper to hash than tuples)
+        # as Request.key values (cheaper to hash than tuples)
         self.tried: Set[int] = set()
         # (virtual_size, job_id, scheduler_id) tuples learned from refusals
         self.unsatisfied: List[Tuple[float, int, int]] = []
@@ -113,7 +113,7 @@ class Worker:
         many. On job completion the caller already removed the request
         index entry, so nothing is unregistered here."""
         before = len(self.queue)
-        self.queue = [r for r in self.queue if r.job_id != job_id]
+        self.queue = [r for r in self.queue if r.gossip.job_id != job_id]
         removed = before - len(self.queue)
         if removed:
             self._result.requests_dropped += removed
@@ -127,7 +127,7 @@ class Worker:
             self.queue.remove(request)
         except ValueError:
             return
-        self.sim.note_requests_removed(request.job_id, self.worker_id)
+        self.sim.note_requests_removed(request.gossip.job_id, self.worker_id)
         if self._counters is not None:
             self._counters.inc("probe.consumed")
 
@@ -167,7 +167,7 @@ class Worker:
             return
         if request.gossip.active:
             self.queue.append(request)
-            self.sim.note_request_queued(request.job_id, self.worker_id)
+            self.sim.note_request_queued(request.gossip.job_id, self.worker_id)
             if self._counters is not None:
                 self._counters.inc("probe.queued")
         else:
@@ -200,7 +200,7 @@ class Worker:
         unique: List[Request] = []
         append = unique.append
         for request in self.queue:
-            key = request.gossip.job_id * 2 + request.spec_ok
+            key = request.key
             if key in seen:
                 continue
             add(key)
@@ -209,52 +209,57 @@ class Worker:
 
     def _episode_step(self, episode: Episode) -> None:
         """Pick the next request to offer the slot to (Pseudocode 3)."""
-        candidates = self._candidates(episode)
-        if not candidates:
-            self._finish_episode_idle(episode)
-            return
-
         policy = self._policy
-        if policy is WorkerPolicy.FIFO:
-            request = min(candidates, key=lambda r: r.enqueue_time)
-            self._offer(episode, request, ResponseType.NON_REFUSABLE)
-            return
-        if policy is WorkerPolicy.SRPT:
-            request = min(
-                candidates,
-                key=lambda r: (r.gossip.remaining_tasks, r.enqueue_time),
-            )
+        if policy is not WorkerPolicy.HOPPER:
+            candidates = self._candidates(episode)
+            if not candidates:
+                self._finish_episode_idle(episode)
+                return
+            if policy is WorkerPolicy.FIFO:
+                request = min(candidates, key=lambda r: r.enqueue_time)
+            else:  # SRPT
+                request = min(
+                    candidates,
+                    key=lambda r: (r.gossip.remaining_tasks, r.enqueue_time),
+                )
             self._offer(episode, request, ResponseType.NON_REFUSABLE)
             return
 
         # HOPPER policy -------------------------------------------------
-        # One fused pass finds both the smallest starved request (served
-        # before everything else, ε-fairness) and the (virtual size,
-        # enqueue time)-smallest overall — first-minimal wins on ties,
-        # exactly like the min() calls this replaces.
+        # One pass over the queue builds the candidates (as _candidates
+        # does) and finds both the smallest starved one (served before
+        # everything else, ε-fairness) and the (virtual size, enqueue
+        # time)-smallest one; first-minimal wins on ties.
+        seen: Set[int] = set(episode.tried)
+        add = seen.add
+        candidates: List[Request] = []
+        append = candidates.append
+        best: Optional[Request] = None
+        best_vs = best_time = 0.0
         best_starved: Optional[Request] = None
         best_starved_vs = 0.0
-        best = candidates[0]
-        gossip = best.gossip
-        best_vs = gossip.virtual_size
-        best_time = best.enqueue_time
-        if gossip.starved:
-            best_starved = best
-            best_starved_vs = best_vs
-        for request in candidates:
+        for request in self.queue:
+            key = request.key
+            if key in seen:
+                continue
+            add(key)
+            append(request)
             gossip = request.gossip
             vs = gossip.virtual_size
-            if gossip.starved and (
-                best_starved is None or vs < best_starved_vs
-            ):
-                best_starved = request
-                best_starved_vs = vs
-            if vs < best_vs or (
-                vs == best_vs and request.enqueue_time < best_time
+            if (
+                best is None
+                or vs < best_vs
+                or (vs == best_vs and request.enqueue_time < best_time)
             ):
                 best = request
                 best_vs = vs
                 best_time = request.enqueue_time
+            if gossip.starved and (best_starved is None or vs < best_starved_vs):
+                best_starved = request
+                best_starved_vs = vs
+        if best is None:
+            self._finish_episode_idle(episode)
+            return
         if best_starved is not None:
             self._offer(episode, best_starved, ResponseType.REFUSABLE)
             return
@@ -291,7 +296,7 @@ class Worker:
         candidates: List[Request], job_id: int
     ) -> Optional[Request]:
         for request in candidates:
-            if request.job_id == job_id:
+            if request.gossip.job_id == job_id:
                 return request
         return None
 
@@ -312,10 +317,10 @@ class Worker:
         request: Request,
         rtype: ResponseType,
     ) -> None:
-        gossip = request.gossip
-        episode.tried.add(gossip.job_id * 2 + request.spec_ok)
-        scheduler = self.sim.schedulers[gossip.scheduler_id]
-        self.sim.send(scheduler.on_slot_offer, self, episode, request, rtype)
+        episode.tried.add(request.key)
+        sim = self.sim
+        scheduler = sim.schedulers[request.gossip.scheduler_id]
+        sim.send(scheduler.on_slot_offer, self, episode, request, rtype)
 
     def _offer_direct(
         self,
@@ -335,7 +340,7 @@ class Worker:
         synthetic = Request(
             gossip=gossip, enqueue_time=self.sim.sim.now, spec_ok=True
         )
-        episode.tried.add(job_id * 2 + 1)
+        episode.tried.add(synthetic.key)
         self.sim.send(scheduler.on_slot_offer, self, episode, synthetic, rtype)
 
     def _finish_episode_idle(self, episode: Episode) -> None:

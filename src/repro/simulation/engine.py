@@ -19,6 +19,18 @@ Performance notes (the engine is the hot path of every simulator):
 * :meth:`Simulator.schedule_many` amortizes bulk insertion (probe
   bursts, trace arrivals) by choosing between repeated pushes and a
   single ``heapify`` based on the relative batch size;
+* events that are never cancelled and arrive in nondecreasing time
+  order (the decentralized plane's control messages, which all pay one
+  constant delay) skip the heap: :meth:`Simulator.post` appends them to
+  a FIFO *lane* in O(1). A lane entry is ``(time, 0, seq, fn, args)``
+  and takes the next sequence number, exactly as ``schedule_at(time,
+  fn, *args)`` would; the dispatch loop runs the lane head whenever its
+  ``(time, 0, seq)`` key sorts before the live heap head's ``(time,
+  priority, seq)``. The two queues therefore merge into the same total
+  order the heap alone gives, so dispatch order, ``events_processed``
+  and the ``until`` / ``max_events`` stops are unchanged. ``post``
+  rejects a time earlier than ``now`` or than the lane's last entry and
+  returns no handle;
 * the dispatch loop binds its hot attributes to locals.
 
 Example
@@ -36,7 +48,8 @@ from __future__ import annotations
 
 import heapq
 import time as _time
-from typing import Any, Callable, Iterable, List, Optional, Tuple
+from collections import deque
+from typing import Any, Callable, Deque, Iterable, List, Optional, Tuple
 
 #: Compaction never triggers below this many tombstones (tiny heaps are
 #: cheap to scan and rebuilding them would be pure overhead).
@@ -117,6 +130,7 @@ class Simulator:
     __slots__ = (
         "_now",
         "_heap",
+        "_lane",
         "_seq",
         "_events_processed",
         "_running",
@@ -129,6 +143,9 @@ class Simulator:
         # (time, priority, seq, handle) tuples; seq is unique so the
         # handle component is never compared.
         self._heap: List[Tuple[float, int, int, EventHandle]] = []
+        # (time, 0, seq, fn, args) tuples in nondecreasing (time, seq)
+        # order; see post().
+        self._lane: Deque[tuple] = deque()
         self._seq = 0
         self._events_processed = 0
         self._running = False
@@ -148,7 +165,7 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of events still queued (including cancelled stubs)."""
-        return len(self._heap)
+        return len(self._heap) + len(self._lane)
 
     def sequence_marker(self) -> int:
         """Opaque counter that advances on every scheduled event.
@@ -208,6 +225,30 @@ class Simulator:
         if self._tombstones > _COMPACT_MIN_TOMBSTONES:
             self._maybe_compact()
         return handle
+
+    def post(self, time: float, fn: Callable[..., None], *args: Any) -> None:
+        """Queue ``fn(*args)`` at ``time`` on the FIFO lane.
+
+        Dispatches exactly like ``schedule_at(time, fn, *args)`` (priority
+        0, the next sequence number) but costs an append instead of a
+        heap push. The caller promises the event is never cancelled (no
+        handle is returned) and that its posts come in nondecreasing
+        time order; a time earlier than ``now`` or than the lane's last
+        entry raises :class:`SimulationError`.
+        """
+        if time < self._now:
+            raise SimulationError(
+                f"cannot post at {time} before current time {self._now}"
+            )
+        lane = self._lane
+        if lane and time < lane[-1][0]:
+            raise SimulationError(
+                f"cannot post at {time} before the lane's last entry at "
+                f"{lane[-1][0]}"
+            )
+        seq = self._seq
+        self._seq = seq + 1
+        lane.append((time, 0, seq, fn, args))
 
     def schedule_many(
         self,
@@ -286,12 +327,37 @@ class Simulator:
         self._running = True
         executed = 0
         heap = self._heap
+        lane = self._lane
         pop = heapq.heappop
+        popleft = lane.popleft
         unbounded = until is None and max_events is None
         obs = self._obs
         started = _time.perf_counter() if obs is not None else 0.0
         try:
-            while heap:
+            while True:
+                if lane:
+                    # The lane head runs first iff its (time, 0, seq) key
+                    # sorts before the heap head's (time, priority, seq);
+                    # seq is unique, so the tuples never compare past
+                    # their third element. A cancelled heap head that
+                    # sorts first is popped below, then compared again.
+                    item = lane[0]
+                    if not heap or item < heap[0]:
+                        if not unbounded:
+                            if until is not None and item[0] > until:
+                                break
+                            if max_events is not None and executed >= max_events:
+                                break
+                        popleft()
+                        self._now = item[0]
+                        item[3](*item[4])
+                        executed += 1
+                        self._events_processed += 1
+                        if heap is not self._heap:  # a callback compacted
+                            heap = self._heap
+                        continue
+                elif not heap:
+                    break
                 entry = heap[0]
                 head = entry[3]
                 if head.cancelled:
@@ -324,16 +390,28 @@ class Simulator:
                 obs.timers.add(
                     "engine.dispatch", _time.perf_counter() - started
                 )
-        if until is not None and self._now < until and not heap:
-            self._now = until
-        elif until is not None and heap and heap[0][0] > until:
-            self._now = until
+        if until is not None:
+            if heap or lane:
+                # The earliest queued time; a cancelled heap stub counts,
+                # as it always has.
+                following = heap[0][0] if heap else lane[0][0]
+                if lane and lane[0][0] < following:
+                    following = lane[0][0]
+                if following > until:
+                    self._now = until
+            elif self._now < until:
+                self._now = until
         return self._now
 
     def peek_next_time(self) -> Optional[float]:
         """Time of the next pending (non-cancelled) event, or None."""
         heap = self._heap
-        while heap and heap[0][3].cancelled:
+        lane = self._lane
+        # Drop cancelled heap heads only while they are next in line, as
+        # run() does.
+        while heap and heap[0][3].cancelled and not (lane and lane[0] < heap[0]):
             heapq.heappop(heap)
             self._tombstones -= 1
+        if lane and (not heap or lane[0] < heap[0]):
+            return lane[0][0]
         return heap[0][0] if heap else None

@@ -317,3 +317,16 @@ def test_every_readme_command_parses():
     for argv in commands:
         args = parser.parse_args(argv)
         assert args.command == argv[0], argv
+
+
+def test_every_readme_study_names_a_registered_study():
+    """A README ``repro study NAME`` (a command or prose) must name a
+    study a fresh ``repro`` process knows: one that a user script
+    registers exists only inside that script's process."""
+    from repro.registry import studies
+
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    names = re.findall(r"\brepro study (\w[\w-]*)", readme.read_text())
+    assert len(names) > 5  # the extraction found the examples
+    known = set(studies().names())
+    assert [name for name in names if name not in known] == []

@@ -1,6 +1,9 @@
 """Protocol-level unit tests for the decentralized worker (Pseudocode 3)
 and scheduler (Pseudocode 2) logic, driven through a tiny simulator."""
 
+import random
+
+import pytest
 
 from repro.decentralized.config import DecentralizedConfig, WorkerPolicy
 from repro.decentralized.messages import JobGossip, Request, ResponseType
@@ -210,6 +213,95 @@ def test_srpt_worker_takes_fewest_remaining(monkeypatch):
 
     worker._episode_step(Episode(worker))
     assert offered[0][0].job_id == 2
+
+
+def test_consume_request_removes_the_offered_object_not_an_equal_one():
+    sim = _sim()
+    worker = sim.worker(0)
+    g = _gossip(1, 5.0, 4)
+    earlier, offered = Request(g, 0.0), Request(g, 0.0)  # equal fields
+    for request in (earlier, offered):
+        worker.queue.append(request)
+        sim.note_request_queued(1, worker.worker_id)
+    worker.consume_request(offered)
+    assert len(worker.queue) == 1
+    assert worker.queue[0] is earlier
+    assert sim.worker_holds_job(1, worker.worker_id)
+
+
+def _reference_hopper_step(worker, episode):
+    """What the HOPPER step offers, derived from ``_candidates`` and
+    plain min() scans: ``(request, rtype)``, ``(("direct", job_id),
+    rtype)``, ``(("weighted", candidates), rtype)`` or None (idle)."""
+    candidates = worker._candidates(episode)
+    if not candidates:
+        return None
+    starved = [r for r in candidates if r.gossip.starved]
+    if starved:
+        pick = min(starved, key=lambda r: r.gossip.virtual_size)
+        return pick, ResponseType.REFUSABLE
+    if episode.refusals >= worker._refusal_threshold:
+        if episode.unsatisfied:
+            _, job_id, _ = min(episode.unsatisfied)
+            for request in candidates:
+                if request.job_id == job_id:
+                    return request, ResponseType.NON_REFUSABLE
+            return ("direct", job_id), ResponseType.NON_REFUSABLE
+        return ("weighted", candidates), ResponseType.NON_REFUSABLE
+    pick = min(candidates, key=lambda r: (r.gossip.virtual_size, r.enqueue_time))
+    return pick, ResponseType.REFUSABLE
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_hopper_step_offers_what_the_candidate_scan_picks(monkeypatch, seed):
+    """Random queues with duplicate keys, virtual-size and enqueue-time
+    ties, starved flags, tried keys and refusal info."""
+    from repro.decentralized.worker import Episode, Worker
+
+    rng = random.Random(seed)
+    sim = _sim(epsilon=0.1)
+    worker = sim.worker(0)
+    gossips = [
+        _gossip(j, rng.choice((1.0, 2.0, 2.0)), 3, starved=rng.random() < 0.1)
+        for j in range(1, 6)
+    ]
+    worker.queue = [
+        Request(rng.choice(gossips), float(rng.randrange(2)), rng.random() < 0.7)
+        for _ in range(rng.randint(0, 10))
+    ]
+    episode = Episode(worker)
+    episode.tried = {r.key for r in worker.queue if rng.random() < 0.3}
+    episode.refusals = rng.randrange(4)
+    episode.unsatisfied = [
+        (g.virtual_size, g.job_id, 0) for g in gossips if rng.random() < 0.3
+    ]
+    expected = _reference_hopper_step(worker, episode)
+
+    offered = []
+    _capture_offers(monkeypatch, offered)
+    def direct(self, ep, job_id, scheduler_id, rtype):
+        offered.append((("direct", job_id), rtype))
+
+    def weighted(self, candidates):
+        offered.append((("weighted", candidates), ResponseType.NON_REFUSABLE))
+        return candidates[0]
+
+    monkeypatch.setattr(Worker, "_offer_direct", direct)
+    monkeypatch.setattr(Worker, "_weighted_pick", weighted)
+    worker._episode_step(episode)
+    if expected is None:
+        assert offered == []
+        return
+    pick, rtype = offered[0]
+    assert rtype is expected[1]
+    if isinstance(expected[0], Request):
+        assert pick is expected[0]
+    else:
+        assert pick[0] == expected[0][0]
+        if pick[0] == "weighted":
+            assert [id(r) for r in pick[1]] == [id(r) for r in expected[0][1]]
+        else:
+            assert pick[1] == expected[0][1]
 
 
 def test_worker_slot_accounting_with_pending_episode():

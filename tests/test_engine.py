@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event engine."""
 
+import random
+
 import pytest
 
 from repro.simulation.engine import SimulationError, Simulator
@@ -144,3 +146,127 @@ def test_start_time_offset():
     sim.schedule(1.0, lambda: fired.append(sim.now))
     sim.run()
     assert fired == [101.0]
+
+
+# -- the FIFO lane (Simulator.post) -------------------------------------------
+
+
+def test_post_runs_in_fifo_order_with_the_heap():
+    sim = Simulator()
+    fired = []
+    sim.post(1.0, fired.append, "lane-a")
+    sim.schedule_at(1.0, fired.append, "heap-late", priority=1)
+    sim.schedule_at(1.0, fired.append, "heap-early", priority=-1)
+    sim.post(1.0, fired.append, "lane-b")
+    sim.schedule_at(0.5, fired.append, "heap-first")
+    assert sim.pending_events == 5
+    assert sim.peek_next_time() == 0.5
+    sim.run()
+    # Lane entries are priority 0 and ordered by their sequence number.
+    assert fired == ["heap-first", "heap-early", "lane-a", "lane-b", "heap-late"]
+    assert sim.events_processed == 5
+    assert sim.pending_events == 0
+
+
+def test_post_rejects_a_time_before_now_or_the_lane_tail():
+    sim = Simulator()
+    sim.schedule_at(2.0, lambda: None)
+    sim.run()
+    with pytest.raises(SimulationError):
+        sim.post(1.0, lambda: None)
+    sim.post(3.0, lambda: None)
+    with pytest.raises(SimulationError):
+        sim.post(2.5, lambda: None)
+    sim.post(3.0, lambda: None)  # equal times are in order
+    assert sim.pending_events == 2
+
+
+class _Script:
+    """Drives one simulator through a seeded random script of events.
+
+    ``lane`` events are queued with :meth:`Simulator.post` when
+    ``use_lane`` is set and with ``schedule_at`` otherwise; everything
+    else (times, priorities, cancellations, run cut-offs, the events a
+    callback schedules) comes from the same random stream, so two
+    scripts with one seed issue identical calls as long as their events
+    fire in the same order.
+    """
+
+    def __init__(self, seed, use_lane):
+        self.sim = Simulator()
+        self.rng = random.Random(seed)
+        self.use_lane = use_lane
+        self.fired = []
+        self.handles = []  # heap events only: lane events are never cancelled
+        self.lane_tail = 0.0
+        self.next_id = 0
+
+    def _fire(self, event_id):
+        self.fired.append((event_id, self.sim.now, self.sim.events_processed))
+        if self.rng.random() < 0.4:  # a callback that schedules and posts
+            self.add(self.rng.randint(1, 3))
+
+    def _id(self):
+        self.next_id += 1
+        return self.next_id
+
+    def add(self, count):
+        sim, rng = self.sim, self.rng
+        for _ in range(count):
+            kind = rng.randrange(5)
+            if kind < 2:
+                time = max(sim.now, self.lane_tail) + rng.choice((0.0, 0.0, 0.5, 1.0))
+                self.lane_tail = time
+                if self.use_lane:
+                    sim.post(time, self._fire, self._id())
+                else:
+                    sim.schedule_at(time, self._fire, self._id())
+                continue
+            time = sim.now + rng.choice((0.0, 0.5, 1.0, 1.5))
+            priority = rng.choice((-1, 0, 1))
+            if kind == 2:
+                self.handles.append(
+                    sim.schedule_at(time, self._fire, self._id(), priority=priority)
+                )
+            elif kind == 3:
+                self.handles.append(
+                    sim.schedule(
+                        time - sim.now, self._fire, self._id(), priority=priority
+                    )
+                )
+            else:
+                items = [
+                    (time + rng.choice((0.0, 0.5)), self._fire, (self._id(),))
+                    for _ in range(rng.randint(1, 3))
+                ]
+                self.handles.extend(
+                    sim.schedule_many(items, absolute=True, priority=priority)
+                )
+            if self.handles and rng.random() < 0.3:
+                rng.choice(self.handles).cancel()
+
+    def play(self, rounds):
+        sim, rng = self.sim, self.rng
+        states = []
+        for _ in range(rounds):
+            self.add(rng.randint(1, 4))
+            mode = rng.randrange(3)
+            if mode == 0:
+                sim.run(until=sim.now + rng.choice((0.0, 0.5, 1.0, 2.0)))
+            elif mode == 1:
+                sim.run(max_events=1)
+            states.append(self.state() + (sim.peek_next_time(),))
+        sim.run()
+        states.append(self.state())
+        return states
+
+    def state(self):
+        return (self.sim.now, self.sim.events_processed, self.sim.pending_events)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_lane_dispatches_exactly_like_the_heap(seed):
+    with_lane, heap_only = _Script(seed, True), _Script(seed, False)
+    assert with_lane.play(30) == heap_only.play(30)
+    assert with_lane.fired == heap_only.fired
+    assert len(with_lane.fired) > 30  # the script did fire events
