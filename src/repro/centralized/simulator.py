@@ -441,11 +441,11 @@ class CentralizedSimulator:
 
     def _pick_machine(self, task: Task) -> Optional[int]:
         """Free machine for a copy: local replica holder if possible."""
-        machines = self.cluster.machines
-        for machine_id in task.preferred_machines:
-            if machines[machine_id].has_free_slot:
-                return machine_id
         index = self.cluster.index
+        free = index.bits  # mirrors Cluster.free_bits()
+        for machine_id in task.preferred_machines:
+            if free[machine_id]:
+                return machine_id
         free_count = index.free_machine_count
         if not free_count:
             return None
@@ -702,9 +702,9 @@ class CentralizedSimulator:
         via the Fenwick append — no index rebuild) and dispatch onto the
         new capacity at this plane's dispatch point."""
         cluster = self.cluster
-        num_slots = cluster.machines[0].num_slots
+        num_slots = cluster.slots[0]
         for _ in range(count):
-            cluster.add_machine(num_slots=num_slots)
+            cluster.add_machine(num_slots)
         self._resize_slot_pool()
         self._request_dispatch()
         return count

@@ -1,6 +1,12 @@
-"""Cluster substrate: machines, slots, racks, data placement, blacklists."""
+"""Cluster substrate: machine-id columns, slots, racks, data placement,
+blacklists.
 
-from repro.cluster.machine import Machine
+The centralized fleet is a :class:`Cluster` of per-machine-id columns
+(busy and slot counts, blacklisted and retired flags) synced with a
+Fenwick :class:`ClusterIndex` of free machines; no object exists per
+machine.
+"""
+
 from repro.cluster.cluster import Cluster
 from repro.cluster.datastore import DataStore
 from repro.cluster.blacklist import Blacklist
@@ -14,7 +20,6 @@ from repro.cluster.elastic import (
 )
 
 __all__ = [
-    "Machine",
     "Cluster",
     "DataStore",
     "Blacklist",

@@ -1,24 +1,31 @@
-"""The cluster: a collection of machines with aggregate slot accounting.
+"""The cluster: per-machine-id columns with aggregate slot accounting.
+
+A machine is an id, not an object. Its state lives in four columns
+indexed by id: busy and slot counts (``array('I')``, 4 bytes each) and
+the blacklisted and retired flags (``bytearray``, 1 byte each). The
+rack is computed from the id. A machine therefore costs its column
+entries and its two :class:`~repro.cluster.index.ClusterIndex` entries,
+with no object and no int of its own.
 
 Aggregate capacity (``total_slots``), the live machine count and the set
 of machines with a free slot are maintained *incrementally* — slot
 acquire/release updates an O(log machines)
 :class:`~repro.cluster.index.ClusterIndex` instead of every reader
-rescanning the machine list. Blacklist application and reset are the
-only wholesale recomputations.
+rescanning the columns. Blacklist application and reset are the only
+wholesale recomputations.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from array import array
+from typing import List, Optional, Tuple
 
 from repro.cluster.blacklist import Blacklist
 from repro.cluster.index import ClusterIndex
-from repro.cluster.machine import Machine
 
 
 class Cluster:
-    """A set of machines; tracks aggregate free/busy slots.
+    """A fleet of machine ids; tracks aggregate free/busy slots.
 
     Elastic membership is priced per machine changed, not per machine
     held: ``add_machine``/``remove_machine`` move ``total_slots``, the
@@ -30,59 +37,68 @@ class Cluster:
     centralized shrink and an O(Δ) decentralized probe-pool update (see
     :mod:`repro.cluster.elastic`).
 
+    The columns ``busy``, ``slots``, ``blacklisted`` and ``retired`` are
+    read-only outside this class. ``blacklisted`` mirrors the
+    :class:`Blacklist` as of the last ``apply_blacklist``. Retirement is
+    permanent: elastic shrink never resurrects a machine id — growth
+    appends fresh ids instead — so reinstatement passes can't revive it.
+
     Parameters
     ----------
     num_machines:
-        Number of machines (ignored if ``machines`` given).
+        Number of machines.
     slots_per_machine:
         Slots on each machine.
     machines_per_rack:
         Rack assignment granularity (for locality experiments).
-    machines:
-        Pre-built machines, overriding the size parameters.
     """
 
     def __init__(
         self,
-        num_machines: int = 0,
+        num_machines: int,
         slots_per_machine: int = 1,
         machines_per_rack: int = 20,
-        machines: Optional[Iterable[Machine]] = None,
     ) -> None:
-        if machines is not None:
-            self.machines: List[Machine] = list(machines)
-        else:
-            if num_machines <= 0:
-                raise ValueError("num_machines must be positive")
-            self.machines = [
-                Machine(
-                    machine_id=i,
-                    num_slots=slots_per_machine,
-                    rack=i // machines_per_rack,
-                )
-                for i in range(num_machines)
-            ]
-        if not self.machines:
-            raise ValueError("cluster must contain at least one machine")
+        if num_machines <= 0:
+            raise ValueError("num_machines must be positive")
+        _check_slots(slots_per_machine)
         self._machines_per_rack = machines_per_rack
+        #: Busy slots per machine id.
+        self.busy = array("I", [0]) * num_machines
+        #: Slot count per machine id.
+        self.slots = array("I", [slots_per_machine]) * num_machines
+        self.blacklisted = bytearray(num_machines)
+        self.retired = bytearray(num_machines)
         self.blacklist = Blacklist()
         self._busy_count = 0
         self._total_slots, self._live_machines = self._scan_live()
         #: Incremental free-slot index (see repro.cluster.index).
-        self.index = ClusterIndex(self.machines)
+        self.index = ClusterIndex(self.free_bits())
 
     def _scan_live(self) -> Tuple[int, int]:
-        """``(total_slots, live machines)`` in one pass over the fleet."""
+        """``(total_slots, live machines)`` in one pass over the columns."""
         slots = live = 0
-        for m in self.machines:
-            if not m.blacklisted and not m.retired:
-                slots += m.num_slots
+        for num_slots, blacklisted, retired in zip(
+            self.slots, self.blacklisted, self.retired
+        ):
+            if not blacklisted and not retired:
+                slots += num_slots
                 live += 1
         return slots, live
 
+    def free_bits(self) -> bytearray:
+        """Scan the columns: 1 for every machine with a free slot that is
+        neither blacklisted nor retired, else 0 (O(machines))."""
+        return bytearray(
+            busy < num_slots and not blacklisted and not retired
+            for busy, num_slots, blacklisted, retired in zip(
+                self.busy, self.slots, self.blacklisted, self.retired
+            )
+        )
+
     @property
     def num_machines(self) -> int:
-        return len(self.machines)
+        return len(self.slots)
 
     @property
     def total_slots(self) -> int:
@@ -96,32 +112,37 @@ class Cluster:
     def free_slots(self) -> int:
         return self._total_slots - self._busy_count
 
+    def rack(self, machine_id: int) -> int:
+        return machine_id // self._machines_per_rack
+
     def acquire_slot(self, machine_id: int) -> None:
         """Mark a slot busy on ``machine_id`` (O(1) aggregate tracking)."""
-        machine = self.machines[machine_id]
-        machine.acquire_slot()
+        busy = self.busy[machine_id] + 1
+        num_slots = self.slots[machine_id]
+        if busy > num_slots:
+            raise RuntimeError(f"machine {machine_id}: no free slot")
+        self.busy[machine_id] = busy
         self._busy_count += 1
-        if machine.busy_slots == machine.num_slots:
+        if busy == num_slots:
             self.index.set_machine(machine_id, False)
 
     def release_slot(self, machine_id: int) -> None:
         """Mark a slot free on ``machine_id``."""
-        machine = self.machines[machine_id]
-        machine.release_slot()
+        busy = self.busy[machine_id]
+        if busy <= 0:
+            raise RuntimeError(f"machine {machine_id}: no busy slot")
+        self.busy[machine_id] = busy - 1
         self._busy_count -= 1
-        self.index.refresh(machine)
-
-    def machine(self, machine_id: int) -> Machine:
-        return self.machines[machine_id]
+        self.index.set_machine(
+            machine_id,
+            not self.blacklisted[machine_id] and not self.retired[machine_id],
+        )
 
     # -- elastic membership (O(log machines), see repro.cluster.elastic) ----
 
-    def add_machine(
-        self,
-        num_slots: Optional[int] = None,
-        rack: Optional[int] = None,
-    ) -> Machine:
-        """Append one machine and delta-update the aggregates.
+    def add_machine(self, num_slots: Optional[int] = None) -> int:
+        """Append one machine and delta-update the aggregates; returns
+        its id.
 
         Machine ids are append-only: a new machine always gets the next
         id, so per-id state elsewhere (straggler flaky sets, worker
@@ -129,32 +150,32 @@ class Cluster:
         rescans or rebuilds — totals and the Fenwick index update in
         O(log machines).
         """
-        machine_id = len(self.machines)
+        machine_id = len(self.slots)
         if num_slots is None:
-            num_slots = self.machines[0].num_slots
-        if rack is None:
-            rack = machine_id // self._machines_per_rack
-        machine = Machine(machine_id=machine_id, num_slots=num_slots, rack=rack)
-        self.machines.append(machine)
+            num_slots = self.slots[0]
+        _check_slots(num_slots)
+        self.busy.append(0)
+        self.slots.append(num_slots)
+        self.blacklisted.append(0)
+        self.retired.append(0)
         self._total_slots += num_slots
         self._live_machines += 1
-        self.index.append_machine(machine)
-        return machine
+        self.index.append_machine(1)
+        return machine_id
 
     def remove_machine(self, machine_id: int) -> None:
         """Retire one machine and delta-update the aggregates.
 
-        The machine object stays in place (ids are stable) but stops
-        counting toward capacity and drops out of the free-slot index.
-        Copies still running on it are the caller's problem — the plane
+        The id stays in every column (ids are stable) but stops counting
+        toward capacity and drops out of the free-slot index. Copies
+        still running on it are the caller's problem — the plane
         simulators reuse their eviction kill→requeue paths.
         """
-        machine = self.machines[machine_id]
-        if machine.retired:
+        if self.retired[machine_id]:
             raise ValueError(f"machine {machine_id} already retired")
-        machine.retired = True
-        if not machine.blacklisted:
-            self._total_slots -= machine.num_slots
+        self.retired[machine_id] = 1
+        if not self.blacklisted[machine_id]:
+            self._total_slots -= self.slots[machine_id]
             self._live_machines -= 1
         self.index.set_machine(machine_id, False)
 
@@ -173,34 +194,42 @@ class Cluster:
         growth has re-filled the top since the last shrink.
         """
         count = min(count, self._live_machines - max(1, min_machines))
-        machines = self.machines
+        blacklisted = self.blacklisted
+        retired = self.retired
         chosen: List[int] = []
-        machine_id = len(machines)
+        machine_id = len(retired)
         while len(chosen) < count:
             machine_id -= 1
-            machine = machines[machine_id]
-            if not machine.retired and not machine.blacklisted:
+            if not retired[machine_id] and not blacklisted[machine_id]:
                 chosen.append(machine_id)
         return chosen
 
-    def machines_with_free_slots(self) -> List[Machine]:
-        return [m for m in self.machines if m.has_free_slot]
+    def machines_with_free_slots(self) -> List[int]:
+        """Ids of the machines with a free slot, ascending (a scan of
+        the columns, for tests and debugging)."""
+        return [i for i, bit in enumerate(self.free_bits()) if bit]
 
     def utilization(self) -> float:
         total = self._total_slots
         return self.busy_slots / total if total else 0.0
 
     def apply_blacklist(self) -> None:
-        """Propagate the blacklist onto machine flags (§2.2: clusters
+        """Propagate the blacklist onto the machine flags (§2.2: clusters
         blacklist problematic machines and avoid scheduling on them)."""
-        for machine in self.machines:
-            machine.blacklisted = self.blacklist.is_blacklisted(machine.machine_id)
+        is_blacklisted = self.blacklist.is_blacklisted
+        self.blacklisted = bytearray(
+            is_blacklisted(machine_id) for machine_id in range(len(self.slots))
+        )
         self._total_slots, self._live_machines = self._scan_live()
-        self.index.rebuild(self.machines)
+        self.index.rebuild(self.free_bits())
 
     def reset(self) -> None:
-        for machine in self.machines:
-            machine.reset()
+        self.busy = array("I", [0]) * len(self.slots)
         self._busy_count = 0
         self._total_slots, self._live_machines = self._scan_live()
-        self.index.rebuild(self.machines)
+        self.index.rebuild(self.free_bits())
+
+
+def _check_slots(num_slots: int) -> None:
+    if num_slots <= 0:
+        raise ValueError("machine must have at least one slot")

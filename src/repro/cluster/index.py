@@ -1,7 +1,7 @@
 """Incrementally maintained cluster-state indexes.
 
 The centralized simulator used to answer "which machines have a free
-slot?" by scanning the whole machine list — an O(machines) walk on every
+slot?" by scanning every machine — an O(machines) walk on every
 dispatch iteration that capped it far below the 20k-slot regime the
 decentralized path already reaches. Following the self-adjusting-
 structure idea (keep the index consistent under updates instead of
@@ -13,6 +13,10 @@ ids with a set bit for every machine that currently has a free slot:
   machine-id order*, O(log machines) via binary descent;
 * ``set_machine(machine_id, is_free)`` — O(log machines), no-op when
   the bit is unchanged.
+
+The bits are a ``bytearray`` and the tree a list of ints, so a machine
+costs one byte plus one list slot here: nodes covering at most 256 ids
+hold cached small ints, and only the few above that own an int object.
 
 Ascending-id enumeration order is load-bearing: it makes
 ``nth_free_machine(rng.randrange(count))`` consume the same entropy and
@@ -27,37 +31,40 @@ cluster-wide machine index.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Iterable, List, Optional
 
 
 class ClusterIndex:
-    """Fenwick-tree free-slot index over a fixed machine list.
+    """Fenwick-tree free-slot index over machine ids.
 
-    The index mirrors ``machine.has_free_slot`` (which is False for
-    blacklisted machines); :class:`repro.cluster.cluster.Cluster`
-    refreshes the relevant bit on every slot acquire/release and
-    rebuilds the index wholesale on reset / blacklist application.
+    ``bits`` holds one byte per machine id, 1 while the machine has a
+    free slot and is neither blacklisted nor retired (what
+    ``Cluster.free_bits`` scans); it is read-only outside this class.
+    :class:`repro.cluster.cluster.Cluster` syncs the relevant bit on
+    every slot acquire/release and membership change, and rebuilds the
+    index wholesale from its columns on reset / blacklist application.
     """
 
-    __slots__ = ("_size", "_tree", "_bits", "_top_bit", "free_machine_count")
+    __slots__ = ("_size", "_tree", "bits", "_top_bit", "free_machine_count")
 
-    def __init__(self, machines: Sequence) -> None:
-        self.rebuild(machines)
+    def __init__(self, bits: Iterable[int]) -> None:
+        self.rebuild(bits)
 
     # -- construction -------------------------------------------------------
 
-    def rebuild(self, machines: Sequence) -> None:
-        """Recompute the whole index from scratch (O(machines))."""
-        n = len(machines)
+    def rebuild(self, bits: Iterable[int]) -> None:
+        """Recompute the whole index from one 0/1 bit per machine id
+        (O(machines))."""
+        bits = bytearray(bits)
+        n = len(bits)
         self._size = n
         self._top_bit = 1 << (n.bit_length() - 1) if n else 0
-        bits = [1 if m.has_free_slot else 0 for m in machines]
-        self._bits = bits
+        self.bits = bits
         self.free_machine_count = sum(bits)
         # O(n) Fenwick build: each node accumulates into its parent.
-        tree = [0] * (n + 1)
+        tree = [0]
+        tree += bits
         for i in range(1, n + 1):
-            tree[i] += bits[i - 1]
             parent = i + (i & -i)
             if parent <= n:
                 tree[parent] += tree[i]
@@ -74,19 +81,19 @@ class ClusterIndex:
             count -= count & -count
         return total
 
-    def append_machine(self, machine) -> None:
-        """Extend the index by one machine id (O(log machines)).
+    def append_machine(self, bit: int) -> None:
+        """Extend the index by one machine id whose free bit is ``bit``
+        (O(log machines)).
 
         Elastic growth appends machines instead of rebuilding: the new
         Fenwick node's value is the bit-sum of the id range it covers,
         recoverable from prefix sums over the existing tree — no O(n)
         rebuild on the resize path.
         """
-        bit = 1 if machine.has_free_slot else 0
         j = self._size + 1
         span_start = j - (j & -j)
         self._tree.append(self._prefix(j - 1) - self._prefix(span_start) + bit)
-        self._bits.append(bit)
+        self.bits.append(bit)
         self._size = j
         self._top_bit = 1 << (j.bit_length() - 1)
         self.free_machine_count += bit
@@ -94,7 +101,7 @@ class ClusterIndex:
     def set_machine(self, machine_id: int, is_free: bool) -> None:
         """Record that ``machine_id`` gained/lost its last free slot."""
         bit = 1 if is_free else 0
-        bits = self._bits
+        bits = self.bits
         if bits[machine_id] == bit:
             return
         bits[machine_id] = bit
@@ -106,10 +113,6 @@ class ClusterIndex:
         while j <= size:
             tree[j] += delta
             j += j & -j
-
-    def refresh(self, machine) -> None:
-        """Sync one machine's bit from its ``has_free_slot`` flag."""
-        self.set_machine(machine.machine_id, machine.has_free_slot)
 
     # -- queries ------------------------------------------------------------
 
@@ -141,7 +144,7 @@ class ClusterIndex:
 
     def free_machine_ids(self) -> List[int]:
         """All free machine ids, ascending (for tests/debugging)."""
-        return [i for i, bit in enumerate(self._bits) if bit]
+        return [i for i, bit in enumerate(self.bits) if bit]
 
     def __len__(self) -> int:
         return self._size

@@ -298,9 +298,11 @@ class SchedulerAgent:
         request,
         rtype: ResponseType,
     ) -> None:
+        # A job leaves ``jobs`` in the event that completes it, so a
+        # listed job is never complete.
         job_id = request.gossip.job_id
         sj = self.jobs.get(job_id)
-        if sj is None or sj.job.is_complete:
+        if sj is None:
             self._send(worker.on_no_task, episode, request)
             return
         sj.last_activity = self._engine._now
@@ -390,7 +392,7 @@ class SchedulerAgent:
         """
         job_id = request.gossip.job_id
         sj = self.jobs.get(job_id)
-        if sj is None or sj.job.is_complete:
+        if sj is None:
             # Job completion already dropped its bookkeeping; nothing to
             # release.
             self._send(worker.on_no_task, episode, request)

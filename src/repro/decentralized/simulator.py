@@ -113,6 +113,9 @@ class DecentralizedSimulator:
         if slots_per_worker <= 0:
             raise ValueError("slots_per_worker must be positive")
         self.config = config or DecentralizedConfig()
+        # Read by every worker's episode step (see Worker).
+        self._worker_policy = self.config.worker_policy
+        self._refusal_threshold = self.config.refusal_threshold
         self.speculation_factory = speculation
         self.trace = trace
         self.straggler_model = straggler_model

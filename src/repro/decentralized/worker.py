@@ -64,10 +64,6 @@ class Worker:
         "pending_episodes",
         "running",
         "evicted",
-        "_policy",
-        "_refusal_threshold",
-        "_result",
-        "_counters",
     )
 
     def __init__(
@@ -84,14 +80,9 @@ class Worker:
         self.pending_episodes = 0  # episodes awaiting a scheduler reply
         self.running: List[TaskCopy] = []
         self.evicted = False  # blacklisted or retired; no queueing/episodes
-        # Config is immutable after simulator construction; snapshot the
-        # per-episode-step scalars.
-        self._policy = sim.config.worker_policy
-        self._refusal_threshold = sim.config.refusal_threshold
-        # Drop accounting: requests that can never be honoured (evicted
-        # target, completed job) are counted instead of vanishing.
-        self._result = sim.metrics.result
-        self._counters = sim._counters  # None unless observability is on
+        # Simulator-wide config and the drop accounting (requests that
+        # can never be honoured are counted instead of vanishing) are
+        # read from ``sim``, not copied onto every worker.
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -116,9 +107,10 @@ class Worker:
         self.queue = [r for r in self.queue if r.gossip.job_id != job_id]
         removed = before - len(self.queue)
         if removed:
-            self._result.requests_dropped += removed
-            if self._counters is not None:
-                self._counters.inc("probe.purged", removed)
+            sim = self.sim
+            sim._metrics_result.requests_dropped += removed
+            if sim._counters is not None:
+                sim._counters.inc("probe.purged", removed)
         return removed
 
     def consume_request(self, request: Request) -> None:
@@ -127,9 +119,10 @@ class Worker:
             self.queue.remove(request)
         except ValueError:
             return
-        self.sim.note_requests_removed(request.gossip.job_id, self.worker_id)
-        if self._counters is not None:
-            self._counters.inc("probe.consumed")
+        sim = self.sim
+        sim.note_requests_removed(request.gossip.job_id, self.worker_id)
+        if sim._counters is not None:
+            sim._counters.inc("probe.consumed")
 
     def evict(self) -> List[TaskCopy]:
         """Blacklist this worker mid-run (the §2.2 eviction path).
@@ -141,13 +134,14 @@ class Worker:
         simulator declines it at bind time (see ``start_copy``).
         """
         self.evicted = True
+        sim = self.sim
         for request in self.queue:
-            self.sim.note_requests_removed(request.job_id, self.worker_id)
+            sim.note_requests_removed(request.job_id, self.worker_id)
         dropped = len(self.queue)
         if dropped:
-            self._result.requests_dropped += dropped
-            if self._counters is not None:
-                self._counters.inc("probe.purged", dropped)
+            sim._metrics_result.requests_dropped += dropped
+            if sim._counters is not None:
+                sim._counters.inc("probe.purged", dropped)
             self.queue.clear()
         return list(self.running)
 
@@ -159,22 +153,24 @@ class Worker:
 
     def on_request(self, request: Request) -> None:
         """A reservation request arrives (after network delay)."""
+        sim = self.sim
+        counters = sim._counters
         if self.evicted:
             # Raced the eviction: the probe is lost — but counted.
-            self._result.requests_dropped += 1
-            if self._counters is not None:
-                self._counters.inc("probe.dropped")
+            sim._metrics_result.requests_dropped += 1
+            if counters is not None:
+                counters.inc("probe.dropped")
             return
         if request.gossip.active:
             self.queue.append(request)
-            self.sim.note_request_queued(request.gossip.job_id, self.worker_id)
-            if self._counters is not None:
-                self._counters.inc("probe.queued")
+            sim.note_request_queued(request.gossip.job_id, self.worker_id)
+            if counters is not None:
+                counters.inc("probe.queued")
         else:
             # Raced job completion: dropped on arrival, counted.
-            self._result.requests_dropped += 1
-            if self._counters is not None:
-                self._counters.inc("probe.dropped")
+            sim._metrics_result.requests_dropped += 1
+            if counters is not None:
+                counters.inc("probe.dropped")
         # A request that raced job completion is dropped, but may still
         # wake the slot: with lazy purging its arrival would have
         # triggered the same episode scan.
@@ -209,7 +205,7 @@ class Worker:
 
     def _episode_step(self, episode: Episode) -> None:
         """Pick the next request to offer the slot to (Pseudocode 3)."""
-        policy = self._policy
+        policy = self.sim._worker_policy
         if policy is not WorkerPolicy.HOPPER:
             candidates = self._candidates(episode)
             if not candidates:
@@ -264,7 +260,7 @@ class Worker:
             self._offer(episode, best_starved, ResponseType.REFUSABLE)
             return
 
-        if episode.refusals >= self._refusal_threshold:
+        if episode.refusals >= self.sim._refusal_threshold:
             self.sim.metrics.record_guideline_decision(
                 constrained=bool(episode.unsatisfied)
             )

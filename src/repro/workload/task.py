@@ -22,9 +22,12 @@ class TaskState(enum.Enum):
     FINISHED = "finished"  # some copy completed; others killed
 
 
-@dataclass
+@dataclass(slots=True)
 class Task:
     """One task of a job phase.
+
+    Slotted (no instance dict): every trace copy holds one ``Task`` per
+    task, so a task pays for its fields only.
 
     Attributes
     ----------

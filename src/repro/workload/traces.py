@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Iterator, List, Sequence
 
 from repro.workload.job import Job
+from repro.workload.task import Task
 
 
 def arrival_rate_for_utilization(
@@ -36,11 +37,11 @@ def clone_job(job: Job) -> Job:
     """Independent copy of ``job``, runtime state included.
 
     Equivalent to a generic deep copy at a fraction of its cost: each
-    ``Job``, ``Phase`` and ``Task`` gets a copy of its attribute dict,
-    and only the per-instance containers (``Job.phases``,
-    ``Job._phase_by_index``, ``Phase.tasks``) are rebuilt; every other
-    attribute is an immutable scalar, tuple or enum, so sharing it is
-    safe. Constructors are deliberately not re-run: after
+    ``Job`` and ``Phase`` gets a copy of its attribute dict, each
+    slotted ``Task`` a copy of its slots, and only the per-instance
+    containers (``Job.phases``, ``Job._phase_by_index``,
+    ``Phase.tasks``) are rebuilt; every other attribute is an immutable
+    scalar, tuple or enum, so sharing it is safe. Constructors are deliberately not re-run: after
     :meth:`Phase.scale_work` the cached ``_total_work`` is the scaled
     total, which ``sum(task.size)`` need not reproduce bit-for-bit.
     """
@@ -52,8 +53,15 @@ def clone_job(job: Job) -> Job:
         phase_attrs = phase.__dict__.copy()
         tasks = []
         for task in phase.tasks:
-            new_task = object.__new__(type(task))
-            new_task.__dict__ = task.__dict__.copy()
+            new_task = object.__new__(Task)
+            new_task.task_id = task.task_id
+            new_task.job_id = task.job_id
+            new_task.phase_index = task.phase_index
+            new_task.size = task.size
+            new_task.preferred_machines = task.preferred_machines
+            new_task.state = task.state
+            new_task.finish_time = task.finish_time
+            new_task.completed_by_speculative = task.completed_by_speculative
             tasks.append(new_task)
         phase_attrs["tasks"] = tasks
         new_phase.__dict__ = phase_attrs

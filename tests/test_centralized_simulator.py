@@ -137,8 +137,8 @@ def test_no_slot_is_double_booked():
     sim.run()
     # After the run every slot must be free again.
     assert cluster.busy_slots == 0
-    for machine in cluster.machines:
-        assert machine.busy_slots == 0
+    for busy in cluster.busy:
+        assert busy == 0
 
 
 def test_dag_phases_respect_pipelining():

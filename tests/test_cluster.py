@@ -5,37 +5,43 @@ import pytest
 from repro.cluster.blacklist import Blacklist
 from repro.cluster.cluster import Cluster
 from repro.cluster.datastore import DataStore
-from repro.cluster.machine import Machine
 from repro.simulation.rng import RandomSource
 from repro.workload.job import make_chain_job, make_single_phase_job
 from repro.workload.task import Task
 
 
+def _free_slots_on(cluster, machine_id):
+    return cluster.slots[machine_id] - cluster.busy[machine_id]
+
+
 def test_machine_slot_accounting():
-    machine = Machine(machine_id=0, num_slots=2)
-    assert machine.free_slots == 2
-    machine.acquire_slot()
-    assert machine.free_slots == 1
-    machine.release_slot()
-    assert machine.free_slots == 2
+    cluster = Cluster(num_machines=1, slots_per_machine=2)
+    assert _free_slots_on(cluster, 0) == 2
+    cluster.acquire_slot(0)
+    assert _free_slots_on(cluster, 0) == 1
+    cluster.release_slot(0)
+    assert _free_slots_on(cluster, 0) == 2
 
 
 def test_machine_over_acquire_raises():
-    machine = Machine(machine_id=0, num_slots=1)
-    machine.acquire_slot()
+    cluster = Cluster(num_machines=1, slots_per_machine=1)
+    cluster.acquire_slot(0)
     with pytest.raises(RuntimeError):
-        machine.acquire_slot()
+        cluster.acquire_slot(0)
 
 
 def test_machine_over_release_raises():
-    machine = Machine(machine_id=0, num_slots=1)
+    cluster = Cluster(num_machines=1, slots_per_machine=1)
     with pytest.raises(RuntimeError):
-        machine.release_slot()
+        cluster.release_slot(0)
 
 
 def test_machine_requires_slots():
     with pytest.raises(ValueError):
-        Machine(machine_id=0, num_slots=0)
+        Cluster(num_machines=1, slots_per_machine=0)
+    cluster = Cluster(num_machines=1)
+    with pytest.raises(ValueError):
+        cluster.add_machine(num_slots=0)
 
 
 def test_cluster_totals():
@@ -60,12 +66,12 @@ def test_cluster_machines_with_free_slots():
     cluster = Cluster(num_machines=2, slots_per_machine=1)
     cluster.acquire_slot(0)
     free = cluster.machines_with_free_slots()
-    assert [m.machine_id for m in free] == [1]
+    assert free == [1]
 
 
 def test_cluster_rack_assignment():
     cluster = Cluster(num_machines=45, machines_per_rack=20)
-    racks = {m.rack for m in cluster.machines}
+    racks = {cluster.rack(m) for m in range(cluster.num_machines)}
     assert racks == {0, 1, 2}
 
 
@@ -74,7 +80,7 @@ def test_cluster_reset():
     cluster.acquire_slot(0)
     cluster.reset()
     assert cluster.busy_slots == 0
-    assert cluster.machine(0).busy_slots == 0
+    assert cluster.busy[0] == 0
 
 
 def test_cluster_requires_machines():
@@ -103,7 +109,7 @@ def test_cluster_apply_blacklist_removes_capacity():
     cluster.blacklist.add(0)
     cluster.apply_blacklist()
     assert cluster.total_slots == 6
-    assert not cluster.machine(0).has_free_slot
+    assert 0 not in cluster.machines_with_free_slots()
 
 
 # -- datastore ------------------------------------------------------------------

@@ -13,12 +13,11 @@ import pytest
 from repro.cluster.blacklist import Blacklist
 from repro.cluster.cluster import Cluster
 from repro.cluster.index import ClusterIndex
-from repro.cluster.machine import Machine
 
 
 def _assert_index_matches_scan(cluster: Cluster) -> None:
     """The single source of truth: index contents == from-scratch scan."""
-    scan_free = [m.machine_id for m in cluster.machines_with_free_slots()]
+    scan_free = cluster.machines_with_free_slots()
     index = cluster.index
     assert index.free_machine_ids() == scan_free
     assert index.free_machine_count == len(scan_free)
@@ -26,7 +25,9 @@ def _assert_index_matches_scan(cluster: Cluster) -> None:
         assert index.nth_free_machine(k) == machine_id
     assert index.first_free_machine() == (scan_free[0] if scan_free else None)
     assert cluster.total_slots == sum(
-        m.num_slots for m in cluster.machines if not m.blacklisted
+        num_slots
+        for num_slots, blacklisted in zip(cluster.slots, cluster.blacklisted)
+        if not blacklisted
     )
     assert cluster.free_slots == cluster.total_slots - cluster.busy_slots
 
@@ -276,7 +277,7 @@ def test_index_after_simulation_run_matches_scan():
 
 
 def test_nth_free_machine_bounds():
-    index = ClusterIndex([Machine(machine_id=i) for i in range(3)])
+    index = ClusterIndex(Cluster(num_machines=3).free_bits())
     assert index.nth_free_machine(0) == 0
     assert index.nth_free_machine(2) == 2
     with pytest.raises(IndexError):
@@ -289,14 +290,12 @@ def test_nth_free_matches_selection_on_sparse_patterns():
     rng = random.Random(99)
     for _ in range(30):
         n = rng.randint(1, 64)
-        machines = [
-            Machine(machine_id=i, num_slots=1, rack=0) for i in range(n)
-        ]
-        for m in machines:
+        cluster = Cluster(num_machines=n, slots_per_machine=1)
+        for machine_id in range(n):
             if rng.random() < 0.5:
-                m.busy_slots = 1
-        index = ClusterIndex(machines)
-        free_ids = [m.machine_id for m in machines if m.has_free_slot]
+                cluster.busy[machine_id] = 1
+        index = ClusterIndex(cluster.free_bits())
+        free_ids = cluster.machines_with_free_slots()
         assert index.free_machine_count == len(free_ids)
         assert index.free_machine_ids() == free_ids
         for k, expected in enumerate(free_ids):
@@ -318,5 +317,5 @@ def test_randrange_selection_equals_choice_on_scan():
         via_index = cluster.index.nth_free_machine(
             rng_b.randrange(cluster.index.free_machine_count)
         )
-        assert via_choice.machine_id == via_index
+        assert via_choice == via_index
         assert rng_a.getstate() == rng_b.getstate()

@@ -240,7 +240,7 @@ def _reference_hopper_step(worker, episode):
     if starved:
         pick = min(starved, key=lambda r: r.gossip.virtual_size)
         return pick, ResponseType.REFUSABLE
-    if episode.refusals >= worker._refusal_threshold:
+    if episode.refusals >= worker.sim._refusal_threshold:
         if episode.unsatisfied:
             _, job_id, _ = min(episode.unsatisfied)
             for request in candidates:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.decentralized.config import DecentralizedConfig, WorkerPolicy
 from repro.decentralized.simulator import DecentralizedSimulator
+from repro.simulation.engine import Simulator
 from repro.simulation.rng import RandomSource
 from repro.speculation import LATE, NoSpeculation
 from repro.stragglers.model import NoStragglerModel, ParetoRedrawStragglerModel
@@ -376,3 +377,42 @@ def test_scheduler_memos_match_fresh_values_after_every_event(
         return hashlib.sha256(payload.encode()).hexdigest()
 
     assert digest(build().run()) == digest(probed)
+
+
+@pytest.mark.parametrize("late_binding", [False, True])
+def test_no_completed_job_stays_in_a_scheduler_after_any_event(
+    monkeypatch, late_binding
+):
+    """A job leaves its scheduler's ``jobs`` in the event that completes
+    it, which is what lets slot offers and pulls skip the completion
+    check: after every engine event, no listed job is complete."""
+    sim = DecentralizedSimulator(
+        num_workers=20,
+        speculation=lambda: LATE(),
+        trace=_trace(num_jobs=12).fresh_copy(),
+        straggler_model=ParetoRedrawStragglerModel(beta=1.4),
+        config=_config(late_binding=late_binding),
+        random_source=RandomSource(seed=7),
+    )
+    step = Simulator.run
+    events = []
+
+    def run_one_event_at_a_time(engine, until=None, max_events=None):
+        while engine.pending_events:
+            step(engine, max_events=1)
+            events.append(engine.events_processed)
+            for scheduler in sim.schedulers:
+                for sj in scheduler.jobs.values():
+                    assert not sj.job.is_complete, (
+                        f"job {sj.job.job_id} complete but still listed "
+                        f"after event {engine.events_processed}"
+                    )
+        return engine.now
+
+    monkeypatch.setattr(Simulator, "run", run_one_event_at_a_time)
+    result = sim.run()
+    assert result.num_jobs == 12
+    # One check per engine event; a batched delivery credits the extra
+    # messages it carries to events_processed.
+    assert 12 < len(events) <= sim.sim.events_processed == events[-1]
+    assert all(not scheduler.jobs for scheduler in sim.schedulers)

@@ -92,9 +92,9 @@ def test_reactive_autoscaler_validates_and_decides():
 
 def _assert_matches_rebuild(cluster: Cluster) -> None:
     """Index and totals must equal what a wholesale recompute reports."""
-    rebuilt = ClusterIndex(cluster.machines)
+    rebuilt = ClusterIndex(cluster.free_bits())
     index = cluster.index
-    assert len(index) == len(cluster.machines)
+    assert len(index) == cluster.num_machines
     assert index.free_machine_ids() == rebuilt.free_machine_ids()
     assert index.free_machine_count == rebuilt.free_machine_count
     for k in range(rebuilt.free_machine_count):
@@ -105,9 +105,9 @@ def _assert_matches_rebuild(cluster: Cluster) -> None:
 
 def test_add_machine_appends_fresh_id():
     cluster = Cluster(num_machines=3, slots_per_machine=2)
-    machine = cluster.add_machine()
-    assert machine.machine_id == 3
-    assert machine.num_slots == 2  # defaults from the existing fleet
+    machine_id = cluster.add_machine()
+    assert machine_id == 3
+    assert cluster.slots[machine_id] == 2  # defaults from the existing fleet
     assert cluster.total_slots == 8
     _assert_matches_rebuild(cluster)
 
@@ -125,8 +125,8 @@ def test_remove_machine_retires_and_never_resurrects():
     assert 1 not in cluster.index.free_machine_ids()
     _assert_matches_rebuild(cluster)
     # Growth appends a fresh id; the retired id stays dead.
-    machine = cluster.add_machine()
-    assert machine.machine_id == 4
+    machine_id = cluster.add_machine()
+    assert machine_id == 4
     assert cluster.live_machine_count() == 4
     _assert_matches_rebuild(cluster)
 
@@ -141,9 +141,9 @@ def test_randomized_membership_and_slot_traffic(seed):
     for _ in range(250):
         op = rng.random()
         live = [
-            m.machine_id
-            for m in cluster.machines
-            if not m.retired and not m.blacklisted
+            m
+            for m in range(cluster.num_machines)
+            if not cluster.retired[m] and not cluster.blacklisted[m]
         ]
         if op < 0.15:
             cluster.add_machine(num_slots=rng.randint(1, 3))
@@ -164,14 +164,16 @@ def test_randomized_membership_and_slot_traffic(seed):
 def _reference_retire(cluster: Cluster, count: int, min_machines: int):
     """The original selection: rescan the live count, then walk the
     whole fleet from the top skipping retired/blacklisted machines."""
-    live = sum(1 for m in cluster.machines if not m.retired and not m.blacklisted)
+    live = sum(
+        1 for r, b in zip(cluster.retired, cluster.blacklisted) if not r and not b
+    )
     count = min(count, live - max(1, min_machines))
     chosen = []
-    for machine in reversed(cluster.machines):
+    for machine_id in reversed(range(cluster.num_machines)):
         if len(chosen) >= count:
             break
-        if not machine.retired and not machine.blacklisted:
-            chosen.append(machine.machine_id)
+        if not cluster.retired[machine_id] and not cluster.blacklisted[machine_id]:
+            chosen.append(machine_id)
     return chosen
 
 
@@ -195,7 +197,7 @@ def test_machines_to_retire_matches_full_walk(seed):
             for machine_id in ids:
                 cluster.remove_machine(machine_id)
         else:
-            live = [m.machine_id for m in cluster.machines if not m.retired]
+            live = [m for m in range(cluster.num_machines) if not cluster.retired[m]]
             target = rng.choice(live)
             if cluster.blacklist.is_blacklisted(target):
                 cluster.blacklist.remove(target)
@@ -540,12 +542,14 @@ def _assert_resize_invariants(simulator, plane: str) -> None:
             assert scheduler._fair_numerator == numerator
     else:
         cluster = simulator.cluster
-        live = sum(1 for m in cluster.machines if not m.retired and not m.blacklisted)
+        live = sum(
+            1 for r, b in zip(cluster.retired, cluster.blacklisted) if not r and not b
+        )
         assert cluster.live_machine_count() == live
         for jr in simulator._jobs.values():
             for copies in jr.view.copies_by_task.values():
                 for copy in copies:
-                    assert not cluster.machines[copy.machine_id].retired
+                    assert not cluster.retired[copy.machine_id]
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -585,7 +589,7 @@ def test_resize_invariants_hold_through_eviction_churn(plane, seed):
         if plane == "centralized":
             cluster = simulator.cluster
             retiring = cluster.machines_to_retire(count, floor)
-            busy = sum(cluster.machines[m].busy_slots for m in retiring)
+            busy = sum(cluster.busy[m] for m in retiring)
         else:
             # The top live ids of the rescan, highest first.
             live = _live_worker_ids(simulator)

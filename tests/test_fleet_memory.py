@@ -2,15 +2,20 @@
 
 Idle fleet state dominates a 100k-slot run, so each test pins the traced
 bytes per fleet member to a bound derived from ``sys.getsizeof``. A
-machine costs its object, the int objects it owns and its slot in each
-list that holds it, with the over-allocation an appended list carries.
-A decentralized worker nothing has addressed is no object at all: it
+centralized machine is no object at all: it costs its entries in the
+cluster's columns (busy and slot counts, blacklisted and retired flag
+bytes) and in its free-slot index (a bit byte and a Fenwick node). A
+decentralized worker nothing has addressed is no object either: it
 costs a slot in the worker store, an id in the probe pool and a retired
-flag byte, measured after a scheduled shrink and grow-back. Anything else allocated per member (a ``Worker``, an int object,
+flag byte, measured after a scheduled shrink and grow-back. Anything
+else allocated per member (a ``Machine`` or ``Worker``, an int object,
 per-worker lists, a mirror machine) breaks the bound. The fixed cost of
-a one-member fleet is subtracted from the measurement.
+a one-member fleet is subtracted from the measurement. A worker that
+something has contacted is pinned to its object and its two lists, and
+a task in a trace copy to its slotted object and its list slot.
 
-Run as a script to check a larger fleet, e.g. one million workers::
+Run as a script to check a larger fleet, e.g. one million workers and
+one million machines::
 
     PYTHONPATH=src python tests/test_fleet_memory.py 1000000
 """
@@ -29,18 +34,21 @@ from repro.decentralized.simulator import DecentralizedSimulator
 from repro.simulation.rng import RandomSource
 from repro.speculation.late import LATE
 from repro.stragglers.model import NoStragglerModel
+from repro.workload.job import make_single_phase_job
 from repro.workload.traces import Trace
 
 FLEET = 20_000
 #: The decentralized fleet's scheduled resize: shrink by this many
 #: workers, then grow back by as many.
 RESIZE = 8
-#: Bytes a decentralized fleet holds beyond its containers whatever its
-#: size: counts that are cached small ints in the one-member baseline
-#: (live capacity, ε-fair floors) are int objects in a large fleet.
-#: About 150 B are measured at 20k workers; one extra byte per worker
+#: Bytes a fleet holds beyond its containers whatever its size: counts
+#: that are cached small ints in the one-member baseline (live capacity,
+#: ε-fair floors, free-machine totals) are int objects in a large fleet.
+#: About 150 B are measured at 20k workers; one extra byte per member
 #: would add 20 KB.
 FIXED_ALLOWANCE = 1024
+#: Worker fields: one slot each (a ``Worker`` has no instance dict).
+WORKER_FIELDS = 8
 
 
 def _traced_bytes(build, size: int) -> int:
@@ -70,13 +78,13 @@ def _allocated(obj) -> int:
     return -(-sys.getsizeof(obj) // 8) * 8
 
 
-def _appended_slot_bytes(size: int) -> float:
-    """Bytes per element of a list grown by appends to ``size``, with
-    the list's over-allocation."""
+def _appended_list_bytes(size: int) -> int:
+    """Bytes of a list grown by appends to ``size`` elements, with the
+    list's over-allocation."""
     grown = []
     for _ in range(size):
         grown.append(None)
-    return (sys.getsizeof(grown) - sys.getsizeof([])) / size
+    return sys.getsizeof(grown)
 
 
 def build_decentralized(num_workers: int) -> DecentralizedSimulator:
@@ -134,22 +142,48 @@ def build_cluster(num_machines: int) -> Cluster:
 
 
 def machine_bound(num_machines: int) -> float:
-    """One machine object, its id and rack ints, and its slots in the
-    machine list and the index's bit list (both appended) and Fenwick
-    tree (allocated at its exact length, one entry past the fleet)."""
-    machine = build_cluster(2).machines[-1]
+    """Per machine: its busy and slot count entries, its blacklisted and
+    retired flag bytes, its free bit in the index and its Fenwick node
+    (a list slot; the tree is allocated at its exact length, one entry
+    past the fleet), all made at the fleet size. A node covering more
+    than 256 ids holds an int object rather than a cached small int:
+    one node in 512. Plus a share of :data:`FIXED_ALLOWANCE`."""
+    column = array("I").itemsize
+    flag = bit = 1
+    node = sys.getsizeof([None]) - sys.getsizeof([])
+    large_nodes = num_machines // 512
     return (
-        _allocated(machine)
-        + 2 * _allocated(num_machines - 1)
-        + 2 * _appended_slot_bytes(num_machines)
-        + 8 * (num_machines + 1) / num_machines
+        2 * column
+        + 2 * flag
+        + bit
+        + node * (num_machines + 1) / num_machines
+        + (large_nodes * _allocated(512) + FIXED_ALLOWANCE) / num_machines
     )
+
+
+def contacted_worker_bound() -> int:
+    """A ``Worker`` with one slot per field (no instance dict) and its
+    empty request queue and running list."""
+
+    class Fields:
+        __slots__ = tuple(f"f{i}" for i in range(WORKER_FIELDS))
+
+    fields = Fields()
+    for name in Fields.__slots__:
+        setattr(fields, name, None)
+    return _allocated(fields) + 2 * sys.getsizeof([])
 
 
 def check_workers(num_workers: int) -> tuple:
     """``(measured, bound)`` bytes per worker at ``num_workers``."""
     measured = _bytes_per_member(build_resized, num_workers)
     return measured, worker_bound(num_workers)
+
+
+def check_machines(num_machines: int) -> tuple:
+    """``(measured, bound)`` bytes per machine at ``num_machines``."""
+    measured = _bytes_per_member(build_cluster, num_machines)
+    return measured, machine_bound(num_machines)
 
 
 def test_idle_worker_costs_its_store_slot_pool_id_and_flag():
@@ -166,14 +200,65 @@ def test_building_and_resizing_a_fleet_creates_no_worker():
     assert len(simulator._sample_pool) == FLEET
 
 
-def test_idle_machine_costs_its_object_ints_and_index_slots():
-    measured = _bytes_per_member(build_cluster, FLEET)
-    bound = machine_bound(FLEET)
-    assert measured <= bound, f"{measured:.1f} B per machine > bound {bound:.1f}"
+def test_contacted_worker_costs_its_fields_and_two_lists():
+    """Traced bytes the decentralized package allocates when a worker is
+    first contacted, per worker. One contact under tracing comes first:
+    the first traced call allocates 64 B of its own, once."""
+    simulator = build_decentralized(64)
+    contacted = range(8, 40)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        simulator.worker(3)
+        before = tracemalloc.take_snapshot()
+        workers = [simulator.worker(i) for i in contacted]
+        after = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    assert not hasattr(workers[0], "__dict__")
+    in_package = [tracemalloc.Filter(True, "*/repro/decentralized/*")]
+    grown = sum(
+        stat.size_diff
+        for stat in after.filter_traces(in_package).compare_to(
+            before.filter_traces(in_package), "filename"
+        )
+    )
+    measured = grown / len(contacted)
+    bound = contacted_worker_bound()
+    assert measured <= bound, f"{measured:.1f} B per contacted worker > {bound}"
+
+
+def _fresh_copy_bytes(num_tasks: int) -> int:
+    """Traced bytes held by a fresh copy of a one-job trace of
+    ``num_tasks`` tasks."""
+    trace = Trace(jobs=[make_single_phase_job(0, 0.0, [1.0] * num_tasks)])
+    return _traced_bytes(lambda _: trace.fresh_copy(), num_tasks)
+
+
+def test_trace_copy_costs_a_slotted_task_and_a_list_slot_per_task():
+    """Per task, ``Trace.fresh_copy`` allocates one ``Task`` (its slots,
+    no instance dict) and its slot in the appended phase task list;
+    sizes, placements and states are shared or immutable. The copy's
+    per-job and per-phase dicts and lists differ by a few dozen bytes
+    between a one-task and a large trace: :data:`FIXED_ALLOWANCE`."""
+    tasks = 5_000
+    measured = (_fresh_copy_bytes(tasks) - _fresh_copy_bytes(1)) / (tasks - 1)
+    task = make_single_phase_job(0, 0.0, [1.0]).phases[0].tasks[0]
+    slot = (_appended_list_bytes(tasks) - _appended_list_bytes(1)) / (tasks - 1)
+    bound = _allocated(task) + slot + FIXED_ALLOWANCE / tasks
+    assert measured <= bound, f"{measured:.1f} B per task > bound {bound:.1f}"
+
+
+def test_idle_machine_costs_its_column_and_index_entries():
+    measured, bound = check_machines(FLEET)
+    assert measured <= bound, f"{measured:.2f} B per machine > bound {bound:.2f}"
 
 
 if __name__ == "__main__":
     size = int(sys.argv[1]) if len(sys.argv) > 1 else FLEET
-    measured, bound = check_workers(size)
-    print(f"{size} workers: {measured:.2f} B per worker (bound {bound:.2f})")
-    sys.exit(0 if measured <= bound else 1)
+    failed = False
+    for kind, check in (("worker", check_workers), ("machine", check_machines)):
+        measured, bound = check(size)
+        print(f"{size} {kind}s: {measured:.2f} B per {kind} (bound {bound:.2f})")
+        failed = failed or measured > bound
+    sys.exit(1 if failed else 0)

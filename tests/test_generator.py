@@ -14,7 +14,7 @@ from repro.workload.generator import (
     bin_index_for_size,
     bin_label,
 )
-from repro.workload.task import TaskState
+from repro.workload.task import Task, TaskState
 from repro.workload.traces import (
     Trace,
     arrival_rate_for_utilization,
@@ -311,15 +311,30 @@ def _objects(job):
 _IMMUTABLE = (int, float, str, tuple, type(None), TaskState)
 
 
+def _fields(obj):
+    """Attribute dict of a job or phase; slot values of a slotted task."""
+    if hasattr(obj, "__dict__"):
+        return vars(obj)
+    return {name: getattr(obj, name) for name in type(obj).__slots__}
+
+
+def test_task_is_slotted_and_every_field_is_a_slot():
+    """A trace copy holds one ``Task`` per task, with no instance dict;
+    the clone tests below compare every slot."""
+    task = _partly_replayed_dag_trace().jobs[0].phases[0].tasks[0]
+    assert not hasattr(task, "__dict__")
+    assert set(_fields(task)) == set(Task.__dataclass_fields__)
+
+
 def test_clone_job_matches_deepcopy():
     for job in _partly_replayed_dag_trace().jobs:
         clone = clone_job(job)
         deep = copy.deepcopy(job)
         for got, want in zip(_objects(clone), _objects(deep), strict=True):
             assert type(got) is type(want)
-            assert vars(got) == vars(want)
-            assert {k: type(v) for k, v in vars(got).items()} == {
-                k: type(v) for k, v in vars(want).items()
+            assert _fields(got) == _fields(want)
+            assert {k: type(v) for k, v in _fields(got).items()} == {
+                k: type(v) for k, v in _fields(want).items()
             }
         # The index points at the clone's own phases.
         assert all(clone.phase(p.index) is p for p in clone.phases)
@@ -330,9 +345,9 @@ def test_clone_job_rebuilds_every_container():
         clone = clone_job(job)
         for got, source in zip(_objects(clone), _objects(job), strict=True):
             assert got is not source
-            for key, value in vars(got).items():
+            for key, value in _fields(got).items():
                 if isinstance(value, (list, dict)):
-                    assert value is not vars(source)[key], key
+                    assert value is not _fields(source)[key], key
                 else:
                     # Anything shared with the source must be immutable.
                     assert isinstance(value, _IMMUTABLE), key
@@ -355,7 +370,7 @@ def test_clone_job_runtime_mutation_leaves_source_untouched():
         assert clone.is_complete
     for source, snapshot in zip(trace.jobs, before, strict=True):
         for got, want in zip(_objects(source), _objects(snapshot), strict=True):
-            assert vars(got) == vars(want)
+            assert _fields(got) == _fields(want)
 
 
 def test_fresh_copy_matches_deepcopy_then_reset():
@@ -366,4 +381,4 @@ def test_fresh_copy_matches_deepcopy_then_reset():
         job.reset_runtime_state()
     for got_job, want_job in zip(fresh.jobs, expected, strict=True):
         for got, want in zip(_objects(got_job), _objects(want_job), strict=True):
-            assert vars(got) == vars(want)
+            assert _fields(got) == _fields(want)

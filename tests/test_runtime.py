@@ -489,17 +489,15 @@ def test_centralized_eviction_kills_requeues_and_completes():
     assert simulator.ledger.events == {}
     assert simulator.sim.pending_events == 0
     # The machine stayed out: idle, blacklisted, excluded from totals.
-    machine = simulator.cluster.machine(machine_id)
-    assert machine.blacklisted and machine.busy_slots == 0
-    assert simulator.cluster.busy_slots == 0
-    assert simulator.cluster.total_slots == sum(
-        m.num_slots for m in simulator.cluster.machines if not m.blacklisted
+    cluster = simulator.cluster
+    assert cluster.blacklisted[machine_id] and cluster.busy[machine_id] == 0
+    assert cluster.busy_slots == 0
+    assert cluster.total_slots == sum(
+        num_slots
+        for num_slots, blacklisted in zip(cluster.slots, cluster.blacklisted)
+        if not blacklisted
     )
-    assert simulator.cluster.index.free_machine_ids() == [
-        m.machine_id
-        for m in simulator.cluster.machines
-        if m.has_free_slot
-    ]
+    assert cluster.index.free_machine_ids() == cluster.machines_with_free_slots()
 
 
 def test_centralized_eviction_requeues_only_copyless_tasks():
