@@ -487,6 +487,48 @@ def test_changed_jobs_replays_are_pinned(name):
     assert hashlib.sha256(_result_payload([result]).encode()).hexdigest() == digest
 
 
+#: sha256 of one ``strikes-probation`` replay per plane, captured while
+#: every eviction and reinstatement still rebuilt the plane's membership
+#: from a mirror blacklist. Machine-correlated stragglers drive the
+#: evictions; four scheduled resizes retire and add machines around the
+#: evicted ones, and probation returns each evicted machine to the pool.
+GOLDEN_PROBATION_DIGESTS = {
+    "centralized": (
+        "5bb5b1dda47ba6e2775a5f2e38245873ae8d5bb4d8ba8015dd650c4247200c99"
+    ),
+    "batch": "34cb8ed35b1d83c617e93b36a33098d83f13255b312c65a655ab93eaae21ffb1",
+    "decentralized": (
+        "121768087893142c9403c521e6bda4c4f135eed15d13a6fb840d5a02923c6fc7"
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_PROBATION_DIGESTS))
+def test_probation_reinstatement_replays_are_pinned(kind):
+    spec = RunSpec(
+        kind,
+        "hopper",
+        WorkloadParams(
+            profile="facebook", num_jobs=40, utilization=0.7,
+            total_slots=80, seed=3,
+        ),
+        knobs={
+            "straggler_model": "machine-correlated",
+            "blacklist_policy": "strikes-probation",
+            "strike_threshold": 2,
+            "autoscaler": "schedule",
+            "resize_schedule": "2:-6,5:+10,9:-8,14:+6",
+        },
+    )
+    result = spec.execute()
+    assert result.num_jobs == spec.workload.num_jobs
+    # Not vacuous: machines left the pool and probation brought them back.
+    assert result.evictions > 0
+    assert result.reinstatements > 0
+    digest = hashlib.sha256(_result_payload([result]).encode()).hexdigest()
+    assert digest == GOLDEN_PROBATION_DIGESTS[kind]
+
+
 @pytest.mark.parametrize("kind", ["centralized", "decentralized"])
 def test_explicit_none_blacklist_policy_is_byte_identical(kind):
     """Differential: blacklist_policy="none" must not perturb a replay.
