@@ -50,12 +50,13 @@ Scale-out notes (10k+-slot clusters):
 
 Blacklisting (§2.2): an optional
 :class:`~repro.cluster.policy.BlacklistPolicy` observes every copy
-completion; when it evicts a machine the simulator kills the machine's
-running copies through the ledger, requeues originals whose last copy
-died, and applies the blacklist to the cluster (which rebuilds the
-free-slot index). With no policy (the default) the whole path is a
-single ``is not None`` check per completion — replays are bit-identical
-to the policy-free simulator.
+completion; when it evicts a machine the simulator flips the machine's
+blacklisted flag in the cluster (an O(log machines) delta on the totals
+and the free-slot index, like a shrink's retirement), kills its running
+copies through the ledger and requeues originals whose last copy died.
+Probation reinstatement flips the flag back. With no policy (the
+default) the whole path is a single ``is not None`` check per
+completion — replays are bit-identical to the policy-free simulator.
 """
 
 from __future__ import annotations
@@ -653,12 +654,11 @@ class CentralizedSimulator:
         return len(victims)
 
     def _evict_machine(self, machine_id: int) -> None:
-        """Blacklist ``machine_id`` mid-run: kill its running copies,
-        requeue originals whose last copy died, and rebuild the index."""
-        cluster = self.cluster
-        cluster.blacklist.add(machine_id)
+        """Blacklist ``machine_id`` mid-run: take it out of the totals
+        and the index (as a shrink retires a machine), then kill its
+        running copies and requeue originals whose last copy died."""
+        self.cluster.apply_blacklist(machine_id, True)
         num_victims = self._kill_machine_copies(machine_id)
-        self._apply_blacklist()  # machine flags + totals + index rebuild
         self._resize_slot_pool()
         self.metrics.record_eviction()
         obs = self.obs
@@ -672,9 +672,7 @@ class CentralizedSimulator:
 
     def _reinstate_machine(self, machine_id: int) -> None:
         """Probation served: return the machine's slots to the pool."""
-        cluster = self.cluster
-        cluster.blacklist.remove(machine_id)
-        self._apply_blacklist()
+        self.cluster.apply_blacklist(machine_id, False)
         self._resize_slot_pool()
         self.metrics.record_reinstatement()
         obs = self.obs
@@ -684,16 +682,6 @@ class CentralizedSimulator:
                 obs.tracer.instant(
                     "blacklist", "reinstate", self.sim.now, machine=machine_id
                 )
-
-    def _apply_blacklist(self) -> None:
-        """Apply blacklist changes to the cluster (index rebuild), timed
-        as ``index.rebuild`` when observability is on."""
-        obs = self.obs
-        if obs is None:
-            self.cluster.apply_blacklist()
-        else:
-            with obs.timers.phase("index.rebuild"):
-                self.cluster.apply_blacklist()
 
     # ------------------------------------------------------------- elastic ----
 

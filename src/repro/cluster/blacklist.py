@@ -6,41 +6,34 @@ that is the paper's starting observation — but the mechanism still exists
 in the substrate, and the straggler model can be configured to make some
 machines persistently bad so that blacklisting them is meaningful.
 
-Strikes can be counted two ways:
-
-* **lifetime** (``strike_window=None``, the default): every strike ever
-  recorded against a machine counts, matching the original substrate;
-* **sliding window** (``strike_window=w``): only strikes recorded within
-  the last ``w`` time units count, so a machine is blacklisted only when
-  faults *cluster* in time — the evidence rule the strike-driven
-  eviction policy (:mod:`repro.cluster.policy`) runs mid-simulation.
+Only strikes recorded within a sliding window of the last
+``strike_window`` time units count, so a machine is blacklisted only
+when faults *cluster* in time — the evidence rule the strike-driven
+eviction policy (:mod:`repro.cluster.policy`) runs mid-simulation. The
+policy owns the one :class:`Blacklist` of a run; the simulators act on
+its decisions one machine at a time and keep no copy of it.
 
 Removing a machine from the blacklist (reinstatement after probation)
-clears its strike history in both modes: a reinstated machine starts
-from a clean record.
+clears its strike history: a reinstated machine starts from a clean
+record.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Optional, Set
+from typing import Deque, Dict, Set
 
 
 class Blacklist:
-    """Tracks blacklisted machines, with optional strike-based policy."""
+    """Tracks blacklisted machines from windowed strike counts."""
 
-    def __init__(
-        self,
-        strikes_to_blacklist: int = 3,
-        strike_window: Optional[float] = None,
-    ) -> None:
+    def __init__(self, strikes_to_blacklist: int, strike_window: float) -> None:
         if strikes_to_blacklist <= 0:
             raise ValueError("strikes_to_blacklist must be positive")
-        if strike_window is not None and strike_window <= 0:
-            raise ValueError("strike_window must be positive (or None)")
+        if strike_window <= 0:
+            raise ValueError("strike_window must be positive")
         self.strikes_to_blacklist = strikes_to_blacklist
         self.strike_window = strike_window
-        self._strikes: Dict[int, int] = {}
         self._strike_times: Dict[int, Deque[float]] = {}
         self._blacklisted: Set[int] = set()
         #: Lifetime strike totals per machine. Unlike the active strike
@@ -56,49 +49,36 @@ class Blacklist:
     def is_blacklisted(self, machine_id: int) -> bool:
         return machine_id in self._blacklisted
 
-    def add(self, machine_id: int) -> None:
-        """Blacklist unconditionally."""
-        self._blacklisted.add(machine_id)
-
     def remove(self, machine_id: int) -> None:
         """Reinstate a machine: un-blacklist it and wipe its strikes."""
         self._blacklisted.discard(machine_id)
-        self._strikes.pop(machine_id, None)
         self._strike_times.pop(machine_id, None)
 
-    def strike_count(self, machine_id: int, now: float = 0.0) -> int:
-        """Strikes currently counting against ``machine_id``.
-
-        In window mode, strikes older than ``now - strike_window`` have
-        expired (a strike at time ``t`` counts while ``now - t`` is
-        strictly less than the window).
+    def strike_count(self, machine_id: int, now: float) -> int:
+        """Strikes currently counting against ``machine_id``: those
+        older than ``now - strike_window`` have expired (a strike at
+        time ``t`` counts while ``now - t`` is strictly less than the
+        window).
         """
-        if self.strike_window is None:
-            return self._strikes.get(machine_id, 0)
         times = self._strike_times.get(machine_id)
         if not times:
             return 0
         cutoff = now - self.strike_window
         return sum(1 for t in times if t > cutoff)
 
-    def record_strike(self, machine_id: int, now: float = 0.0) -> bool:
+    def record_strike(self, machine_id: int, now: float) -> bool:
         """Record a fault observation at time ``now``; returns True if
         the machine just crossed the blacklisting threshold."""
         if machine_id in self._blacklisted:
             return False
         totals = self.strike_totals
         totals[machine_id] = totals.get(machine_id, 0) + 1
-        if self.strike_window is None:
-            count = self._strikes.get(machine_id, 0) + 1
-            self._strikes[machine_id] = count
-        else:
-            times = self._strike_times.setdefault(machine_id, deque())
-            cutoff = now - self.strike_window
-            while times and times[0] <= cutoff:
-                times.popleft()
-            times.append(now)
-            count = len(times)
-        if count >= self.strikes_to_blacklist:
+        times = self._strike_times.setdefault(machine_id, deque())
+        cutoff = now - self.strike_window
+        while times and times[0] <= cutoff:
+            times.popleft()
+        times.append(now)
+        if len(times) >= self.strikes_to_blacklist:
             self._blacklisted.add(machine_id)
             return True
         return False

@@ -9,18 +9,17 @@ with no object and no int of its own.
 
 Aggregate capacity (``total_slots``), the live machine count and the set
 of machines with a free slot are maintained *incrementally* — slot
-acquire/release updates an O(log machines)
-:class:`~repro.cluster.index.ClusterIndex` instead of every reader
-rescanning the columns. Blacklist application and reset are the only
-wholesale recomputations.
+acquire/release, elastic membership and blacklisting each update an
+O(log machines) :class:`~repro.cluster.index.ClusterIndex` and the
+totals instead of every reader rescanning the columns. Reset is the only
+wholesale recomputation.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
-from repro.cluster.blacklist import Blacklist
 from repro.cluster.index import ClusterIndex
 
 
@@ -38,10 +37,12 @@ class Cluster:
     :mod:`repro.cluster.elastic`).
 
     The columns ``busy``, ``slots``, ``blacklisted`` and ``retired`` are
-    read-only outside this class. ``blacklisted`` mirrors the
-    :class:`Blacklist` as of the last ``apply_blacklist``. Retirement is
-    permanent: elastic shrink never resurrects a machine id — growth
-    appends fresh ids instead — so reinstatement passes can't revive it.
+    read-only outside this class. ``blacklisted`` is set and cleared one
+    machine at a time by ``apply_blacklist``, as the owning simulator
+    acts on its :class:`~repro.cluster.policy.BlacklistPolicy`, which
+    keeps the only strike record. Retirement is permanent: elastic
+    shrink never resurrects a machine id — growth appends fresh ids
+    instead — so a reinstatement can't revive it.
 
     Parameters
     ----------
@@ -69,22 +70,11 @@ class Cluster:
         self.slots = array("I", [slots_per_machine]) * num_machines
         self.blacklisted = bytearray(num_machines)
         self.retired = bytearray(num_machines)
-        self.blacklist = Blacklist()
         self._busy_count = 0
-        self._total_slots, self._live_machines = self._scan_live()
+        self._total_slots = num_machines * slots_per_machine
+        self._live_machines = num_machines
         #: Incremental free-slot index (see repro.cluster.index).
         self.index = ClusterIndex(self.free_bits())
-
-    def _scan_live(self) -> Tuple[int, int]:
-        """``(total_slots, live machines)`` in one pass over the columns."""
-        slots = live = 0
-        for num_slots, blacklisted, retired in zip(
-            self.slots, self.blacklisted, self.retired
-        ):
-            if not blacklisted and not retired:
-                slots += num_slots
-                live += 1
-        return slots, live
 
     def free_bits(self) -> bytearray:
         """Scan the columns: 1 for every machine with a free slot that is
@@ -146,9 +136,8 @@ class Cluster:
 
         Machine ids are append-only: a new machine always gets the next
         id, so per-id state elsewhere (straggler flaky sets, worker
-        lists) stays valid. Unlike ``apply_blacklist`` this never
-        rescans or rebuilds — totals and the Fenwick index update in
-        O(log machines).
+        lists) stays valid. Totals and the Fenwick index update in
+        O(log machines); nothing is rescanned or rebuilt.
         """
         machine_id = len(self.slots)
         if num_slots is None:
@@ -213,20 +202,33 @@ class Cluster:
         total = self._total_slots
         return self.busy_slots / total if total else 0.0
 
-    def apply_blacklist(self) -> None:
-        """Propagate the blacklist onto the machine flags (§2.2: clusters
-        blacklist problematic machines and avoid scheduling on them)."""
-        is_blacklisted = self.blacklist.is_blacklisted
-        self.blacklisted = bytearray(
-            is_blacklisted(machine_id) for machine_id in range(len(self.slots))
+    def apply_blacklist(self, machine_id: int, blacklisted: bool) -> None:
+        """Blacklist or reinstate one machine and delta-update the
+        aggregates in O(log machines), as ``remove_machine`` does (§2.2:
+        clusters blacklist problematic machines and avoid scheduling on
+        them). Copies still running on a machine being blacklisted are
+        the caller's to kill; its slot releases keep its index bit 0.
+        """
+        if self.blacklisted[machine_id] == blacklisted:
+            state = "blacklisted" if blacklisted else "not blacklisted"
+            raise ValueError(f"machine {machine_id} already {state}")
+        self.blacklisted[machine_id] = blacklisted
+        retired = self.retired[machine_id]
+        num_slots = self.slots[machine_id]
+        if not retired:
+            sign = -1 if blacklisted else 1
+            self._total_slots += sign * num_slots
+            self._live_machines += sign
+        self.index.set_machine(
+            machine_id,
+            not blacklisted and not retired and self.busy[machine_id] < num_slots,
         )
-        self._total_slots, self._live_machines = self._scan_live()
-        self.index.rebuild(self.free_bits())
 
     def reset(self) -> None:
+        """Free every slot and rebuild the index from the columns (the
+        one O(machines) pass; the totals do not depend on busy slots)."""
         self.busy = array("I", [0]) * len(self.slots)
         self._busy_count = 0
-        self._total_slots, self._live_machines = self._scan_live()
         self.index.rebuild(self.free_bits())
 
 

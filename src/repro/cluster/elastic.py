@@ -32,6 +32,11 @@ wholesale rebuild or rescan on the resize path:
 * the decentralized plane keeps no cluster: its probe pool is extended
   or truncated in O(Δ) — it is the ascending list of live workers, and
   a shrink retires its tail;
+* blacklist eviction and probation reinstatement change the same
+  membership by the same kind of delta: one flag, the totals and one
+  index bit (``Cluster.apply_blacklist``), or one id bisected out of or
+  into the probe pool; on each plane a shrink and an eviction share one
+  kill→requeue helper;
 * the :class:`~repro.core.incremental.IncrementalAllocator` floors memo
   invalidates through its existing ``(membership_version, total_slots)``
   key with no new hooks.

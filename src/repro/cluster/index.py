@@ -12,7 +12,12 @@ ids with a set bit for every machine that currently has a free slot:
 * ``nth_free_machine(k)`` — the k-th free machine *in ascending
   machine-id order*, O(log machines) via binary descent;
 * ``set_machine(machine_id, is_free)`` — O(log machines), no-op when
-  the bit is unchanged.
+  the bit is unchanged; slot traffic, blacklisting and retirement all
+  go through it;
+* ``append_machine(bit)`` — O(log machines) elastic growth.
+
+``rebuild`` (O(machines)) runs only when the index is built and when a
+run resets the cluster.
 
 The bits are a ``bytearray`` and the tree a list of ints, so a machine
 costs one byte plus one list slot here: nodes covering at most 256 ids
@@ -41,8 +46,8 @@ class ClusterIndex:
     free slot and is neither blacklisted nor retired (what
     ``Cluster.free_bits`` scans); it is read-only outside this class.
     :class:`repro.cluster.cluster.Cluster` syncs the relevant bit on
-    every slot acquire/release and membership change, and rebuilds the
-    index wholesale from its columns on reset / blacklist application.
+    every slot acquire/release, resize, eviction and reinstatement, and
+    rebuilds the index wholesale from its columns only on reset.
     """
 
     __slots__ = ("_size", "_tree", "bits", "_top_bit", "free_machine_count")

@@ -1,11 +1,10 @@
 """Blacklist policies: online, strike-driven mid-run machine eviction.
 
 PR 4 built the blacklisting *substrate* (:class:`~repro.cluster.
-blacklist.Blacklist`, :meth:`~repro.cluster.cluster.Cluster.
-apply_blacklist`, :meth:`~repro.cluster.index.ClusterIndex.rebuild`) but
-nothing ever exercised it mid-run: the machine-correlated straggler
-model and the blacklist never interacted. This module closes that loop
-with a *policy* layer in the spirit of the paper's §2.2 observation
+blacklist.Blacklist` and the cluster's blacklisted flags) but nothing
+ever exercised it mid-run: the machine-correlated straggler model and
+the blacklist never interacted. This module closes that loop with a
+*policy* layer in the spirit of the paper's §2.2 observation
 (production clusters blacklist persistently flaky machines) and the
 self-adjusting-structures framing of ReNets: eviction is an online
 decision with its own knobs, not a fixed pre-run configuration.
@@ -21,13 +20,15 @@ questions the simulator acts on:
 * :meth:`~BlacklistPolicy.due_reinstatements` — "which previously
   evicted machines have served their probation and may rejoin?".
 
-The policy itself never touches the cluster: the owning simulator
-(centralized dispatch/reschedule path or decentralized probe/launch
-path) performs the eviction — killing running copies through the
-:class:`~repro.runtime.CopyLedger`, requeueing lost originals, then
-updating its membership (centralized: ``Cluster.apply_blacklist``, which
-rebuilds the :class:`~repro.cluster.index.ClusterIndex`; decentralized:
-a rebuild of the probe sample pool). Policies register in
+The policy keeps the run's only blacklist record and never touches the
+cluster: the owning simulator (centralized dispatch/reschedule path or
+decentralized probe/launch path) performs each eviction and
+reinstatement as a one-machine delta — killing running copies through
+the :class:`~repro.runtime.CopyLedger`, requeueing lost originals, and
+updating its membership (centralized: ``Cluster.apply_blacklist(m,
+flag)``, one flag, the totals and one
+:class:`~repro.cluster.index.ClusterIndex` bit; decentralized: one id
+bisected out of or into the probe sample pool). Policies register in
 :data:`repro.registry.BLACKLIST_POLICIES` and are reachable from
 ``RunSpec`` via the ``blacklist_policy`` / ``strike_threshold`` /
 ``strike_window`` / ``eviction_cap`` knobs.

@@ -195,17 +195,6 @@ class IncrementalAllocator:
         self._touch()
         return True
 
-    def clear(self) -> None:
-        self._states.clear()
-        self._keys.clear()
-        self._entries.clear()
-        self._caps.clear()
-        self._cap_sum = 0
-        self._membership_version += 1
-        self._floors = None
-        self._floors_key = (-1, -1)
-        self._touch()
-
     # -- materialization ---------------------------------------------------
 
     def states(self) -> List[JobAllocationState]:

@@ -36,27 +36,29 @@ costs its store slot, its pool entry and its flag byte, about 20 bytes:
 * a ``bytearray`` of retired flags marks the ids an autoscaler shrink
   removed: permanently, unlike a blacklist eviction, which probation
   may undo, and whether or not their worker exists;
-* a :class:`~repro.cluster.blacklist.Blacklist` the simulator owns when
-  a blacklist policy is set records the evicted worker ids;
 * the probe sample pool is an ``array('l')`` of the ascending ids of
   live, non-blacklisted workers. Growth appends to it; a shrink retires
-  its top ids.
+  its top ids; an eviction deletes one id and a reinstatement inserts
+  it back, both found by bisection. Live capacity and the schedulers'
+  ε-fair floors follow the pool's length.
 
 Blacklisting (§2.2): an optional
 :class:`~repro.cluster.policy.BlacklistPolicy` observes copy
-completions; eviction removes the worker from the probe sample pool,
-drops its queued requests and kills its running copies through the
-ledger (requeueing originals whose last copy died, with a fresh probe
-each). With no policy (the default) the probe/launch path is untouched
-and replays are bit-identical.
+completions and keeps the only record of which workers are evicted.
+Eviction marks the worker evicted, drops its queued requests, removes
+its id from the probe sample pool and kills its running copies through
+the ledger (requeueing originals whose last copy died, with a fresh
+probe each), the same teardown a shrink uses. With no policy (the
+default) the probe/launch path is untouched and replays are
+bit-identical.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left, insort
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.cluster.blacklist import Blacklist
 from repro.cluster.elastic import AutoscalerPolicy, ElasticController
 from repro.cluster.policy import BlacklistPolicy, evaluate_completion
 from repro.decentralized.config import DecentralizedConfig
@@ -165,12 +167,8 @@ class DecentralizedSimulator:
         self._metrics_result = self.metrics.result
         # Membership (see module docs). rng.sample picks by index, so an
         # array of ids draws the same ids as a list of the same workers.
-        # The blacklist exists only with a policy; without one the hot
-        # paths pay one None check.
+        # Without a blacklist policy the hot paths pay one None check.
         self.blacklist_policy = blacklist_policy
-        self.blacklist: Optional[Blacklist] = (
-            Blacklist() if blacklist_policy is not None else None
-        )
         self._slots_per_worker = slots_per_worker
         self._sample_pool = array("l", range(num_workers))
         self._power_of_d = self.config.power_of_d
@@ -495,10 +493,41 @@ class DecentralizedSimulator:
         """Blacklist a worker mid-run: drop it from the probe pool, kill
         its running copies, and requeue tasks whose last copy died."""
         victims = self.worker(worker_id).evict()
-        # Blacklist + pool refresh BEFORE requeueing, so the replacement
-        # probes sent below can never target the worker being evicted.
-        self.blacklist.add(worker_id)
-        self._apply_blacklist()
+        # Pool update BEFORE requeueing, so the replacement probes sent
+        # below can never target the worker being evicted.
+        pool = self._sample_pool
+        del pool[bisect_left(pool, worker_id)]
+        self._sync_capacity()
+        self._kill_victims(victims)
+        self.metrics.record_eviction()
+        obs = self.obs
+        if obs is not None:
+            obs.counters.inc("blacklist.evictions")
+            if obs.tracer is not None:
+                obs.tracer.instant(
+                    "blacklist", "evict", self.sim.now, machine=worker_id,
+                    victims=len(victims),
+                )
+
+    def _reinstate_worker(self, worker_id: int) -> None:
+        """Probation served: the worker rejoins the probe pool. A shrink
+        retires only pool ids, so an evicted worker is never retired."""
+        self.worker(worker_id).reinstate()
+        insort(self._sample_pool, worker_id)
+        self._sync_capacity()
+        self.metrics.record_reinstatement()
+        obs = self.obs
+        if obs is not None:
+            obs.counters.inc("blacklist.reinstatements")
+            if obs.tracer is not None:
+                obs.tracer.instant(
+                    "blacklist", "reinstate", self.sim.now, machine=worker_id
+                )
+
+    def _kill_victims(self, victims: List[TaskCopy]) -> None:
+        """Kill ``victims``, the running copies of workers that just left
+        the pool, then requeue each task whose last copy died (with a
+        fresh probe) — the teardown eviction and shrink share."""
         orphaned: List[Tuple[SchedulerAgent, SchedulerJob, Task]] = []
         for copy in victims:
             scheduler = self._owner.get(copy.task.job_id)
@@ -514,54 +543,13 @@ class DecentralizedSimulator:
             # earlier eviction while the speculative sibling carried it.
             if sj.view.num_live_copies(task) == 0:
                 scheduler.requeue_task(sj, task)
-        self.metrics.record_eviction()
-        obs = self.obs
-        if obs is not None:
-            obs.counters.inc("blacklist.evictions")
-            if obs.tracer is not None:
-                obs.tracer.instant(
-                    "blacklist", "evict", self.sim.now, machine=worker_id,
-                    victims=len(victims),
-                )
 
-    def _reinstate_worker(self, worker_id: int) -> None:
-        """Probation served: the worker rejoins the probe pool."""
-        self.worker(worker_id).reinstate()
-        self.blacklist.remove(worker_id)
-        self._apply_blacklist()
-        self.metrics.record_reinstatement()
-        obs = self.obs
-        if obs is not None:
-            obs.counters.inc("blacklist.reinstatements")
-            if obs.tracer is not None:
-                obs.tracer.instant(
-                    "blacklist", "reinstate", self.sim.now, machine=worker_id
-                )
-
-    def _apply_blacklist(self) -> None:
-        """Rebuild the probe sample pool from the blacklist and resize
-        the schedulers' ε-fair floors."""
-        obs = self.obs
-        if obs is None:
-            self._rebuild_sample_pool()
-        else:
-            with obs.timers.phase("index.rebuild"):
-                self._rebuild_sample_pool()
-
-    def _rebuild_sample_pool(self) -> None:
-        is_blacklisted = self.blacklist.is_blacklisted
-        retired = self._retired
-        self._sample_pool = array(
-            "l",
-            (
-                worker_id
-                for worker_id in range(len(retired))
-                if not retired[worker_id] and not is_blacklisted(worker_id)
-            ),
-        )
+    def _sync_capacity(self) -> None:
+        """Live capacity follows the probe pool's length; keep it current
+        (the serving driver's utilization sampler reads it, so it never
+        counts evicted or retired workers) and resize the schedulers'
+        ε-fair floors."""
         total = len(self._sample_pool) * self._slots_per_worker
-        # Live capacity, kept current so external probes (the serving
-        # driver's utilization sampler) never count evicted workers.
         self.total_slots = total
         for scheduler in self.schedulers:
             scheduler.on_cluster_resize(total)
@@ -569,25 +557,21 @@ class DecentralizedSimulator:
     # -- elastic membership (autoscaler resizes) ------------------------------
 
     def _refresh_membership(self, delta: int) -> None:
-        """Incremental counterpart of :meth:`_rebuild_sample_pool` for
-        an autoscaler resize of ``delta`` workers, in O(|delta|).
+        """Update the probe pool for an autoscaler resize of ``delta``
+        workers, in O(|delta|).
 
         The probe pool is always the ascending ids of live,
         non-blacklisted workers. Growth appends ids above all of them; a
         shrink retires the highest live, non-blacklisted ids — exactly
         the pool's tail. So the pool is extended or truncated, never
-        rebuilt, and the derived state (live capacity, ε-fair floors)
-        follows its length."""
+        rebuilt."""
         pool = self._sample_pool
         if delta > 0:
             size = len(self.workers)
             pool.extend(range(size - delta, size))
         else:
             del pool[delta:]
-        total = len(pool) * self._slots_per_worker
-        self.total_slots = total
-        for scheduler in self.schedulers:
-            scheduler.on_cluster_resize(total)
+        self._sync_capacity()
 
     def _autoscale_add(self, count: int) -> int:
         """ADD_MACHINE: grow the worker set. New workers take fresh ids
@@ -603,8 +587,8 @@ class DecentralizedSimulator:
         """REMOVE_MACHINE: retire up to ``count`` workers (highest live
         ids first) through the eviction teardown — kill running copies,
         requeue originals whose last copy died with a fresh probe each —
-        but via machine *retirement*, which no later blacklist pass can
-        undo. Clamped so at least ``min_machines`` workers stay live.
+        but via machine *retirement*, which no reinstatement can undo.
+        Clamped so at least ``min_machines`` workers stay live.
 
         The pool holds the ascending ids of live, non-blacklisted
         workers, so the victims are its top ``count`` entries, highest
@@ -615,25 +599,14 @@ class DecentralizedSimulator:
             return 0
         workers = self.workers
         retired = self._retired
-        orphaned: List[Tuple[SchedulerAgent, SchedulerJob, Task]] = []
+        victims: List[TaskCopy] = []
         for worker_id in pool[: -count - 1 : -1]:
             retired[worker_id] = 1
             worker = workers[worker_id]
-            if worker is None:
-                continue
-            victims = worker.evict()
-            for copy in victims:
-                scheduler = self._owner.get(copy.task.job_id)
-                sj = scheduler.jobs.get(copy.task.job_id) if scheduler else None
-                if sj is None:
-                    continue
-                self._kill_copy(copy, scheduler, sj)
-                if not copy.task.is_finished:
-                    orphaned.append((scheduler, sj, copy.task))
-        # Pool refresh BEFORE requeueing (same ordering as eviction), so
-        # the replacement probes can never target a retired worker.
+            if worker is not None:
+                victims += worker.evict()
+        # Pool update BEFORE requeueing (as in eviction), so the
+        # replacement probes can never target a retired worker.
         self._refresh_membership(-count)
-        for scheduler, sj, task in orphaned:
-            if sj.view.num_live_copies(task) == 0:
-                scheduler.requeue_task(sj, task)
+        self._kill_victims(victims)
         return count

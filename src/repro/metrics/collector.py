@@ -185,9 +185,6 @@ class MetricsCollector:
         else:
             self.result.guideline3_decisions += 1
 
-    def record_request_dropped(self, count: int = 1) -> None:
-        self.result.requests_dropped += count
-
     def record_eviction(self) -> None:
         self.result.evictions += 1
 

@@ -6,7 +6,8 @@ The simulators answer *what happened* with end-of-run aggregates in
 and eviction instants, exportable to Chrome ``chrome://tracing`` /
 Perfetto), a named-:class:`Counters` registry (message batching,
 probe conservation, eviction churn) and wall-time :class:`PhaseTimers`
-(``engine.dispatch``, ``index.rebuild``, ``policy.evaluate_completion``).
+(``engine.dispatch``, ``alloc.refresh``, ``policy.allocate``,
+``policy.evaluate_completion``).
 
 Everything is **zero-cost when off**: an :class:`Obs` bundle is handed
 to a simulator at construction, and every hot-path site guards its

@@ -417,8 +417,8 @@ def test_budgeted_spec_budget_tracks_evictions():
 
 def test_probation_reinstates_machines_end_to_end():
     """strikes-probation: machines leave and rejoin mid-run; the
-    simulator's blacklist tracks the policy's view exactly at end of
-    run."""
+    simulator's workers and probe pool track the policy's view exactly
+    at end of run."""
     policy = StrikeBlacklistPolicy(
         num_machines=QUICK.total_slots,
         strike_threshold=3,
@@ -429,10 +429,6 @@ def test_probation_reinstates_machines_end_to_end():
     model, ledger, simulator = _decentralized_run(policy)
     assert policy.evictions
     assert policy.reinstatements, "probation never reinstated a worker"
-    assert (
-        simulator.blacklist.blacklisted_machines
-        == set(policy.evicted_machines)
-    )
     worker_ids = range(len(simulator.workers))
     for worker_id in worker_ids:
         expected = worker_id in policy.evicted_machines

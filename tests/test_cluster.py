@@ -89,27 +89,34 @@ def test_cluster_requires_machines():
 
 
 def test_blacklist_strikes():
-    blacklist = Blacklist(strikes_to_blacklist=2)
-    assert not blacklist.record_strike(3)
-    assert blacklist.record_strike(3)  # second strike crosses threshold
+    blacklist = Blacklist(strikes_to_blacklist=2, strike_window=10.0)
+    assert not blacklist.record_strike(3, now=0.0)
+    assert blacklist.record_strike(3, now=1.0)  # second strike crosses threshold
     assert blacklist.is_blacklisted(3)
-    assert not blacklist.record_strike(3)  # already blacklisted
+    assert not blacklist.record_strike(3, now=2.0)  # already blacklisted
 
 
-def test_blacklist_add_remove():
-    blacklist = Blacklist()
-    blacklist.add(1)
+def test_blacklist_remove_reinstates():
+    blacklist = Blacklist(strikes_to_blacklist=1, strike_window=10.0)
+    assert blacklist.record_strike(1, now=0.0)
     assert blacklist.is_blacklisted(1)
     blacklist.remove(1)
     assert not blacklist.is_blacklisted(1)
+    assert blacklist.strike_count(1, now=0.0) == 0  # a clean record
 
 
 def test_cluster_apply_blacklist_removes_capacity():
     cluster = Cluster(num_machines=4, slots_per_machine=2)
-    cluster.blacklist.add(0)
-    cluster.apply_blacklist()
+    cluster.apply_blacklist(0, True)
     assert cluster.total_slots == 6
+    assert cluster.live_machine_count() == 3
     assert 0 not in cluster.machines_with_free_slots()
+    with pytest.raises(ValueError):
+        cluster.apply_blacklist(0, True)
+    cluster.apply_blacklist(0, False)
+    assert cluster.total_slots == 8
+    assert cluster.live_machine_count() == 4
+    assert 0 in cluster.machines_with_free_slots()
 
 
 # -- datastore ------------------------------------------------------------------

@@ -29,6 +29,7 @@ def _assert_index_matches_scan(cluster: Cluster) -> None:
         for num_slots, blacklisted in zip(cluster.slots, cluster.blacklisted)
         if not blacklisted
     )
+    assert cluster.live_machine_count() == cluster.blacklisted.count(0)
     assert cluster.free_slots == cluster.total_slots - cluster.busy_slots
 
 
@@ -81,14 +82,11 @@ def test_randomized_sequences_with_blacklisting(seed):
     for _ in range(50):
         if rng.random() < 0.3:
             victim = rng.randrange(20)
-            if rng.random() < 0.5:
-                cluster.blacklist.add(victim)
-            else:
-                cluster.blacklist.remove(victim)
+            flag = rng.random() < 0.5
             # Blacklisting a machine with busy slots would strand them;
-            # apply on an idle cluster like the simulators do.
-            if cluster.busy_slots == 0:
-                cluster.apply_blacklist()
+            # flip it on an idle cluster (the simulators kill first).
+            if cluster.busy_slots == 0 and cluster.blacklisted[victim] != flag:
+                cluster.apply_blacklist(victim, flag)
         else:
             free_ids = cluster.index.free_machine_ids()
             if free_ids and cluster.busy_slots == 0:
@@ -110,8 +108,6 @@ class _ReferenceBlacklist:
 
     def _counting(self, machine_id, now):
         times = self.history.get(machine_id, [])
-        if self.window is None:
-            return len(times)
         return len([t for t in times if now - t < self.window])
 
     def record_strike(self, machine_id, now):
@@ -122,9 +118,6 @@ class _ReferenceBlacklist:
             self.blacklisted.add(machine_id)
             return True
         return False
-
-    def add(self, machine_id):
-        self.blacklisted.add(machine_id)
 
     def remove(self, machine_id):
         self.blacklisted.discard(machine_id)
@@ -138,7 +131,7 @@ def test_blacklist_matches_brute_force_reference(seed):
     full-history brute-force reference at every step."""
     rng = random.Random(seed)
     k = rng.randint(1, 4)
-    window = rng.choice([None, 1.0, 5.0, 20.0])
+    window = rng.choice([1.0, 5.0, 20.0])
     num_machines = rng.randint(1, 12)
     actual = Blacklist(strikes_to_blacklist=k, strike_window=window)
     reference = _ReferenceBlacklist(k, window)
@@ -147,23 +140,17 @@ def test_blacklist_matches_brute_force_reference(seed):
         now += rng.random() * 3.0
         machine_id = rng.randrange(num_machines)
         op = rng.random()
-        if op < 0.7:
+        if op < 0.8:
             assert actual.record_strike(
                 machine_id, now
             ) == reference.record_strike(machine_id, now)
-        elif op < 0.85:
-            actual.add(machine_id)
-            reference.add(machine_id)
         else:  # reinstatement wipes the strike record in both
             actual.remove(machine_id)
             reference.remove(machine_id)
         assert actual.blacklisted_machines == reference.blacklisted
-        if window is not None:
-            probe = rng.randrange(num_machines)
-            if not actual.is_blacklisted(probe):
-                assert actual.strike_count(probe, now) == reference._counting(
-                    probe, now
-                )
+        probe = rng.randrange(num_machines)
+        if not actual.is_blacklisted(probe):
+            assert actual.strike_count(probe, now) == reference._counting(probe, now)
 
 
 def test_blacklist_window_expires_old_strikes():
@@ -175,20 +162,12 @@ def test_blacklist_window_expires_old_strikes():
     assert blacklist.is_blacklisted(0)
 
 
-def test_blacklist_lifetime_mode_unchanged():
-    """window=None keeps the original cumulative-count semantics."""
-    blacklist = Blacklist(strikes_to_blacklist=3)
-    assert not blacklist.record_strike(1, now=0.0)
-    assert not blacklist.record_strike(1, now=1000.0)
-    assert blacklist.record_strike(1, now=9999.0)
-
-
 @pytest.mark.parametrize("seed", [21, 22, 23])
 def test_index_invariants_under_midrun_eviction(seed):
     """Property: interleave slot traffic with simulator-style mid-run
-    eviction (kill the victim's busy slots, then apply the blacklist)
-    and reinstatement; the index must equal the from-scratch scan at
-    every step."""
+    eviction (blacklist the victim, then kill its busy slots) and
+    reinstatement; the index must equal the from-scratch scan at every
+    step."""
     rng = random.Random(seed)
     num_machines = rng.randint(4, 24)
     cluster = Cluster(
@@ -213,22 +192,20 @@ def test_index_invariants_under_midrun_eviction(seed):
                 busy[machine_id] -= 1
         elif op < 0.9:
             # Strike a machine; on crossing the threshold, evict it the
-            # way the simulators do: kill (release) its running copies
-            # first, then apply the blacklist (which rebuilds the index).
+            # way the simulators do: blacklist it (one flag, the totals
+            # and one index bit), then kill (release) its running copies.
             machine_id = rng.randrange(num_machines)
             if policy_blacklist.record_strike(machine_id, now):
+                cluster.apply_blacklist(machine_id, True)
                 while busy[machine_id] > 0:
                     cluster.release_slot(machine_id)
                     busy[machine_id] -= 1
-                cluster.blacklist.add(machine_id)
-                cluster.apply_blacklist()
         else:
             evicted = sorted(policy_blacklist.blacklisted_machines)
             if evicted:  # probation served: reinstate one
                 machine_id = rng.choice(evicted)
                 policy_blacklist.remove(machine_id)
-                cluster.blacklist.remove(machine_id)
-                cluster.apply_blacklist()
+                cluster.apply_blacklist(machine_id, False)
         _assert_index_matches_scan(cluster)
         assert cluster.busy_slots == sum(busy.values())
 

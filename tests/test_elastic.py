@@ -100,7 +100,19 @@ def _assert_matches_rebuild(cluster: Cluster) -> None:
     for k in range(rebuilt.free_machine_count):
         assert index.nth_free_machine(k) == rebuilt.nth_free_machine(k)
     assert index.first_free_machine() == rebuilt.first_free_machine()
-    assert (cluster.total_slots, cluster.live_machine_count()) == cluster._scan_live()
+    assert (cluster.total_slots, cluster.live_machine_count()) == _scan_live(cluster)
+
+
+def _scan_live(cluster: Cluster):
+    """``(total_slots, live machines)`` rescanned from the columns."""
+    live = [
+        num_slots
+        for num_slots, blacklisted, retired in zip(
+            cluster.slots, cluster.blacklisted, cluster.retired
+        )
+        if not blacklisted and not retired
+    ]
+    return sum(live), len(live)
 
 
 def test_add_machine_appends_fresh_id():
@@ -199,11 +211,7 @@ def test_machines_to_retire_matches_full_walk(seed):
         else:
             live = [m for m in range(cluster.num_machines) if not cluster.retired[m]]
             target = rng.choice(live)
-            if cluster.blacklist.is_blacklisted(target):
-                cluster.blacklist.remove(target)
-            else:
-                cluster.blacklist.add(target)
-            cluster.apply_blacklist()
+            cluster.apply_blacklist(target, not cluster.blacklisted[target])
         _assert_matches_rebuild(cluster)
 
 
@@ -506,15 +514,14 @@ def _random_schedule(rng: random.Random, max_step: int) -> str:
     return ",".join(entries)
 
 
-def _live_worker_ids(simulator) -> list:
+def _live_worker_ids(simulator, evicted) -> list:
     """From-scratch rescan of decentralized membership: the ids of
-    workers neither retired nor on the simulator's blacklist, ascending."""
-    blacklisted = simulator.blacklist.is_blacklisted
+    workers neither retired nor ``evicted``, ascending."""
     retired = simulator._retired
     return [
         worker_id
         for worker_id in range(len(simulator.workers))
-        if not retired[worker_id] and not blacklisted(worker_id)
+        if not retired[worker_id] and worker_id not in evicted
     ]
 
 
@@ -524,40 +531,44 @@ def _busy_slots(simulator, worker_id: int) -> int:
     return 0 if worker is None else worker.busy_slots
 
 
-def _assert_resize_invariants(simulator, plane: str) -> None:
+def _assert_resize_invariants(simulator, plane: str, evicted) -> None:
+    """The delta-maintained membership equals a from-scratch rescan,
+    with ``evicted`` (the blacklist policy's record) as the reference
+    for which machines are blacklisted."""
     if plane == "decentralized":
         pool = simulator._sample_pool
-        assert list(pool) == _live_worker_ids(simulator)
-        blacklisted = simulator.blacklist.is_blacklisted
+        assert list(pool) == _live_worker_ids(simulator, evicted)
         for worker_id, w in enumerate(simulator.workers):
             if w is None:
                 # Eviction creates the worker, so a blacklisted id exists.
-                assert not blacklisted(worker_id)
+                assert worker_id not in evicted
                 continue
             retired = bool(simulator._retired[worker_id])
-            assert w.evicted == (retired or blacklisted(worker_id))
+            assert w.evicted == (retired or worker_id in evicted)
         assert simulator.total_slots == len(pool) * simulator._slots_per_worker
         numerator = (1.0 - simulator.config.epsilon) * simulator.total_slots
         for scheduler in simulator.schedulers:
             assert scheduler._fair_numerator == numerator
     else:
         cluster = simulator.cluster
-        live = sum(
-            1 for r, b in zip(cluster.retired, cluster.blacklisted) if not r and not b
-        )
-        assert cluster.live_machine_count() == live
+        flagged = {m for m, flag in enumerate(cluster.blacklisted) if flag}
+        assert flagged == evicted
+        _assert_matches_rebuild(cluster)
+        assert simulator._total_slots == cluster.total_slots
         for jr in simulator._jobs.values():
             for copies in jr.view.copies_by_task.values():
                 for copy in copies:
                     assert not cluster.retired[copy.machine_id]
+                    assert not cluster.blacklisted[copy.machine_id]
 
 
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("plane", ["centralized", "decentralized"])
-def test_resize_invariants_hold_through_eviction_churn(plane, seed):
+def test_resize_invariants_hold_through_eviction_churn(plane, seed, monkeypatch):
     """Random schedule resizes interleaved with strike eviction and
-    probation reinstatement: after EVERY applied ADD/REMOVE the
-    delta-maintained state equals a from-scratch rescan."""
+    probation reinstatement: after EVERY applied ADD/REMOVE, eviction
+    and reinstatement the delta-maintained state equals a from-scratch
+    rescan, and no membership change rebuilds the centralized index."""
     rng = random.Random(seed)
     # Centralized resizes whole 4-slot machines; decentralized, workers.
     max_step = 3 if plane == "centralized" else 10
@@ -576,13 +587,30 @@ def test_resize_invariants_hold_through_eviction_churn(plane, seed):
     )
     controller = simulator._elastic
     add, remove = controller._add, controller._remove
-    stats = {"resizes": 0, "killing_shrinks": 0}
+    stats = {"resizes": 0, "killing_shrinks": 0, "evictions": 0, "reinstated": 0}
+    if plane == "centralized":
+        policy = simulator._blacklist_policy
+        evict_name, reinstate_name = "_evict_machine", "_reinstate_machine"
+    else:
+        policy = simulator.blacklist_policy
+        evict_name, reinstate_name = "_evict_worker", "_reinstate_worker"
+    # The policy forgets a whole batch of due machines before the
+    # simulator reinstates them one by one; until then they still count
+    # as evicted.
+    due_batch = set()
+    due_reinstatements = policy.due_reinstatements
+
+    def evicted():
+        return set(policy.evicted_machines) | due_batch
+
+    def checked(count):
+        _assert_resize_invariants(simulator, plane, evicted())
+        return count
 
     def checked_add(count):
         applied = add(count)
         stats["resizes"] += 1
-        _assert_resize_invariants(simulator, plane)
-        return applied
+        return checked(applied)
 
     def checked_remove(count):
         floor = simulator._autoscaler.min_machines
@@ -592,7 +620,7 @@ def test_resize_invariants_hold_through_eviction_churn(plane, seed):
             busy = sum(cluster.busy[m] for m in retiring)
         else:
             # The top live ids of the rescan, highest first.
-            live = _live_worker_ids(simulator)
+            live = _live_worker_ids(simulator, evicted())
             retiring = live[::-1][: max(0, min(count, len(live) - max(1, floor)))]
             busy = sum(_busy_slots(simulator, m) for m in retiring)
         applied = remove(count)
@@ -602,18 +630,61 @@ def test_resize_invariants_hold_through_eviction_churn(plane, seed):
             assert all(simulator.worker(m).evicted for m in retiring)
         stats["resizes"] += 1
         stats["killing_shrinks"] += busy > 0
-        _assert_resize_invariants(simulator, plane)
-        return applied
+        return checked(applied)
+
+    def checked_due(now):
+        due = due_reinstatements(now)
+        due_batch.update(due)
+        return due
+
+    # The simulators are slotted, so their methods are wrapped on the
+    # class (monkeypatch restores them).
+    plane_cls = type(simulator)
+    evict = getattr(plane_cls, evict_name)
+    reinstate = getattr(plane_cls, reinstate_name)
+
+    def checked_evict(sim, machine_id):
+        assert machine_id in policy.evicted_machines
+        evict(sim, machine_id)
+        stats["evictions"] += 1
+        checked(0)
+
+    def checked_reinstate(sim, machine_id):
+        reinstate(sim, machine_id)
+        due_batch.discard(machine_id)
+        stats["reinstated"] += 1
+        checked(0)
 
     controller._add, controller._remove = checked_add, checked_remove
+    policy.due_reinstatements = checked_due
+    monkeypatch.setattr(plane_cls, evict_name, checked_evict)
+    monkeypatch.setattr(plane_cls, reinstate_name, checked_reinstate)
+    rebuilds = []
+    rebuild = ClusterIndex.rebuild
+
+    def counted_rebuild(index, bits):
+        # Only the simulator's own index counts: the invariant checks
+        # build fresh reference indexes.
+        if plane == "centralized" and index is simulator.cluster.index:
+            rebuilds.append(simulator.sim.now)
+        rebuild(index, bits)
+
+    monkeypatch.setattr(ClusterIndex, "rebuild", counted_rebuild)
     result = simulator.run()
     assert len(result.jobs) == _CHURN_SPEC.num_jobs
     # Not vacuous: the run evicted, reinstated, and shrank busy machines.
     assert result.evictions > 0
     assert result.reinstatements > 0
+    assert (stats["evictions"], stats["reinstated"]) == (
+        result.evictions,
+        result.reinstatements,
+    )
     assert stats["killing_shrinks"] > 0
     assert stats["resizes"] >= 4
-    _assert_resize_invariants(simulator, plane)
+    checked(0)
+    # The reset in run() is the only index rebuild; no eviction,
+    # reinstatement or resize rescans the fleet.
+    assert rebuilds == ([0.0] if plane == "centralized" else [])
 
 
 def _old_autoscale_remove(simulator, count, shrinks):

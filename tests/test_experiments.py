@@ -3,19 +3,29 @@ scaled-down smoke runs of the figure experiments."""
 
 import pytest
 
+from repro.centralized.config import CentralizedConfig, SpeculationMode
+from repro.centralized.policies import SRPTPolicy
+from repro.centralized.simulator import CentralizedSimulator
+from repro.cluster.cluster import Cluster
 from repro.experiments.harness import (
     WorkloadSpec,
     build_trace,
     run_simulator,
 )
 from repro.experiments.motivating import (
+    DETECT_AT,
+    NUM_SLOTS,
     TASKS,
     run_motivating_example,
 )
 from repro.experiments import figures
 from repro.metrics.serialize import result_to_dict
+from repro.speculation import LATE
+from repro.stragglers.model import StragglerModel
 from repro.workload.generator import SPARK_FACEBOOK_PROFILE
+from repro.workload.job import make_single_phase_job
 from repro.workload.task import TaskState
+from repro.workload.traces import Trace
 
 
 # -- motivating example (§3, Figures 1-2, Table 1) ------------------------------
@@ -44,6 +54,68 @@ def test_motivating_hopper_dominates_on_average():
     results = {r.strategy: r for r in run_motivating_example()}
     assert results["hopper"].average < results["best_effort"].average
     assert results["hopper"].average < results["budgeted"].average
+
+
+class _Table1Stragglers(StragglerModel):
+    """Scripted durations from Table 1 for size-10 tasks: a task's first
+    copy runs ``t_orig``, every later copy ``t_new``."""
+
+    def __init__(self, durations):
+        self.durations = durations  # task id -> (t_orig, t_new)
+
+    def slowdown(self, rng, task, machine_id, attempt_index):
+        t_orig, t_new = self.durations[task.task_id]
+        return (t_orig if attempt_index == 0 else t_new) / 10.0
+
+
+def _replay_table1(policy, **config):
+    """Table 1 through the centralized simulator: A (4 tasks) and B (5)
+    arrive at t=0 on 7 one-slot machines; LATE flags a copy after 2
+    time units and speculates whenever t_rem > t_new."""
+    jobs = [
+        make_single_phase_job(0, 0.0, [10.0] * 4),
+        make_single_phase_job(1, 0.0, [10.0] * 5, task_id_start=4),
+    ]
+    durations = {
+        task.task_id: TASKS["AB"[job.job_id], index]
+        for job in jobs
+        for index, task in enumerate(job.phases[0].tasks)
+    }
+    simulator = CentralizedSimulator(
+        cluster=Cluster(num_machines=NUM_SLOTS),
+        policy=policy,
+        speculation=lambda: LATE(
+            detect_after=DETECT_AT,
+            slow_task_pct=1.0,
+            speculative_cap_fraction=1.0,
+            max_copies=2,
+        ),
+        trace=Trace(jobs=jobs),
+        straggler_model=_Table1Stragglers(durations),
+        config=CentralizedConfig(
+            learn_beta=False,
+            default_beta=1.6,
+            use_alpha=False,
+            epsilon=1.0,
+            locality_k_percent=0.0,
+            **config,
+        ),
+    )
+    result = simulator.run()
+    finish = {job.job_id: job.finish_time for job in result.jobs}
+    return finish[0], finish[1]
+
+
+def test_table1_strawmen_match_figure1_on_the_engine():
+    """Oracle: the paper's Fig. 1 completion times, known without this
+    code, come out of the real simulator replaying Table 1."""
+    assert _replay_table1(SRPTPolicy()) == (20.0, 30.0)  # Fig. 1a
+    budgeted = _replay_table1(
+        SRPTPolicy(),
+        speculation_mode=SpeculationMode.BUDGETED,
+        budget_fraction=3 / 7,
+    )
+    assert budgeted == (12.0, 32.0)  # Fig. 1b
 
 
 # -- harness ---------------------------------------------------------------------

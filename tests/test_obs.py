@@ -395,11 +395,12 @@ def test_centralized_eviction_accounting_and_phase_timers():
     timers = obs.timers.as_dict()
     for phase in (
         "engine.dispatch",
-        "index.rebuild",
         "policy.allocate",
         "policy.evaluate_completion",
     ):
         assert phase in timers, f"missing phase timer {phase}"
+    # Eviction is a one-machine delta: nothing rebuilds the index.
+    assert "index.rebuild" not in timers
     assert timers["engine.dispatch"]["calls"] == 1
 
 

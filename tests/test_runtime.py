@@ -15,7 +15,7 @@ from repro.simulation.engine import Simulator
 from repro.speculation.base import JobExecutionView
 from repro.stragglers.progress import TaskCopy
 from repro.workload.job import make_chain_job, make_single_phase_job
-from repro.workload.task import Task, TaskState
+from repro.workload.task import TaskState
 
 
 def _job_with_tasks(num_tasks, preferred=None, job_id=0):
@@ -597,11 +597,10 @@ def test_decentralized_eviction_kills_requeues_and_completes():
     assert worker.evicted and worker.queue == [] and worker.running == []
     assert worker.busy_slots == 0
     assert simulator._request_holders == {}
-    # The simulator's blacklist recorded the eviction and the rebuilt
-    # pool holds every other worker.
-    assert simulator.blacklist.is_blacklisted(worker.worker_id)
-    assert simulator.blacklist.blacklisted_machines == {worker.worker_id}
+    # The eviction left the probe pool holding every other worker, and
+    # live capacity followed it.
     assert worker.worker_id not in simulator._sample_pool
+    assert simulator.total_slots == num_workers - 1
     assert len(simulator._sample_pool) == num_workers - 1
     assert list(simulator._sample_pool) == [
         i for i in range(num_workers) if i != worker.worker_id
