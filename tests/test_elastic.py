@@ -603,14 +603,14 @@ def test_resize_invariants_hold_through_eviction_churn(plane, seed, monkeypatch)
     def evicted():
         return set(policy.evicted_machines) | due_batch
 
-    def checked(count):
+    def check():
         _assert_resize_invariants(simulator, plane, evicted())
-        return count
 
     def checked_add(count):
         applied = add(count)
         stats["resizes"] += 1
-        return checked(applied)
+        check()
+        return applied
 
     def checked_remove(count):
         floor = simulator._autoscaler.min_machines
@@ -630,7 +630,8 @@ def test_resize_invariants_hold_through_eviction_churn(plane, seed, monkeypatch)
             assert all(simulator.worker(m).evicted for m in retiring)
         stats["resizes"] += 1
         stats["killing_shrinks"] += busy > 0
-        return checked(applied)
+        check()
+        return applied
 
     def checked_due(now):
         due = due_reinstatements(now)
@@ -647,13 +648,13 @@ def test_resize_invariants_hold_through_eviction_churn(plane, seed, monkeypatch)
         assert machine_id in policy.evicted_machines
         evict(sim, machine_id)
         stats["evictions"] += 1
-        checked(0)
+        check()
 
     def checked_reinstate(sim, machine_id):
         reinstate(sim, machine_id)
         due_batch.discard(machine_id)
         stats["reinstated"] += 1
-        checked(0)
+        check()
 
     controller._add, controller._remove = checked_add, checked_remove
     policy.due_reinstatements = checked_due
@@ -681,7 +682,7 @@ def test_resize_invariants_hold_through_eviction_churn(plane, seed, monkeypatch)
     )
     assert stats["killing_shrinks"] > 0
     assert stats["resizes"] >= 4
-    checked(0)
+    check()
     # The reset in run() is the only index rebuild; no eviction,
     # reinstatement or resize rescans the fleet.
     assert rebuilds == ([0.0] if plane == "centralized" else [])

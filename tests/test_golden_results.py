@@ -493,13 +493,9 @@ def test_changed_jobs_replays_are_pinned(name):
 #: evictions; four scheduled resizes retire and add machines around the
 #: evicted ones, and probation returns each evicted machine to the pool.
 GOLDEN_PROBATION_DIGESTS = {
-    "centralized": (
-        "5bb5b1dda47ba6e2775a5f2e38245873ae8d5bb4d8ba8015dd650c4247200c99"
-    ),
+    "centralized": "5bb5b1dda47ba6e2775a5f2e38245873ae8d5bb4d8ba8015dd650c4247200c99",
     "batch": "34cb8ed35b1d83c617e93b36a33098d83f13255b312c65a655ab93eaae21ffb1",
-    "decentralized": (
-        "121768087893142c9403c521e6bda4c4f135eed15d13a6fb840d5a02923c6fc7"
-    ),
+    "decentralized": "121768087893142c9403c521e6bda4c4f135eed15d13a6fb840d5a02923c6fc7",
 }
 
 
