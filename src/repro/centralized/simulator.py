@@ -48,15 +48,15 @@ Scale-out notes (10k+-slot clusters):
   visits only moved jobs, and a job parked at its target stays out of
   the speculation work set until it moves or its stamp expires.
 
-Blacklisting (§2.2): an optional
-:class:`~repro.cluster.policy.BlacklistPolicy` observes every copy
-completion; when it evicts a machine the simulator flips the machine's
-blacklisted flag in the cluster (an O(log machines) delta on the totals
-and the free-slot index, like a shrink's retirement), kills its running
-copies through the ledger and requeues originals whose last copy died.
-Probation reinstatement flips the flag back. With no policy (the
-default) the whole path is a single ``is not None`` check per
-completion — replays are bit-identical to the policy-free simulator.
+Blacklisting (§2.2) and elastic resizes run the membership sequence
+both planes share (:class:`~repro.cluster.membership.MembershipPlane`):
+an optional :class:`~repro.cluster.policy.BlacklistPolicy` observes every
+copy completion; an eviction or a shrink flags machines in the cluster
+(an O(log machines) delta on the totals and the free-slot index),
+refreshes the cached slot total and speculation budget, then kills the
+machines' running copies through the ledger and requeues tasks whose
+last copy died. With no policy (the default) the blacklist path is a
+single ``is not None`` check per completion.
 """
 
 from __future__ import annotations
@@ -70,7 +70,8 @@ from repro.centralized.policies import CentralizedPolicy
 from repro.cluster.cluster import Cluster
 from repro.cluster.datastore import DataStore
 from repro.cluster.elastic import AutoscalerPolicy, ElasticController
-from repro.cluster.policy import BlacklistPolicy, evaluate_completion
+from repro.cluster.membership import MembershipPlane
+from repro.cluster.policy import BlacklistPolicy
 from repro.core.allocation import JobAllocationState
 from repro.core.incremental import IncrementalAllocator
 from repro.core.locality import pick_job_with_locality
@@ -154,7 +155,7 @@ class _JobRuntime(LocalityJobRuntime):
         self._moved.add(job_id)
 
 
-class CentralizedSimulator:
+class CentralizedSimulator(MembershipPlane):
     """Simulates a trace under one centralized policy.
 
     Parameters
@@ -213,8 +214,7 @@ class CentralizedSimulator:
         "_running_spec_copies",
         "_running_original_copies",
         "_spec_eval_min_interval",
-        "_blacklist_policy",
-        "_autoscaler",
+        "blacklist_policy",
         "_elastic",
         "obs",
         "_tracer",
@@ -295,20 +295,10 @@ class CentralizedSimulator:
         self._running_spec_copies = 0
         self._running_original_copies = 0
         self._spec_eval_min_interval = self.config.spec_eval_min_interval
-        self._blacklist_policy = blacklist_policy
-        self._autoscaler = autoscaler
+        self.blacklist_policy = blacklist_policy
         self._elastic: Optional[ElasticController] = None
         if autoscaler is not None:
-            self._elastic = ElasticController(
-                engine=self.sim,
-                policy=autoscaler,
-                add_machines=self._autoscale_add,
-                remove_machines=self._autoscale_remove,
-                busy_slots=lambda: self.cluster.busy_slots,
-                total_slots=lambda: self.cluster.total_slots,
-                keep_sampling=lambda: bool(self._jobs),
-                obs=obs,
-            )
+            self._elastic = ElasticController(self.sim, autoscaler, obs)
 
     # ------------------------------------------------------------------ run --
 
@@ -323,15 +313,15 @@ class CentralizedSimulator:
             absolute=True,
         )
         if self._elastic is not None:
-            self._elastic.prime()
+            self._elastic.prime(self)
         self.sim.run(until=until)
         self._finalize_diagnostics()
         return self.metrics.result
 
     def _finalize_diagnostics(self) -> None:
         result = self.metrics.result
-        if self._blacklist_policy is not None:
-            result.machine_strikes = self._blacklist_policy.strike_totals()
+        if self.blacklist_policy is not None:
+            result.machine_strikes = self.blacklist_policy.strike_totals()
         if self.obs is not None:
             result.obs = self.obs.report()
 
@@ -484,7 +474,7 @@ class CentralizedSimulator:
         if self._elastic is not None:
             # Demand-armed like the speculation check: the utilization
             # sampler re-arms only while jobs are active.
-            self._elastic.ensure_sampling()
+            self._elastic.ensure_sampling(self)
         return jr
 
     def _on_job_arrival(self, job: Job) -> None:
@@ -573,7 +563,7 @@ class CentralizedSimulator:
             self._alloc_dirty_jobs.add(jr.job.job_id)
             if jr.job.is_complete:
                 self._complete_job(jr)
-        if self._blacklist_policy is not None:
+        if self.blacklist_policy is not None:
             self._observe_blacklist(copy, jr)
         self._request_dispatch()
 
@@ -598,30 +588,29 @@ class CentralizedSimulator:
         self._spec_parked.discard(job_id)
         self._jobs_completed += 1
 
-    # ---------------------------------------------------------- blacklist ----
+    # ------------------------------------------------ membership hooks ----
 
-    def _observe_blacklist(self, copy: TaskCopy, jr: _JobRuntime) -> None:
-        """Feed one completion to the eviction policy and act on it."""
-        obs = self.obs
-        if obs is None:
-            reinstated, evict = evaluate_completion(
-                self._blacklist_policy, self.sim.now, copy, jr.view
-            )
-        else:
-            with obs.timers.phase("policy.evaluate_completion"):
-                reinstated, evict = evaluate_completion(
-                    self._blacklist_policy, self.sim.now, copy, jr.view
-                )
-        for machine_id in reinstated:
-            self._reinstate_machine(machine_id)
-        if evict is not None:
-            self._evict_machine(evict)
+    @property
+    def members(self) -> Cluster:
+        """The cluster, as the membership the shared eviction and resize
+        sequence changes (see :class:`MembershipPlane`)."""
+        return self.cluster
 
-    def _machine_victims(self, machine_ids) -> Dict[int, List[tuple]]:
-        """``(copy, runtime)`` pairs running on each of ``machine_ids``,
-        bucketed by machine in one walk over every live copy. Each
-        bucket keeps the walk's order — the order a scan for that one
-        machine would produce (kills never reorder surviving copies)."""
+    @property
+    def busy_slots(self) -> int:
+        """Busy slots, as the elastic controller's sampler reads them."""
+        return self.cluster.busy_slots
+
+    @property
+    def _active_jobs(self) -> int:
+        """Jobs in flight; the elastic controller samples while any are."""
+        return len(self._jobs)
+
+    def _running_copies(self, machine_ids) -> List[List[tuple]]:
+        """The ``(copy, runtime)`` pairs running on each of
+        ``machine_ids``, found in one walk over every live copy. Each
+        machine's list keeps the walk's order: the order a scan for that
+        one machine would produce."""
         buckets: Dict[int, List[tuple]] = {m: [] for m in machine_ids}
         get = buckets.get
         for jr in self._jobs.values():
@@ -630,108 +619,41 @@ class CentralizedSimulator:
                     bucket = get(c.machine_id)
                     if bucket is not None:
                         bucket.append((c, jr))
-        return buckets
+        return [buckets[m] for m in machine_ids]
 
-    def _kill_victims(self, victims: List[tuple]) -> None:
-        """Kill ``victims`` and requeue tasks whose last copy died."""
-        orphaned: List[tuple] = []
-        for c, jr in victims:
-            self._kill_copy(c, jr)
-            if not c.task.is_finished:
-                orphaned.append((c.task, jr))
-        for task, jr in orphaned:
-            # Only requeue when no sibling copy survived the kill —
-            # a live copy elsewhere still carries the task.
-            if jr.view.num_live_copies(task) == 0 and jr.requeue(task):
-                task.state = TaskState.PENDING
+    def _requeue(self, task: Task, jr: _JobRuntime) -> None:
+        if jr.requeue(task):
+            task.state = TaskState.PENDING
 
-    def _kill_machine_copies(self, machine_id: int) -> int:
-        """Kill every copy running on ``machine_id`` and requeue tasks
-        whose last copy died (blacklist eviction); returns the victim
-        count."""
-        victims = self._machine_victims((machine_id,))[machine_id]
-        self._kill_victims(victims)
-        return len(victims)
-
-    def _evict_machine(self, machine_id: int) -> None:
-        """Blacklist ``machine_id`` mid-run: take it out of the totals
-        and the index (as a shrink retires a machine), then kill its
-        running copies and requeue originals whose last copy died."""
-        self.cluster.apply_blacklist(machine_id, True)
-        num_victims = self._kill_machine_copies(machine_id)
-        self._resize_slot_pool()
-        self.metrics.record_eviction()
-        obs = self.obs
-        if obs is not None:
-            obs.counters.inc("blacklist.evictions")
-            if obs.tracer is not None:
-                obs.tracer.instant(
-                    "blacklist", "evict", self.sim.now, machine=machine_id,
-                    victims=num_victims,
-                )
-
-    def _reinstate_machine(self, machine_id: int) -> None:
-        """Probation served: return the machine's slots to the pool."""
-        self.cluster.apply_blacklist(machine_id, False)
-        self._resize_slot_pool()
-        self.metrics.record_reinstatement()
-        obs = self.obs
-        if obs is not None:
-            obs.counters.inc("blacklist.reinstatements")
-            if obs.tracer is not None:
-                obs.tracer.instant(
-                    "blacklist", "reinstate", self.sim.now, machine=machine_id
-                )
-
-    # ------------------------------------------------------------- elastic ----
-
-    def _autoscale_add(self, count: int) -> int:
-        """ADD_MACHINE: append ``count`` machines (O(log machines) each
-        via the Fenwick append — no index rebuild) and dispatch onto the
-        new capacity at this plane's dispatch point."""
-        cluster = self.cluster
-        num_slots = cluster.slots[0]
-        for _ in range(count):
-            cluster.add_machine(num_slots)
-        self._resize_slot_pool()
-        self._request_dispatch()
-        return count
-
-    def _autoscale_remove(self, count: int) -> int:
-        """REMOVE_MACHINE: retire up to ``count`` machines (highest live
-        ids first), reusing the eviction kill→requeue path for their
-        running copies. Clamped so at least ``min_machines`` stay live.
-        One walk over the live copies finds every retiring machine's
-        victims."""
-        cluster = self.cluster
-        machine_ids = cluster.machines_to_retire(
-            count, self._autoscaler.min_machines
-        )
-        if not machine_ids:
-            return 0
-        victims = self._machine_victims(machine_ids)
-        for machine_id in machine_ids:
-            # Retire first (the machine leaves the index and the totals
-            # in O(log machines)), then kill its copies: each kill's
-            # release_slot refreshes a bit that stays 0 for a retired
-            # machine, so no new work lands on it mid-teardown. Requeue
-            # stays per machine, as in eviction.
-            cluster.remove_machine(machine_id)
-            self._kill_victims(victims[machine_id])
-        self._resize_slot_pool()
-        self._request_dispatch()
-        return len(machine_ids)
-
-    def _resize_slot_pool(self) -> None:
-        """Eviction/reinstatement changed the usable slot count; refresh
-        the cached total AND the budgeted-speculation reservation, which
-        is a fraction of it (a stale budget could otherwise exceed the
+    def _refresh_membership(self) -> None:
+        """Membership changed the usable slot count; refresh the cached
+        total AND the budgeted-speculation reservation, which is a
+        fraction of it (a stale budget could otherwise exceed the
         shrunken cluster and starve original dispatch)."""
         self._total_slots = self.cluster.total_slots
         if self.config.speculation_mode is SpeculationMode.BUDGETED:
             self._spec_budget = int(
                 self.config.budget_fraction * self._total_slots
             )
+
+    # ------------------------------------------------------------- elastic ----
+
+    def _autoscale_add(self, count: int) -> int:
+        """ADD_MACHINE: append ``count`` machines (O(log machines) each
+        via the Fenwick append, no index rebuild) and dispatch onto the
+        new capacity at this plane's dispatch point."""
+        self.cluster.add_machine(count)
+        self._refresh_membership()
+        self._request_dispatch()
+        return count
+
+    def _autoscale_remove(self, count: int) -> int:
+        """REMOVE_MACHINE: retire up to ``count`` machines (highest live
+        ids first) through the eviction teardown."""
+        removed = self._retire(count)
+        if removed:
+            self._request_dispatch()
+        return removed
 
     # ----------------------------------------------------------- dispatch ----
 

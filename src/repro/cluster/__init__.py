@@ -1,13 +1,15 @@
-"""Cluster substrate: machine-id columns, slots, racks, data placement,
+"""Cluster substrate: fleet membership, slots, racks, data placement,
 blacklists.
 
-The centralized fleet is a :class:`Cluster` of per-machine-id columns
-(busy and slot counts, blacklisted and retired flags) synced with a
-Fenwick :class:`ClusterIndex` of free machines; no object exists per
-machine.
+Both scheduler planes keep their fleet as a :class:`Membership`: one
+state byte per machine id (blacklisted and retired bits) and the live
+totals. The centralized :class:`Cluster` adds a busy-slot column synced
+with a Fenwick :class:`ClusterIndex` of free machines; no object exists
+per machine.
 """
 
 from repro.cluster.cluster import Cluster
+from repro.cluster.membership import Membership
 from repro.cluster.datastore import DataStore
 from repro.cluster.blacklist import Blacklist
 from repro.cluster.index import ClusterIndex
@@ -21,6 +23,7 @@ from repro.cluster.elastic import (
 
 __all__ = [
     "Cluster",
+    "Membership",
     "DataStore",
     "Blacklist",
     "ClusterIndex",

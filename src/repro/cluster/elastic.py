@@ -5,8 +5,9 @@ not. This module makes capacity changes first-class: an
 :class:`AutoscalerPolicy` decides *when* the cluster should grow or
 shrink, and an :class:`ElasticController` turns those decisions into
 ``ADD_MACHINE`` / ``REMOVE_MACHINE`` engine events (cf. Firmament's
-machine-add/remove event types) that each scheduler plane consumes
-through two callbacks — the controller itself is plane-agnostic.
+machine-add/remove event types). Each event carries the plane it
+resizes, so the controller is plane-agnostic and keeps no reference
+back to a plane.
 
 Policies (registered in ``repro.registry`` under ``AUTOSCALER_POLICIES``):
 
@@ -18,25 +19,19 @@ Policies (registered in ``repro.registry`` under ``AUTOSCALER_POLICIES``):
   ``lower``.
 
 The planes apply a resize of Δ machines incrementally, with no
-wholesale rebuild or rescan on the resize path:
+wholesale rebuild or rescan on the resize path. Both go through the one
+membership sequence of :mod:`repro.cluster.membership`:
 
-* centralized membership is O(Δ·log machines):
-  ``Cluster.machines_to_retire`` picks a shrink's victims walking down
-  from the highest id (past any machines an earlier shrink retired
-  there), and ``add_machine`` / ``remove_machine`` delta-update
-  ``_total_slots``, the O(1) live machine count and the Fenwick
-  :class:`~repro.cluster.index.ClusterIndex`;
-* a centralized shrink makes one O(live copies) pass that buckets the
-  running copies of every retiring machine, then kills and requeues
-  per machine;
-* the decentralized plane keeps no cluster: its probe pool is extended
-  or truncated in O(Δ) — it is the ascending list of live workers, and
-  a shrink retires its tail;
-* blacklist eviction and probation reinstatement change the same
-  membership by the same kind of delta: one flag, the totals and one
-  index bit (``Cluster.apply_blacklist``), or one id bisected out of or
-  into the probe pool; on each plane a shrink and an eviction share one
-  kill→requeue helper;
+* :meth:`~repro.cluster.membership.Membership.machines_to_retire` picks
+  a shrink's victims walking down from the highest id (past any machines
+  an earlier shrink retired there), clamped to ``min_machines``;
+* each machine added, retired, evicted or reinstated changes one state
+  byte and the live totals, plus one Fenwick update of the centralized
+  :class:`~repro.cluster.index.ClusterIndex` or one id of the
+  decentralized probe pool: O(Δ·log machines) in all;
+* a shrink and an eviction share one kill→requeue teardown; on the
+  centralized plane it finds every leaving machine's copies in one
+  O(live copies) walk;
 * the :class:`~repro.core.incremental.IncrementalAllocator` floors memo
   invalidates through its existing ``(membership_version, total_slots)``
   key with no new hooks.
@@ -44,7 +39,7 @@ wholesale rebuild or rescan on the resize path:
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.obs import Obs
 
@@ -170,24 +165,21 @@ class ReactiveAutoscaler(AutoscalerPolicy):
 class ElasticController:
     """Drives one plane's cluster membership from an autoscaler policy.
 
-    The plane supplies two mutation callbacks — ``add_machines(count)``
-    and ``remove_machines(count)``, each returning how many machines
-    actually changed after clamping (e.g. to ``policy.min_machines``) —
-    plus live ``busy_slots``/``total_slots`` readers for the reactive
-    policy. Sampling is demand-armed exactly like the planes' recurring
-    speculation checks: the periodic event re-arms only while
-    ``keep_sampling()`` holds (jobs are active), so idle runs drain the
-    engine heap and terminate.
+    The controller keeps no reference to its plane: the plane passes
+    itself to :meth:`prime` and :meth:`ensure_sampling`, and each engine
+    event carries it on. A plane provides ``_autoscale_add(count)`` and
+    ``_autoscale_remove(count)``, each returning how many machines
+    actually changed after clamping (e.g. to ``policy.min_machines``),
+    plus ``busy_slots``, ``members.total_slots`` and ``_active_jobs``
+    for the reactive policy. Sampling is demand-armed exactly like the
+    planes' recurring speculation checks: the periodic event re-arms
+    only while the plane has active jobs, so idle runs drain the engine
+    heap and terminate.
     """
 
     __slots__ = (
         "engine",
         "policy",
-        "_add",
-        "_remove",
-        "_busy_slots",
-        "_total_slots",
-        "_keep_sampling",
         "_sample_armed",
         "obs",
         "resizes_applied",
@@ -196,68 +188,52 @@ class ElasticController:
     )
 
     def __init__(
-        self,
-        engine,
-        policy: AutoscalerPolicy,
-        add_machines: Callable[[int], int],
-        remove_machines: Callable[[int], int],
-        busy_slots: Callable[[], int],
-        total_slots: Callable[[], int],
-        keep_sampling: Callable[[], bool],
-        obs: Optional[Obs] = None,
+        self, engine, policy: AutoscalerPolicy, obs: Optional[Obs] = None
     ) -> None:
         self.engine = engine
         self.policy = policy
-        self._add = add_machines
-        self._remove = remove_machines
-        self._busy_slots = busy_slots
-        self._total_slots = total_slots
-        self._keep_sampling = keep_sampling
         self._sample_armed = False
         self.obs = obs
         self.resizes_applied = 0
         self.machines_added = 0
         self.machines_removed = 0
 
-    def prime(self) -> None:
+    def prime(self, plane) -> None:
         """Schedule the policy's known-in-advance resizes (call once,
         after the plane's ``run()`` has reset its cluster state)."""
         for time, delta in self.policy.initial_events():
-            self.engine.schedule_at(time, self._on_resize_event, delta)
-        self.ensure_sampling()
+            self.engine.schedule_at(time, self._apply, plane, delta)
+        self.ensure_sampling(plane)
 
-    def ensure_sampling(self) -> None:
+    def ensure_sampling(self, plane) -> None:
         """(Re-)arm the periodic utilization sample if the policy wants
         one and demand exists. Planes call this on every job admission."""
         if self.policy.sample_interval is None or self._sample_armed:
             return
-        if not self._keep_sampling():
+        if not plane._active_jobs:
             return
         self._sample_armed = True
-        self.engine.schedule(self.policy.sample_interval, self._on_sample)
+        self.engine.schedule(self.policy.sample_interval, self._on_sample, plane)
 
-    def _on_sample(self) -> None:
+    def _on_sample(self, plane) -> None:
         self._sample_armed = False
-        if not self._keep_sampling():
+        if not plane._active_jobs:
             return
         delta = self.policy.decide(
-            self.engine.now, self._busy_slots(), self._total_slots()
+            self.engine.now, plane.busy_slots, plane.members.total_slots
         )
         if delta:
-            self._apply(delta)
-        self.ensure_sampling()
+            self._apply(plane, delta)
+        self.ensure_sampling(plane)
 
-    def _on_resize_event(self, delta: int) -> None:
-        self._apply(delta)
-
-    def _apply(self, delta: int) -> None:
+    def _apply(self, plane, delta: int) -> None:
         if delta > 0:
-            applied = self._add(delta)
+            applied = plane._autoscale_add(delta)
             kind = "add_machine"
             counter = "elastic.machines_added"
             self.machines_added += applied
         else:
-            applied = self._remove(-delta)
+            applied = plane._autoscale_remove(-delta)
             kind = "remove_machine"
             counter = "elastic.machines_removed"
             self.machines_removed += applied
@@ -274,5 +250,5 @@ class ElasticController:
                     kind,
                     self.engine.now,
                     machines=applied,
-                    total_slots=self._total_slots(),
+                    total_slots=plane.members.total_slots,
                 )

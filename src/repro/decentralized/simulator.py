@@ -26,31 +26,30 @@ Scale-out notes (10k+-slot clusters):
 
 Membership is kept as worker ids, none of it a cluster model (the
 plane never acquires a slot on one, so it keeps none). An idle worker
-costs its store slot, its pool entry and its flag byte, about 20 bytes:
+costs its store slot, its state byte and its pool entry, about 20
+bytes:
 
 * the worker store ``workers`` holds ``None`` for every id nothing has
   addressed yet; :meth:`DecentralizedSimulator.worker` creates the
-  :class:`~repro.decentralized.worker.Worker` on first contact (a probe
-  sample, an eviction or a reinstatement). Each one carries ``evicted``
-  (blacklisted or retired: no queueing, no episodes);
-* a ``bytearray`` of retired flags marks the ids an autoscaler shrink
-  removed: permanently, unlike a blacklist eviction, which probation
-  may undo, and whether or not their worker exists;
-* the probe sample pool is an ``array('l')`` of the ascending ids of
-  live, non-blacklisted workers. Growth appends to it; a shrink retires
-  its top ids; an eviction deletes one id and a reinstatement inserts
-  it back, both found by bisection. Live capacity and the schedulers'
-  ε-fair floors follow the pool's length.
+  :class:`~repro.decentralized.worker.Worker` on first contact;
+* ``members`` is the shared :class:`~repro.cluster.membership.Membership`
+  (one state byte per id, blacklisted and retired bits, and the live
+  totals), whether or not the worker exists. A worker whose byte is set
+  queues no requests and declines binds;
+* the probe sample pool, ``members.ids``, is an ``array('l')`` of the
+  ascending live ids. Growth appends to it; a shrink retires its top
+  ids; an eviction deletes one id and a reinstatement inserts it back,
+  each found by bisection.
 
-Blacklisting (§2.2): an optional
-:class:`~repro.cluster.policy.BlacklistPolicy` observes copy
-completions and keeps the only record of which workers are evicted.
-Eviction marks the worker evicted, drops its queued requests, removes
-its id from the probe sample pool and kills its running copies through
-the ledger (requeueing originals whose last copy died, with a fresh
-probe each), the same teardown a shrink uses. With no policy (the
-default) the probe/launch path is untouched and replays are
-bit-identical.
+Blacklisting (§2.2) and elastic resizes run the membership sequence
+both planes share (:class:`~repro.cluster.membership.MembershipPlane`):
+an optional :class:`~repro.cluster.policy.BlacklistPolicy` observes copy
+completions and keeps the only strike record. An eviction or a shrink
+flags the workers and drops them from the pool, resizes the schedulers'
+ε-fair floors, then drops the workers' queued requests and kills their
+running copies through the ledger, requeueing each task whose last copy
+died with a fresh probe. With no policy (the default) the probe/launch
+path is untouched.
 """
 
 from __future__ import annotations
@@ -60,7 +59,8 @@ from bisect import bisect_left, insort
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cluster.elastic import AutoscalerPolicy, ElasticController
-from repro.cluster.policy import BlacklistPolicy, evaluate_completion
+from repro.cluster.membership import Membership, MembershipPlane
+from repro.cluster.policy import BlacklistPolicy
 from repro.decentralized.config import DecentralizedConfig
 from repro.decentralized.scheduler import SchedulerAgent, SchedulerJob
 from repro.decentralized.worker import Worker
@@ -79,7 +79,45 @@ from repro.workload.task import Task
 from repro.workload.traces import Trace
 
 
-class DecentralizedSimulator:
+class _ProbePool(Membership):
+    """Worker membership plus ``ids``, the ascending live worker ids the
+    probe sampler draws from (``rng.sample`` picks by index, so an array
+    of ids draws the same ids as a list of the same workers)."""
+
+    __slots__ = ("ids",)
+
+    def __init__(self, num_workers: int, slots_per_worker: int) -> None:
+        super().__init__(num_workers, slots_per_worker)
+        self.ids = array("l", range(num_workers))
+
+    def add_machine(self, count: int = 1) -> int:
+        worker_id = super().add_machine(count)
+        self.ids.extend(range(worker_id, worker_id + count))
+        return worker_id
+
+    def remove_machine(self, *worker_ids: int) -> List[int]:
+        left = super().remove_machine(*worker_ids)
+        ids = self.ids
+        cut = len(ids) - len(left)
+        if ids[cut:].tolist() == left[::-1]:
+            # A shrink retires the highest live ids, highest first: the
+            # pool's tail, cut in one slice.
+            del ids[cut:]
+        else:
+            for worker_id in left:
+                del ids[bisect_left(ids, worker_id)]
+        return left
+
+    def apply_blacklist(self, worker_id: int, blacklisted: bool) -> bool:
+        flipped = super().apply_blacklist(worker_id, blacklisted)
+        if flipped and blacklisted:
+            del self.ids[bisect_left(self.ids, worker_id)]
+        elif flipped:
+            insort(self.ids, worker_id)
+        return flipped
+
+
+class DecentralizedSimulator(MembershipPlane):
     """Simulates a trace under a decentralized scheduling policy.
 
     Parameters
@@ -110,10 +148,6 @@ class DecentralizedSimulator:
         autoscaler: Optional[AutoscalerPolicy] = None,
         obs: Optional[Obs] = None,
     ) -> None:
-        if num_workers <= 0:
-            raise ValueError("num_workers must be positive")
-        if slots_per_worker <= 0:
-            raise ValueError("slots_per_worker must be positive")
         self.config = config or DecentralizedConfig()
         # Read by every worker's episode step (see Worker).
         self._worker_policy = self.config.worker_policy
@@ -140,10 +174,11 @@ class DecentralizedSimulator:
             network_rate=self.config.network_rate
         )
 
-        # Worker store (see module docs): None until first contact.
+        # Worker store and membership (see module docs). Workers read
+        # their state byte through _member_state.
+        self.members = _ProbePool(num_workers, slots_per_worker)
+        self._member_state = self.members.state
         self.workers: List[Optional[Worker]] = [None] * num_workers
-        self._retired = bytearray(num_workers)
-        self.total_slots = num_workers * slots_per_worker
         # Copies running fleet-wide, kept by Worker.bind_copy/release_copy.
         self.busy_slots = 0
         self.schedulers: List[SchedulerAgent] = [
@@ -165,26 +200,18 @@ class DecentralizedSimulator:
         self._open_batch_time = 0.0
         self._open_batch_seq = -1
         self._metrics_result = self.metrics.result
-        # Membership (see module docs). rng.sample picks by index, so an
-        # array of ids draws the same ids as a list of the same workers.
         # Without a blacklist policy the hot paths pay one None check.
         self.blacklist_policy = blacklist_policy
-        self._slots_per_worker = slots_per_worker
-        self._sample_pool = array("l", range(num_workers))
         self._power_of_d = self.config.power_of_d
-        self._autoscaler = autoscaler
         self._elastic: Optional[ElasticController] = None
         if autoscaler is not None:
-            self._elastic = ElasticController(
-                engine=self.sim,
-                policy=autoscaler,
-                add_machines=self._autoscale_add,
-                remove_machines=self._autoscale_remove,
-                busy_slots=lambda: self.busy_slots,
-                total_slots=lambda: self.total_slots,
-                keep_sampling=lambda: self._active_jobs > 0,
-                obs=obs,
-            )
+            self._elastic = ElasticController(self.sim, autoscaler, obs)
+
+    @property
+    def total_slots(self) -> int:
+        """Live capacity: retired and blacklisted workers do not count
+        (the serving driver's utilization sampler reads it)."""
+        return self.members.total_slots
 
     # -- plumbing ----------------------------------------------------------
 
@@ -240,18 +267,15 @@ class DecentralizedSimulator:
             fn(*args)
 
     def worker(self, worker_id: int) -> Worker:
-        """The worker with ``worker_id``, created on first contact. A
-        worker first addressed after its id was retired starts evicted."""
+        """The worker with ``worker_id``, created on first contact."""
         worker = self.workers[worker_id]
         if worker is None:
-            worker = Worker(worker_id, self._slots_per_worker, self)
-            if self._retired[worker_id]:
-                worker.evicted = True
+            worker = Worker(worker_id, self.members.slots_per_machine, self)
             self.workers[worker_id] = worker
         return worker
 
     def sample_workers(self, count: int) -> List[Worker]:
-        """Sample ``count`` distinct non-evicted workers (all, if fewer).
+        """Sample ``count`` distinct live workers (all, if fewer).
 
         With ``power_of_d == 1`` (the default) this is plain uniform
         sampling over the pool of ids. With ``power_of_d > 1`` the
@@ -260,7 +284,7 @@ class DecentralizedSimulator:
         a worker not yet created; ties keep the draw order, so the
         choice is deterministic given the draw).
         """
-        pool = self._sample_pool
+        pool = self.members.ids
         workers = self.workers
         if count >= len(pool):
             ids = pool
@@ -334,7 +358,7 @@ class DecentralizedSimulator:
             absolute=True,
         )
         if self._elastic is not None:
-            self._elastic.prime()
+            self._elastic.prime(self)
         self.sim.run(until=until)
         self._finalize_diagnostics()
         return self.metrics.result
@@ -363,7 +387,7 @@ class DecentralizedSimulator:
         scheduler.submit_job(job)
         self._ensure_spec_check()
         if self._elastic is not None:
-            self._elastic.ensure_sampling()
+            self._elastic.ensure_sampling(self)
 
     def _ensure_spec_check(self) -> None:
         if self._spec_check_scheduled or self._active_jobs == 0:
@@ -387,10 +411,10 @@ class DecentralizedSimulator:
         """Bind an accepted task to the worker's slot and run it."""
         scheduler = self._owner.get(task.job_id)
         sj = scheduler.jobs.get(task.job_id) if scheduler else None
-        if worker.evicted:
-            # The accept raced the eviction: decline the bind, release
-            # the eager occupancy reservation, and requeue a task that
-            # has no live copy left to carry it.
+        if self._member_state[worker.worker_id]:
+            # The accept raced an eviction or a retirement: decline the
+            # bind, release the eager occupancy reservation, and requeue
+            # a task that has no live copy left to carry it.
             if sj is not None:
                 sj.mark_changed()
                 scheduler.on_copy_gone(sj)
@@ -444,20 +468,15 @@ class DecentralizedSimulator:
             siblings = self.ledger.finish_task(sj.view, copy)
             scheduler.on_task_finished(sj, task)
             for sibling in siblings:
-                self._kill_copy(sibling, scheduler, sj)
+                self._kill_copy(sibling, sj)
             if sj.job.is_complete:
                 self._complete_job(scheduler, sj)
         if self.blacklist_policy is not None:
             self._observe_blacklist(copy, sj)
 
-    def _kill_copy(
-        self,
-        copy: TaskCopy,
-        scheduler: SchedulerAgent,
-        sj: SchedulerJob,
-    ) -> None:
+    def _kill_copy(self, copy: TaskCopy, sj: SchedulerJob) -> None:
         self.ledger.kill(copy, sj)
-        scheduler.on_copy_gone(sj)
+        self.schedulers[sj.gossip.scheduler_id].on_copy_gone(sj)
         # The kill travels to the worker as a control message.
         self.metrics.record_message()
         self.workers[copy.machine_id].release_copy(copy)
@@ -470,108 +489,37 @@ class DecentralizedSimulator:
         self._owner.pop(job.job_id, None)
         self._active_jobs -= 1
 
-    # -- blacklisting (probe/launch path) ------------------------------------
+    # -- membership hooks (see MembershipPlane) -------------------------------
 
-    def _observe_blacklist(self, copy: TaskCopy, sj: SchedulerJob) -> None:
-        """Feed one completion to the eviction policy and act on it."""
-        obs = self.obs
-        if obs is None:
-            reinstated, evict = evaluate_completion(
-                self.blacklist_policy, self.sim.now, copy, sj.view
-            )
-        else:
-            with obs.timers.phase("policy.evaluate_completion"):
-                reinstated, evict = evaluate_completion(
-                    self.blacklist_policy, self.sim.now, copy, sj.view
-                )
-        for worker_id in reinstated:
-            self._reinstate_worker(worker_id)
-        if evict is not None:
-            self._evict_worker(evict)
-
-    def _evict_worker(self, worker_id: int) -> None:
-        """Blacklist a worker mid-run: drop it from the probe pool, kill
-        its running copies, and requeue tasks whose last copy died."""
-        victims = self.worker(worker_id).evict()
-        # Pool update BEFORE requeueing, so the replacement probes sent
-        # below can never target the worker being evicted.
-        pool = self._sample_pool
-        del pool[bisect_left(pool, worker_id)]
-        self._sync_capacity()
-        self._kill_victims(victims)
-        self.metrics.record_eviction()
-        obs = self.obs
-        if obs is not None:
-            obs.counters.inc("blacklist.evictions")
-            if obs.tracer is not None:
-                obs.tracer.instant(
-                    "blacklist", "evict", self.sim.now, machine=worker_id,
-                    victims=len(victims),
-                )
-
-    def _reinstate_worker(self, worker_id: int) -> None:
-        """Probation served: the worker rejoins the probe pool. A shrink
-        retires only pool ids, so an evicted worker is never retired."""
-        self.worker(worker_id).reinstate()
-        insort(self._sample_pool, worker_id)
-        self._sync_capacity()
-        self.metrics.record_reinstatement()
-        obs = self.obs
-        if obs is not None:
-            obs.counters.inc("blacklist.reinstatements")
-            if obs.tracer is not None:
-                obs.tracer.instant(
-                    "blacklist", "reinstate", self.sim.now, machine=worker_id
-                )
-
-    def _kill_victims(self, victims: List[TaskCopy]) -> None:
-        """Kill ``victims``, the running copies of workers that just left
-        the pool, then requeue each task whose last copy died (with a
-        fresh probe) — the teardown eviction and shrink share."""
-        orphaned: List[Tuple[SchedulerAgent, SchedulerJob, Task]] = []
-        for copy in victims:
-            scheduler = self._owner.get(copy.task.job_id)
-            sj = scheduler.jobs.get(copy.task.job_id) if scheduler else None
-            if sj is None:
+    def _running_copies(self, worker_ids) -> List[List[tuple]]:
+        """The ``(copy, job)`` pairs running on each of ``worker_ids``
+        that has a worker, which also drops its queued requests."""
+        groups = []
+        workers = self.workers
+        owner = self._owner
+        for worker_id in worker_ids:
+            worker = workers[worker_id]
+            if worker is None:
                 continue
-            self._kill_copy(copy, scheduler, sj)
-            if not copy.task.is_finished:
-                orphaned.append((scheduler, sj, copy.task))
-        for scheduler, sj, task in orphaned:
-            # A task whose ONLY live copy died here is requeued even if
-            # that copy was speculative — e.g. its original fell to an
-            # earlier eviction while the speculative sibling carried it.
-            if sj.view.num_live_copies(task) == 0:
-                scheduler.requeue_task(sj, task)
+            victims = []
+            for copy in worker.vacate():
+                scheduler = owner.get(copy.task.job_id)
+                sj = scheduler.jobs.get(copy.task.job_id) if scheduler else None
+                if sj is not None:
+                    victims.append((copy, sj))
+            groups.append(victims)
+        return groups
 
-    def _sync_capacity(self) -> None:
-        """Live capacity follows the probe pool's length; keep it current
-        (the serving driver's utilization sampler reads it, so it never
-        counts evicted or retired workers) and resize the schedulers'
-        ε-fair floors."""
-        total = len(self._sample_pool) * self._slots_per_worker
-        self.total_slots = total
+    def _requeue(self, task: Task, sj: SchedulerJob) -> None:
+        self.schedulers[sj.gossip.scheduler_id].requeue_task(sj, task)
+
+    def _refresh_membership(self) -> None:
+        """Resize the schedulers' ε-fair floors to live capacity."""
+        total = self.members.total_slots
         for scheduler in self.schedulers:
             scheduler.on_cluster_resize(total)
 
     # -- elastic membership (autoscaler resizes) ------------------------------
-
-    def _refresh_membership(self, delta: int) -> None:
-        """Update the probe pool for an autoscaler resize of ``delta``
-        workers, in O(|delta|).
-
-        The probe pool is always the ascending ids of live,
-        non-blacklisted workers. Growth appends ids above all of them; a
-        shrink retires the highest live, non-blacklisted ids — exactly
-        the pool's tail. So the pool is extended or truncated, never
-        rebuilt."""
-        pool = self._sample_pool
-        if delta > 0:
-            size = len(self.workers)
-            pool.extend(range(size - delta, size))
-        else:
-            del pool[delta:]
-        self._sync_capacity()
 
     def _autoscale_add(self, count: int) -> int:
         """ADD_MACHINE: grow the worker set. New workers take fresh ids
@@ -579,34 +527,11 @@ class DecentralizedSimulator:
         the probe sample pool immediately; none is created until first
         contact."""
         self.workers.extend([None] * count)
-        self._retired.extend(bytes(count))
-        self._refresh_membership(count)
+        self.members.add_machine(count)
+        self._refresh_membership()
         return count
 
     def _autoscale_remove(self, count: int) -> int:
         """REMOVE_MACHINE: retire up to ``count`` workers (highest live
-        ids first) through the eviction teardown — kill running copies,
-        requeue originals whose last copy died with a fresh probe each —
-        but via machine *retirement*, which no reinstatement can undo.
-        Clamped so at least ``min_machines`` workers stay live.
-
-        The pool holds the ascending ids of live, non-blacklisted
-        workers, so the victims are its top ``count`` entries, highest
-        id first. Only workers that exist have anything to tear down."""
-        pool = self._sample_pool
-        count = min(count, len(pool) - max(1, self._autoscaler.min_machines))
-        if count <= 0:
-            return 0
-        workers = self.workers
-        retired = self._retired
-        victims: List[TaskCopy] = []
-        for worker_id in pool[: -count - 1 : -1]:
-            retired[worker_id] = 1
-            worker = workers[worker_id]
-            if worker is not None:
-                victims += worker.evict()
-        # Pool update BEFORE requeueing (as in eviction), so the
-        # replacement probes can never target a retired worker.
-        self._refresh_membership(-count)
-        self._kill_victims(victims)
-        return count
+        ids first, the pool's tail) through the eviction teardown."""
+        return self._retire(count)

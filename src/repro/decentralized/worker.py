@@ -63,7 +63,6 @@ class Worker:
         "busy_slots",
         "pending_episodes",
         "running",
-        "evicted",
     )
 
     def __init__(
@@ -79,7 +78,6 @@ class Worker:
         self.busy_slots = 0
         self.pending_episodes = 0  # episodes awaiting a scheduler reply
         self.running: List[TaskCopy] = []
-        self.evicted = False  # blacklisted or retired; no queueing/episodes
         # Simulator-wide config and the drop accounting (requests that
         # can never be honoured are counted instead of vanishing) are
         # read from ``sim``, not copied onto every worker.
@@ -124,16 +122,16 @@ class Worker:
         if sim._counters is not None:
             sim._counters.inc("probe.consumed")
 
-    def evict(self) -> List[TaskCopy]:
-        """Blacklist this worker mid-run (the §2.2 eviction path).
-
-        Stops future episodes, drops every queued reservation request
-        (keeping the per-job request index consistent), and returns the
-        running copies for the simulator to kill and reschedule. An
-        in-flight slot offer may still come back as an accept; the
-        simulator declines it at bind time (see ``start_copy``).
+    def vacate(self) -> List[TaskCopy]:
+        """The worker just left membership (evicted or retired): drop
+        every queued reservation request (keeping the per-job request
+        index consistent) and return the running copies for the
+        simulator to kill and reschedule. Its state byte now refuses
+        new requests, so its queue stays empty and it starts no
+        episode. An in-flight slot offer may still come back as an
+        accept; the simulator declines it at bind time (see
+        ``start_copy``).
         """
-        self.evicted = True
         sim = self.sim
         for request in self.queue:
             sim.note_requests_removed(request.job_id, self.worker_id)
@@ -145,18 +143,14 @@ class Worker:
             self.queue.clear()
         return list(self.running)
 
-    def reinstate(self) -> None:
-        """Probation served: the worker may queue requests again."""
-        self.evicted = False
-
     # -- protocol ----------------------------------------------------------
 
     def on_request(self, request: Request) -> None:
         """A reservation request arrives (after network delay)."""
         sim = self.sim
         counters = sim._counters
-        if self.evicted:
-            # Raced the eviction: the probe is lost — but counted.
+        if sim._member_state[self.worker_id]:
+            # Raced the eviction or retirement: the probe is lost — but counted.
             sim._metrics_result.requests_dropped += 1
             if counters is not None:
                 counters.inc("probe.dropped")
@@ -177,8 +171,7 @@ class Worker:
         self.maybe_start_episode()
 
     def maybe_start_episode(self) -> None:
-        if self.evicted:
-            return
+        # A worker that is not live has an empty queue (see vacate).
         if self.num_slots - self.busy_slots - self.pending_episodes <= 0:
             return
         if not self.queue:

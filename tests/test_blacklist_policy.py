@@ -12,9 +12,9 @@ import json
 
 import pytest
 
-from repro.centralized import simulator as centralized_simulator
+from repro.cluster import membership
+from repro.cluster.membership import BLACKLISTED
 from repro.cluster.policy import BlacklistPolicy, StrikeBlacklistPolicy
-from repro.decentralized import simulator as decentralized_simulator
 from repro.metrics.serialize import result_to_dict
 from repro.obs import OBS_ENV
 from repro.simulation.rng import RandomSource
@@ -228,11 +228,7 @@ def test_flaky_busy_slot_share_monotonically_drops(plane):
     model, ledger, simulator = run(_strikes_policy(
         QUICK.total_slots // 4 if plane == "centralized" else QUICK.total_slots
     ))
-    policy = (
-        simulator._blacklist_policy
-        if plane == "centralized"
-        else simulator.blacklist_policy
-    )
+    policy = simulator.blacklist_policy
     assert policy.evictions, "no evictions fired"
     # Evictions are precise: most victims are genuinely flaky machines.
     evicted = [machine_id for _, machine_id in policy.evictions]
@@ -270,13 +266,13 @@ def test_armed_policy_without_stragglers_stays_idle(plane, monkeypatch):
     evicts nothing, and the result equals the policy-off run."""
     monkeypatch.delenv(OBS_ENV, raising=False)
     calls = collections.Counter()
-    # The batch plane runs the centralized simulator's completion path.
-    for module in (centralized_simulator, decentralized_simulator):
-        monkeypatch.setattr(
-            module,
-            "evaluate_completion",
-            _counted(calls, "evaluate", module.evaluate_completion),
-        )
+    # Every plane observes completions through the shared membership
+    # sequence.
+    monkeypatch.setattr(
+        membership,
+        "evaluate_completion",
+        _counted(calls, "evaluate", membership.evaluate_completion),
+    )
     monkeypatch.setattr(
         StrikeBlacklistPolicy,
         "observe_completion",
@@ -336,11 +332,11 @@ def test_eviction_requeues_speculative_orphans():
     simulator.start_copy(simulator.worker(0), task, False)
     simulator.start_copy(simulator.worker(1), task, True)
 
-    simulator._evict_worker(0)  # original dies; spec sibling carries it
+    simulator._evict_machine(0)  # original dies; spec sibling carries it
     assert task.task_id not in sj.pending_ids
     assert sj.view.num_live_copies(task) == 1
 
-    simulator._evict_worker(1)  # speculative orphan: must requeue
+    simulator._evict_machine(1)  # speculative orphan: must requeue
     assert sj.view.num_live_copies(task) == 0
     assert task.task_id in sj.pending_ids
 
@@ -352,7 +348,7 @@ def test_raced_accept_on_evicted_worker_requeues_orphans():
     simulator, scheduler, sj = _direct_decentralized_sim()
     task = sj.pop_pending()
     sj.occupied += 1
-    simulator.worker(2).evict()
+    simulator._evict_machine(2)
     simulator.start_copy(simulator.worker(2), task, True)
     assert sj.view.num_live_copies(task) == 0
     assert task.task_id in sj.pending_ids
@@ -372,11 +368,11 @@ def test_requeue_probes_skip_the_evicted_worker():
     original = simulator.sample_workers
 
     def spying_sample(count):
-        pools.append(set(simulator._sample_pool))
+        pools.append(set(simulator.members.ids))
         return original(count)
 
     simulator.sample_workers = spying_sample
-    simulator._evict_worker(3)
+    simulator._evict_machine(3)
     assert task.task_id in sj.pending_ids
     assert pools, "requeue sent no probes"
     assert all(3 not in pool for pool in pools)
@@ -432,8 +428,8 @@ def test_probation_reinstates_machines_end_to_end():
     worker_ids = range(len(simulator.workers))
     for worker_id in worker_ids:
         expected = worker_id in policy.evicted_machines
-        assert simulator.worker(worker_id).evicted == expected
-    pool_ids = set(simulator._sample_pool)
+        assert simulator.members.state[worker_id] == (BLACKLISTED if expected else 0)
+    pool_ids = set(simulator.members.ids)
     assert pool_ids == {
         worker_id
         for worker_id in worker_ids

@@ -13,6 +13,7 @@ import pytest
 from repro.cluster.blacklist import Blacklist
 from repro.cluster.cluster import Cluster
 from repro.cluster.index import ClusterIndex
+from repro.cluster.membership import BLACKLISTED
 
 
 def _assert_index_matches_scan(cluster: Cluster) -> None:
@@ -24,12 +25,9 @@ def _assert_index_matches_scan(cluster: Cluster) -> None:
     for k, machine_id in enumerate(scan_free):
         assert index.nth_free_machine(k) == machine_id
     assert index.first_free_machine() == (scan_free[0] if scan_free else None)
-    assert cluster.total_slots == sum(
-        num_slots
-        for num_slots, blacklisted in zip(cluster.slots, cluster.blacklisted)
-        if not blacklisted
-    )
-    assert cluster.live_machine_count() == cluster.blacklisted.count(0)
+    live = cluster.state.count(0)
+    assert cluster.total_slots == live * cluster.slots_per_machine
+    assert cluster.live_machine_count() == live
     assert cluster.free_slots == cluster.total_slots - cluster.busy_slots
 
 
@@ -85,7 +83,8 @@ def test_randomized_sequences_with_blacklisting(seed):
             flag = rng.random() < 0.5
             # Blacklisting a machine with busy slots would strand them;
             # flip it on an idle cluster (the simulators kill first).
-            if cluster.busy_slots == 0 and cluster.blacklisted[victim] != flag:
+            blacklisted = bool(cluster.state[victim] & BLACKLISTED)
+            if cluster.busy_slots == 0 and blacklisted != flag:
                 cluster.apply_blacklist(victim, flag)
         else:
             free_ids = cluster.index.free_machine_ids()

@@ -352,7 +352,7 @@ def test_scheduler_memos_match_fresh_values_after_every_event(
         absolute=True,
     )
     if sim._elastic is not None:
-        sim._elastic.prime()
+        sim._elastic.prime(sim)
     events = demands = sizes = 0
     while sim.sim.pending_events:
         sim.sim.run(max_events=1)

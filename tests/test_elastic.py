@@ -20,12 +20,14 @@ The hard constraints under test:
   the decentralized probe and in the windowed aggregator.
 """
 
+import gc
 import json
 import random
 
 import pytest
 
 from repro.centralized.policies import HopperPolicy
+from repro.centralized.simulator import CentralizedSimulator
 from repro.cluster.cluster import Cluster
 from repro.cluster.elastic import (
     ReactiveAutoscaler,
@@ -33,8 +35,10 @@ from repro.cluster.elastic import (
     parse_resize_schedule,
 )
 from repro.cluster.index import ClusterIndex
+from repro.cluster.membership import BLACKLISTED, RETIRED, Membership
 from repro.core.allocation import JobAllocationState
 from repro.core.incremental import IncrementalAllocator
+from repro.decentralized.simulator import _ProbePool
 from repro.experiments.harness import (
     WorkloadSpec,
     build_centralized_simulator,
@@ -90,8 +94,22 @@ def test_reactive_autoscaler_validates_and_decides():
 # -- membership deltas vs from-scratch rebuild -------------------------------
 
 
-def _assert_matches_rebuild(cluster: Cluster) -> None:
-    """Index and totals must equal what a wholesale recompute reports."""
+def _live_ids(members: Membership) -> list:
+    """From-scratch rescan of a membership: the live ids, ascending."""
+    return [m for m, state in enumerate(members.state) if not state]
+
+
+def _assert_totals_match_rescan(members: Membership) -> list:
+    """The live count and ``total_slots`` equal a rescan of the state
+    bytes; returns the live ids."""
+    live = _live_ids(members)
+    slots = len(live) * members.slots_per_machine
+    assert (members.live, members.total_slots) == (len(live), slots)
+    return live
+
+
+def _assert_index_matches_rebuild(cluster: Cluster) -> None:
+    """The index equals one rebuilt from a scan of the columns."""
     rebuilt = ClusterIndex(cluster.free_bits())
     index = cluster.index
     assert len(index) == cluster.num_machines
@@ -100,27 +118,23 @@ def _assert_matches_rebuild(cluster: Cluster) -> None:
     for k in range(rebuilt.free_machine_count):
         assert index.nth_free_machine(k) == rebuilt.nth_free_machine(k)
     assert index.first_free_machine() == rebuilt.first_free_machine()
-    assert (cluster.total_slots, cluster.live_machine_count()) == _scan_live(cluster)
 
 
-def _scan_live(cluster: Cluster):
-    """``(total_slots, live machines)`` rescanned from the columns."""
-    live = [
-        num_slots
-        for num_slots, blacklisted, retired in zip(
-            cluster.slots, cluster.blacklisted, cluster.retired
-        )
-        if not blacklisted and not retired
-    ]
-    return sum(live), len(live)
+def _assert_matches_rebuild(cluster: Cluster) -> None:
+    """Index and totals must equal what a wholesale recompute reports."""
+    _assert_index_matches_rebuild(cluster)
+    live = _assert_totals_match_rescan(cluster)
+    assert cluster.live_machine_count() == len(live)
 
 
 def test_add_machine_appends_fresh_id():
     cluster = Cluster(num_machines=3, slots_per_machine=2)
     machine_id = cluster.add_machine()
     assert machine_id == 3
-    assert cluster.slots[machine_id] == 2  # defaults from the existing fleet
     assert cluster.total_slots == 8
+    _assert_matches_rebuild(cluster)
+    assert cluster.add_machine(2) == 4  # the first of two fresh ids
+    assert cluster.total_slots == 12
     _assert_matches_rebuild(cluster)
 
 
@@ -152,13 +166,9 @@ def test_randomized_membership_and_slot_traffic(seed):
     busy = []  # machine ids holding a slot we acquired
     for _ in range(250):
         op = rng.random()
-        live = [
-            m
-            for m in range(cluster.num_machines)
-            if not cluster.retired[m] and not cluster.blacklisted[m]
-        ]
+        live = _live_ids(cluster)
         if op < 0.15:
-            cluster.add_machine(num_slots=rng.randint(1, 3))
+            cluster.add_machine(rng.randint(1, 3))
         elif op < 0.30 and len(live) > 1:
             cluster.remove_machine(rng.choice(live))
         elif op < 0.65 and cluster.index.free_machine_count:
@@ -173,46 +183,71 @@ def test_randomized_membership_and_slot_traffic(seed):
         _assert_matches_rebuild(cluster)
 
 
-def _reference_retire(cluster: Cluster, count: int, min_machines: int):
+def _reference_retire(members: Membership, count: int, min_machines: int):
     """The original selection: rescan the live count, then walk the
     whole fleet from the top skipping retired/blacklisted machines."""
-    live = sum(
-        1 for r, b in zip(cluster.retired, cluster.blacklisted) if not r and not b
-    )
-    count = min(count, live - max(1, min_machines))
-    chosen = []
-    for machine_id in reversed(range(cluster.num_machines)):
-        if len(chosen) >= count:
-            break
-        if not cluster.retired[machine_id] and not cluster.blacklisted[machine_id]:
-            chosen.append(machine_id)
-    return chosen
+    live = _live_ids(members)
+    count = min(count, len(live) - max(1, min_machines))
+    return live[::-1][: max(0, count)]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_machines_to_retire_matches_full_walk(seed):
     """Shrink selection clamps on the O(1) live count, yet must pick
-    exactly what a rescan plus a full reversed walk picks — through runs
-    of consecutive shrinks, growth and blacklist changes."""
+    exactly what a rescan plus a full reversed walk picks, through runs
+    of consecutive shrinks, growth, retirements anywhere in the fleet,
+    blacklisting and reinstatement. The shared membership type, the
+    cluster built on it and the decentralized probe pool run the same
+    operations side by side."""
     rng = random.Random(seed)
-    cluster = Cluster(num_machines=12, slots_per_machine=2)
+    fleets = (
+        Membership(12, 2),
+        Cluster(num_machines=12, slots_per_machine=2),
+        _ProbePool(12, 2),
+    )
+    members, cluster, pool = fleets
     for _ in range(300):
         op = rng.random()
         if op < 0.2:
-            cluster.add_machine()
-        elif op < 0.55:
+            for fleet in fleets:
+                fleet.add_machine()
+        elif op < 0.5:
             count = rng.randint(1, 4)
             floor = rng.randint(1, 3)
-            expected = _reference_retire(cluster, count, floor)
-            ids = cluster.machines_to_retire(count, floor)
-            assert ids == expected
-            for machine_id in ids:
-                cluster.remove_machine(machine_id)
+            expected = _reference_retire(members, count, floor)
+            for fleet in fleets:
+                ids = fleet.machines_to_retire(count, floor)
+                assert ids == expected
+                assert fleet.remove_machine(*ids) == ids
+        elif op < 0.6:
+            # Retire any machine not yet retired: a blacklisted one
+            # leaves no capacity behind, a live one leaves a hole the
+            # shrink walk must step over.
+            candidates = [m for m, s in enumerate(members.state) if not s & RETIRED]
+            if candidates:
+                target = rng.choice(candidates)
+                left = [] if members.state[target] else [target]
+                for fleet in fleets:
+                    assert fleet.remove_machine(target) == left
         else:
-            live = [m for m in range(cluster.num_machines) if not cluster.retired[m]]
-            target = rng.choice(live)
-            cluster.apply_blacklist(target, not cluster.blacklisted[target])
+            # Blacklist or reinstate any machine, retired ones included:
+            # only a machine that is not retired changes liveness.
+            blacklist = op < 0.8
+            candidates = [
+                m
+                for m, state in enumerate(members.state)
+                if bool(state & BLACKLISTED) != blacklist
+            ]
+            if candidates:
+                target = rng.choice(candidates)
+                flips = not members.state[target] & RETIRED
+                for fleet in fleets:
+                    assert fleet.apply_blacklist(target, blacklist) == flips
+        assert cluster.state == pool.state == members.state
+        live = _assert_totals_match_rescan(members)
         _assert_matches_rebuild(cluster)
+        _assert_totals_match_rescan(pool)
+        assert list(pool.ids) == live
 
 
 # -- floors memo invalidation ------------------------------------------------
@@ -514,64 +549,50 @@ def _random_schedule(rng: random.Random, max_step: int) -> str:
     return ",".join(entries)
 
 
-def _live_worker_ids(simulator, evicted) -> list:
-    """From-scratch rescan of decentralized membership: the ids of
-    workers neither retired nor ``evicted``, ascending."""
-    retired = simulator._retired
-    return [
-        worker_id
-        for worker_id in range(len(simulator.workers))
-        if not retired[worker_id] and worker_id not in evicted
-    ]
-
-
 def _busy_slots(simulator, worker_id: int) -> int:
     """Busy slots of a worker, 0 for one never created."""
     worker = simulator.workers[worker_id]
     return 0 if worker is None else worker.busy_slots
 
 
-def _assert_resize_invariants(simulator, plane: str, evicted) -> None:
-    """The delta-maintained membership equals a from-scratch rescan,
-    with ``evicted`` (the blacklist policy's record) as the reference
-    for which machines are blacklisted."""
-    if plane == "decentralized":
-        pool = simulator._sample_pool
-        assert list(pool) == _live_worker_ids(simulator, evicted)
-        for worker_id, w in enumerate(simulator.workers):
-            if w is None:
-                # Eviction creates the worker, so a blacklisted id exists.
-                assert worker_id not in evicted
-                continue
-            retired = bool(simulator._retired[worker_id])
-            assert w.evicted == (retired or worker_id in evicted)
-        assert simulator.total_slots == len(pool) * simulator._slots_per_worker
-        numerator = (1.0 - simulator.config.epsilon) * simulator.total_slots
-        for scheduler in simulator.schedulers:
-            assert scheduler._fair_numerator == numerator
-    else:
-        cluster = simulator.cluster
-        flagged = {m for m, flag in enumerate(cluster.blacklisted) if flag}
-        assert flagged == evicted
-        _assert_matches_rebuild(cluster)
-        assert simulator._total_slots == cluster.total_slots
+def _assert_resize_invariants(simulator, evicted) -> None:
+    """The delta-maintained membership equals one from-scratch rescan of
+    its state bytes, with ``evicted`` (the blacklist policy's record) as
+    the reference for which machines are blacklisted; then each plane's
+    own structure equals one rebuilt from that membership."""
+    members = simulator.members
+    state = members.state
+    assert {m for m, s in enumerate(state) if s & BLACKLISTED} == evicted
+    live = _assert_totals_match_rescan(members)
+    if isinstance(members, Cluster):
+        _assert_index_matches_rebuild(members)
+        assert simulator._total_slots == members.total_slots
         for jr in simulator._jobs.values():
             for copies in jr.view.copies_by_task.values():
                 for copy in copies:
-                    assert not cluster.retired[copy.machine_id]
-                    assert not cluster.blacklisted[copy.machine_id]
+                    assert not state[copy.machine_id]
+    else:
+        assert list(members.ids) == live
+        numerator = (1.0 - simulator.config.epsilon) * members.total_slots
+        for scheduler in simulator.schedulers:
+            assert scheduler._fair_numerator == numerator
+        for worker in simulator.workers:
+            if worker is not None and state[worker.worker_id]:
+                assert worker.running == [] and worker.queue == []
 
 
 @pytest.mark.parametrize("seed", [1, 2])
-@pytest.mark.parametrize("plane", ["centralized", "decentralized"])
+@pytest.mark.parametrize("plane", ["batch", "centralized", "decentralized"])
 def test_resize_invariants_hold_through_eviction_churn(plane, seed, monkeypatch):
     """Random schedule resizes interleaved with strike eviction and
     probation reinstatement: after EVERY applied ADD/REMOVE, eviction
     and reinstatement the delta-maintained state equals a from-scratch
     rescan, and no membership change rebuilds the centralized index."""
     rng = random.Random(seed)
-    # Centralized resizes whole 4-slot machines; decentralized, workers.
-    max_step = 3 if plane == "centralized" else 10
+    # The centralized family resizes whole 4-slot machines;
+    # decentralized, workers.
+    centralized = plane != "decentralized"
+    max_step = 3 if centralized else 10
     simulator = build_simulator(
         "hopper",
         build_trace(_CHURN_SPEC),
@@ -585,15 +606,8 @@ def test_resize_invariants_hold_through_eviction_churn(plane, seed, monkeypatch)
         resize_schedule=_random_schedule(rng, max_step),
         obs=None,
     )
-    controller = simulator._elastic
-    add, remove = controller._add, controller._remove
     stats = {"resizes": 0, "killing_shrinks": 0, "evictions": 0, "reinstated": 0}
-    if plane == "centralized":
-        policy = simulator._blacklist_policy
-        evict_name, reinstate_name = "_evict_machine", "_reinstate_machine"
-    else:
-        policy = simulator.blacklist_policy
-        evict_name, reinstate_name = "_evict_worker", "_reinstate_worker"
+    policy = simulator.blacklist_policy
     # The policy forgets a whole batch of due machines before the
     # simulator reinstates them one by one; until then they still count
     # as evicted.
@@ -604,32 +618,38 @@ def test_resize_invariants_hold_through_eviction_churn(plane, seed, monkeypatch)
         return set(policy.evicted_machines) | due_batch
 
     def check():
-        _assert_resize_invariants(simulator, plane, evicted())
+        _assert_resize_invariants(simulator, evicted())
 
-    def checked_add(count):
-        applied = add(count)
+    def busy(machine_id):
+        if centralized:
+            return simulator.cluster.busy[machine_id]
+        return _busy_slots(simulator, machine_id)
+
+    # The simulators are slotted, so their methods are wrapped on the
+    # class (monkeypatch restores them).
+    plane_cls = type(simulator)
+    add = plane_cls._autoscale_add
+    remove = plane_cls._autoscale_remove
+    evict = plane_cls._evict_machine
+    reinstate = plane_cls._reinstate_machine
+
+    def checked_add(sim, count):
+        applied = add(sim, count)
         stats["resizes"] += 1
         check()
         return applied
 
-    def checked_remove(count):
-        floor = simulator._autoscaler.min_machines
-        if plane == "centralized":
-            cluster = simulator.cluster
-            retiring = cluster.machines_to_retire(count, floor)
-            busy = sum(cluster.busy[m] for m in retiring)
-        else:
-            # The top live ids of the rescan, highest first.
-            live = _live_worker_ids(simulator, evicted())
-            retiring = live[::-1][: max(0, min(count, len(live) - max(1, floor)))]
-            busy = sum(_busy_slots(simulator, m) for m in retiring)
-        applied = remove(count)
+    def checked_remove(sim, count):
+        # The top live ids of the rescan, highest first.
+        floor = max(1, sim._elastic.policy.min_machines)
+        live = _live_ids(sim.members)
+        retiring = live[::-1][: max(0, min(count, len(live) - floor))]
+        busy_slots = sum(busy(m) for m in retiring)
+        applied = remove(sim, count)
         assert applied == len(retiring)
-        if plane == "decentralized":
-            assert all(simulator._retired[m] for m in retiring)
-            assert all(simulator.worker(m).evicted for m in retiring)
+        assert all(sim.members.state[m] & RETIRED for m in retiring)
         stats["resizes"] += 1
-        stats["killing_shrinks"] += busy > 0
+        stats["killing_shrinks"] += busy_slots > 0
         check()
         return applied
 
@@ -637,12 +657,6 @@ def test_resize_invariants_hold_through_eviction_churn(plane, seed, monkeypatch)
         due = due_reinstatements(now)
         due_batch.update(due)
         return due
-
-    # The simulators are slotted, so their methods are wrapped on the
-    # class (monkeypatch restores them).
-    plane_cls = type(simulator)
-    evict = getattr(plane_cls, evict_name)
-    reinstate = getattr(plane_cls, reinstate_name)
 
     def checked_evict(sim, machine_id):
         assert machine_id in policy.evicted_machines
@@ -656,17 +670,18 @@ def test_resize_invariants_hold_through_eviction_churn(plane, seed, monkeypatch)
         stats["reinstated"] += 1
         check()
 
-    controller._add, controller._remove = checked_add, checked_remove
     policy.due_reinstatements = checked_due
-    monkeypatch.setattr(plane_cls, evict_name, checked_evict)
-    monkeypatch.setattr(plane_cls, reinstate_name, checked_reinstate)
+    monkeypatch.setattr(plane_cls, "_autoscale_add", checked_add)
+    monkeypatch.setattr(plane_cls, "_autoscale_remove", checked_remove)
+    monkeypatch.setattr(plane_cls, "_evict_machine", checked_evict)
+    monkeypatch.setattr(plane_cls, "_reinstate_machine", checked_reinstate)
     rebuilds = []
     rebuild = ClusterIndex.rebuild
 
     def counted_rebuild(index, bits):
         # Only the simulator's own index counts: the invariant checks
         # build fresh reference indexes.
-        if plane == "centralized" and index is simulator.cluster.index:
+        if centralized and index is simulator.cluster.index:
             rebuilds.append(simulator.sim.now)
         rebuild(index, bits)
 
@@ -685,18 +700,30 @@ def test_resize_invariants_hold_through_eviction_churn(plane, seed, monkeypatch)
     check()
     # The reset in run() is the only index rebuild; no eviction,
     # reinstatement or resize rescans the fleet.
-    assert rebuilds == ([0.0] if plane == "centralized" else [])
+    assert rebuilds == ([0.0] if centralized else [])
+
+
+def _kill_and_requeue(simulator, victims) -> None:
+    orphaned = []
+    for c, jr in victims:
+        simulator._kill_copy(c, jr)
+        if not c.task.is_finished:
+            orphaned.append((c.task, jr))
+    for task, jr in orphaned:
+        if jr.view.num_live_copies(task) == 0:
+            simulator._requeue(task, jr)
 
 
 def _old_autoscale_remove(simulator, count, shrinks):
     """The pre-bucketing centralized shrink: retire one machine, rescan
-    every live copy for its victims, kill them, next machine. Records
-    each shrink's bucketed victims (taken up front) beside its scans."""
+    every live copy for its victims, kill them, next machine; follow up
+    on capacity last. Records each shrink's bucketed victims (taken up
+    front) beside its scans."""
     cluster = simulator.cluster
     machine_ids = cluster.machines_to_retire(
-        count, simulator._autoscaler.min_machines
+        count, simulator._elastic.policy.min_machines
     )
-    buckets = simulator._machine_victims(machine_ids)
+    buckets = simulator._running_copies(machine_ids)
     scans = []
     for machine_id in machine_ids:
         cluster.remove_machine(machine_id)
@@ -708,14 +735,14 @@ def _old_autoscale_remove(simulator, count, shrinks):
             if c.machine_id == machine_id
         ]
         scans.append(victims)
-        simulator._kill_victims(victims)
-    shrinks.append(([buckets[m] for m in machine_ids], scans))
-    simulator._resize_slot_pool()
+        _kill_and_requeue(simulator, victims)
+    shrinks.append((buckets, scans))
+    simulator._refresh_membership()
     simulator._request_dispatch()
     return len(machine_ids)
 
 
-def test_bucketed_shrink_victims_match_per_machine_scans():
+def test_bucketed_shrink_victims_match_per_machine_scans(monkeypatch):
     """One bucketed walk, concatenated in retirement order, equals the
     old per-machine scans (each made after the previous machine's kills
     and requeues) — and the two shrink paths replay byte-identically."""
@@ -723,6 +750,12 @@ def test_bucketed_shrink_victims_match_per_machine_scans():
     trace = build_trace(spec)
     docs, shrinks = [], []
     for use_old in (False, True):
+        if use_old:
+            monkeypatch.setattr(
+                CentralizedSimulator,
+                "_autoscale_remove",
+                lambda sim, count: _old_autoscale_remove(sim, count, shrinks),
+            )
         simulator = build_centralized_simulator(
             trace,
             "hopper",
@@ -731,10 +764,6 @@ def test_bucketed_shrink_victims_match_per_machine_scans():
             resize_schedule="1.5:-6,3:+3,4:-5",
             obs=None,
         )
-        if use_old:
-            simulator._elastic._remove = (
-                lambda count, s=simulator: _old_autoscale_remove(s, count, shrinks)
-            )
         docs.append(json.dumps(result_to_dict(simulator.run()), sort_keys=True))
     assert docs[0] == docs[1]
     assert len(shrinks) == 2
@@ -749,3 +778,36 @@ def test_bucketed_shrink_victims_match_per_machine_scans():
         for buckets, _ in shrinks
         for bucket in buckets
     )
+
+
+@pytest.mark.parametrize("plane", ["centralized", "batch"])
+def test_finished_run_leaves_no_garbage_cycle(plane):
+    """A finished run with an autoscaler and probation blacklisting is
+    freed by reference counting alone: the elastic controller keeps no
+    reference back to its plane, so nothing the run built is left for
+    the cycle collector."""
+    spec = WorkloadSpec(num_jobs=20, utilization=0.7, total_slots=60, seed=2)
+    trace = build_trace(spec)
+    gc.collect()
+    gc.disable()
+    try:
+        simulator = build_simulator(
+            "hopper",
+            trace,
+            spec,
+            plane=plane,
+            straggler_model="machine-correlated",
+            blacklist_policy="strikes-probation",
+            strike_threshold=2,
+            autoscaler="schedule",
+            resize_schedule="1:-2,2:+2",
+            obs=None,
+        )
+        result = simulator.run()
+        assert simulator._elastic.resizes_applied == 2
+        del simulator
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert len(result.jobs) == spec.num_jobs
+    assert unreachable == 0

@@ -2,12 +2,12 @@
 
 Idle fleet state dominates a 100k-slot run, so each test pins the traced
 bytes per fleet member to a bound derived from ``sys.getsizeof``. A
-centralized machine is no object at all: it costs its entries in the
-cluster's columns (busy and slot counts, blacklisted and retired flag
-bytes) and in its free-slot index (a bit byte and a Fenwick node). A
-decentralized worker nothing has addressed is no object either: it
-costs a slot in the worker store, an id in the probe pool and a retired
-flag byte, measured after a scheduled shrink and grow-back. Anything
+centralized machine is no object at all: it costs its busy count, its
+membership state byte and its free-slot index entries (a bit byte and a
+Fenwick node). A decentralized worker nothing has addressed is no
+object either: it costs a slot in the worker store, an id in the probe
+pool and its membership state byte, measured after a scheduled shrink
+and grow-back. Anything
 else allocated per member (a ``Machine`` or ``Worker``, an int object,
 per-worker lists, a mirror machine) breaks the bound. The fixed cost of
 a one-member fleet is subtracted from the measurement. A worker that
@@ -48,7 +48,7 @@ RESIZE = 8
 #: would add 20 KB.
 FIXED_ALLOWANCE = 1024
 #: Worker fields: one slot each (a ``Worker`` has no instance dict).
-WORKER_FIELDS = 8
+WORKER_FIELDS = 7
 
 
 def _traced_bytes(build, size: int) -> int:
@@ -125,7 +125,7 @@ def _pool_bytes(made: int, cut: int) -> int:
 
 
 def worker_bound(num_workers: int) -> float:
-    """Per worker: a slot in the worker store and a retired flag (both
+    """Per worker: a slot in the worker store and a state byte (both
     made at the fleet size, then grown by the regrown ids), an id in the
     probe pool (made at the fleet size, cut, then grown back) and a
     share of :data:`FIXED_ALLOWANCE`."""
@@ -142,19 +142,19 @@ def build_cluster(num_machines: int) -> Cluster:
 
 
 def machine_bound(num_machines: int) -> float:
-    """Per machine: its busy and slot count entries, its blacklisted and
-    retired flag bytes, its free bit in the index and its Fenwick node
-    (a list slot; the tree is allocated at its exact length, one entry
-    past the fleet), all made at the fleet size. A node covering more
-    than 256 ids holds an int object rather than a cached small int:
-    one node in 512. Plus a share of :data:`FIXED_ALLOWANCE`."""
+    """Per machine: its busy count, its state byte, its free bit in the
+    index and its Fenwick node (a list slot; the tree is allocated at its
+    exact length, one entry past the fleet), all made at the fleet size.
+    A node covering more than 256 ids holds an int object rather than a
+    cached small int: one node in 512. Plus a share of
+    :data:`FIXED_ALLOWANCE`."""
     column = array("I").itemsize
-    flag = bit = 1
+    state = bit = 1
     node = sys.getsizeof([None]) - sys.getsizeof([])
     large_nodes = num_machines // 512
     return (
-        2 * column
-        + 2 * flag
+        column
+        + state
         + bit
         + node * (num_machines + 1) / num_machines
         + (large_nodes * _allocated(512) + FIXED_ALLOWANCE) / num_machines
@@ -197,7 +197,7 @@ def test_building_and_resizing_a_fleet_creates_no_worker():
     simulator.run()
     assert simulator._elastic.resizes_applied == 2
     assert simulator.workers.count(None) == FLEET + RESIZE
-    assert len(simulator._sample_pool) == FLEET
+    assert len(simulator.members.ids) == FLEET
 
 
 def test_contacted_worker_costs_its_fields_and_two_lists():

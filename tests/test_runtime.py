@@ -8,6 +8,7 @@ checks *equivalence with the reference scan*, not just plausibility.
 import random
 from collections import deque
 
+from repro.cluster.membership import BLACKLISTED
 from repro.estimation.beta import OnlineBetaEstimator
 from repro.metrics.collector import MetricsCollector
 from repro.runtime import CopyLedger, JobRuntime, LocalityJobRuntime
@@ -490,13 +491,11 @@ def test_centralized_eviction_kills_requeues_and_completes():
     assert simulator.sim.pending_events == 0
     # The machine stayed out: idle, blacklisted, excluded from totals.
     cluster = simulator.cluster
-    assert cluster.blacklisted[machine_id] and cluster.busy[machine_id] == 0
+    assert cluster.state[machine_id] == BLACKLISTED
+    assert cluster.busy[machine_id] == 0
     assert cluster.busy_slots == 0
-    assert cluster.total_slots == sum(
-        num_slots
-        for num_slots, blacklisted in zip(cluster.slots, cluster.blacklisted)
-        if not blacklisted
-    )
+    live = cluster.state.count(0)
+    assert cluster.total_slots == live * cluster.slots_per_machine
     assert cluster.index.free_machine_ids() == cluster.machines_with_free_slots()
 
 
@@ -578,7 +577,7 @@ def test_decentralized_eviction_kills_requeues_and_completes():
         )
         if busiest is not None and busiest.running:
             evicted.append((busiest, list(busiest.running)))
-            simulator._evict_worker(busiest.worker_id)
+            simulator._evict_machine(busiest.worker_id)
 
     simulator.sim.schedule(4.0, evict_busiest_worker)
     result = simulator.run()
@@ -594,14 +593,16 @@ def test_decentralized_eviction_kills_requeues_and_completes():
     # No leaked ledger entries, heap events, queued requests or slots.
     assert simulator.ledger.events == {}
     assert simulator.sim.pending_events == 0
-    assert worker.evicted and worker.queue == [] and worker.running == []
+    assert simulator.members.state[worker.worker_id] == BLACKLISTED
+    assert worker.queue == [] and worker.running == []
     assert worker.busy_slots == 0
     assert simulator._request_holders == {}
     # The eviction left the probe pool holding every other worker, and
     # live capacity followed it.
-    assert worker.worker_id not in simulator._sample_pool
+    pool = simulator.members.ids
+    assert worker.worker_id not in pool
     assert simulator.total_slots == num_workers - 1
-    assert len(simulator._sample_pool) == num_workers - 1
-    assert list(simulator._sample_pool) == [
+    assert len(pool) == num_workers - 1
+    assert list(pool) == [
         i for i in range(num_workers) if i != worker.worker_id
     ]
