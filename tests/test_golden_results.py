@@ -525,6 +525,67 @@ def test_probation_reinstatement_replays_are_pinned(kind):
     assert digest == GOLDEN_PROBATION_DIGESTS[kind]
 
 
+#: sha256 of one decentralized replay on 40 two-slot workers, under
+#: strikes-probation eviction and eight scheduled resizes spread over
+#: the trace. No RunSpec builds a worker with more than one slot, so
+#: this is the one pin on the order in which a leaving worker's two
+#: running copies are killed and their tasks requeued: several shrinks
+#: retire a worker whose two copies a walk over the jobs meets in the
+#: opposite order to their binds.
+GOLDEN_MULTI_SLOT_DIGEST = (
+    "1bfb544f5ed4b00b5350f4324278c0e3471642404167bc5aa85c72ba2bcbd5b2"
+)
+
+
+def test_two_slot_worker_teardown_replay_is_pinned(monkeypatch):
+    from repro.decentralized.config import DecentralizedConfig, WorkerPolicy
+    from repro.decentralized.simulator import DecentralizedSimulator
+    from repro.experiments.harness import WorkloadSpec, build_trace
+    from repro.simulation.rng import RandomSource
+    from repro.speculation import LATE
+    from repro.stragglers.model import MachineCorrelatedStragglerModel
+
+    spec = WorkloadSpec(num_jobs=40, utilization=0.9, total_slots=80, seed=1)
+    workers = 40
+    simulator = DecentralizedSimulator(
+        num_workers=workers,
+        slots_per_worker=2,
+        speculation=lambda: LATE(),
+        trace=build_trace(spec),
+        straggler_model=MachineCorrelatedStragglerModel(num_machines=workers),
+        config=DecentralizedConfig(
+            worker_policy=WorkerPolicy.HOPPER,
+            probe_ratio=4.0,
+            epsilon=0.1,
+            default_beta=spec.profile.beta,
+        ),
+        random_source=RandomSource(seed=7),
+        blacklist_policy=registry.make_blacklist_policy(
+            "strikes-probation", num_machines=workers, strike_threshold=2
+        ),
+        autoscaler=registry.make_autoscaler(
+            "schedule",
+            resize_schedule="20:-8,30:+8,60:-8,70:+8,100:-8,110:+8,140:-8,150:+8",
+        ),
+    )
+    torn_down = []
+    running_copies = DecentralizedSimulator._running_copies
+
+    def recorded(sim, worker_ids):
+        groups = running_copies(sim, worker_ids)
+        torn_down.extend(len(victims) for victims in groups)
+        return groups
+
+    monkeypatch.setattr(DecentralizedSimulator, "_running_copies", recorded)
+    result = simulator.run()
+    assert result.num_jobs == spec.num_jobs
+    assert result.evictions > 0 and result.reinstatements > 0
+    # Not vacuous: some evicted or retired worker ran two copies at once.
+    assert max(torn_down) == 2
+    digest = hashlib.sha256(_result_payload([result]).encode()).hexdigest()
+    assert digest == GOLDEN_MULTI_SLOT_DIGEST
+
+
 @pytest.mark.parametrize("kind", ["centralized", "decentralized"])
 def test_explicit_none_blacklist_policy_is_byte_identical(kind):
     """Differential: blacklist_policy="none" must not perturb a replay.
