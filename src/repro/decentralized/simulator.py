@@ -19,27 +19,31 @@ Scale-out notes (10k+-slot clusters):
   to the engine's FIFO lane (:meth:`~repro.simulation.engine.Simulator.post`),
   not its heap: every message pays the same constant delay, so delivery
   times arrive in send order, and a batch is never cancelled;
-* queued reservation requests are indexed per job
-  (``job -> {worker: count}``), so job completion purges exactly the
-  workers that hold requests instead of leaving tombstones for every
-  worker to lazily scan past.
+* queued reservation requests are indexed per job: ``job -> [worker
+  id, ...]``, appended to each time a request of the job is queued and
+  never trimmed, so it holds at most as many ids as the job queued
+  requests. Job completion purges each listed worker once and frees
+  the list, instead of leaving tombstones for every worker to lazily
+  scan past. A worker that consumed or dropped the job's requests
+  meanwhile just finds nothing to purge.
 
 Membership is kept as worker ids, none of it a cluster model (the
 plane never acquires a slot on one, so it keeps none). An idle worker
-costs its store slot, its state byte and its pool entry, about 20
-bytes:
+costs its state byte and its pool id, about 5 bytes:
 
-* the worker store ``workers`` holds ``None`` for every id nothing has
-  addressed yet; :meth:`DecentralizedSimulator.worker` creates the
-  :class:`~repro.decentralized.worker.Worker` on first contact;
+* the worker store ``workers`` maps the id of each worker something
+  has contacted to its :class:`~repro.decentralized.worker.Worker`;
+  :meth:`DecentralizedSimulator.worker` creates one on first contact.
+  A contacted worker is six slots and a queue; it holds no copies, so a
+  running copy costs it only a count;
 * ``members`` is the shared :class:`~repro.cluster.membership.Membership`
   (one state byte per id, blacklisted and retired bits, and the live
   totals), whether or not the worker exists. A worker whose byte is set
   queues no requests and declines binds;
-* the probe sample pool, ``members.ids``, is an ``array('l')`` of the
-  ascending live ids. Growth appends to it; a shrink retires its top
-  ids; an eviction deletes one id and a reinstatement inserts it back,
-  each found by bisection.
+* the probe sample pool, ``members.ids``, is an ``array('I')`` of the
+  ascending live ids, 4 bytes each. Growth appends to it; a shrink
+  retires its top ids; an eviction deletes one id and a reinstatement
+  inserts it back, each found by bisection.
 
 Blacklisting (§2.2) and elastic resizes run the membership sequence
 both planes share (:class:`~repro.cluster.membership.MembershipPlane`):
@@ -47,8 +51,9 @@ an optional :class:`~repro.cluster.policy.BlacklistPolicy` observes copy
 completions and keeps the only strike record. An eviction or a shrink
 flags the workers and drops them from the pool, resizes the schedulers'
 ε-fair floors, then drops the workers' queued requests and kills their
-running copies through the ledger, requeueing each task whose last copy
-died with a fresh probe. With no policy (the default) the probe/launch
+running copies (found in one walk over the live copies of every job)
+through the ledger, requeueing each task whose last copy died with a
+fresh probe. With no policy (the default) the probe/launch
 path is untouched.
 """
 
@@ -56,7 +61,8 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, insort
-from typing import Callable, Dict, List, Optional, Tuple
+from collections import defaultdict
+from typing import Callable, DefaultDict, Dict, List, Optional, Tuple
 
 from repro.cluster.elastic import AutoscalerPolicy, ElasticController
 from repro.cluster.membership import Membership, MembershipPlane
@@ -81,14 +87,15 @@ from repro.workload.traces import Trace
 
 class _ProbePool(Membership):
     """Worker membership plus ``ids``, the ascending live worker ids the
-    probe sampler draws from (``rng.sample`` picks by index, so an array
-    of ids draws the same ids as a list of the same workers)."""
+    probe sampler draws from (``rng.sample`` reads only the length and
+    items, so an array of ids draws the same ids as a list of the same
+    workers)."""
 
     __slots__ = ("ids",)
 
     def __init__(self, num_workers: int, slots_per_worker: int) -> None:
         super().__init__(num_workers, slots_per_worker)
-        self.ids = array("l", range(num_workers))
+        self.ids = array("I", range(num_workers))
 
     def add_machine(self, count: int = 1) -> int:
         worker_id = super().add_machine(count)
@@ -178,7 +185,7 @@ class DecentralizedSimulator(MembershipPlane):
         # their state byte through _member_state.
         self.members = _ProbePool(num_workers, slots_per_worker)
         self._member_state = self.members.state
-        self.workers: List[Optional[Worker]] = [None] * num_workers
+        self.workers: Dict[int, Worker] = {}
         # Copies running fleet-wide, kept by Worker.bind_copy/release_copy.
         self.busy_slots = 0
         self.schedulers: List[SchedulerAgent] = [
@@ -192,8 +199,9 @@ class DecentralizedSimulator(MembershipPlane):
         self._next_scheduler = 0
         self._active_jobs = 0
         self._spec_check_scheduled = False
-        # job_id -> {worker_id: queued request count} (see module docs).
-        self._request_holders: Dict[int, Dict[int, int]] = {}
+        # job_id -> ids of the workers its requests were queued on (see
+        # module docs).
+        self._request_holders: DefaultDict[int, List[int]] = defaultdict(list)
         # One open control-message batch (destination tick + seq guard).
         self._message_delay = self.config.message_delay
         self._open_batch: Optional[List[Tuple[Callable[..., None], tuple]]] = None
@@ -268,7 +276,7 @@ class DecentralizedSimulator(MembershipPlane):
 
     def worker(self, worker_id: int) -> Worker:
         """The worker with ``worker_id``, created on first contact."""
-        worker = self.workers[worker_id]
+        worker = self.workers.get(worker_id)
         if worker is None:
             worker = Worker(worker_id, self.members.slots_per_machine, self)
             self.workers[worker_id] = worker
@@ -296,14 +304,15 @@ class DecentralizedSimulator(MembershipPlane):
             )
 
             def load(i: int) -> Tuple[int, int]:
-                worker = workers[drawn[i]]
+                worker = workers.get(drawn[i])
                 if worker is None:
                     return 0, i
                 return len(worker.queue) + worker.busy_slots, i
 
             order = sorted(range(len(drawn)), key=load)
             ids = [drawn[i] for i in order[:count]]
-        return [workers[i] or self.worker(i) for i in ids]
+        get = workers.get
+        return [get(i) or self.worker(i) for i in ids]
 
     def gossip_for(self, job_id: int):
         """Latest gossip for a job, or None if it completed."""
@@ -316,36 +325,14 @@ class DecentralizedSimulator(MembershipPlane):
     # -- queued-request index ----------------------------------------------
 
     def note_request_queued(self, job_id: int, worker_id: int) -> None:
-        holders = self._request_holders.setdefault(job_id, {})
-        holders[worker_id] = holders.get(worker_id, 0) + 1
-
-    def note_requests_removed(
-        self, job_id: int, worker_id: int, count: int = 1
-    ) -> None:
-        holders = self._request_holders.get(job_id)
-        if holders is None:
-            return
-        left = holders.get(worker_id, 0) - count
-        if left > 0:
-            holders[worker_id] = left
-        else:
-            holders.pop(worker_id, None)
-            if not holders:
-                del self._request_holders[job_id]
-
-    def worker_holds_job(self, job_id: int, worker_id: int) -> bool:
-        holders = self._request_holders.get(job_id)
-        return holders is not None and worker_id in holders
+        self._request_holders[job_id].append(worker_id)
 
     def _purge_job_requests(self, job_id: int) -> None:
-        """Drop a completed job's queued requests from exactly the
-        workers that hold them (O(holders), not O(workers))."""
-        holders = self._request_holders.pop(job_id, None)
-        if not holders:
-            return
+        """Drop a completed job's queued requests from each worker its
+        requests reached, once (O(requests), not O(workers))."""
         workers = self.workers
-        for worker_id in holders:
-            workers[worker_id].drop_completed_job(job_id)
+        for worker_id in dict.fromkeys(self._request_holders.pop(job_id, ())):
+            workers[worker_id].purge_job(job_id)
 
     # -- run ---------------------------------------------------------------
 
@@ -446,7 +433,7 @@ class DecentralizedSimulator(MembershipPlane):
             True,
             self._on_copy_finish,
         )
-        worker.bind_copy(copy)
+        worker.bind_copy()
         scheduler.on_copy_bound(sj)
 
     def _on_copy_finish(self, copy: TaskCopy) -> None:
@@ -457,7 +444,7 @@ class DecentralizedSimulator(MembershipPlane):
         # Freeing the worker's slot may start a new selection episode;
         # that must observe the pre-finish view/gossip, exactly as the
         # pre-ledger simulator did, so the view update comes after.
-        self.workers[copy.machine_id].release_copy(copy)
+        self.workers[copy.machine_id].release_copy()
         won = self.ledger.record_finish(copy)
         if sj is None:
             return
@@ -479,7 +466,7 @@ class DecentralizedSimulator(MembershipPlane):
         self.schedulers[sj.gossip.scheduler_id].on_copy_gone(sj)
         # The kill travels to the worker as a control message.
         self.metrics.record_message()
-        self.workers[copy.machine_id].release_copy(copy)
+        self.workers[copy.machine_id].release_copy()
 
     def _complete_job(self, scheduler: SchedulerAgent, sj: SchedulerJob) -> None:
         job = sj.job
@@ -493,22 +480,27 @@ class DecentralizedSimulator(MembershipPlane):
 
     def _running_copies(self, worker_ids) -> List[List[tuple]]:
         """The ``(copy, job)`` pairs running on each of ``worker_ids``
-        that has a worker, which also drops its queued requests."""
-        groups = []
+        that has a worker, in bind (copy id) order, found in one walk
+        over every job's live copies; first each such worker drops its
+        queued requests, in the order given."""
+        buckets: Dict[int, List[tuple]] = {}
         workers = self.workers
-        owner = self._owner
         for worker_id in worker_ids:
-            worker = workers[worker_id]
-            if worker is None:
-                continue
-            victims = []
-            for copy in worker.vacate():
-                scheduler = owner.get(copy.task.job_id)
-                sj = scheduler.jobs.get(copy.task.job_id) if scheduler else None
-                if sj is not None:
-                    victims.append((copy, sj))
-            groups.append(victims)
-        return groups
+            worker = workers.get(worker_id)
+            if worker is not None:
+                worker.vacate()
+                buckets[worker_id] = []
+        get = buckets.get
+        for scheduler in self.schedulers:
+            for sj in scheduler.jobs.values():
+                for copies in sj.view.copies_by_task.values():
+                    for copy in copies:
+                        bucket = get(copy.machine_id)
+                        if bucket is not None:
+                            bucket.append((copy, sj))
+        for victims in buckets.values():
+            victims.sort(key=lambda victim: victim[0].copy_id)
+        return list(buckets.values())
 
     def _requeue(self, task: Task, sj: SchedulerJob) -> None:
         self.schedulers[sj.gossip.scheduler_id].requeue_task(sj, task)
@@ -526,7 +518,6 @@ class DecentralizedSimulator(MembershipPlane):
         (append-only, so per-id state everywhere stays valid) and join
         the probe sample pool immediately; none is created until first
         contact."""
-        self.workers.extend([None] * count)
         self.members.add_machine(count)
         self._refresh_membership()
         return count

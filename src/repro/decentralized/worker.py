@@ -16,8 +16,13 @@ removes).
 Queue invariant: ``self.queue`` only ever contains requests of *active*
 jobs. Requests arriving for an already-completed job are dropped on
 arrival, and the simulator eagerly purges a job's queued requests from
-its holders (via the per-job request index) the moment it completes —
-so candidate scans never pay for tombstones of finished jobs.
+the workers its requests reached (via the per-job request index) the
+moment it completes — so candidate scans never pay for tombstones of
+finished jobs.
+
+A worker keeps counts, not copies: ``busy_slots`` is how many copies it
+runs, and the copies themselves live only in their jobs' views (the
+simulator finds a leaving worker's copies there).
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ from typing import List, Optional, Set, Tuple, TYPE_CHECKING
 
 from repro.decentralized.config import WorkerPolicy
 from repro.decentralized.messages import Request, ResponseType
-from repro.stragglers.progress import TaskCopy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.decentralized.simulator import DecentralizedSimulator
@@ -52,7 +56,8 @@ class Worker:
 
     The simulator creates a worker on first contact (see
     :meth:`~repro.decentralized.simulator.DecentralizedSimulator.worker`),
-    so an idle worker in a large fleet is only an id, never an object.
+    so an idle worker in a large fleet is only an id, never an object;
+    a contacted one costs its six slots and its queue.
     """
 
     __slots__ = (
@@ -62,7 +67,6 @@ class Worker:
         "queue",
         "busy_slots",
         "pending_episodes",
-        "running",
     )
 
     def __init__(
@@ -77,7 +81,6 @@ class Worker:
         self.queue: List[Request] = []
         self.busy_slots = 0
         self.pending_episodes = 0  # episodes awaiting a scheduler reply
-        self.running: List[TaskCopy] = []
         # Simulator-wide config and the drop accounting (requests that
         # can never be honoured are counted instead of vanishing) are
         # read from ``sim``, not copied onto every worker.
@@ -90,17 +93,8 @@ class Worker:
         return self.num_slots - self.busy_slots - self.pending_episodes
 
     def purge_job(self, job_id: int) -> None:
-        """Drop all queued requests of ``job_id`` (scheduler said no-task)."""
-        if not self.sim.worker_holds_job(job_id, self.worker_id):
-            return
-        removed = self.drop_completed_job(job_id)
-        if removed:
-            self.sim.note_requests_removed(job_id, self.worker_id, removed)
-
-    def drop_completed_job(self, job_id: int) -> int:
-        """Drop and count the queued requests of ``job_id``; returns how
-        many. On job completion the caller already removed the request
-        index entry, so nothing is unregistered here."""
+        """Drop and count all queued requests of ``job_id`` (the
+        scheduler said no-task, or the job completed)."""
         before = len(self.queue)
         self.queue = [r for r in self.queue if r.gossip.job_id != job_id]
         removed = before - len(self.queue)
@@ -109,7 +103,6 @@ class Worker:
             sim._metrics_result.requests_dropped += removed
             if sim._counters is not None:
                 sim._counters.inc("probe.purged", removed)
-        return removed
 
     def consume_request(self, request: Request) -> None:
         """Remove this exact queued request (on task assignment)."""
@@ -117,31 +110,26 @@ class Worker:
             self.queue.remove(request)
         except ValueError:
             return
-        sim = self.sim
-        sim.note_requests_removed(request.gossip.job_id, self.worker_id)
-        if sim._counters is not None:
-            sim._counters.inc("probe.consumed")
+        counters = self.sim._counters
+        if counters is not None:
+            counters.inc("probe.consumed")
 
-    def vacate(self) -> List[TaskCopy]:
+    def vacate(self) -> None:
         """The worker just left membership (evicted or retired): drop
-        every queued reservation request (keeping the per-job request
-        index consistent) and return the running copies for the
-        simulator to kill and reschedule. Its state byte now refuses
+        and count every queued reservation request. The simulator kills
+        and reschedules its running copies. Its state byte now refuses
         new requests, so its queue stays empty and it starts no
         episode. An in-flight slot offer may still come back as an
         accept; the simulator declines it at bind time (see
         ``start_copy``).
         """
-        sim = self.sim
-        for request in self.queue:
-            sim.note_requests_removed(request.job_id, self.worker_id)
         dropped = len(self.queue)
         if dropped:
+            sim = self.sim
             sim._metrics_result.requests_dropped += dropped
             if sim._counters is not None:
                 sim._counters.inc("probe.purged", dropped)
             self.queue.clear()
-        return list(self.running)
 
     # -- protocol ----------------------------------------------------------
 
@@ -376,16 +364,14 @@ class Worker:
 
     # -- execution ----------------------------------------------------------
 
-    def bind_copy(self, copy: TaskCopy) -> None:
+    def bind_copy(self) -> None:
+        """A copy started on one of this worker's slots."""
         self.busy_slots += 1
         self.sim.busy_slots += 1
-        self.running.append(copy)
 
-    def release_copy(self, copy: TaskCopy) -> None:
+    def release_copy(self) -> None:
+        """A copy on this worker finished or was killed: free its slot,
+        which may start a selection episode."""
         self.busy_slots -= 1
         self.sim.busy_slots -= 1
-        try:
-            self.running.remove(copy)
-        except ValueError:
-            pass
         self.maybe_start_episode()

@@ -1,15 +1,18 @@
 """Task-copy lifecycle shared by both simulator families.
 
-A :class:`CopyLedger` owns copy identity (monotonic copy ids), the
-pending finish-event handles, and the bookkeeping every copy transition
-must perform against the speculation view, the metrics collector, and
-the beta estimator. The centralized and decentralized simulators differ
-in *slot* accounting (cluster machines vs worker queues) and in the
-order side effects interleave with their control planes, so the ledger
-exposes both a composite :meth:`finish` (centralized) and the
-fine-grained :meth:`settle_finished` / :meth:`detach` /
-:meth:`record_finish` pieces the decentralized simulator needs to keep
-its episode machinery firing at exactly the pre-refactor points.
+A :class:`CopyLedger` owns copy identity (monotonic copy ids) and the
+bookkeeping every copy transition must perform against the speculation
+view, the metrics collector, and the beta estimator. A running copy
+carries its own pending finish event (``TaskCopy.event``): the ledger
+sets it at launch and clears it when the copy finishes or is killed, so
+it keeps no per-copy table. The centralized and decentralized
+simulators differ in *slot* accounting (cluster machines vs worker
+queues) and in the order side effects interleave with their control
+planes, so the ledger exposes both a composite :meth:`finish`
+(centralized) and the fine-grained :meth:`settle_finished` /
+:meth:`detach` / :meth:`record_finish` pieces the decentralized
+simulator needs to keep its episode machinery firing at exactly the
+pre-refactor points.
 
 Every launch, kill and finish feeds the job's change record through
 :meth:`repro.runtime.JobRuntime.mark_changed`, so neither plane dirties
@@ -18,13 +21,13 @@ its memos at a copy transition itself.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.estimation.alpha import AlphaEstimator
 from repro.estimation.beta import OnlineBetaEstimator
 from repro.metrics.collector import MetricsCollector
 from repro.runtime.job import JobRuntime
-from repro.simulation.engine import EventHandle, Simulator
+from repro.simulation.engine import Simulator
 from repro.speculation.base import JobExecutionView
 from repro.stragglers.progress import TaskCopy
 from repro.workload.job import Job
@@ -47,7 +50,6 @@ class CopyLedger:
         "engine",
         "metrics",
         "beta_estimator",
-        "events",
         "_next_copy_id",
         "tracer",
         "serving_window",
@@ -63,8 +65,6 @@ class CopyLedger:
         self.engine = engine
         self.metrics = metrics
         self.beta_estimator = beta_estimator
-        #: copy id -> pending finish-event handle
-        self.events: Dict[int, EventHandle] = {}
         self._next_copy_id = 0
         self.tracer = tracer
         #: Optional serving-regime aggregator; fed each job's *first*
@@ -98,7 +98,7 @@ class CopyLedger:
         self._next_copy_id += 1
         jr.view.register_copy(copy)
         jr.mark_changed()
-        self.events[copy.copy_id] = self.engine.schedule(
+        copy.event = self.engine.schedule(
             duration, on_finish, copy, *finish_args
         )
         self.metrics.record_copy_launch(speculative=speculative, local=local)
@@ -121,8 +121,8 @@ class CopyLedger:
     # -- finish -------------------------------------------------------------
 
     def settle_finished(self, copy: TaskCopy) -> None:
-        """Drop the event handle and stamp the copy as finished."""
-        self.events.pop(copy.copy_id, None)
+        """Drop the fired event handle and stamp the copy as finished."""
+        copy.event = None
         copy.finished = True
         copy.end_time = self.engine.now
 
@@ -168,9 +168,8 @@ class CopyLedger:
     def kill(self, copy: TaskCopy, jr: JobRuntime) -> None:
         """Cancel a running copy: detach it everywhere and account its
         wasted slot-time."""
-        handle = self.events.pop(copy.copy_id, None)
-        if handle is not None:
-            handle.cancel()
+        copy.event.cancel()
+        copy.event = None
         copy.killed = True
         copy.end_time = self.engine.now
         self.detach(copy, jr)

@@ -171,9 +171,6 @@ class JobExecutionView:
         """Total copies ever launched for ``task``."""
         return self.attempt_counts.get(task.task_id, 0)
 
-    def running_copies(self) -> List[TaskCopy]:
-        return [c for copies in self.copies_by_task.values() for c in copies]
-
     def copies_of(self, task: Task) -> List[TaskCopy]:
         return list(self.copies_by_task.get(task.task_id, ()))
 

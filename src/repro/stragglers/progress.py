@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.simulation.engine import EventHandle
 from repro.workload.task import Task
 
 
@@ -37,6 +38,10 @@ class TaskCopy:
         True wall-clock duration (size * slowdown * locality penalty).
     speculative:
         True if this copy was launched by a speculation policy.
+    event:
+        The pending finish event while the copy runs, None once it
+        finished or was killed (kept by
+        :class:`~repro.runtime.lifecycle.CopyLedger`).
     """
 
     copy_id: int
@@ -49,6 +54,9 @@ class TaskCopy:
     killed: bool = field(default=False, compare=False)
     finished: bool = field(default=False, compare=False)
     end_time: Optional[float] = field(default=None, compare=False)
+    event: Optional[EventHandle] = field(
+        default=None, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if self.duration <= 0:

@@ -91,13 +91,14 @@ def test_worker_drops_requests_of_inactive_jobs_on_arrival():
     candidates = worker._candidates(Episode(worker))
     assert [c.job_id for c in candidates] == [2]
     assert all(r.job_id == 2 for r in worker.queue)
-    assert not sim.worker_holds_job(1, worker.worker_id)
-    assert sim.worker_holds_job(2, worker.worker_id)
+    # Only the queued request entered the per-job request index.
+    assert sim._request_holders == {2: [worker.worker_id]}
 
 
 def test_completed_job_requests_are_purged_from_holders():
-    """On job completion the per-job request index purges exactly the
-    workers holding that job's requests."""
+    """On job completion the per-job request index purges every worker
+    a request of that job was queued on, once, and counts each purged
+    request as dropped."""
     sim = _sim()
     first, second = sim.worker(0), sim.worker(1)
     target = _gossip(7, 5.0, 4)
@@ -105,14 +106,15 @@ def test_completed_job_requests_are_purged_from_holders():
     first.on_request(Request(target, 0.0))
     first.on_request(Request(other, 0.0))
     second.on_request(Request(target, 0.0))
+    second.on_request(Request(target, 1.0))
+    assert sim._request_holders[7] == [0, 1, 1]
 
     target.active = False  # what scheduler.complete_job does
     sim._purge_job_requests(7)
     assert [r.job_id for r in first.queue] == [8]
     assert second.queue == []
-    assert not sim.worker_holds_job(7, first.worker_id)
-    assert not sim.worker_holds_job(7, second.worker_id)
-    assert sim.worker_holds_job(8, first.worker_id)
+    assert sim.metrics.result.requests_dropped == 3
+    assert sim._request_holders == {8: [first.worker_id]}
 
 
 def test_hopper_worker_prefers_smallest_virtual_size(monkeypatch):
@@ -226,7 +228,10 @@ def test_consume_request_removes_the_offered_object_not_an_equal_one():
     worker.consume_request(offered)
     assert len(worker.queue) == 1
     assert worker.queue[0] is earlier
-    assert sim.worker_holds_job(1, worker.worker_id)
+    # The index still reaches the worker: completion purges the rest.
+    sim._purge_job_requests(1)
+    assert worker.queue == []
+    assert sim.metrics.result.requests_dropped == 1
 
 
 def _reference_hopper_step(worker, episode):

@@ -76,8 +76,8 @@ def test_workers_end_idle():
         straggler=ParetoRedrawStragglerModel(beta=1.4),
     )
     assert result.num_jobs == 10
-    for worker_id in range(len(sim.workers)):
-        worker = sim.worker(worker_id)
+    assert sim.workers  # workers never contacted are idle by construction
+    for worker in sim.workers.values():
         assert worker.busy_slots == 0
         assert worker.pending_episodes == 0
 

@@ -49,8 +49,10 @@ from repro.experiments.harness import (
 )
 from repro.metrics.serialize import result_to_dict
 from repro.obs import Obs
+from repro.runtime import CopyLedger
 from repro.serving.driver import _PLANE_PROBES
 from repro.serving.windows import ServingRegime, WindowedAggregator
+from repro.simulation.engine import Simulator
 
 # -- schedule parsing --------------------------------------------------------
 
@@ -389,7 +391,8 @@ def test_decentralized_probe_reports_live_capacity():
     removed = simulator._autoscale_remove(5)
     assert removed == 5
     dead_sum = sum(
-        simulator.worker(i).num_slots for i in range(len(simulator.workers))
+        simulator.worker(i).num_slots
+        for i in range(simulator.members.num_machines)
     )
     assert dead_sum == 20  # the buggy denominator would still say 20
     assert probe.total_slots() == 15
@@ -411,7 +414,7 @@ def test_busy_slot_counter_equals_worker_sum_and_fits_live_capacity(
     simulators, samples = [], []
 
     def worker_sum(simulator) -> int:
-        return sum(w.busy_slots for w in simulator.workers if w is not None)
+        return sum(w.busy_slots for w in simulator.workers.values())
 
     def checking_probe(simulator):
         probe = make_probe(simulator)
@@ -551,8 +554,25 @@ def _random_schedule(rng: random.Random, max_step: int) -> str:
 
 def _busy_slots(simulator, worker_id: int) -> int:
     """Busy slots of a worker, 0 for one never created."""
-    worker = simulator.workers[worker_id]
+    worker = simulator.workers.get(worker_id)
     return 0 if worker is None else worker.busy_slots
+
+
+def _job_runtimes(simulator) -> list:
+    """The runtimes of every active job, on either plane."""
+    if isinstance(simulator, CentralizedSimulator):
+        return list(simulator._jobs.values())
+    return [sj for s in simulator.schedulers for sj in s.jobs.values()]
+
+
+def _live_copies(simulator) -> list:
+    """Every copy in an active job's view."""
+    return [
+        copy
+        for runtime in _job_runtimes(simulator)
+        for copies in runtime.view.copies_by_task.values()
+        for copy in copies
+    ]
 
 
 def _assert_resize_invariants(simulator, evicted) -> None:
@@ -564,21 +584,59 @@ def _assert_resize_invariants(simulator, evicted) -> None:
     state = members.state
     assert {m for m, s in enumerate(state) if s & BLACKLISTED} == evicted
     live = _assert_totals_match_rescan(members)
+    for copy in _live_copies(simulator):
+        assert not state[copy.machine_id]
     if isinstance(members, Cluster):
         _assert_index_matches_rebuild(members)
         assert simulator._total_slots == members.total_slots
-        for jr in simulator._jobs.values():
-            for copies in jr.view.copies_by_task.values():
-                for copy in copies:
-                    assert not state[copy.machine_id]
     else:
         assert list(members.ids) == live
         numerator = (1.0 - simulator.config.epsilon) * members.total_slots
         for scheduler in simulator.schedulers:
             assert scheduler._fair_numerator == numerator
-        for worker in simulator.workers:
-            if worker is not None and state[worker.worker_id]:
-                assert worker.running == [] and worker.queue == []
+        for worker in simulator.workers.values():
+            if state[worker.worker_id]:
+                assert worker.busy_slots == 0 and worker.queue == []
+
+
+def _check_copy_handles_after_every_event(simulator, monkeypatch) -> list:
+    """Step the run's engine one event at a time. After each event,
+    every copy in a job's view is running and holds an uncancelled
+    finish event, and each copy that finished or was killed during the
+    event holds none (a dead copy is never touched again, so it is
+    checked once). Returns every copy launched."""
+    launched, running = [], {}
+    launch = CopyLedger.launch
+
+    def recorded_launch(ledger, *args):
+        copy = launch(ledger, *args)
+        launched.append(copy)
+        running[copy.copy_id] = copy
+        return copy
+
+    def check() -> None:
+        for copy_id, copy in list(running.items()):
+            if copy.is_running:
+                assert copy.event is not None and not copy.event.cancelled
+            else:
+                assert copy.event is None
+                del running[copy_id]
+        live = sorted(copy.copy_id for copy in _live_copies(simulator))
+        assert live == sorted(running)
+
+    engine_run = Simulator.run
+
+    def stepped(engine, until=None, max_events=None):
+        assert engine is simulator.sim
+        assert until is None and max_events is None
+        while engine.peek_next_time() is not None:
+            engine_run(engine, max_events=1)
+            check()
+        return engine.now
+
+    monkeypatch.setattr(CopyLedger, "launch", recorded_launch)
+    monkeypatch.setattr(Simulator, "run", stepped)
+    return launched
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -587,7 +645,8 @@ def test_resize_invariants_hold_through_eviction_churn(plane, seed, monkeypatch)
     """Random schedule resizes interleaved with strike eviction and
     probation reinstatement: after EVERY applied ADD/REMOVE, eviction
     and reinstatement the delta-maintained state equals a from-scratch
-    rescan, and no membership change rebuilds the centralized index."""
+    rescan, and no membership change rebuilds the centralized index.
+    After every engine event, only running copies hold finish events."""
     rng = random.Random(seed)
     # The centralized family resizes whole 4-slot machines;
     # decentralized, workers.
@@ -686,8 +745,11 @@ def test_resize_invariants_hold_through_eviction_churn(plane, seed, monkeypatch)
         rebuild(index, bits)
 
     monkeypatch.setattr(ClusterIndex, "rebuild", counted_rebuild)
+    launched = _check_copy_handles_after_every_event(simulator, monkeypatch)
     result = simulator.run()
     assert len(result.jobs) == _CHURN_SPEC.num_jobs
+    assert len(launched) == result.total_copies
+    assert all(copy.event is None for copy in launched)
     # Not vacuous: the run evicted, reinstated, and shrank busy machines.
     assert result.evictions > 0
     assert result.reinstatements > 0

@@ -5,17 +5,18 @@ bytes per fleet member to a bound derived from ``sys.getsizeof``. A
 centralized machine is no object at all: it costs its busy count, its
 membership state byte and its free-slot index entries (a bit byte and a
 Fenwick node). A decentralized worker nothing has addressed is no
-object either: it costs a slot in the worker store, an id in the probe
-pool and its membership state byte, measured after a scheduled shrink
-and grow-back. Anything
+object either: it costs a 4-byte id in the probe pool and its membership
+state byte, measured after a scheduled shrink and grow-back. Anything
 else allocated per member (a ``Machine`` or ``Worker``, an int object,
-per-worker lists, a mirror machine) breaks the bound. The fixed cost of
-a one-member fleet is subtracted from the measurement. A worker that
-something has contacted is pinned to its object and its two lists, and
-a task in a trace copy to its slotted object and its list slot.
+a worker store slot, per-worker lists, a mirror machine) breaks the
+bound. The fixed cost of a one-member fleet is subtracted from the
+measurement. A worker that something has contacted is pinned to its
+object, its request queue and its entry in the worker store, and a task
+in a trace copy to its slotted object and its list slot.
 
 Run as a script to check a larger fleet, e.g. one million workers and
-one million machines::
+one million machines; each line also prints the bound's margin over
+the whole fleet, (bound - measured) x N bytes::
 
     PYTHONPATH=src python tests/test_fleet_memory.py 1000000
 """
@@ -48,7 +49,7 @@ RESIZE = 8
 #: would add 20 KB.
 FIXED_ALLOWANCE = 1024
 #: Worker fields: one slot each (a ``Worker`` has no instance dict).
-WORKER_FIELDS = 7
+WORKER_FIELDS = 6
 
 
 def _traced_bytes(build, size: int) -> int:
@@ -116,22 +117,21 @@ def _grown_bytes(item, made: int, added: int) -> int:
 
 
 def _pool_bytes(made: int, cut: int) -> int:
-    """Bytes of an id array made from ``range(made)``, cut by ``cut``
-    ids and grown back by as many, over-allocation included."""
-    pool = array("l", range(made))
+    """Bytes of a 4-byte id array made from ``range(made)``, cut by
+    ``cut`` ids and grown back by as many, over-allocation included."""
+    pool = array("I", range(made))
     del pool[-cut:]
     pool.extend(range(made - cut, made))
     return sys.getsizeof(pool)
 
 
 def worker_bound(num_workers: int) -> float:
-    """Per worker: a slot in the worker store and a state byte (both
-    made at the fleet size, then grown by the regrown ids), an id in the
-    probe pool (made at the fleet size, cut, then grown back) and a
-    share of :data:`FIXED_ALLOWANCE`."""
+    """Per worker: an id in the probe pool (made at the fleet size, cut,
+    then grown back), a state byte (made at the fleet size, then grown
+    by the regrown ids) and a share of :data:`FIXED_ALLOWANCE`. The
+    worker store holds contacted workers only, so it has no slot here."""
     return (
-        _grown_bytes([None], num_workers, RESIZE)
-        + _pool_bytes(num_workers, RESIZE)
+        _pool_bytes(num_workers, RESIZE)
         + _grown_bytes(bytearray(1), num_workers, RESIZE)
         + FIXED_ALLOWANCE
     ) / num_workers
@@ -161,9 +161,11 @@ def machine_bound(num_machines: int) -> float:
     )
 
 
-def contacted_worker_bound() -> int:
-    """A ``Worker`` with one slot per field (no instance dict) and its
-    empty request queue and running list."""
+def contacted_worker_bound(before: int, after: int) -> float:
+    """A ``Worker`` with one slot per field (no instance dict), its
+    empty request queue, and its entry in the worker store: a store
+    grown from ``before`` to ``after`` workers, per worker added,
+    over-allocation included."""
 
     class Fields:
         __slots__ = tuple(f"f{i}" for i in range(WORKER_FIELDS))
@@ -171,7 +173,12 @@ def contacted_worker_bound() -> int:
     fields = Fields()
     for name in Fields.__slots__:
         setattr(fields, name, None)
-    return _allocated(fields) + 2 * sys.getsizeof([])
+    store = {i: None for i in range(before)}
+    empty = sys.getsizeof(store)
+    for i in range(before, after):
+        store[i] = None
+    entry = (sys.getsizeof(store) - empty) / (after - before)
+    return _allocated(fields) + sys.getsizeof([]) + entry
 
 
 def check_workers(num_workers: int) -> tuple:
@@ -186,21 +193,22 @@ def check_machines(num_machines: int) -> tuple:
     return measured, machine_bound(num_machines)
 
 
-def test_idle_worker_costs_its_store_slot_pool_id_and_flag():
+def test_idle_worker_costs_its_pool_id_and_flag():
     measured, bound = check_workers(FLEET)
-    assert measured <= bound, f"{measured:.1f} B per worker > bound {bound:.1f}"
+    assert measured <= bound, f"{measured:.2f} B per worker > bound {bound:.2f}"
 
 
 def test_building_and_resizing_a_fleet_creates_no_worker():
     simulator = build_decentralized(FLEET)
-    assert simulator.workers.count(None) == FLEET
+    assert simulator.workers == {}
     simulator.run()
     assert simulator._elastic.resizes_applied == 2
-    assert simulator.workers.count(None) == FLEET + RESIZE
+    assert simulator.workers == {}
+    assert simulator.members.num_machines == FLEET + RESIZE
     assert len(simulator.members.ids) == FLEET
 
 
-def test_contacted_worker_costs_its_fields_and_two_lists():
+def test_contacted_worker_costs_its_fields_queue_and_store_entry():
     """Traced bytes the decentralized package allocates when a worker is
     first contacted, per worker. One contact under tracing comes first:
     the first traced call allocates 64 B of its own, once."""
@@ -224,8 +232,10 @@ def test_contacted_worker_costs_its_fields_and_two_lists():
         )
     )
     measured = grown / len(contacted)
-    bound = contacted_worker_bound()
-    assert measured <= bound, f"{measured:.1f} B per contacted worker > {bound}"
+    bound = contacted_worker_bound(1, 1 + len(contacted))
+    assert measured <= bound, (
+        f"{measured:.1f} B per contacted worker > {bound:.1f}"
+    )
 
 
 def _fresh_copy_bytes(num_tasks: int) -> int:
@@ -259,6 +269,10 @@ if __name__ == "__main__":
     failed = False
     for kind, check in (("worker", check_workers), ("machine", check_machines)):
         measured, bound = check(size)
-        print(f"{size} {kind}s: {measured:.2f} B per {kind} (bound {bound:.2f})")
+        margin = (bound - measured) * size
+        print(
+            f"{size} {kind}s: {measured:.2f} B per {kind} (bound {bound:.2f},"
+            f" margin {margin:.0f} B)"
+        )
         failed = failed or measured > bound
     sys.exit(1 if failed else 0)

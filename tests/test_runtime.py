@@ -305,11 +305,13 @@ def test_ledger_launch_finish_lifecycle():
     copy = ledger.launch(jr, task, 0, 2.0, False, True, on_finish)
     assert copy.copy_id == 0
     assert view.copies_of(task) == [copy]
-    assert copy.copy_id in ledger.events
+    # The running copy carries its pending finish event ...
+    assert copy.event is not None and not copy.event.cancelled
     engine.run()
     assert finished == [(copy, True)]
     assert copy.finished and copy.end_time == 2.0
-    assert copy.copy_id not in ledger.events
+    # ... and drops it once it finished.
+    assert copy.event is None
     assert view.copies_of(task) == []
     assert task.is_finished and task.finish_time == 2.0
     assert metrics.result.total_copies == 1
@@ -449,7 +451,7 @@ def _centralized_sim(num_machines=6, slots_per_machine=2, num_jobs=6):
 def test_centralized_eviction_kills_requeues_and_completes():
     """Evicting a machine with running original + speculative copies
     drives the ledger through kill -> requeue -> completion: every job
-    still finishes, no ledger entries or heap events leak, and the
+    still finishes, no finish event or heap event leaks, and the
     evicted machine ends idle and blacklisted."""
     simulator = _centralized_sim()
     evicted = []
@@ -479,15 +481,15 @@ def test_centralized_eviction_kills_requeues_and_completes():
     machine_id, killed = evicted[0]
     assert any(c.speculative for c in killed)
     assert any(not c.speculative for c in killed)
-    # Every killed copy was settled through the ledger.
-    assert all(c.killed for c in killed)
+    # Every killed copy was settled through the ledger, which cancelled
+    # and dropped its finish event.
+    assert all(c.killed and c.event is None for c in killed)
     assert result.killed_copies >= len(killed)
     # Requeue -> completion: the trace still finishes every job.
     assert result.num_jobs == 6
     for job in simulator.trace:
         assert job.is_complete
-    # No leaked ledger entries or heap events.
-    assert simulator.ledger.events == {}
+    # No leaked heap events.
     assert simulator.sim.pending_events == 0
     # The machine stayed out: idle, blacklisted, excluded from totals.
     cluster = simulator.cluster
@@ -570,32 +572,37 @@ def test_decentralized_eviction_kills_requeues_and_completes():
     evicted = []
 
     def evict_busiest_worker():
-        busiest = max(
-            (w for w in simulator.workers if w is not None),
-            key=lambda w: len(w.running),
-            default=None,
-        )
-        if busiest is not None and busiest.running:
-            evicted.append((busiest, list(busiest.running)))
-            simulator._evict_machine(busiest.worker_id)
+        per_worker = {}
+        for scheduler in simulator.schedulers:
+            for sj in scheduler.jobs.values():
+                for copies in sj.view.copies_by_task.values():
+                    for c in copies:
+                        per_worker.setdefault(c.machine_id, []).append(c)
+        if per_worker:
+            # The lowest id among the busiest workers.
+            worker_id, running = max(
+                sorted(per_worker.items()), key=lambda item: len(item[1])
+            )
+            worker = simulator.workers[worker_id]
+            assert worker.busy_slots == len(running)
+            evicted.append((worker, running))
+            simulator._evict_machine(worker_id)
 
     simulator.sim.schedule(4.0, evict_busiest_worker)
     result = simulator.run()
 
     assert evicted, "eviction hook never fired"
     worker, killed = evicted[0]
-    assert all(c.killed for c in killed)
+    assert all(c.killed and c.event is None for c in killed)
     assert result.killed_copies >= len(killed)
     # Requeue -> completion: every job still finishes.
     assert result.num_jobs == 6
     for job in simulator.trace:
         assert job.is_complete
-    # No leaked ledger entries, heap events, queued requests or slots.
-    assert simulator.ledger.events == {}
+    # No leaked heap events, queued requests or slots.
     assert simulator.sim.pending_events == 0
     assert simulator.members.state[worker.worker_id] == BLACKLISTED
-    assert worker.queue == [] and worker.running == []
-    assert worker.busy_slots == 0
+    assert worker.queue == [] and worker.busy_slots == 0
     assert simulator._request_holders == {}
     # The eviction left the probe pool holding every other worker, and
     # live capacity followed it.
