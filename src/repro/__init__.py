@@ -20,21 +20,22 @@ Public API highlights
 
 __version__ = "1.2.0"
 
-from repro.core import (
-    JobAllocationState,
-    fair_allocation,
-    hopper_allocation,
-    srpt_allocation,
-    threshold_multiplier,
-    virtual_size,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "JobAllocationState",
-    "hopper_allocation",
-    "srpt_allocation",
-    "fair_allocation",
-    "virtual_size",
-    "threshold_multiplier",
-    "__version__",
-]
+# Importing any ``repro`` module runs this file, so it names the core
+# functions without importing :mod:`repro.core`: a decentralized run
+# never loads the centralized allocator.
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        "core": (
+            "JobAllocationState",
+            "hopper_allocation",
+            "srpt_allocation",
+            "fair_allocation",
+            "virtual_size",
+            "threshold_multiplier",
+        ),
+    },
+)
+__all__ += ["__version__"]

@@ -1,5 +1,5 @@
 """Batch-mode scheduling plane: periodic rounds over a pending buffer."""
 
-from repro.batch.simulator import BatchSimulator
+from repro._lazy import lazy_exports
 
-__all__ = ["BatchSimulator"]
+__all__, __getattr__ = lazy_exports(__name__, {"simulator": ("BatchSimulator",)})

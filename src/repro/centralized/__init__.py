@@ -7,21 +7,13 @@ slots. Baselines implement the §3 strawmen: best-effort and budgeted
 speculation.
 """
 
-from repro.centralized.policies import (
-    CentralizedPolicy,
-    FairPolicy,
-    HopperPolicy,
-    SRPTPolicy,
-)
-from repro.centralized.config import CentralizedConfig, SpeculationMode
-from repro.centralized.simulator import CentralizedSimulator
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CentralizedPolicy",
-    "FairPolicy",
-    "SRPTPolicy",
-    "HopperPolicy",
-    "CentralizedConfig",
-    "SpeculationMode",
-    "CentralizedSimulator",
-]
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        "policies": ("CentralizedPolicy", "FairPolicy", "SRPTPolicy", "HopperPolicy"),
+        "config": ("CentralizedConfig", "SpeculationMode"),
+        "simulator": ("CentralizedSimulator",),
+    },
+)

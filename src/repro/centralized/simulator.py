@@ -63,12 +63,11 @@ from __future__ import annotations
 
 import math
 from heapq import heappop, heappush
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.centralized.config import CentralizedConfig, SpeculationMode
 from repro.centralized.policies import CentralizedPolicy
 from repro.cluster.cluster import Cluster
-from repro.cluster.datastore import DataStore
 from repro.cluster.elastic import AutoscalerPolicy, ElasticController
 from repro.cluster.membership import MembershipPlane
 from repro.cluster.policy import BlacklistPolicy
@@ -79,7 +78,6 @@ from repro.core.virtual_size import virtual_size
 from repro.estimation.alpha import AlphaEstimator
 from repro.estimation.beta import OnlineBetaEstimator
 from repro.metrics.collector import MetricsCollector, SimulationResult
-from repro.obs import Obs
 from repro.runtime import CopyLedger, LocalityJobRuntime
 from repro.simulation.engine import Simulator
 from repro.simulation.rng import RandomSource
@@ -89,6 +87,10 @@ from repro.stragglers.progress import TaskCopy
 from repro.workload.job import Job
 from repro.workload.task import Task, TaskState
 from repro.workload.traces import Trace
+
+if TYPE_CHECKING:
+    from repro.cluster.datastore import DataStore
+    from repro.obs import Obs
 
 
 class _JobRuntime(LocalityJobRuntime):

@@ -34,17 +34,16 @@ import argparse
 import json
 import os
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro import registry
 from repro.metrics.tables import print_table
-from repro.sweep import (
-    ResultCache,
-    RunSpec,
-    Study,
-    SweepRunner,
-    WorkloadParams,
-)
+
+if TYPE_CHECKING:
+    from repro.sweep import Study, SweepRunner
+
+# Each subcommand imports what it runs (the sweep, the figure catalogue,
+# a plane), so a process pays only for the command it was given.
 
 
 def _figures() -> Dict[str, Study]:
@@ -61,6 +60,8 @@ def _figures() -> Dict[str, Study]:
 # --------------------------------------------------------------------------
 
 def _build_runner(args: argparse.Namespace) -> SweepRunner:
+    from repro.sweep import ResultCache, SweepRunner
+
     cache = None
     if getattr(args, "cache", False):
         cache = ResultCache(root=getattr(args, "cache_dir", None))
@@ -180,6 +181,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    from repro.sweep import RunSpec, WorkloadParams
+
     try:
         specs = [
             RunSpec(
@@ -333,6 +336,8 @@ def _cmd_study(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
+    from repro.sweep import ResultCache
+
     cache = ResultCache(root=args.cache_dir)
     if args.clear and args.action != "info":
         print(

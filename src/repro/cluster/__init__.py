@@ -8,29 +8,22 @@ with a Fenwick :class:`ClusterIndex` of free machines; no object exists
 per machine.
 """
 
-from repro.cluster.cluster import Cluster
-from repro.cluster.membership import Membership
-from repro.cluster.datastore import DataStore
-from repro.cluster.blacklist import Blacklist
-from repro.cluster.index import ClusterIndex
-from repro.cluster.policy import BlacklistPolicy, StrikeBlacklistPolicy
-from repro.cluster.elastic import (
-    AutoscalerPolicy,
-    ElasticController,
-    ReactiveAutoscaler,
-    ScheduleAutoscaler,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Cluster",
-    "Membership",
-    "DataStore",
-    "Blacklist",
-    "ClusterIndex",
-    "BlacklistPolicy",
-    "StrikeBlacklistPolicy",
-    "AutoscalerPolicy",
-    "ElasticController",
-    "ReactiveAutoscaler",
-    "ScheduleAutoscaler",
-]
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        "cluster": ("Cluster",),
+        "membership": ("Membership",),
+        "datastore": ("DataStore",),
+        "blacklist": ("Blacklist",),
+        "index": ("ClusterIndex",),
+        "policy": ("BlacklistPolicy", "StrikeBlacklistPolicy"),
+        "elastic": (
+            "AutoscalerPolicy",
+            "ElasticController",
+            "ReactiveAutoscaler",
+            "ScheduleAutoscaler",
+        ),
+    },
+)

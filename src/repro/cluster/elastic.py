@@ -39,9 +39,11 @@ membership sequence of :mod:`repro.cluster.membership`:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from repro.obs import Obs
+if TYPE_CHECKING:
+    from repro.obs import Obs
+
 
 #: A resize instruction: (simulation time, machine count delta).
 ResizeEvent = Tuple[float, int]

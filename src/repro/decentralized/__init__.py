@@ -7,19 +7,13 @@ implements Pseudocode 3 (SRPT-by-virtual-size with refusable responses and
 a non-refusable fallback); schedulers implement Pseudocode 2.
 """
 
-from repro.decentralized.config import DecentralizedConfig, WorkerPolicy
-from repro.decentralized.messages import (
-    JobGossip,
-    Request,
-    ResponseType,
-)
-from repro.decentralized.simulator import DecentralizedSimulator
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DecentralizedConfig",
-    "WorkerPolicy",
-    "JobGossip",
-    "Request",
-    "ResponseType",
-    "DecentralizedSimulator",
-]
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        "config": ("DecentralizedConfig", "WorkerPolicy"),
+        "messages": ("JobGossip", "Request", "ResponseType"),
+        "simulator": ("DecentralizedSimulator",),
+    },
+)

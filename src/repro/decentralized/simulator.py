@@ -62,7 +62,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, insort
 from collections import defaultdict
-from typing import Callable, DefaultDict, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, DefaultDict, Dict, List, Optional, Tuple
 
 from repro.cluster.elastic import AutoscalerPolicy, ElasticController
 from repro.cluster.membership import Membership, MembershipPlane
@@ -73,7 +73,6 @@ from repro.decentralized.worker import Worker
 from repro.estimation.alpha import AlphaEstimator
 from repro.estimation.beta import OnlineBetaEstimator
 from repro.metrics.collector import MetricsCollector, SimulationResult
-from repro.obs import Obs
 from repro.runtime import CopyLedger
 from repro.simulation.engine import Simulator
 from repro.simulation.rng import RandomSource
@@ -83,6 +82,9 @@ from repro.stragglers.progress import TaskCopy
 from repro.workload.job import Job
 from repro.workload.task import Task
 from repro.workload.traces import Trace
+
+if TYPE_CHECKING:
+    from repro.obs import Obs
 
 
 class _ProbePool(Membership):

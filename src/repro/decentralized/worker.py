@@ -203,24 +203,21 @@ class Worker:
             return
 
         # HOPPER policy -------------------------------------------------
-        # One pass over the queue builds the candidates (as _candidates
-        # does) and finds both the smallest starved one (served before
-        # everything else, ε-fairness) and the (virtual size, enqueue
-        # time)-smallest one; first-minimal wins on ties.
-        seen: Set[int] = set(episode.tried)
-        add = seen.add
-        candidates: List[Request] = []
-        append = candidates.append
+        # One pass over the untried requests finds both the smallest
+        # starved one (served before everything else, ε-fairness) and
+        # the (virtual size, enqueue time)-smallest one; first-minimal
+        # wins on ties. Queued requests with equal keys share one gossip
+        # and sit in enqueue order, so a repeat never beats the first of
+        # its key and the pass needs no dedup (only the threshold branch
+        # below reads the deduplicated candidates).
+        tried = episode.tried
         best: Optional[Request] = None
         best_vs = best_time = 0.0
         best_starved: Optional[Request] = None
         best_starved_vs = 0.0
         for request in self.queue:
-            key = request.key
-            if key in seen:
+            if request.key in tried:
                 continue
-            add(key)
-            append(request)
             gossip = request.gossip
             vs = gossip.virtual_size
             if (
@@ -245,6 +242,7 @@ class Worker:
             self.sim.metrics.record_guideline_decision(
                 constrained=bool(episode.unsatisfied)
             )
+            candidates = self._candidates(episode)
             if episode.unsatisfied:
                 # Capacity constrained: serve the smallest unsatisfied job.
                 entry = min(episode.unsatisfied)

@@ -9,20 +9,10 @@ declarative.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from repro import registry
-from repro.batch.simulator import BatchSimulator
-from repro.centralized.config import CentralizedConfig, SpeculationMode
-from repro.centralized.simulator import CentralizedSimulator
-from repro.cluster.cluster import Cluster
-from repro.cluster.datastore import DataStore
-from repro.cluster.elastic import AutoscalerPolicy
-from repro.cluster.policy import BlacklistPolicy
-from repro.decentralized.config import DecentralizedConfig
-from repro.decentralized.simulator import DecentralizedSimulator
 from repro.metrics.collector import SimulationResult
-from repro.obs import Obs, obs_from_env
 from repro.simulation.rng import RandomSource
 from repro.speculation import make_speculation_policy
 from repro.stragglers.model import ParetoRedrawStragglerModel, StragglerModel
@@ -32,6 +22,19 @@ from repro.workload.generator import (
     WorkloadProfile,
 )
 from repro.workload.traces import Trace
+
+if TYPE_CHECKING:
+    from repro.batch.simulator import BatchSimulator
+    from repro.centralized.config import CentralizedConfig, SpeculationMode
+    from repro.centralized.simulator import CentralizedSimulator
+    from repro.cluster.elastic import AutoscalerPolicy
+    from repro.cluster.policy import BlacklistPolicy
+    from repro.decentralized.config import DecentralizedConfig
+    from repro.decentralized.simulator import DecentralizedSimulator
+    from repro.obs import Obs
+
+# Each plane's modules are imported inside its builder, once per
+# simulator built: a run loads the plane it runs and no other.
 
 
 @dataclass
@@ -157,6 +160,8 @@ _OBS_FROM_ENV = object()
 
 def _resolve_obs(obs) -> Optional[Obs]:
     if obs is _OBS_FROM_ENV:
+        from repro.obs import obs_from_env
+
         return obs_from_env()
     return obs
 
@@ -196,6 +201,9 @@ def _centralized_family_kwargs(
     (INTEGRATED for Hopper, BEST_EFFORT for the baselines and for
     plain-callable registrations).
     """
+    from repro.centralized.config import CentralizedConfig, SpeculationMode
+    from repro.cluster.cluster import Cluster
+
     entry = registry.SYSTEMS.get(policy.lower(), plane=plane)
     if speculation_mode is None:
         speculation_mode = (
@@ -208,6 +216,8 @@ def _centralized_family_kwargs(
     )
     datastore = None
     if with_locality:
+        from repro.cluster.datastore import DataStore
+
         datastore = DataStore(
             num_machines=num_machines,
             random_source=RandomSource(seed=spec.seed + 1),
@@ -249,6 +259,8 @@ def build_centralized_simulator(
     :mod:`repro.cluster.elastic`). The serving driver builds through
     here too, then primes the engine before calling ``run()``.
     """
+    from repro.centralized.simulator import CentralizedSimulator
+
     return CentralizedSimulator(
         **_centralized_family_kwargs(trace, policy, spec, "centralized", **knobs)
     )
@@ -269,6 +281,8 @@ def build_batch_simulator(
     rounds: the controller requests a dispatch, and the batch plane
     coalesces that into its next round.
     """
+    from repro.batch.simulator import BatchSimulator
+
     return BatchSimulator(
         round_interval=round_interval,
         **_centralized_family_kwargs(trace, policy, spec, "batch", **knobs),
@@ -305,6 +319,9 @@ def build_decentralized_simulator(
     ``TypeError``. The serving driver builds through here too, then
     primes the engine before ``run()``.
     """
+    from repro.decentralized.config import DecentralizedConfig
+    from repro.decentralized.simulator import DecentralizedSimulator
+
     defaults = registry.SYSTEMS.get(system, plane="decentralized").factory()
     if config is None:
         config = DecentralizedConfig(

@@ -260,7 +260,9 @@ def _reference_hopper_step(worker, episode):
 @pytest.mark.parametrize("seed", range(100))
 def test_hopper_step_offers_what_the_candidate_scan_picks(monkeypatch, seed):
     """Random queues with duplicate keys, virtual-size and enqueue-time
-    ties, starved flags, tried keys and refusal info."""
+    ties, starved flags, tried keys and refusal info. A queue holds its
+    requests in enqueue-time order, as every queue in a run does (see
+    the test below)."""
     from repro.decentralized.worker import Episode, Worker
 
     rng = random.Random(seed)
@@ -270,10 +272,13 @@ def test_hopper_step_offers_what_the_candidate_scan_picks(monkeypatch, seed):
         _gossip(j, rng.choice((1.0, 2.0, 2.0)), 3, starved=rng.random() < 0.1)
         for j in range(1, 6)
     ]
-    worker.queue = [
-        Request(rng.choice(gossips), float(rng.randrange(2)), rng.random() < 0.7)
-        for _ in range(rng.randint(0, 10))
-    ]
+    worker.queue = sorted(
+        (
+            Request(rng.choice(gossips), float(rng.randrange(2)), rng.random() < 0.7)
+            for _ in range(rng.randint(0, 10))
+        ),
+        key=lambda r: r.enqueue_time,
+    )
     episode = Episode(worker)
     episode.tried = {r.key for r in worker.queue if rng.random() < 0.3}
     episode.refusals = rng.randrange(4)
@@ -307,6 +312,45 @@ def test_hopper_step_offers_what_the_candidate_scan_picks(monkeypatch, seed):
             assert [id(r) for r in pick[1]] == [id(r) for r in expected[0][1]]
         else:
             assert pick[1] == expected[0][1]
+
+
+@pytest.mark.parametrize("system", ["hopper", "sparrow-lb"])
+def test_every_worker_step_sees_its_queue_in_enqueue_order(monkeypatch, system):
+    """The HOPPER step never deduplicates its scan: a repeat of a key
+    shares the first's gossip and cannot beat it, because a queue holds
+    requests in enqueue-time order (one constant message delay, FIFO
+    delivery, purges that keep the order). Checked at every step of
+    replays with evictions, probation and resizes, whose queues do hold
+    repeated keys."""
+    from repro.decentralized.worker import Worker
+    from repro.experiments.harness import WorkloadSpec, build_trace, run_simulator
+
+    original = Worker._episode_step
+    seen = {"steps": 0, "repeats": 0}
+
+    def checked(self, episode):
+        times = [request.enqueue_time for request in self.queue]
+        assert times == sorted(times)
+        keys = [request.key for request in self.queue]
+        seen["steps"] += 1
+        seen["repeats"] += len(keys) != len(set(keys))
+        original(self, episode)
+
+    monkeypatch.setattr(Worker, "_episode_step", checked)
+    spec = WorkloadSpec(num_jobs=20, utilization=0.7, total_slots=80, seed=2)
+    run_simulator(
+        f"decentralized/{system}",
+        build_trace(spec),
+        spec,
+        straggler_model="machine-correlated",
+        blacklist_policy="strikes-probation",
+        strike_threshold=2,
+        strike_window=8.0,
+        autoscaler="schedule",
+        resize_schedule="2:-10,4:+6,6:-6,8:+10",
+        obs=None,
+    )
+    assert seen["steps"] > 100 and seen["repeats"] > 0, seen
 
 
 def test_worker_slot_accounting_with_pending_episode():

@@ -161,11 +161,14 @@ def machine_bound(num_machines: int) -> float:
     )
 
 
-def contacted_worker_bound(before: int, after: int) -> float:
+def contacted_worker_bound(before: int, after: int, worker_id: int) -> float:
     """A ``Worker`` with one slot per field (no instance dict), its
-    empty request queue, and its entry in the worker store: a store
-    grown from ``before`` to ``after`` workers, per worker added,
-    over-allocation included."""
+    empty request queue, its entry in the worker store (a store grown
+    from ``before`` to ``after`` workers, per worker added,
+    over-allocation included) and its id ``worker_id``, an int object
+    shared by the store key and ``Worker.worker_id``. Ids -5..256 are
+    cached small ints and cost nothing; a fleet of more than 257
+    workers is almost all larger ids."""
 
     class Fields:
         __slots__ = tuple(f"f{i}" for i in range(WORKER_FIELDS))
@@ -178,7 +181,7 @@ def contacted_worker_bound(before: int, after: int) -> float:
     for i in range(before, after):
         store[i] = None
     entry = (sys.getsizeof(store) - empty) / (after - before)
-    return _allocated(fields) + sys.getsizeof([]) + entry
+    return _allocated(fields) + sys.getsizeof([]) + entry + _allocated(worker_id)
 
 
 def check_workers(num_workers: int) -> tuple:
@@ -209,30 +212,33 @@ def test_building_and_resizing_a_fleet_creates_no_worker():
 
 
 def test_contacted_worker_costs_its_fields_queue_and_store_entry():
-    """Traced bytes the decentralized package allocates when a worker is
-    first contacted, per worker. One contact under tracing comes first:
-    the first traced call allocates 64 B of its own, once."""
-    simulator = build_decentralized(64)
-    contacted = range(8, 40)
+    """Traced bytes held per worker once workers are first contacted,
+    wherever they were allocated; only tracemalloc's own snapshots are
+    left out. The ids lie above 256, so each is an int object the
+    worker keeps, as in a large fleet. One contact under tracing comes
+    first: the first traced call allocates 64 B of its own, once."""
+    simulator = build_decentralized(FLEET)
+    contacted = range(5000, 5032)
     gc.collect()
     tracemalloc.start()
     try:
         simulator.worker(3)
         before = tracemalloc.take_snapshot()
-        workers = [simulator.worker(i) for i in contacted]
+        for worker_id in contacted:
+            simulator.worker(worker_id)
         after = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
-    assert not hasattr(workers[0], "__dict__")
-    in_package = [tracemalloc.Filter(True, "*/repro/decentralized/*")]
+    assert not hasattr(simulator.workers[contacted[0]], "__dict__")
+    not_tracemalloc = [tracemalloc.Filter(False, tracemalloc.__file__)]
     grown = sum(
         stat.size_diff
-        for stat in after.filter_traces(in_package).compare_to(
-            before.filter_traces(in_package), "filename"
+        for stat in after.filter_traces(not_tracemalloc).compare_to(
+            before.filter_traces(not_tracemalloc), "filename"
         )
     )
     measured = grown / len(contacted)
-    bound = contacted_worker_bound(1, 1 + len(contacted))
+    bound = contacted_worker_bound(1, 1 + len(contacted), contacted[-1])
     assert measured <= bound, (
         f"{measured:.1f} B per contacted worker > {bound:.1f}"
     )
