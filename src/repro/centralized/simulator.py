@@ -48,15 +48,15 @@ Scale-out notes (10k+-slot clusters):
   visits only moved jobs, and a job parked at its target stays out of
   the speculation work set until it moves or its stamp expires.
 
-Blacklisting (§2.2) and elastic resizes run the membership sequence
-both planes share (:class:`~repro.cluster.membership.MembershipPlane`):
+The run loop, the job index and blacklisting (§2.2) and elastic
+resizes are the ones both planes share (:class:`~repro.runtime.plane.Plane`):
 an optional :class:`~repro.cluster.policy.BlacklistPolicy` observes every
 copy completion; an eviction or a shrink flags machines in the cluster
 (an O(log machines) delta on the totals and the free-slot index),
-refreshes the cached slot total and speculation budget, then kills the
-machines' running copies through the ledger and requeues tasks whose
-last copy died. With no policy (the default) the blacklist path is a
-single ``is not None`` check per completion.
+refreshes the speculation budget, then kills the machines' running
+copies through the ledger and requeues tasks whose last copy died.
+With no policy (the default) the blacklist path is a single
+``is not None`` check per completion.
 """
 
 from __future__ import annotations
@@ -68,18 +68,15 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 from repro.centralized.config import CentralizedConfig, SpeculationMode
 from repro.centralized.policies import CentralizedPolicy
 from repro.cluster.cluster import Cluster
-from repro.cluster.elastic import AutoscalerPolicy, ElasticController
-from repro.cluster.membership import MembershipPlane
+from repro.cluster.elastic import AutoscalerPolicy
 from repro.cluster.policy import BlacklistPolicy
 from repro.core.allocation import JobAllocationState
 from repro.core.incremental import IncrementalAllocator
 from repro.core.locality import pick_job_with_locality
 from repro.core.virtual_size import virtual_size
-from repro.estimation.alpha import AlphaEstimator
-from repro.estimation.beta import OnlineBetaEstimator
-from repro.metrics.collector import MetricsCollector, SimulationResult
-from repro.runtime import CopyLedger, LocalityJobRuntime
-from repro.simulation.engine import Simulator
+from repro.metrics.collector import SimulationResult
+from repro.runtime import LocalityJobRuntime
+from repro.runtime.plane import Plane
 from repro.simulation.rng import RandomSource
 from repro.speculation.base import SpeculationPolicy
 from repro.stragglers.model import StragglerModel
@@ -157,7 +154,7 @@ class _JobRuntime(LocalityJobRuntime):
         self._moved.add(job_id)
 
 
-class CentralizedSimulator(MembershipPlane):
+class CentralizedSimulator(Plane):
     """Simulates a trace under one centralized policy.
 
     Parameters
@@ -184,19 +181,8 @@ class CentralizedSimulator(MembershipPlane):
     __slots__ = (
         "cluster",
         "policy",
-        "speculation_factory",
-        "trace",
-        "straggler_model",
-        "config",
         "datastore",
-        "random_source",
-        "sim",
-        "metrics",
-        "beta_estimator",
-        "alpha_estimator",
-        "ledger",
         "_rng",
-        "_jobs",
         "_alloc",
         "_alloc_beta",
         "_alloc_history",
@@ -209,17 +195,11 @@ class CentralizedSimulator(MembershipPlane):
         "_spec_expiry",
         "_moved",
         "_sweep_capped",
-        "_spec_check_scheduled",
         "_jobs_completed",
-        "_total_slots",
         "_spec_budget",
         "_running_spec_copies",
         "_running_original_copies",
         "_spec_eval_min_interval",
-        "blacklist_policy",
-        "_elastic",
-        "obs",
-        "_tracer",
     )
 
     def __init__(
@@ -236,31 +216,22 @@ class CentralizedSimulator(MembershipPlane):
         autoscaler: Optional[AutoscalerPolicy] = None,
         obs: Optional[Obs] = None,
     ) -> None:
+        super().__init__(
+            cluster,
+            trace,
+            speculation,
+            straggler_model,
+            config or CentralizedConfig(),
+            policy.name,
+            random_source,
+            blacklist_policy,
+            autoscaler,
+            obs,
+        )
         self.cluster = cluster
         self.policy = policy
-        self.speculation_factory = speculation
-        self.trace = trace
-        self.straggler_model = straggler_model
-        self.config = config or CentralizedConfig()
         self.datastore = datastore
-        self.random_source = random_source or RandomSource(seed=0)
-        self.obs = obs
-        self._tracer = obs.tracer if obs is not None else None
-
-        self.sim = Simulator(obs=obs)
-        self.metrics = MetricsCollector(scheduler_name=policy.name)
-        self.beta_estimator = OnlineBetaEstimator(
-            default_beta=self.config.default_beta
-        )
-        self.alpha_estimator = AlphaEstimator(
-            network_rate=self.config.network_rate
-        )
-        self.ledger = CopyLedger(
-            self.sim, self.metrics, self.beta_estimator, tracer=self._tracer
-        )
-
         self._rng = self.random_source.child("centralized").rng
-        self._jobs: Dict[int, _JobRuntime] = {}
         # Incremental allocation engine: cached per-job states and the
         # delta-maintained dispatch order.
         self._alloc = IncrementalAllocator(policy)
@@ -285,47 +256,20 @@ class CentralizedSimulator(MembershipPlane):
         self._spec_parked: set = set()
         # Whether the last preemption sweep ran on capped targets.
         self._sweep_capped = False
-        self._spec_check_scheduled = False
         self._jobs_completed = 0
-
-        self._total_slots = cluster.total_slots
         self._spec_budget = 0
-        if self.config.speculation_mode is SpeculationMode.BUDGETED:
-            self._spec_budget = int(
-                self.config.budget_fraction * self._total_slots
-            )
+        self._refresh_membership()
         self._running_spec_copies = 0
         self._running_original_copies = 0
         self._spec_eval_min_interval = self.config.spec_eval_min_interval
-        self.blacklist_policy = blacklist_policy
-        self._elastic: Optional[ElasticController] = None
-        if autoscaler is not None:
-            self._elastic = ElasticController(self.sim, autoscaler, obs)
 
     # ------------------------------------------------------------------ run --
 
     def run(self, until: Optional[float] = None) -> SimulationResult:
-        """Replay the whole trace; returns the metrics."""
+        """Replay the whole trace from a freed cluster; returns the
+        metrics."""
         self.cluster.reset()
-        self.sim.schedule_many(
-            (
-                (job.arrival_time, self._on_job_arrival, (job,))
-                for job in self.trace
-            ),
-            absolute=True,
-        )
-        if self._elastic is not None:
-            self._elastic.prime(self)
-        self.sim.run(until=until)
-        self._finalize_diagnostics()
-        return self.metrics.result
-
-    def _finalize_diagnostics(self) -> None:
-        result = self.metrics.result
-        if self.blacklist_policy is not None:
-            result.machine_strikes = self.blacklist_policy.strike_totals()
-        if self.obs is not None:
-            result.obs = self.obs.report()
+        return super().run(until)
 
     # -------------------------------------------------------------- helpers --
 
@@ -454,15 +398,7 @@ class CentralizedSimulator(MembershipPlane):
         the job's slot in the incremental allocator (its position in the
         insertion order is fixed at arrival, however many events pass
         before the next solve)."""
-        if self._tracer is not None:
-            self._tracer.begin(
-                "job",
-                "job",
-                ("job", job.job_id),
-                self.sim.now,
-                job=job.job_id,
-                tasks=job.num_tasks,
-            )
+        self._begin_job_span(job)
         if self.datastore is not None:
             self.datastore.place_job_inputs(job)
         jr = _JobRuntime(job, self.speculation_factory(), self)
@@ -483,14 +419,6 @@ class CentralizedSimulator(MembershipPlane):
         self._admit_job(job)
         self._reschedule()
         self._ensure_spec_check()
-
-    def _ensure_spec_check(self) -> None:
-        if self._spec_check_scheduled or not self._jobs:
-            return
-        self._spec_check_scheduled = True
-        self.sim.schedule(
-            self.config.speculation_check_interval, self._on_spec_check
-        )
 
     def _on_spec_check(self) -> None:
         self._spec_check_scheduled = False
@@ -593,49 +521,23 @@ class CentralizedSimulator(MembershipPlane):
     # ------------------------------------------------ membership hooks ----
 
     @property
-    def members(self) -> Cluster:
-        """The cluster, as the membership the shared eviction and resize
-        sequence changes (see :class:`MembershipPlane`)."""
-        return self.cluster
-
-    @property
     def busy_slots(self) -> int:
-        """Busy slots, as the elastic controller's sampler reads them."""
+        """Busy slots, as the elastic controller and the serving sampler
+        read them."""
         return self.cluster.busy_slots
-
-    @property
-    def _active_jobs(self) -> int:
-        """Jobs in flight; the elastic controller samples while any are."""
-        return len(self._jobs)
-
-    def _running_copies(self, machine_ids) -> List[List[tuple]]:
-        """The ``(copy, runtime)`` pairs running on each of
-        ``machine_ids``, found in one walk over every live copy. Each
-        machine's list keeps the walk's order: the order a scan for that
-        one machine would produce."""
-        buckets: Dict[int, List[tuple]] = {m: [] for m in machine_ids}
-        get = buckets.get
-        for jr in self._jobs.values():
-            for copies in jr.view.copies_by_task.values():
-                for c in copies:
-                    bucket = get(c.machine_id)
-                    if bucket is not None:
-                        bucket.append((c, jr))
-        return [buckets[m] for m in machine_ids]
 
     def _requeue(self, task: Task, jr: _JobRuntime) -> None:
         if jr.requeue(task):
             task.state = TaskState.PENDING
 
     def _refresh_membership(self) -> None:
-        """Membership changed the usable slot count; refresh the cached
-        total AND the budgeted-speculation reservation, which is a
-        fraction of it (a stale budget could otherwise exceed the
-        shrunken cluster and starve original dispatch)."""
-        self._total_slots = self.cluster.total_slots
+        """Membership changed the usable slot count; refresh the
+        budgeted-speculation reservation, which is a fraction of it (a
+        stale budget could otherwise exceed the shrunken cluster and
+        starve original dispatch)."""
         if self.config.speculation_mode is SpeculationMode.BUDGETED:
             self._spec_budget = int(
-                self.config.budget_fraction * self._total_slots
+                self.config.budget_fraction * self.cluster.total_slots
             )
 
     # ------------------------------------------------------------- elastic ----
@@ -681,10 +583,11 @@ class CentralizedSimulator(MembershipPlane):
             return
 
         mode = self.config.speculation_mode
+        total = self.cluster.total_slots
         if mode is SpeculationMode.BUDGETED:
-            original_slots = self._total_slots - self._spec_budget
+            original_slots = total - self._spec_budget
         else:
-            original_slots = self._total_slots
+            original_slots = total
 
         if obs is None:
             targets = self._alloc.allocate(original_slots)
@@ -699,8 +602,8 @@ class CentralizedSimulator(MembershipPlane):
         # fit, the run is capacity-rich without summing.
         alloc = self._alloc
         self.metrics.record_guideline_decision(
-            constrained=alloc.cap_sum > self._total_slots
-            and alloc.virtual_size_sum() > self._total_slots
+            constrained=alloc.cap_sum > total
+            and alloc.virtual_size_sum() > total
         )
 
         # Coordinated mode may reclaim slots from over-target speculative
@@ -728,7 +631,7 @@ class CentralizedSimulator(MembershipPlane):
             # pool idles — the §3 strawman's defining waste.
             self._dispatch_originals(
                 targets=None,
-                original_limit=self._total_slots - self._spec_budget,
+                original_limit=total - self._spec_budget,
             )
             self._dispatch_speculation(
                 targets=None, pool_limit=self._spec_budget

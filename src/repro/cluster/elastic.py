@@ -20,7 +20,8 @@ Policies (registered in ``repro.registry`` under ``AUTOSCALER_POLICIES``):
 
 The planes apply a resize of Δ machines incrementally, with no
 wholesale rebuild or rescan on the resize path. Both go through the one
-membership sequence of :mod:`repro.cluster.membership`:
+membership sequence (:class:`~repro.runtime.plane.Plane` over
+:mod:`repro.cluster.membership`):
 
 * :meth:`~repro.cluster.membership.Membership.machines_to_retire` picks
   a shrink's victims walking down from the highest id (past any machines
@@ -29,9 +30,9 @@ membership sequence of :mod:`repro.cluster.membership`:
   byte and the live totals, plus one Fenwick update of the centralized
   :class:`~repro.cluster.index.ClusterIndex` or one id of the
   decentralized probe pool: O(Δ·log machines) in all;
-* a shrink and an eviction share one kill→requeue teardown; on the
-  centralized plane it finds every leaving machine's copies in one
-  O(live copies) walk;
+* a shrink and an eviction share one kill→requeue teardown; on both
+  planes it finds every leaving machine's copies in one O(live copies)
+  walk;
 * the :class:`~repro.core.incremental.IncrementalAllocator` floors memo
   invalidates through its existing ``(membership_version, total_slots)``
   key with no new hooks.

@@ -15,16 +15,14 @@ Retirement is permanent: growth appends fresh ids (so per-id state
 everywhere stays valid) and a reinstatement only clears the blacklisted
 bit, so a retired id never comes back.
 
-:class:`MembershipPlane` is the one membership sequence both planes run
-on top of it: observe a completion, evict, reinstate or shrink, follow
-up on capacity, then kill and requeue.
+:class:`~repro.runtime.plane.Plane` runs the one membership sequence
+both planes share on top of it: observe a completion, evict, reinstate
+or shrink, follow up on capacity, then kill and requeue.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
-
-from repro.cluster.policy import evaluate_completion
+from typing import List
 
 #: State bits of a machine id.
 BLACKLISTED = 1
@@ -117,104 +115,3 @@ class Membership:
             if not state[machine_id]:
                 chosen.append(machine_id)
         return chosen
-
-
-class MembershipPlane:
-    """The membership sequence both scheduler planes share.
-
-    A plane provides ``members`` (its :class:`Membership`), ``sim`` (the
-    engine), ``metrics``, ``obs``, ``blacklist_policy``, ``_elastic``
-    and ``_kill_copy(copy, runtime)``, plus three hooks:
-
-    * ``_running_copies(machine_ids)`` — the ``(copy, runtime)`` pairs
-      running on those ids, one list per machine in the order given
-      (each machine's queued work leaves with it; a machine with
-      nothing to tear down may be left out);
-    * ``_requeue(task, runtime)`` — put a task whose last copy died back
-      in line;
-    * ``_refresh_membership()`` — the capacity follow-up of every
-      membership change (the speculation budget on the centralized
-      plane, the ε-fair floors on the decentralized one).
-
-    One order serves both planes: flag every leaving id, follow up on
-    capacity, then kill and requeue machine by machine. Flags and
-    capacity come first so that a requeue (whose probes sample the
-    decentralized pool, and whose gossip reads the fair floors) never
-    sees a leaving machine as live. Requeueing per machine puts a task
-    with copies on two leaving machines back in line after the second
-    of them; killing every machine's copies before requeueing any
-    would move it, and the pinned replays change.
-    """
-
-    __slots__ = ()
-
-    def _observe_blacklist(self, copy, runtime) -> None:
-        """Feed one completion to the eviction policy and act on it."""
-        obs = self.obs
-        if obs is None:
-            reinstated, evict = evaluate_completion(
-                self.blacklist_policy, self.sim.now, copy, runtime.view
-            )
-        else:
-            with obs.timers.phase("policy.evaluate_completion"):
-                reinstated, evict = evaluate_completion(
-                    self.blacklist_policy, self.sim.now, copy, runtime.view
-                )
-        for machine_id in reinstated:
-            self._reinstate_machine(machine_id)
-        if evict is not None:
-            self._evict_machine(evict)
-
-    def _evict_machine(self, machine_id: int) -> None:
-        """Blacklist ``machine_id`` mid-run, killing its running copies."""
-        self.members.apply_blacklist(machine_id, True)
-        victims = self._vacate((machine_id,))
-        self.metrics.record_eviction()
-        self._note("evict", "blacklist.evictions", machine=machine_id, victims=victims)
-
-    def _reinstate_machine(self, machine_id: int) -> None:
-        """Probation served: the machine's slots rejoin the pool."""
-        self.members.apply_blacklist(machine_id, False)
-        self._refresh_membership()
-        self.metrics.record_reinstatement()
-        self._note("reinstate", "blacklist.reinstatements", machine=machine_id)
-
-    def _note(self, kind: str, counter: str, **args) -> None:
-        obs = self.obs
-        if obs is not None:
-            obs.counters.inc(counter)
-            if obs.tracer is not None:
-                obs.tracer.instant("blacklist", kind, self.sim.now, **args)
-
-    def _retire(self, count: int) -> int:
-        """An elastic shrink: retire up to ``count`` of the highest live
-        ids (clamped to the autoscaler's ``min_machines``) and tear them
-        down as an eviction does; returns how many left."""
-        machine_ids = self.members.machines_to_retire(
-            count, self._elastic.policy.min_machines
-        )
-        if machine_ids:
-            self.members.remove_machine(*machine_ids)
-            self._vacate(machine_ids)
-        return len(machine_ids)
-
-    def _vacate(self, machine_ids: Sequence[int]) -> int:
-        """``machine_ids`` just left membership (evicted, or retired by
-        a shrink): follow up on capacity, then kill the copies running
-        on them and requeue each task whose last copy died; returns the
-        number killed."""
-        self._refresh_membership()
-        killed = 0
-        for victims in self._running_copies(machine_ids):
-            orphaned = []
-            for copy, runtime in victims:
-                self._kill_copy(copy, runtime)
-                if not copy.task.is_finished:
-                    orphaned.append((copy.task, runtime))
-            for task, runtime in orphaned:
-                # A live sibling elsewhere still carries the task; its
-                # last copy dying here requeues it, speculative or not.
-                if runtime.view.num_live_copies(task) == 0:
-                    self._requeue(task, runtime)
-            killed += len(victims)
-        return killed

@@ -129,7 +129,7 @@ class SchedulerAgent:
 
     # -- job lifecycle -----------------------------------------------------
 
-    def submit_job(self, job: Job) -> None:
+    def submit_job(self, job: Job) -> SchedulerJob:
         gossip = JobGossip(
             job_id=job.job_id,
             scheduler_id=self.scheduler_id,
@@ -146,6 +146,7 @@ class SchedulerAgent:
         fresh = sj.activate_runnable_phases()
         self._refresh_gossip(sj)
         self._send_probes(sj, len(fresh))
+        return sj
 
     def _send_probes(
         self, sj: SchedulerJob, num_tasks: int, spec_ok: Optional[bool] = None

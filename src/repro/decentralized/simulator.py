@@ -45,16 +45,17 @@ costs its state byte and its pool id, about 5 bytes:
   retires its top ids; an eviction deletes one id and a reinstatement
   inserts it back, each found by bisection.
 
-Blacklisting (§2.2) and elastic resizes run the membership sequence
-both planes share (:class:`~repro.cluster.membership.MembershipPlane`):
-an optional :class:`~repro.cluster.policy.BlacklistPolicy` observes copy
-completions and keeps the only strike record. An eviction or a shrink
-flags the workers and drops them from the pool, resizes the schedulers'
-ε-fair floors, then drops the workers' queued requests and kills their
-running copies (found in one walk over the live copies of every job)
-through the ledger, requeueing each task whose last copy died with a
-fresh probe. With no policy (the default) the probe/launch
-path is untouched.
+The run loop, the job index (``_jobs``: job id -> its
+:class:`~repro.decentralized.scheduler.SchedulerJob`, whose gossip names
+its scheduler) and blacklisting (§2.2) and elastic resizes are the ones
+both planes share (:class:`~repro.runtime.plane.Plane`): an optional
+:class:`~repro.cluster.policy.BlacklistPolicy` observes copy completions
+and keeps the only strike record. An eviction or a shrink flags the
+workers and drops them from the pool, resizes the schedulers' ε-fair
+floors, then drops the workers' queued requests and kills their running
+copies (found in one walk over the live copies of every job) through the
+ledger, requeueing each task whose last copy died with a fresh probe.
+With no policy (the default) the probe/launch path is untouched.
 """
 
 from __future__ import annotations
@@ -64,17 +65,13 @@ from bisect import bisect_left, insort
 from collections import defaultdict
 from typing import TYPE_CHECKING, Callable, DefaultDict, Dict, List, Optional, Tuple
 
-from repro.cluster.elastic import AutoscalerPolicy, ElasticController
-from repro.cluster.membership import Membership, MembershipPlane
+from repro.cluster.elastic import AutoscalerPolicy
+from repro.cluster.membership import Membership
 from repro.cluster.policy import BlacklistPolicy
 from repro.decentralized.config import DecentralizedConfig
 from repro.decentralized.scheduler import SchedulerAgent, SchedulerJob
 from repro.decentralized.worker import Worker
-from repro.estimation.alpha import AlphaEstimator
-from repro.estimation.beta import OnlineBetaEstimator
-from repro.metrics.collector import MetricsCollector, SimulationResult
-from repro.runtime import CopyLedger
-from repro.simulation.engine import Simulator
+from repro.runtime.plane import Plane
 from repro.simulation.rng import RandomSource
 from repro.speculation.base import SpeculationPolicy
 from repro.stragglers.model import StragglerModel
@@ -126,7 +123,7 @@ class _ProbePool(Membership):
         return flipped
 
 
-class DecentralizedSimulator(MembershipPlane):
+class DecentralizedSimulator(Plane):
     """Simulates a trace under a decentralized scheduling policy.
 
     Parameters
@@ -157,35 +154,30 @@ class DecentralizedSimulator(MembershipPlane):
         autoscaler: Optional[AutoscalerPolicy] = None,
         obs: Optional[Obs] = None,
     ) -> None:
-        self.config = config or DecentralizedConfig()
+        config = config or DecentralizedConfig()
+        # Worker membership (see module docs): the plane's members.
+        super().__init__(
+            _ProbePool(num_workers, slots_per_worker),
+            trace,
+            speculation,
+            straggler_model,
+            config,
+            name or f"decentralized-{config.worker_policy.value}",
+            random_source,
+            blacklist_policy,
+            autoscaler,
+            obs,
+        )
         # Read by every worker's episode step (see Worker).
-        self._worker_policy = self.config.worker_policy
-        self._refusal_threshold = self.config.refusal_threshold
-        self.speculation_factory = speculation
-        self.trace = trace
-        self.straggler_model = straggler_model
-        self.random_source = random_source or RandomSource(seed=0)
+        self._worker_policy = config.worker_policy
+        self._refusal_threshold = config.refusal_threshold
         self.rng = self.random_source.child("decentralized").rng
         # Observability handles must exist before workers/schedulers are
         # constructed below — they snapshot these attributes.
-        self.obs = obs
-        self._tracer = obs.tracer if obs is not None else None
         self._counters = obs.counters if obs is not None else None
 
-        self.sim = Simulator(obs=obs)
-        self.metrics = MetricsCollector(
-            scheduler_name=name or f"decentralized-{self.config.worker_policy.value}"
-        )
-        self.beta_estimator = OnlineBetaEstimator(
-            default_beta=self.config.default_beta
-        )
-        self.alpha_estimator = AlphaEstimator(
-            network_rate=self.config.network_rate
-        )
-
-        # Worker store and membership (see module docs). Workers read
-        # their state byte through _member_state.
-        self.members = _ProbePool(num_workers, slots_per_worker)
+        # Worker store (see module docs). Workers read their state byte
+        # through _member_state.
         self._member_state = self.members.state
         self.workers: Dict[int, Worker] = {}
         # Copies running fleet-wide, kept by Worker.bind_copy/release_copy.
@@ -194,13 +186,7 @@ class DecentralizedSimulator(MembershipPlane):
             SchedulerAgent(scheduler_id=i, sim=self)
             for i in range(self.config.num_schedulers)
         ]
-        self._owner: Dict[int, SchedulerAgent] = {}
-        self.ledger = CopyLedger(
-            self.sim, self.metrics, self.beta_estimator, tracer=self._tracer
-        )
         self._next_scheduler = 0
-        self._active_jobs = 0
-        self._spec_check_scheduled = False
         # job_id -> ids of the workers its requests were queued on (see
         # module docs).
         self._request_holders: DefaultDict[int, List[int]] = defaultdict(list)
@@ -210,18 +196,7 @@ class DecentralizedSimulator(MembershipPlane):
         self._open_batch_time = 0.0
         self._open_batch_seq = -1
         self._metrics_result = self.metrics.result
-        # Without a blacklist policy the hot paths pay one None check.
-        self.blacklist_policy = blacklist_policy
-        self._power_of_d = self.config.power_of_d
-        self._elastic: Optional[ElasticController] = None
-        if autoscaler is not None:
-            self._elastic = ElasticController(self.sim, autoscaler, obs)
-
-    @property
-    def total_slots(self) -> int:
-        """Live capacity: retired and blacklisted workers do not count
-        (the serving driver's utilization sampler reads it)."""
-        return self.members.total_slots
+        self._power_of_d = config.power_of_d
 
     # -- plumbing ----------------------------------------------------------
 
@@ -318,10 +293,7 @@ class DecentralizedSimulator(MembershipPlane):
 
     def gossip_for(self, job_id: int):
         """Latest gossip for a job, or None if it completed."""
-        scheduler = self._owner.get(job_id)
-        if scheduler is None:
-            return None
-        sj = scheduler.jobs.get(job_id)
+        sj = self._jobs.get(job_id)
         return sj.gossip if sj is not None else None
 
     # -- queued-request index ----------------------------------------------
@@ -338,57 +310,18 @@ class DecentralizedSimulator(MembershipPlane):
 
     # -- run ---------------------------------------------------------------
 
-    def run(self, until: Optional[float] = None) -> SimulationResult:
-        self.sim.schedule_many(
-            (
-                (job.arrival_time, self._on_job_arrival, (job,))
-                for job in self.trace
-            ),
-            absolute=True,
-        )
-        if self._elastic is not None:
-            self._elastic.prime(self)
-        self.sim.run(until=until)
-        self._finalize_diagnostics()
-        return self.metrics.result
-
-    def _finalize_diagnostics(self) -> None:
-        result = self.metrics.result
-        if self.blacklist_policy is not None:
-            result.machine_strikes = self.blacklist_policy.strike_totals()
-        if self.obs is not None:
-            result.obs = self.obs.report()
-
     def _on_job_arrival(self, job: Job) -> None:
-        if self._tracer is not None:
-            self._tracer.begin(
-                "job",
-                "job",
-                ("job", job.job_id),
-                self.sim.now,
-                job=job.job_id,
-                tasks=job.num_tasks,
-            )
+        self._begin_job_span(job)
         scheduler = self.schedulers[self._next_scheduler]
         self._next_scheduler = (self._next_scheduler + 1) % len(self.schedulers)
-        self._owner[job.job_id] = scheduler
-        self._active_jobs += 1
-        scheduler.submit_job(job)
+        self._jobs[job.job_id] = scheduler.submit_job(job)
         self._ensure_spec_check()
         if self._elastic is not None:
             self._elastic.ensure_sampling(self)
 
-    def _ensure_spec_check(self) -> None:
-        if self._spec_check_scheduled or self._active_jobs == 0:
-            return
-        self._spec_check_scheduled = True
-        self.sim.schedule(
-            self.config.speculation_check_interval, self._on_spec_check
-        )
-
     def _on_spec_check(self) -> None:
         self._spec_check_scheduled = False
-        if self._active_jobs == 0:
+        if not self._jobs:
             return
         for scheduler in self.schedulers:
             scheduler.on_spec_check()
@@ -398,8 +331,8 @@ class DecentralizedSimulator(MembershipPlane):
 
     def start_copy(self, worker: Worker, task: Task, speculative: bool) -> None:
         """Bind an accepted task to the worker's slot and run it."""
-        scheduler = self._owner.get(task.job_id)
-        sj = scheduler.jobs.get(task.job_id) if scheduler else None
+        sj = self._jobs.get(task.job_id)
+        scheduler = self.schedulers[sj.gossip.scheduler_id] if sj else None
         if self._member_state[worker.worker_id]:
             # The accept raced an eviction or a retirement: decline the
             # bind, release the eager occupancy reservation, and requeue
@@ -441,8 +374,7 @@ class DecentralizedSimulator(MembershipPlane):
     def _on_copy_finish(self, copy: TaskCopy) -> None:
         self.ledger.settle_finished(copy)
         task = copy.task
-        scheduler = self._owner.get(task.job_id)
-        sj = scheduler.jobs.get(task.job_id) if scheduler else None
+        sj = self._jobs.get(task.job_id)
         # Freeing the worker's slot may start a new selection episode;
         # that must observe the pre-finish view/gossip, exactly as the
         # pre-ledger simulator did, so the view update comes after.
@@ -451,6 +383,7 @@ class DecentralizedSimulator(MembershipPlane):
         if sj is None:
             return
         self.ledger.detach(copy, sj)
+        scheduler = self.schedulers[sj.gossip.scheduler_id]
         scheduler.on_copy_gone(sj)
 
         if won:
@@ -474,35 +407,26 @@ class DecentralizedSimulator(MembershipPlane):
         job = sj.job
         self.ledger.record_job_completion(job, self.alpha_estimator)
         scheduler.complete_job(sj)
+        del self._jobs[job.job_id]
         self._purge_job_requests(job.job_id)
-        self._owner.pop(job.job_id, None)
-        self._active_jobs -= 1
 
-    # -- membership hooks (see MembershipPlane) -------------------------------
+    # -- membership hooks (see Plane) -----------------------------------------
 
     def _running_copies(self, worker_ids) -> List[List[tuple]]:
         """The ``(copy, job)`` pairs running on each of ``worker_ids``
-        that has a worker, in bind (copy id) order, found in one walk
-        over every job's live copies; first each such worker drops its
-        queued requests, in the order given."""
-        buckets: Dict[int, List[tuple]] = {}
+        that has a worker, in bind (copy id) order; first each such
+        worker drops its queued requests, in the order given."""
+        contacted = []
         workers = self.workers
         for worker_id in worker_ids:
             worker = workers.get(worker_id)
             if worker is not None:
                 worker.vacate()
-                buckets[worker_id] = []
-        get = buckets.get
-        for scheduler in self.schedulers:
-            for sj in scheduler.jobs.values():
-                for copies in sj.view.copies_by_task.values():
-                    for copy in copies:
-                        bucket = get(copy.machine_id)
-                        if bucket is not None:
-                            bucket.append((copy, sj))
-        for victims in buckets.values():
+                contacted.append(worker_id)
+        buckets = super()._running_copies(contacted)
+        for victims in buckets:
             victims.sort(key=lambda victim: victim[0].copy_id)
-        return list(buckets.values())
+        return buckets
 
     def _requeue(self, task: Task, sj: SchedulerJob) -> None:
         self.schedulers[sj.gossip.scheduler_id].requeue_task(sj, task)

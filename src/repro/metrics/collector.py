@@ -126,8 +126,9 @@ class MetricsCollector:
     def __init__(self, scheduler_name: str) -> None:
         self.result = SimulationResult(scheduler_name=scheduler_name)
         #: Optional serving-regime aggregator (see
-        #: :mod:`repro.serving.windows`); one ``is not None`` check on
-        #: the completion path, so batch runs pay nothing.
+        #: :mod:`repro.serving.windows`), fed each completion here and
+        #: each launch by the copy ledger; one ``is not None`` check on
+        #: each path, so batch runs pay nothing.
         self.serving_window = None
 
     def record_job_completion(

@@ -98,9 +98,6 @@ def type_label(expected: Union[type, Tuple[type, ...]]) -> str:
     return expected.__name__
 
 
-_type_label = type_label
-
-
 def _type_matches(value: Any, expected: type) -> bool:
     # bool is an int subclass; keep the two distinct so a schema can
     # demand a real flag (and an int knob reject True/False).
@@ -152,7 +149,7 @@ class Knob:
         expected = self.type if isinstance(self.type, tuple) else (self.type,)
         if not any(_type_matches(value, t) for t in expected):
             raise KnobError(
-                f"knob {self.name!r} must be {_type_label(self.type)}, "
+                f"knob {self.name!r} must be {type_label(self.type)}, "
                 f"got {value!r} ({type(value).__name__})"
             )
         if self.choices is not None:

@@ -21,6 +21,8 @@ that logic lived twice — once in ``centralized/simulator.py`` (the old
   finish, kill, task completion, job completion) with the shared
   view/metrics/estimator bookkeeping; it feeds each launch, kill and
   finish to the job's change feed.
+* :class:`repro.runtime.plane.Plane` — the base both simulators
+  subclass (imported from its module, not re-exported here).
 
 Everything here is semantics-preserving refactoring: the golden-digest
 tests (``tests/test_golden_results.py``) pin that simulations on the

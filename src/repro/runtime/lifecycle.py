@@ -52,7 +52,6 @@ class CopyLedger:
         "beta_estimator",
         "_next_copy_id",
         "tracer",
-        "serving_window",
     )
 
     def __init__(
@@ -67,10 +66,6 @@ class CopyLedger:
         self.beta_estimator = beta_estimator
         self._next_copy_id = 0
         self.tracer = tracer
-        #: Optional serving-regime aggregator; fed each job's *first*
-        #: copy launch so queueing delay (arrival -> first launch) can
-        #: be measured. One ``is not None`` check when off.
-        self.serving_window = None
 
     # -- launch -------------------------------------------------------------
 
@@ -101,9 +96,12 @@ class CopyLedger:
         copy.event = self.engine.schedule(
             duration, on_finish, copy, *finish_args
         )
-        self.metrics.record_copy_launch(speculative=speculative, local=local)
-        if self.serving_window is not None:
-            self.serving_window.note_launch(task.job_id, copy.start_time)
+        metrics = self.metrics
+        metrics.record_copy_launch(speculative=speculative, local=local)
+        # A serving run's aggregator measures queueing delay (arrival ->
+        # first launch) from every launch; one None check when off.
+        if metrics.serving_window is not None:
+            metrics.serving_window.note_launch(task.job_id, copy.start_time)
         tracer = self.tracer
         if tracer is not None:
             tracer.begin(

@@ -128,80 +128,21 @@ class OpenLoopDriver:
             )
 
 
-class _PlaneProbe:
-    """Uniform view of a plane's queue depth and slot occupancy.
-
-    ``total_slots`` is a callable: capacity is *live* state — blacklist
-    eviction and autoscaler resizes change it mid-run, and a snapshot
-    taken at build time would keep counting dead workers' slots.
-    """
-
-    def __init__(
-        self,
-        inject: Callable[[Job], None],
-        pending_tasks: Callable[[], int],
-        busy_slots: Callable[[], int],
-        total_slots: Callable[[], int],
-    ) -> None:
-        self.inject = inject
-        self.pending_tasks = pending_tasks
-        self.busy_slots = busy_slots
-        self.total_slots = total_slots
-
-
-def _centralized_probe(simulator) -> _PlaneProbe:
-    return _PlaneProbe(
-        inject=simulator._on_job_arrival,
-        pending_tasks=lambda: sum(
-            len(jr.pending) for jr in simulator._jobs.values()
-        ),
-        busy_slots=lambda: (
-            simulator.cluster.total_slots - simulator.cluster.free_slots
-        ),
-        total_slots=lambda: simulator.cluster.total_slots,
-    )
-
-
-def _decentralized_probe(simulator) -> _PlaneProbe:
-    return _PlaneProbe(
-        inject=simulator._on_job_arrival,
-        pending_tasks=lambda: sum(
-            len(sj.pending)
-            for scheduler in simulator.schedulers
-            for sj in scheduler.jobs.values()
-        ),
-        busy_slots=lambda: simulator.busy_slots,
-        # simulator.total_slots is maintained as *live* capacity (it
-        # shrinks on eviction/retirement and grows on autoscale-add) —
-        # unlike summing worker.num_slots, which counts dead workers.
-        total_slots=lambda: simulator.total_slots,
-    )
-
-
-#: plane name -> probe factory. The batch plane shares the centralized
-#: probe: BatchSimulator subclasses CentralizedSimulator, and its
-#: (buffering) ``_on_job_arrival`` is exactly the injection point the
-#: open-loop driver should feed.
-_PLANE_PROBES = {
-    "centralized": _centralized_probe,
-    "decentralized": _decentralized_probe,
-    "batch": _centralized_probe,
-}
-
-
 def _schedule_samples(
-    engine: Simulator,
-    aggregator: WindowedAggregator,
-    probe: _PlaneProbe,
-    regime: ServingRegime,
+    simulator, aggregator: WindowedAggregator, regime: ServingRegime
 ) -> None:
-    """Chain fixed-cadence time-average samples over the measurement
-    interval (first at ``warmup``, none at/after ``horizon``)."""
+    """Chain fixed-cadence time-average samples of the plane's queue
+    depth, busy slots and live capacity (blacklist eviction and resizes
+    change it mid-run) over the measurement interval (first at
+    ``warmup``, none at/after ``horizon``)."""
+    engine = simulator.sim
     interval = regime.window / SAMPLES_PER_WINDOW
 
     def sample() -> None:
         aggregator.sample(
-            probe.pending_tasks(), probe.busy_slots(), probe.total_slots()
+            simulator.pending_tasks(),
+            simulator.busy_slots,
+            simulator.total_slots,
         )
         next_time = engine.now + interval
         if next_time < regime.horizon:
@@ -234,8 +175,6 @@ def run_serving(
     builder. The result carries the windowed steady-state section in
     ``result.serving``.
     """
-    if plane not in _PLANE_PROBES:
-        raise ValueError(f"unknown serving plane {plane!r}")
     source = RandomSource(seed=spec.seed)
     generator = TraceGenerator(
         spec.profile,
@@ -279,16 +218,16 @@ def run_serving(
         obs=obs,
         **plane_knobs,
     )
-    probe = _PLANE_PROBES[plane](simulator)
 
     aggregator = WindowedAggregator(regime)
     simulator.metrics.serving_window = aggregator
-    simulator.ledger.serving_window = aggregator
+    # Every plane's arrival handler is its injection point (the batch
+    # plane's buffers the job for its next round).
     driver = OpenLoopDriver(
-        simulator.sim, probe.inject, stream, lookahead=lookahead
+        simulator.sim, simulator._on_job_arrival, stream, lookahead=lookahead
     )
     driver.prime()
-    _schedule_samples(simulator.sim, aggregator, probe, regime)
+    _schedule_samples(simulator, aggregator, regime)
     result = simulator.run(until=regime.end_time)
     result.serving = aggregator.finalize(
         plane=plane,

@@ -222,23 +222,6 @@ BING_PROFILE = WorkloadProfile(
 )
 
 
-#: The built-in workload profiles, keyed by ``profile.name``. This is a
-#: snapshot kept for backward compatibility — the authoritative table is
-#: :data:`repro.registry.WORKLOAD_PROFILES`, which also holds profiles
-#: registered by plugins. The sweep subsystem references profiles by
-#: name so that a :class:`repro.sweep.RunSpec` stays hashable and
-#: JSON-serializable.
-PROFILES = {
-    profile.name: profile
-    for profile in (
-        FACEBOOK_PROFILE,
-        SPARK_FACEBOOK_PROFILE,
-        SPARK_BING_PROFILE,
-        BING_PROFILE,
-    )
-}
-
-
 def profile_by_name(name: str) -> WorkloadProfile:
     """Look up a registered :class:`WorkloadProfile` by its ``name``.
 

@@ -12,11 +12,11 @@ import json
 
 import pytest
 
-from repro.cluster import membership
 from repro.cluster.membership import BLACKLISTED
 from repro.cluster.policy import BlacklistPolicy, StrikeBlacklistPolicy
 from repro.metrics.serialize import result_to_dict
 from repro.obs import OBS_ENV
+from repro.runtime import plane as plane_module
 from repro.simulation.rng import RandomSource
 from repro.speculation import LATE
 from repro.stragglers.model import MachineCorrelatedStragglerModel
@@ -269,9 +269,9 @@ def test_armed_policy_without_stragglers_stays_idle(plane, monkeypatch):
     # Every plane observes completions through the shared membership
     # sequence.
     monkeypatch.setattr(
-        membership,
+        plane_module,
         "evaluate_completion",
-        _counted(calls, "evaluate", membership.evaluate_completion),
+        _counted(calls, "evaluate", plane_module.evaluate_completion),
     )
     monkeypatch.setattr(
         StrikeBlacklistPolicy,
@@ -317,8 +317,8 @@ def _direct_decentralized_sim():
         blacklist_policy=StrikeBlacklistPolicy(8, strike_threshold=10**6),
     )
     simulator._on_job_arrival(job)
-    scheduler = simulator._owner[job.job_id]
-    return simulator, scheduler, scheduler.jobs[job.job_id]
+    sj = simulator._jobs[job.job_id]
+    return simulator, simulator.schedulers[sj.gossip.scheduler_id], sj
 
 
 def test_eviction_requeues_speculative_orphans():
@@ -404,10 +404,10 @@ def test_budgeted_spec_budget_tracks_evictions():
     )
     assert simulator._spec_budget == 10  # 0.25 * 40
     simulator._evict_machine(0)
-    assert simulator._total_slots == 36
+    assert simulator.total_slots == 36
     assert simulator._spec_budget == 9  # 0.25 * 36: tracks the shrink
     simulator._reinstate_machine(0)
-    assert simulator._total_slots == 40
+    assert simulator.total_slots == 40
     assert simulator._spec_budget == 10
 
 

@@ -1,7 +1,10 @@
 """Smoke tests for the ``python -m repro`` CLI."""
 
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 from repro.cli import build_parser, main
@@ -330,3 +333,34 @@ def test_every_readme_study_names_a_registered_study():
     assert len(names) > 5  # the extraction found the examples
     known = set(studies().names())
     assert [name for name in names if name not in known] == []
+
+
+def test_closed_stdout_exits_without_traceback():
+    """``python -m repro list | head -1``: a reader that closes the pipe
+    after one line must not make the CLI print a traceback. A reader
+    that closed it before the first write makes every write fail, so
+    that run must also exit non-zero."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    command = [sys.executable, "-m", "repro", "list"]
+
+    with subprocess.Popen(
+        command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    ) as process:
+        process.stdout.readline()
+        process.stdout.close()
+        stderr = process.stderr.read().decode()
+        process.wait(timeout=60)
+    assert "Traceback" not in stderr, stderr
+
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        closed = subprocess.run(
+            command, stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60
+        )
+    finally:
+        os.close(write_end)
+    stderr = closed.stderr.decode()
+    assert "Traceback" not in stderr and "BrokenPipeError" not in stderr, stderr
+    assert closed.returncode != 0

@@ -5,7 +5,7 @@ The hard constraints under test:
 
 * ``Cluster.add_machine`` / ``remove_machine`` are O(log machines)
   *deltas* — after any interleaving with slot traffic the Fenwick index
-  and ``_total_slots`` must equal a from-scratch rebuild/rescan;
+  and ``total_slots`` must equal a from-scratch rebuild/rescan;
 * the :class:`IncrementalAllocator` floors memo invalidates on a pool
   resize through its existing ``(membership_version, total_slots)`` key
   — no new hooks;
@@ -17,7 +17,7 @@ The hard constraints under test:
   or truncated — each held equal to a rescan after every resize, with
   strike eviction and probation reinstatement interleaved;
 * serving-side utilization is computed over *live* capacity, both in
-  the decentralized probe and in the windowed aggregator.
+  each plane's serving sample and in the windowed aggregator.
 """
 
 import gc
@@ -50,7 +50,6 @@ from repro.experiments.harness import (
 from repro.metrics.serialize import result_to_dict
 from repro.obs import Obs
 from repro.runtime import CopyLedger
-from repro.serving.driver import _PLANE_PROBES
 from repro.serving.windows import ServingRegime, WindowedAggregator
 from repro.simulation.engine import Simulator
 
@@ -375,7 +374,7 @@ def test_remove_clamps_at_min_machines():
 
 
 def test_decentralized_probe_reports_live_capacity():
-    """Regression: the serving probe once summed ``worker.num_slots``
+    """Regression: the serving sample once summed ``worker.num_slots``
     over *all* workers, counting evicted/retired capacity. It must track
     the live slot pool through a mid-serving shrink and grow-back."""
     spec = WorkloadSpec(num_jobs=6, utilization=0.5, total_slots=20, seed=4)
@@ -386,8 +385,7 @@ def test_decentralized_probe_reports_live_capacity():
         spec,
         autoscaler=ScheduleAutoscaler([(1.0, -5)]),
     )
-    probe = _PLANE_PROBES["decentralized"](simulator)
-    assert probe.total_slots() == 20
+    assert simulator.total_slots == 20
     removed = simulator._autoscale_remove(5)
     assert removed == 5
     dead_sum = sum(
@@ -395,63 +393,79 @@ def test_decentralized_probe_reports_live_capacity():
         for i in range(simulator.members.num_machines)
     )
     assert dead_sum == 20  # the buggy denominator would still say 20
-    assert probe.total_slots() == 15
+    assert simulator.total_slots == 15
     added = simulator._autoscale_add(2)
     assert added == 2
-    assert probe.total_slots() == 17
+    assert simulator.total_slots == 17
 
 
+def _machine_busy_sum(simulator) -> int:
+    """Busy slots summed machine by machine (worker by worker)."""
+    if isinstance(simulator, CentralizedSimulator):
+        return sum(simulator.cluster.busy)
+    return sum(w.busy_slots for w in simulator.workers.values())
+
+
+@pytest.mark.parametrize(
+    "plane, strike_threshold",
+    # A centralized machine holds 4 slots, so the same stragglers give
+    # it fewer strikes: one strike evicts there.
+    [("centralized", 1), ("batch", 1), ("decentralized", 2)],
+    ids=["centralized", "batch", "decentralized"],
+)
 def test_busy_slot_counter_equals_worker_sum_and_fits_live_capacity(
-    monkeypatch,
+    plane, strike_threshold, monkeypatch
 ):
-    """The decentralized plane's busy-slot counter (kept by
-    ``Worker.bind_copy``/``release_copy``) equals the per-worker sum and
-    never exceeds live capacity: checked at every serving sample and at
-    the end, through strike eviction and scheduled shrinks and grows."""
+    """Every plane's serving surface reads its own state: at every
+    serving sample ``pending_tasks()`` equals a rescan of the active
+    runtimes, the busy-slot counter (``Cluster.busy_slots``, or the one
+    ``Worker.bind_copy``/``release_copy`` keep) equals the per-machine
+    sum, and it never exceeds live capacity, through strike eviction
+    and scheduled shrinks and grows."""
     from repro.serving import driver
 
-    make_probe = driver._PLANE_PROBES["decentralized"]
     simulators, samples = [], []
+    build = driver.build_simulator
 
-    def worker_sum(simulator) -> int:
-        return sum(w.busy_slots for w in simulator.workers.values())
-
-    def checking_probe(simulator):
-        probe = make_probe(simulator)
-        read_busy = probe.busy_slots
-
-        def busy_slots() -> int:
-            busy = read_busy()
-            assert busy == simulator.busy_slots == worker_sum(simulator)
-            assert busy <= simulator.total_slots
-            samples.append(busy)
-            return busy
-
-        probe.busy_slots = busy_slots
+    def recording_build(*args, **kwargs):
+        simulator = build(*args, **kwargs)
         simulators.append(simulator)
-        return probe
+        return simulator
 
-    monkeypatch.setitem(driver._PLANE_PROBES, "decentralized", checking_probe)
+    sample = WindowedAggregator.sample
+
+    def checking_sample(aggregator, pending, busy, total):
+        (simulator,) = simulators
+        runtimes = _job_runtimes(simulator)
+        assert pending == sum(len(rt.pending) for rt in runtimes)
+        assert busy == simulator.busy_slots == _machine_busy_sum(simulator)
+        assert busy <= total == simulator.members.total_slots
+        samples.append((pending, busy))
+        return sample(aggregator, pending, busy, total)
+
+    monkeypatch.setattr(driver, "build_simulator", recording_build)
+    monkeypatch.setattr(WindowedAggregator, "sample", checking_sample)
     spec = WorkloadSpec(num_jobs=400, utilization=0.8, total_slots=60, seed=4)
     result = driver.run_serving(
         spec,
-        "decentralized",
+        plane,
         "hopper",
         ServingRegime(warmup=5.0, horizon=40.0, cooldown=5.0, window=5.0),
         straggler_model="machine-correlated",
         obs=None,
         blacklist_policy="strikes",
-        strike_threshold=2,
+        strike_threshold=strike_threshold,
         autoscaler="schedule",
         resize_schedule="8:-12,16:+6,24:-8,32:+10",
     )
     (simulator,) = simulators
-    # Not vacuous: workers were evicted, every resize applied, and the
-    # sampled fleet was busy.
+    # Not vacuous: machines were evicted, every resize applied, and the
+    # sampled fleet was busy and had a queue.
     assert result.evictions > 0
     assert simulator._elastic.resizes_applied == 4
-    assert max(samples) > 0
-    assert simulator.busy_slots == worker_sum(simulator)
+    assert max(busy for _, busy in samples) > 0
+    assert max(pending for pending, _ in samples) > 0
+    assert simulator.busy_slots == _machine_busy_sum(simulator)
     assert simulator.busy_slots <= simulator.total_slots
 
 
@@ -464,10 +478,9 @@ def test_centralized_probe_tracks_resized_cluster():
         spec,
         autoscaler=ScheduleAutoscaler([(1.0, -2)]),
     )
-    probe = _PLANE_PROBES["centralized"](simulator)
-    assert probe.total_slots() == 20
+    assert simulator.total_slots == 20
     simulator._autoscale_remove(2)
-    assert probe.total_slots() == 12  # 2 machines x 4 slots gone
+    assert simulator.total_slots == 12  # 2 machines x 4 slots gone
 
 
 # -- windowed utilization under capacity change ------------------------------
@@ -588,7 +601,6 @@ def _assert_resize_invariants(simulator, evicted) -> None:
         assert not state[copy.machine_id]
     if isinstance(members, Cluster):
         _assert_index_matches_rebuild(members)
-        assert simulator._total_slots == members.total_slots
     else:
         assert list(members.ids) == live
         numerator = (1.0 - simulator.config.epsilon) * members.total_slots

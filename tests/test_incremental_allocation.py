@@ -496,10 +496,10 @@ def _step_and_check(sim):
         }
         assert sim._spec_job_ids == spec_jobs
         if expected:
-            assert sim._alloc.allocate(sim._total_slots) == sim.policy.allocate(
-                expected, sim._total_slots
+            assert sim._alloc.allocate(sim.total_slots) == sim.policy.allocate(
+                expected, sim.total_slots
             )
-            constrained = sim._alloc.virtual_size_sum() > sim._total_slots
+            constrained = sim._alloc.virtual_size_sum() > sim.total_slots
             if regime is not None and constrained != regime:
                 flips += 1
             regime = constrained
