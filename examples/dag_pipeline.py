@@ -8,7 +8,6 @@ compares Hopper with and without the sqrt(alpha) virtual-size scaling.
 Run:  python examples/dag_pipeline.py
 """
 
-from repro.centralized.config import CentralizedConfig
 from repro.estimation.alpha import AlphaEstimator
 from repro.experiments.harness import (
     WorkloadSpec,
@@ -59,9 +58,8 @@ def dag_scheduling_demo() -> None:
     trace = build_trace(spec)
     srpt = run_simulator("srpt", trace, spec, plane="centralized")
     with_alpha = run_simulator("hopper", trace, spec, plane="centralized")
-    no_alpha_config = CentralizedConfig(use_alpha=False)
     without_alpha = run_simulator(
-        "hopper", trace, spec, plane="centralized", config=no_alpha_config
+        "hopper", trace, spec, plane="centralized", use_alpha=False
     )
     print(f"SRPT baseline        : {srpt.mean_job_duration:7.2f}")
     print(f"Hopper (with alpha)  : {with_alpha.mean_job_duration:7.2f} "

@@ -5,6 +5,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from repro.runtime.config import NON_NEGATIVE, PlaneConfig, setting
+
 
 class SpeculationMode(enum.Enum):
     """How speculative copies compete for slots (§3).
@@ -26,65 +28,38 @@ class SpeculationMode(enum.Enum):
 
 
 @dataclass
-class CentralizedConfig:
-    """Tunables for :class:`CentralizedSimulator`.
+class CentralizedConfig(PlaneConfig):
+    """Tunables for :class:`CentralizedSimulator`; each field's metadata
+    holds its description and check (see :mod:`repro.runtime.config`).
 
-    Attributes
-    ----------
-    epsilon:
-        Fairness knob for Hopper (§4.3); 1.0 disables fairness floors.
-    locality_k_percent:
-        Locality relaxation window (§4.4), in percent of active jobs.
-    speculation_mode:
-        See :class:`SpeculationMode`.
-    budget_fraction:
-        Fraction of slots reserved when mode is BUDGETED.
-    speculation_check_interval:
-        Sim-time between periodic straggler scans.
-    network_rate:
-        Data units transferred per time unit (feeds alpha).
-    learn_beta:
-        Fit beta online from completed tasks; otherwise use default_beta.
-    default_beta:
-        Prior tail index before enough samples accumulate.
-    use_alpha:
-        Weight virtual sizes by sqrt(alpha) for DAG jobs.
-    preempt_speculative:
-        In INTEGRATED mode, kill a job's youngest speculative copies when
-        it runs above its target so the slots can be reallocated
-        (originals are never preempted).
-    max_copies_cap:
-        Upper bound, in copies per remaining task, on how many slots a
-        job can usefully hold (feeds JobAllocationState.max_useful_slots).
-        2 matches production frameworks; the Fig. 3 threshold study
-        raises it so extra slots can actually buy more speculation.
+    ``speculation_mode`` defaults to best-effort, the common practice
+    (§3); centralized Hopper's registration overrides it to INTEGRATED.
     """
 
-    epsilon: float = 0.1
-    locality_k_percent: float = 3.0
-    speculation_mode: SpeculationMode = SpeculationMode.INTEGRATED
-    budget_fraction: float = 0.15
-    speculation_check_interval: float = 1.0
-    spec_eval_min_interval: float = 0.25
-    network_rate: float = 1.0
-    learn_beta: bool = True
-    default_beta: float = 1.5
-    use_alpha: bool = True
-    preempt_speculative: bool = True
-    max_copies_cap: int = 2
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError("epsilon must be in [0, 1]")
-        if not 0.0 <= self.locality_k_percent <= 100.0:
-            raise ValueError("locality_k_percent must be in [0, 100]")
-        if not 0.0 <= self.budget_fraction < 1.0:
-            raise ValueError("budget_fraction must be in [0, 1)")
-        if self.speculation_check_interval <= 0:
-            raise ValueError("speculation_check_interval must be positive")
-        if self.spec_eval_min_interval < 0:
-            raise ValueError("spec_eval_min_interval must be non-negative")
-        if self.network_rate <= 0:
-            raise ValueError("network_rate must be positive")
-        if self.default_beta <= 0:
-            raise ValueError("default_beta must be positive")
+    locality_k_percent: float = setting(
+        3.0,
+        "data-locality allowance k (percent of active jobs; §4.4)",
+        (lambda v: 0.0 <= v <= 100.0, "in [0, 100]"),
+    )
+    speculation_mode: SpeculationMode = setting(
+        SpeculationMode.BEST_EFFORT, "integrated | best_effort | budgeted"
+    )
+    budget_fraction: float = setting(
+        0.15,
+        "fraction of slots reserved for copies in BUDGETED mode",
+        (lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
+    )
+    spec_eval_min_interval: float = setting(
+        0.25, "minimum virtual time between a job's speculation scans",
+        NON_NEGATIVE,
+    )
+    preempt_speculative: bool = setting(
+        True,
+        "in INTEGRATED mode, kill a job's youngest speculative copies when "
+        "it runs above its target (originals are never preempted)",
+    )
+    max_copies_cap: int = setting(
+        2,
+        "copies per remaining task a job can usefully hold (2 matches "
+        "production; the Fig. 3 study raises it)",
+    )

@@ -8,31 +8,23 @@ delta-maintained layer the centralized family runs those functions
 through at scale.
 """
 
-from repro.core.virtual_size import threshold_multiplier, virtual_size
-from repro.core.allocation import (
-    JobAllocationState,
-    fair_allocation,
-    hopper_allocation,
-    hopper_allocation_ordered,
-    is_capacity_constrained,
-    srpt_allocation,
-    srpt_allocation_ordered,
-)
-from repro.core.fairness import fairness_floors
-from repro.core.incremental import IncrementalAllocator
-from repro.core.locality import pick_job_with_locality
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "threshold_multiplier",
-    "virtual_size",
-    "JobAllocationState",
-    "hopper_allocation",
-    "hopper_allocation_ordered",
-    "srpt_allocation",
-    "srpt_allocation_ordered",
-    "fair_allocation",
-    "is_capacity_constrained",
-    "fairness_floors",
-    "pick_job_with_locality",
-    "IncrementalAllocator",
-]
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        "virtual_size": ("threshold_multiplier", "virtual_size"),
+        "allocation": (
+            "JobAllocationState",
+            "hopper_allocation",
+            "hopper_allocation_ordered",
+            "srpt_allocation",
+            "srpt_allocation_ordered",
+            "fair_allocation",
+            "is_capacity_constrained",
+        ),
+        "fairness": ("fairness_floors",),
+        "locality": ("pick_job_with_locality",),
+        "incremental": ("IncrementalAllocator",),
+    },
+)

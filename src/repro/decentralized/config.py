@@ -5,6 +5,14 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from repro.runtime.config import (
+    NON_NEGATIVE,
+    POSITIVE,
+    PlaneConfig,
+    at_least,
+    setting,
+)
+
 
 class WorkerPolicy(enum.Enum):
     """How a worker picks the next queued request when a slot frees.
@@ -29,80 +37,55 @@ class WorkerPolicy(enum.Enum):
 
 
 @dataclass
-class DecentralizedConfig:
-    """Tunables for :class:`DecentralizedSimulator`.
+class DecentralizedConfig(PlaneConfig):
+    """Tunables for :class:`DecentralizedSimulator`; each field's
+    metadata holds its description and check (see
+    :mod:`repro.runtime.config`).
 
-    Attributes
-    ----------
-    num_schedulers:
-        Independent schedulers; jobs are assigned round-robin.
-    probe_ratio:
-        Reservation requests per task (the paper recommends ~4 — the
-        "power of many choices", §5.1).
-    refusal_threshold:
-        Consecutive refusals before a worker switches to Guideline 3
-        (2-3 suffice per Fig. 5b).
-    message_delay:
-        One-way latency of any scheduler<->worker message.
-    worker_policy:
-        See :class:`WorkerPolicy`.
-    epsilon:
-        Fairness knob; 1.0 disables fairness. Schedulers flag jobs below
-        ``(1-eps) * total_slots / N_est`` as starved; workers serve
-        starved jobs first. N_est is the scheduler's own job count scaled
-        by the number of schedulers: no message carries the global job
-        count, so each scheduler assumes jobs spread evenly.
-    speculation_check_interval:
-        Scheduler-side straggler-scan period.
-    default_beta / learn_beta:
-        Virtual-size tail index (shared estimator fed by completed tasks).
-    use_alpha:
-        Weight virtual sizes by sqrt(alpha) for DAG jobs.
-    nudge_probes:
-        Fresh probes sent when a job has unmet demand but its requests
-        have gone quiet (liveness valve for drained queues).
-    late_binding:
-        Sparrow late binding: a probe reserves a slot without carrying
-        a task; the worker pulls the concrete task when the slot is
-        ready to execute (one extra message round-trip per launch).
-    power_of_d:
-        Probe-target oversampling factor: sample ``d`` times the probe
-        count uniformly and keep the least-loaded workers. ``1`` is
-        plain uniform sampling (byte-identical to the stock path).
+    ``epsilon`` flags jobs below ``(1-eps) * total_slots / N_est`` as
+    starved, and workers serve starved jobs first. N_est is the
+    scheduler's own job count scaled by the number of schedulers: no
+    message carries the global job count, so each scheduler assumes
+    jobs spread evenly.
     """
 
-    num_schedulers: int = 10
-    probe_ratio: float = 4.0
-    refusal_threshold: int = 2
-    message_delay: float = 0.0005
-    worker_policy: WorkerPolicy = WorkerPolicy.HOPPER
-    epsilon: float = 0.1
-    speculation_check_interval: float = 1.0
-    default_beta: float = 1.5
-    learn_beta: bool = True
-    use_alpha: bool = True
-    network_rate: float = 1.0
-    nudge_probes: int = 2
-    max_probes_per_job: int = 2000
-    late_binding: bool = False
-    power_of_d: int = 1
-
-    def __post_init__(self) -> None:
-        if self.num_schedulers <= 0:
-            raise ValueError("num_schedulers must be positive")
-        if self.probe_ratio < 1.0:
-            raise ValueError("probe_ratio must be >= 1")
-        if self.refusal_threshold < 0:
-            raise ValueError("refusal_threshold must be non-negative")
-        if self.message_delay < 0:
-            raise ValueError("message_delay must be non-negative")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError("epsilon must be in [0, 1]")
-        if self.speculation_check_interval <= 0:
-            raise ValueError("speculation_check_interval must be positive")
-        if self.nudge_probes < 0:
-            raise ValueError("nudge_probes must be non-negative")
-        if self.max_probes_per_job < 1:
-            raise ValueError("max_probes_per_job must be positive")
-        if self.power_of_d < 1:
-            raise ValueError("power_of_d must be >= 1")
+    num_schedulers: int = setting(
+        10, "independent schedulers; jobs are assigned round-robin", POSITIVE
+    )
+    probe_ratio: float = setting(
+        4.0,
+        "probes per task d (the power of many choices, ~4; §5.1)",
+        at_least(1.0),
+    )
+    refusal_threshold: int = setting(
+        2,
+        "consecutive refusals before a worker switches to Guideline 3 "
+        "(2-3 suffice; Fig. 5b)",
+        NON_NEGATIVE,
+    )
+    message_delay: float = setting(
+        0.0005, "one-way scheduler<->worker message latency", NON_NEGATIVE
+    )
+    worker_policy: WorkerPolicy = setting(
+        WorkerPolicy.HOPPER, "how a worker picks its next queued request"
+    )
+    nudge_probes: int = setting(
+        2,
+        "fresh probes for a job with unmet demand whose requests went "
+        "quiet (liveness valve for drained queues)",
+        NON_NEGATIVE,
+    )
+    max_probes_per_job: int = setting(
+        2000, "cap on the probes one job sends", POSITIVE
+    )
+    late_binding: bool = setting(
+        False,
+        "Sparrow late binding: a probe reserves a slot and the worker "
+        "pulls the task when it is ready to run",
+    )
+    power_of_d: int = setting(
+        1,
+        "probe-target oversampling: sample d x the probes, keep the "
+        "least-loaded (1 = plain uniform sampling)",
+        at_least(1),
+    )

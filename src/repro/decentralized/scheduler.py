@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 from typing import Dict, Optional, Set, Tuple, TYPE_CHECKING
 
+from repro.core.virtual_size import virtual_size
 from repro.decentralized.config import WorkerPolicy
 from repro.decentralized.messages import JobGossip, Request, ResponseType
 from repro.runtime import JobRuntime
@@ -198,17 +199,7 @@ class SchedulerAgent:
         alpha = 1.0
         if self._use_alpha and len(sj.job.phases) > 1:
             alpha = self._alpha_estimator.predict_alpha(sj.job)
-        # Inlined repro.core.virtual_size.virtual_size (identical float
-        # operations in identical order) — this runs whenever a job's
-        # gossip inputs move.
-        if remaining == 0:
-            return 0.0
-        threshold = 2.0 / beta
-        if threshold < 1.0:
-            threshold = 1.0
-        size = threshold * remaining * math.sqrt(alpha)
-        remaining_f = float(remaining)
-        return size if size > remaining_f else remaining_f
+        return virtual_size(remaining, beta, alpha)
 
     def _refresh_gossip(self, sj: SchedulerJob) -> None:
         gossip = sj.gossip

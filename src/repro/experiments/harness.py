@@ -25,11 +25,9 @@ from repro.workload.traces import Trace
 
 if TYPE_CHECKING:
     from repro.batch.simulator import BatchSimulator
-    from repro.centralized.config import CentralizedConfig, SpeculationMode
     from repro.centralized.simulator import CentralizedSimulator
     from repro.cluster.elastic import AutoscalerPolicy
     from repro.cluster.policy import BlacklistPolicy
-    from repro.decentralized.config import DecentralizedConfig
     from repro.decentralized.simulator import DecentralizedSimulator
     from repro.obs import Obs
 
@@ -101,19 +99,13 @@ def _resolve_straggler_model(
 def _cluster_policies(
     num_machines: int,
     blacklist_policy: Union[BlacklistPolicy, str, None] = None,
-    strike_threshold: Optional[int] = None,
-    strike_window: Optional[float] = None,
-    eviction_cap: Optional[float] = None,
     autoscaler: Union[AutoscalerPolicy, str, None] = None,
-    resize_schedule: Optional[str] = None,
-    scale_interval: Optional[float] = None,
-    scale_up_threshold: Optional[float] = None,
-    scale_down_threshold: Optional[float] = None,
-    scale_step: Optional[int] = None,
-    min_machines: Optional[int] = None,
+    **knobs,
 ) -> dict:
     """The ``blacklist_policy`` / ``autoscaler`` simulator kwargs, built
-    from the blacklist and autoscaler knob groups every plane accepts.
+    from the blacklist and autoscaler knob groups every plane accepts
+    (:data:`repro.registry.BLACKLIST_KNOBS` and
+    :data:`~repro.registry.AUTOSCALER_KNOBS`).
 
     Each policy may be an instance, a registry name, or None/"none"
     (off). A group's other knobs only apply when its policy is built by
@@ -123,34 +115,24 @@ def _cluster_policies(
     ``num_machines`` is the run's cluster size (bounds the eviction cap).
     Unknown keywords raise ``TypeError``.
     """
+    blacklist_knobs = _given(knobs, registry.BLACKLIST_KNOBS)
+    autoscaler_knobs = _given(knobs, registry.AUTOSCALER_KNOBS)
+    if knobs:
+        raise TypeError(f"unexpected keyword argument(s): {sorted(knobs)}")
     if isinstance(blacklist_policy, str):
         blacklist_policy = registry.make_blacklist_policy(
-            blacklist_policy,
-            num_machines=num_machines,
-            **_given(
-                strike_threshold=strike_threshold,
-                strike_window=strike_window,
-                eviction_cap=eviction_cap,
-            ),
+            blacklist_policy, num_machines=num_machines, **blacklist_knobs
         )
     if isinstance(autoscaler, str):
-        autoscaler = registry.make_autoscaler(
-            autoscaler,
-            **_given(
-                resize_schedule=resize_schedule,
-                scale_interval=scale_interval,
-                scale_up_threshold=scale_up_threshold,
-                scale_down_threshold=scale_down_threshold,
-                scale_step=scale_step,
-                min_machines=min_machines,
-            ),
-        )
+        autoscaler = registry.make_autoscaler(autoscaler, **autoscaler_knobs)
     return dict(blacklist_policy=blacklist_policy, autoscaler=autoscaler)
 
 
-def _given(**knobs) -> dict:
-    """The knobs a caller actually set (None means "omitted")."""
-    return {name: value for name, value in knobs.items() if value is not None}
+def _given(knobs: dict, group) -> dict:
+    """Pop ``group``'s knobs from ``knobs``; keep those a caller set
+    (None means "omitted")."""
+    popped = {k.name: knobs.pop(k.name) for k in group if k.name in knobs}
+    return {name: value for name, value in popped.items() if value is not None}
 
 
 #: Sentinel: "the caller did not choose" — consult ``REPRO_OBS``. An
@@ -166,50 +148,51 @@ def _resolve_obs(obs) -> Optional[Obs]:
     return obs
 
 
+def _plane_config(cls: type, entry, spec: WorkloadSpec, knobs: dict):
+    """The run's plane config: the config defaults, then the profile's
+    beta as ``default_beta``, then the system's registered overrides,
+    then the config fields named in ``knobs`` (popped from it)."""
+    from repro.runtime.config import resolve
+
+    return resolve(
+        cls, knobs, {"default_beta": spec.profile.beta}, entry.overrides
+    )
+
+
 def _centralized_family_kwargs(
     trace: Trace,
     policy: str,
     spec: WorkloadSpec,
     plane: str,
     speculation: str = "late",
-    epsilon: float = 0.1,
-    locality_k_percent: float = 3.0,
-    speculation_mode: Union[SpeculationMode, str, None] = None,
     straggler_model: Union[StragglerModel, str, None] = None,
     with_locality: bool = False,
     slots_per_machine: int = 4,
     run_seed: int = 7,
-    config: Optional[CentralizedConfig] = None,
     obs=_OBS_FROM_ENV,
     **knobs,
 ) -> dict:
     """Constructor kwargs shared by the centralized and batch planes.
 
-    This is the one keyword list of both builders; the blacklist and
-    autoscaler groups go through ``knobs`` to :func:`_cluster_policies`.
-    Both planes build the exact same cluster, config, and seed
-    hierarchy — the batch plane only adds *when* dispatch happens, so
-    keeping construction common here keeps the entropy streams aligned
-    between them.
+    This is the one keyword list of both builders. ``knobs`` holds the
+    :class:`~repro.centralized.config.CentralizedConfig` fields (see
+    :func:`_plane_config`) and the blacklist and autoscaler groups,
+    which go to :func:`_cluster_policies`. Both planes build the exact
+    same cluster, config, and seed hierarchy — the batch plane only adds
+    *when* dispatch happens, so keeping construction common here keeps
+    the entropy streams aligned between them.
 
     ``policy`` names a system on ``plane`` in
-    :data:`repro.registry.SYSTEMS`; string-valued ``straggler_model`` /
+    :data:`repro.registry.SYSTEMS`, whose factory builds the policy
+    from the config's ``epsilon``; string-valued ``straggler_model`` /
     ``blacklist_policy`` / ``autoscaler`` resolve through the other
-    registries. ``speculation_mode`` is a
-    :class:`~repro.centralized.config.SpeculationMode` or its value
-    string; when omitted, the system's registered default applies
-    (INTEGRATED for Hopper, BEST_EFFORT for the baselines and for
-    plain-callable registrations).
+    registries.
     """
-    from repro.centralized.config import CentralizedConfig, SpeculationMode
+    from repro.centralized.config import CentralizedConfig
     from repro.cluster.cluster import Cluster
 
     entry = registry.SYSTEMS.get(policy.lower(), plane=plane)
-    if speculation_mode is None:
-        speculation_mode = (
-            getattr(entry.factory, "speculation_mode", None) or "best_effort"
-        )
-    speculation_mode = SpeculationMode(speculation_mode)
+    config = _plane_config(CentralizedConfig, entry, spec, knobs)
     num_machines = max(1, spec.total_slots // slots_per_machine)
     cluster = Cluster(
         num_machines=num_machines, slots_per_machine=slots_per_machine
@@ -222,16 +205,9 @@ def _centralized_family_kwargs(
             num_machines=num_machines,
             random_source=RandomSource(seed=spec.seed + 1),
         )
-    if config is None:
-        config = CentralizedConfig(
-            epsilon=epsilon,
-            locality_k_percent=locality_k_percent,
-            speculation_mode=speculation_mode,
-            default_beta=spec.profile.beta,
-        )
     return dict(
         cluster=cluster,
-        policy=entry.factory(epsilon=epsilon),
+        policy=entry.factory(epsilon=config.epsilon),
         speculation=lambda: make_speculation_policy(speculation),
         trace=trace.fresh_copy(),
         straggler_model=_resolve_straggler_model(
@@ -294,54 +270,31 @@ def build_decentralized_simulator(
     system: str,
     spec: WorkloadSpec,
     speculation: str = "late",
-    probe_ratio: Optional[float] = None,
-    epsilon: Optional[float] = None,
-    refusal_threshold: int = 2,
-    num_schedulers: int = 10,
-    power_of_d: Optional[int] = None,
     straggler_model: Union[StragglerModel, str, None] = None,
     run_seed: int = 7,
-    config: Optional[DecentralizedConfig] = None,
     obs=_OBS_FROM_ENV,
     **knobs,
 ) -> DecentralizedSimulator:
     """Construct (without running) a decentralized simulator for ``trace``.
 
     ``system`` names a ``decentralized`` system in
-    :data:`repro.registry.SYSTEMS`; each entry carries the paper's
-    default probe ratio (2 for the baselines, 4 for Hopper) and
-    fairness setting, overridable per experiment. With a blacklist
-    policy the simulator evicts struck workers from the probe pool
-    mid-run (see :mod:`repro.cluster.policy`); with an autoscaler it
-    grows/shrinks the worker set mid-run (see
-    :mod:`repro.cluster.elastic`). Both knob groups go through
-    ``knobs`` to :func:`_cluster_policies`; unknown keywords raise
-    ``TypeError``. The serving driver builds through here too, then
-    primes the engine before ``run()``.
+    :data:`repro.registry.SYSTEMS`, whose registered overrides set the
+    paper's probe ratio, fairness and worker policy for it. ``knobs``
+    holds the :class:`~repro.decentralized.config.DecentralizedConfig`
+    fields (see :func:`_plane_config`) and the blacklist and autoscaler
+    groups, which go to :func:`_cluster_policies`; unknown keywords
+    raise ``TypeError``.
+    With a blacklist policy the simulator evicts struck workers from
+    the probe pool mid-run (see :mod:`repro.cluster.policy`); with an
+    autoscaler it grows/shrinks the worker set mid-run (see
+    :mod:`repro.cluster.elastic`). The serving driver builds through
+    here too, then primes the engine before ``run()``.
     """
     from repro.decentralized.config import DecentralizedConfig
     from repro.decentralized.simulator import DecentralizedSimulator
 
-    defaults = registry.SYSTEMS.get(system, plane="decentralized").factory()
-    if config is None:
-        config = DecentralizedConfig(
-            worker_policy=defaults.worker_policy,
-            probe_ratio=(
-                probe_ratio if probe_ratio is not None else defaults.probe_ratio
-            ),
-            epsilon=epsilon if epsilon is not None else defaults.epsilon,
-            refusal_threshold=refusal_threshold,
-            num_schedulers=num_schedulers,
-            default_beta=spec.profile.beta,
-            # getattr: custom registrations may hand back bare objects
-            # without the late-binding/power-of-d fields.
-            late_binding=getattr(defaults, "late_binding", False),
-            power_of_d=(
-                power_of_d
-                if power_of_d is not None
-                else getattr(defaults, "power_of_d", 1)
-            ),
-        )
+    entry = registry.SYSTEMS.get(system, plane="decentralized")
+    config = _plane_config(DecentralizedConfig, entry, spec, knobs)
     return DecentralizedSimulator(
         num_workers=spec.total_slots,
         speculation=lambda: make_speculation_policy(speculation),

@@ -12,7 +12,10 @@ Now every named thing registers here exactly once, with:
 
 * a **factory** that builds it,
 * a typed **knob schema** (name -> type / default / validator) where the
-  thing is parameterizable, and
+  thing is parameterizable — a spec kind derives the knobs its settings
+  dataclass declares from that dataclass's fields (see
+  :mod:`repro.runtime.config`), and a system carries the config fields
+  it overrides — and
 * a one-line **description** surfaced by ``python -m repro list``.
 
 ``RunSpec`` validation, the harness runners, and the CLI all resolve
@@ -60,7 +63,10 @@ Registries
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import enum
+from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
+from importlib import import_module
 from typing import (
     Any,
     Callable,
@@ -259,24 +265,97 @@ class Registry:
 @dataclass(frozen=True)
 class SpecKind:
     """One run shape: knob schema + executor. Its systems are the
-    :data:`SYSTEMS` entries on the plane of the same name."""
+    :data:`SYSTEMS` entries on the plane of the same name.
+
+    ``schema`` lists the knobs in order; a string names a field of the
+    settings class at the dotted path ``config`` (a
+    :class:`~repro.runtime.config.Settings` dataclass), whose knob is
+    derived from the field the first time the knobs are read, so the
+    settings class loads only when its kind is used.
+    """
 
     name: str
-    knobs: Mapping[str, Knob]
+    schema: Tuple[Union[str, Knob], ...]
     run: Callable[[Any], Any]  # RunSpec -> SimulationResult
     description: str = ""
+    config: Optional[str] = None
 
-    def validate_knobs(self, items: Sequence[Tuple[str, Any]]) -> None:
-        """Validate normalized ``(name, value)`` knob pairs for this kind."""
+    @cached_property
+    def settings(self) -> Optional[type]:
+        """The settings class ``config`` names, imported on first use."""
+        if self.config is None:
+            return None
+        module, _, name = self.config.rpartition(".")
+        return getattr(import_module(module), name)
+
+    @cached_property
+    def _schema_knobs(self) -> Mapping[str, Knob]:
+        """The schema's knobs; a field's knob states the field default."""
+        settings = {f.name: f for f in fields(self.settings)} if self.settings else {}
+        knobs = (
+            _settings_knob(settings[knob]) if isinstance(knob, str) else knob
+            for knob in self.schema
+        )
+        return {knob.name: knob for knob in knobs}
+
+    @property
+    def knobs(self) -> Mapping[str, Knob]:
+        """The knob schema. A field some system on this plane overrides
+        has no kind-wide default (its default is per system), so its
+        knob states ``None``; read anew, so a later registration counts."""
+        overridden = {
+            name for entry in SYSTEMS.entries(self.name) for name in entry.overrides
+        }
+        return {
+            name: replace(knob, default=None) if name in overridden else knob
+            for name, knob in self._schema_knobs.items()
+        }
+
+    def validate_knobs(
+        self, items: Sequence[Tuple[str, Any]], system: SystemEntry
+    ) -> None:
+        """Validate normalized ``(name, value)`` knob pairs for this kind,
+        then the settings ``system``'s overrides make, then those with
+        the knobs on top (cross-field checks)."""
         for key, value in items:
             try:
-                knob = self.knobs[key]
+                knob = self._schema_knobs[key]
             except KeyError:
                 raise KnobError(
                     f"unknown {self.name} knob {key!r}; "
-                    f"expected one of {sorted(self.knobs)}"
+                    f"expected one of {sorted(self._schema_knobs)}"
                 ) from None
             knob.validate(value)
+        if self.config is not None:
+            from repro.runtime.config import resolve
+
+            try:
+                resolve(self.settings, {}, system.overrides)
+            except ValueError as exc:
+                raise RegistryError(
+                    f"system {system.qualified} overrides: {exc}"
+                ) from None
+            try:
+                resolve(self.settings, dict(items), system.overrides)
+            except ValueError as exc:
+                raise KnobError(f"{self.name} knobs: {exc}") from None
+
+
+def _settings_knob(setting: Any) -> Knob:
+    """The knob of one settings field (see :mod:`repro.runtime.config`);
+    an enum field takes its members' value strings."""
+    default, check = setting.default, setting.metadata["check"]
+    knob_type, validator = type(default), check[0] if check else None
+    if isinstance(default, enum.Enum):
+        values = tuple(member.value for member in type(default))
+        knob_type, default, validator = str, default.value, values.__contains__
+    return Knob(
+        setting.name,
+        type=knob_type,
+        default=default,
+        description=setting.metadata["description"],
+        validator=validator,
+    )
 
 
 SPEC_KINDS = Registry("spec kind")
@@ -294,12 +373,15 @@ STUDIES = Registry("study")
 
 @dataclass(frozen=True)
 class SystemEntry:
-    """One registered scheduler: its plane, name, factory, description."""
+    """One registered scheduler: its plane, name, factory, description,
+    and the plane-config fields it sets (``overrides``: field name ->
+    value, an enum field by its value string)."""
 
     plane: str
     name: str
     factory: Any
     description: str = ""
+    overrides: Mapping[str, Any] = field(default_factory=dict)
 
     @property
     def qualified(self) -> str:
@@ -335,10 +417,12 @@ class SystemsTable:
         name: str,
         factory: Any,
         description: str = "",
+        overrides: Optional[Mapping[str, Any]] = None,
         replace: bool = False,
     ) -> SystemEntry:
-        """Register ``factory`` as system ``name`` on ``plane``;
-        duplicate names on one plane raise."""
+        """Register ``factory`` as system ``name`` on ``plane``, running
+        with the plane's config ``overrides``; duplicate names on one
+        plane raise."""
         systems = self._systems(plane)
         if not name or not isinstance(name, str):
             raise RegistryError(
@@ -350,7 +434,7 @@ class SystemsTable:
                 f"{plane} system {name!r} is already registered; "
                 f"pass replace=True to override"
             )
-        entry = SystemEntry(plane, name, factory, description)
+        entry = SystemEntry(plane, name, factory, description, dict(overrides or {}))
         systems[name] = entry
         return entry
 
@@ -471,7 +555,7 @@ def make_blacklist_policy(
 def make_autoscaler(name: str, **kwargs: Any):
     """Build a registered autoscaler policy (or None for ``"none"``).
 
-    Keyword knobs are the ``_AUTOSCALER_KNOBS`` group; each factory
+    Keyword knobs are the ``AUTOSCALER_KNOBS`` group; each factory
     consumes the ones it understands and ignores the rest, so callers
     may pass the whole knob group through unconditionally.
     """
@@ -486,79 +570,25 @@ def make_autoscaler(name: str, **kwargs: Any):
 # import cycles form: domain modules may import this module freely).
 # --------------------------------------------------------------------------
 
-def _fair_factory(epsilon: float = 0.1):
+# A centralized or batch system's factory builds its policy from the
+# run's fairness knob: ``factory(epsilon=...) -> CentralizedPolicy``.
+
+def _fair_factory(epsilon: float):
     from repro.centralized.policies import FairPolicy
 
     return FairPolicy()
 
 
-def _srpt_factory(epsilon: float = 0.1):
+def _srpt_factory(epsilon: float):
     from repro.centralized.policies import SRPTPolicy
 
     return SRPTPolicy()
 
 
-def _hopper_factory(epsilon: float = 0.1):
+def _hopper_factory(epsilon: float):
     from repro.centralized.policies import HopperPolicy
 
     return HopperPolicy(epsilon=epsilon)
-
-
-@dataclass(frozen=True)
-class CentralizedSystemDefaults:
-    """A centralized scheduler family member: policy factory plus the
-    speculation mode the paper runs it under by default.
-
-    Instances are callable with the legacy ``factory(epsilon=...) ->
-    CentralizedPolicy`` contract, so plain-callable registrations (and
-    any code holding ``entry.factory``) keep working; the harness
-    additionally reads ``speculation_mode`` instead of special-casing
-    system names. ``speculation_mode`` is a
-    :class:`~repro.centralized.config.SpeculationMode` value string so
-    this module never imports the simulator at import time.
-    """
-
-    make_policy: Any
-    speculation_mode: Optional[str] = None
-
-    def __call__(self, epsilon: float = 0.1):
-        return self.make_policy(epsilon=epsilon)
-
-
-@dataclass(frozen=True)
-class DecentralizedSystemDefaults:
-    """Per-system defaults the paper uses for the decentralized runs.
-
-    ``late_binding`` switches the probe protocol to Sparrow's
-    late-binding mode (probes reserve a slot; the worker pulls the
-    concrete task at execution time). ``power_of_d`` oversamples the
-    probe targets ``d``-fold and keeps the least-loaded workers;
-    ``1`` is plain uniform sampling and leaves the entropy stream
-    untouched.
-    """
-
-    worker_policy: Any
-    probe_ratio: float
-    epsilon: float
-    late_binding: bool = False
-    power_of_d: int = 1
-
-
-def _decentralized_defaults(
-    worker_policy: str, probe_ratio: float, epsilon: float, **extra: Any
-) -> Callable[[], DecentralizedSystemDefaults]:
-    """A zero-argument factory for one system's defaults; the
-    :class:`~repro.decentralized.config.WorkerPolicy` member is named
-    here and imported only when the factory runs."""
-
-    def make() -> DecentralizedSystemDefaults:
-        from repro.decentralized.config import WorkerPolicy
-
-        return DecentralizedSystemDefaults(
-            WorkerPolicy[worker_policy], probe_ratio, epsilon, **extra
-        )
-
-    return make
 
 
 @dataclass(frozen=True)
@@ -577,64 +607,69 @@ class ServingSystem:
 
 def _register_systems() -> None:
     # The centralized plane and the batch plane run the same three
-    # policies under the same default speculation modes.
-    for name, make_policy, mode, centralized_about, batch_about in (
+    # policies; Hopper coordinates speculation inside its allocation,
+    # the baselines speculate best-effort (the config default).
+    for name, make_policy, overrides, centralized_about, batch_about in (
         (
             "fair",
             _fair_factory,
-            "best_effort",
+            {},
             "max-min fair sharing across active jobs",
             "periodic rounds of max-min fair sharing",
         ),
         (
             "srpt",
             _srpt_factory,
-            "best_effort",
+            {},
             "shortest remaining processing time (speculation-blind)",
             "periodic rounds of SRPT allocation",
         ),
         (
             "hopper",
             _hopper_factory,
-            "integrated",
+            {"speculation_mode": "integrated"},
             "speculation-aware Hopper allocation (the paper's system)",
             "periodic rounds of Hopper allocation over the buffer",
         ),
     ):
-        defaults = CentralizedSystemDefaults(make_policy, mode)
-        SYSTEMS.register("centralized", name, defaults, centralized_about)
-        SYSTEMS.register("batch", name, defaults, batch_about)
+        SYSTEMS.register(
+            "centralized", name, make_policy, centralized_about, overrides
+        )
+        SYSTEMS.register("batch", name, make_policy, batch_about, overrides)
 
-    for name, defaults, description in (
+    # Decentralized systems are DecentralizedConfig overrides; the config
+    # defaults are decentralized Hopper's (d=4, epsilon=0.1).
+    sparrow = {"worker_policy": "fifo", "probe_ratio": 2.0, "epsilon": 1.0}
+    for name, overrides, description in (
         (
             "sparrow",
-            _decentralized_defaults("FIFO", 2.0, 1.0),
+            sparrow,
             "Sparrow batch sampling, FIFO worker queues (d=2)",
         ),
         (
             "sparrow-srpt",
-            _decentralized_defaults("SRPT", 2.0, 1.0),
+            {**sparrow, "worker_policy": "srpt"},
             "Sparrow with SRPT worker queues (the strong baseline)",
         ),
         (
             "hopper",
-            _decentralized_defaults("HOPPER", 4.0, 0.1),
+            {},
             "decentralized Hopper (d=4, epsilon=0.1 fairness)",
         ),
         (
             "sparrow-lb",
-            _decentralized_defaults("FIFO", 2.0, 1.0, late_binding=True),
+            {**sparrow, "late_binding": True},
             "Sparrow with late binding: probes reserve, workers pull the "
             "task at execution time",
         ),
         (
             "sparrow-po2",
-            _decentralized_defaults("FIFO", 2.0, 1.0, power_of_d=2),
+            {**sparrow, "power_of_d": 2},
             "Sparrow with power-of-2 probe sampling (oversample, keep the "
             "least-loaded)",
         ),
     ):
-        SYSTEMS.register("decentralized", name, defaults, description)
+        SYSTEMS.register("decentralized", name, None, description, overrides)
 
     SYSTEMS.register(
         "single_job",
@@ -835,11 +870,7 @@ def _no_autoscaler(**kwargs):
     return None
 
 
-def _schedule_autoscaler(
-    resize_schedule: str = "",
-    min_machines: int = 1,
-    **kwargs,
-):
+def _schedule_autoscaler(resize_schedule: str = "", **kwargs):
     from repro.cluster.elastic import ScheduleAutoscaler, parse_resize_schedule
 
     if not resize_schedule:
@@ -848,26 +879,31 @@ def _schedule_autoscaler(
             '("time:delta,..." — e.g. "30:+8,90:-8")'
         )
     return ScheduleAutoscaler(
-        parse_resize_schedule(resize_schedule), min_machines=min_machines
+        parse_resize_schedule(resize_schedule),
+        **{k: v for k, v in kwargs.items() if k == "min_machines"},
     )
 
 
-def _reactive_autoscaler(
-    scale_interval: float = 5.0,
-    scale_up_threshold: float = 0.85,
-    scale_down_threshold: float = 0.30,
-    scale_step: int = 1,
-    min_machines: int = 1,
-    **kwargs,
-):
+#: Autoscaler knob -> :class:`~repro.cluster.elastic.ReactiveAutoscaler`
+#: constructor keyword.
+_REACTIVE_KEYWORDS = {
+    "scale_interval": "interval",
+    "scale_up_threshold": "upper",
+    "scale_down_threshold": "lower",
+    "scale_step": "step",
+    "min_machines": "min_machines",
+}
+
+
+def _reactive_autoscaler(**kwargs):
     from repro.cluster.elastic import ReactiveAutoscaler
 
     return ReactiveAutoscaler(
-        interval=scale_interval,
-        upper=scale_up_threshold,
-        lower=scale_down_threshold,
-        step=scale_step,
-        min_machines=min_machines,
+        **{
+            _REACTIVE_KEYWORDS[name]: value
+            for name, value in kwargs.items()
+            if name in _REACTIVE_KEYWORDS
+        }
     )
 
 
@@ -984,10 +1020,13 @@ def _run_single_job_spec(spec):
     from repro.workload.job import make_single_phase_job
     from repro.workload.traces import Trace
 
-    knobs = {k: v for k, v in spec.knobs}
-    beta = float(knobs.get("beta", 1.4))
-    num_tasks = int(knobs.get("num_tasks", 200))
-    normalized_slots = float(knobs.get("normalized_slots", 1.0))
+    knobs = {
+        name: knob.default for name, knob in spec_kind("single_job").knobs.items()
+    }
+    knobs.update(spec.knobs)
+    beta = float(knobs["beta"])
+    num_tasks = int(knobs["num_tasks"])
+    normalized_slots = float(knobs["normalized_slots"])
     base_seed = spec.workload.seed
     repetition = spec.run_seed
 
@@ -1023,6 +1062,7 @@ def _run_single_job_spec(spec):
             learn_beta=False,
             default_beta=beta,
             epsilon=1.0,
+            speculation_mode="integrated",
             speculation_check_interval=0.25,
             preempt_speculative=False,
             max_copies_cap=6,
@@ -1062,7 +1102,7 @@ _STRAGGLER_MODEL_KNOB = Knob(
 )
 
 #: Eviction-policy knobs, shared by both simulator planes.
-_BLACKLIST_KNOBS = (
+BLACKLIST_KNOBS = (
     Knob(
         "blacklist_policy",
         type=str,
@@ -1094,7 +1134,7 @@ _BLACKLIST_KNOBS = (
 )
 
 #: Elastic-cluster knobs, shared by every simulator-backed kind.
-_AUTOSCALER_KNOBS = (
+AUTOSCALER_KNOBS = (
     Knob(
         "autoscaler",
         type=str,
@@ -1149,28 +1189,11 @@ _AUTOSCALER_KNOBS = (
 )
 
 
+#: The kinds' schemas; a string names a field of the kind's settings.
 _CENTRALIZED_KNOBS = (
-    Knob(
-        "epsilon",
-        type=float,
-        default=0.1,
-        description="Hopper fairness knob (0 = perfectly fair floors)",
-        validator=lambda v: 0.0 <= v <= 1.0,
-    ),
-    Knob(
-        "locality_k_percent",
-        type=float,
-        default=3.0,
-        description="data-locality allowance k (percent)",
-        validator=lambda v: v >= 0.0,
-    ),
-    Knob(
-        "speculation_mode",
-        type=str,
-        default=None,
-        description="integrated | best_effort | budgeted",
-        validator=lambda v: v in ("integrated", "best_effort", "budgeted"),
-    ),
+    "epsilon",
+    "locality_k_percent",
+    "speculation_mode",
     Knob(
         "with_locality",
         type=bool,
@@ -1185,53 +1208,20 @@ _CENTRALIZED_KNOBS = (
         validator=lambda v: v >= 1,
     ),
     _STRAGGLER_MODEL_KNOB,
-    *_BLACKLIST_KNOBS,
-    *_AUTOSCALER_KNOBS,
+    *BLACKLIST_KNOBS,
+    *AUTOSCALER_KNOBS,
 )
 
 _DECENTRALIZED_KNOBS = (
-    Knob(
-        "epsilon",
-        type=float,
-        default=None,
-        description="fairness knob override (default per system)",
-        validator=lambda v: 0.0 <= v <= 1.0,
-    ),
-    Knob(
-        "probe_ratio",
-        type=float,
-        default=None,
-        description="probes per task d (default 2 baseline / 4 Hopper)",
-        validator=lambda v: v > 0.0,
-    ),
-    Knob(
-        "refusal_threshold",
-        type=int,
-        default=2,
-        description="max refusals before a probe must accept",
-        validator=lambda v: v >= 0,
-    ),
-    Knob(
-        "num_schedulers",
-        type=int,
-        default=10,
-        description="independent schedulers sharing the cluster",
-        validator=lambda v: v >= 1,
-    ),
+    "epsilon",
+    "probe_ratio",
+    "refusal_threshold",
+    "num_schedulers",
     _UNTIL_KNOB,
-    Knob(
-        "power_of_d",
-        type=int,
-        default=1,
-        description=(
-            "probe-target oversampling: sample d x the probes, keep the "
-            "least-loaded (1 = plain uniform sampling)"
-        ),
-        validator=lambda v: v >= 1,
-    ),
+    "power_of_d",
     _STRAGGLER_MODEL_KNOB,
-    *_BLACKLIST_KNOBS,
-    *_AUTOSCALER_KNOBS,
+    *BLACKLIST_KNOBS,
+    *AUTOSCALER_KNOBS,
 )
 
 _BATCH_KNOBS = (
@@ -1257,34 +1247,10 @@ _SERVING_KNOBS = (
         description="arrival-process family (see ARRIVAL_PROCESSES)",
         choices=_arrival_process_names,
     ),
-    Knob(
-        "warmup",
-        type=float,
-        default=20.0,
-        description="transient truncated before measurement (virtual s)",
-        validator=lambda v: v >= 0.0,
-    ),
-    Knob(
-        "horizon",
-        type=float,
-        default=120.0,
-        description="arrival/measurement end (virtual seconds)",
-        validator=lambda v: v > 0.0,
-    ),
-    Knob(
-        "cooldown",
-        type=float,
-        default=20.0,
-        description="drain time past the horizon (virtual seconds)",
-        validator=lambda v: v >= 0.0,
-    ),
-    Knob(
-        "window",
-        type=float,
-        default=20.0,
-        description="metrics window width (virtual seconds)",
-        validator=lambda v: v > 0.0,
-    ),
+    "warmup",
+    "horizon",
+    "cooldown",
+    "window",
     Knob(
         "heavy_tail",
         type=float,
@@ -1293,7 +1259,7 @@ _SERVING_KNOBS = (
         validator=lambda v: v == 0.0 or v > 1.0,
     ),
     _STRAGGLER_MODEL_KNOB,
-    *_AUTOSCALER_KNOBS,
+    *AUTOSCALER_KNOBS,
 )
 
 _SINGLE_JOB_KNOBS = (
@@ -1321,12 +1287,15 @@ _SINGLE_JOB_KNOBS = (
 )
 
 
-def _register_kind(name, run, knobs, description, summary=None) -> None:
+def _register_kind(
+    name, run, knobs, description, summary=None, config=None
+) -> None:
     """Register one spec kind; ``summary`` is its one-line ``repro
-    list`` description when ``description`` runs long."""
+    list`` description when ``description`` runs long, and ``config``
+    is the dotted path of the settings class its string knobs name."""
     SPEC_KINDS.register(
         name,
-        SpecKind(name, {knob.name: knob for knob in knobs}, run, description),
+        SpecKind(name, knobs, run, description, config),
         description=summary or description,
     )
 
@@ -1336,12 +1305,14 @@ _register_kind(
     _run_plane_spec,
     _CENTRALIZED_KNOBS,
     "one omniscient scheduler over the whole cluster",
+    config="repro.centralized.config.CentralizedConfig",
 )
 _register_kind(
     "decentralized",
     _run_plane_spec,
     _DECENTRALIZED_KNOBS,
     "Sparrow-style probe-based schedulers (the paper's scale)",
+    config="repro.decentralized.config.DecentralizedConfig",
 )
 _register_kind(
     "batch",
@@ -1350,6 +1321,7 @@ _register_kind(
     "periodic scheduling rounds over an accumulated pending buffer "
     "(Firmament-style batch mode)",
     summary="periodic batch-mode rounds over a pending buffer",
+    config="repro.centralized.config.CentralizedConfig",
 )
 _register_kind(
     "single_job",
@@ -1365,6 +1337,7 @@ _register_kind(
     "tail metrics (workload.utilization is rho, workload.num_jobs the "
     "injection safety cap)",
     summary="open-loop heavy-traffic stream with steady-state tails",
+    config="repro.serving.windows.ServingRegime",
 )
 
 
@@ -1380,8 +1353,6 @@ __all__ = [
     "SpecKind",
     "SystemEntry",
     "SystemsTable",
-    "CentralizedSystemDefaults",
-    "DecentralizedSystemDefaults",
     "ServingSystem",
     "SPEC_KINDS",
     "SYSTEMS",

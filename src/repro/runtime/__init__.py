@@ -23,13 +23,21 @@ that logic lived twice — once in ``centralized/simulator.py`` (the old
   finish to the job's change feed.
 * :class:`repro.runtime.plane.Plane` — the base both simulators
   subclass (imported from its module, not re-exported here).
+* :class:`repro.runtime.config.PlaneConfig` — the settings both planes
+  share, on the ``Settings`` base whose fields declare their default,
+  description and check once.
 
 Everything here is semantics-preserving refactoring: the golden-digest
 tests (``tests/test_golden_results.py``) pin that simulations on the
 shared core are bit-identical to the pre-refactor simulators.
 """
 
-from repro.runtime.job import JobRuntime, LocalityJobRuntime
-from repro.runtime.lifecycle import CopyLedger
+from repro._lazy import lazy_exports
 
-__all__ = ["JobRuntime", "LocalityJobRuntime", "CopyLedger"]
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        "job": ("JobRuntime", "LocalityJobRuntime"),
+        "lifecycle": ("CopyLedger",),
+    },
+)

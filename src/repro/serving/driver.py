@@ -243,25 +243,22 @@ def run_serving(
 
 
 def run_serving_spec(spec) -> SimulationResult:
-    """Execute a ``serving``-kind :class:`~repro.sweep.spec.RunSpec`."""
-    wspec = spec.workload.to_workload_spec()
-    knobs = {key: value for key, value in spec.knobs}
-    regime = ServingRegime(
-        warmup=float(knobs.pop("warmup", ServingRegime.warmup)),
-        horizon=float(knobs.pop("horizon", ServingRegime.horizon)),
-        cooldown=float(knobs.pop("cooldown", ServingRegime.cooldown)),
-        window=float(knobs.pop("window", ServingRegime.window)),
-    )
+    """Execute a ``serving``-kind :class:`~repro.sweep.spec.RunSpec`: its
+    regime knobs build the :class:`ServingRegime`, the rest pass to
+    :func:`run_serving`. A float knob given as an int runs as a float,
+    so the result document is the same either way."""
+    from repro.runtime.config import resolve
+
+    schema = registry.spec_kind("serving").knobs
+    knobs = {k: float(v) if schema[k].type is float else v for k, v in spec.knobs}
+    regime = resolve(ServingRegime, knobs)
     descriptor = registry.SYSTEMS.get(spec.system, plane="serving").factory
     return run_serving(
-        wspec,
+        spec.workload.to_workload_spec(),
         descriptor.plane,
         descriptor.system,
         regime,
-        arrival_process=knobs.pop("arrival_process", "poisson"),
-        heavy_tail=float(knobs.pop("heavy_tail", 0.0)),
         speculation=spec.speculation,
-        straggler_model=knobs.pop("straggler_model", None),
         run_seed=spec.run_seed,
         **knobs,
     )

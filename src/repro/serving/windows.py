@@ -28,13 +28,14 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.metrics.analysis import percentile
+from repro.runtime.config import NON_NEGATIVE, POSITIVE, Settings, setting
 
 #: (label suffix, quantile) pairs every window reports.
 _PERCENTILES = (("p50", 0.50), ("p95", 0.95), ("p99", 0.99))
 
 
 @dataclass(frozen=True)
-class ServingRegime:
+class ServingRegime(Settings):
     """Time layout of one open-loop run (all virtual seconds).
 
     Arrivals stream over ``[0, horizon)``; completions are measured in
@@ -42,20 +43,24 @@ class ServingRegime:
     runs until ``horizon + cooldown`` to let in-flight jobs drain.
     """
 
-    warmup: float = 20.0
-    horizon: float = 120.0
-    cooldown: float = 20.0
-    window: float = 20.0
+    warmup: float = setting(
+        20.0, "transient truncated before measurement (virtual s)",
+        NON_NEGATIVE,
+    )
+    horizon: float = setting(
+        120.0, "arrival/measurement end (virtual seconds)", POSITIVE
+    )
+    cooldown: float = setting(
+        20.0, "drain time past the horizon (virtual seconds)", NON_NEGATIVE
+    )
+    window: float = setting(
+        20.0, "metrics window width (virtual seconds)", POSITIVE
+    )
 
     def __post_init__(self) -> None:
-        if self.warmup < 0:
-            raise ValueError("warmup must be non-negative")
+        super().__post_init__()
         if self.horizon <= self.warmup:
             raise ValueError("horizon must exceed warmup")
-        if self.cooldown < 0:
-            raise ValueError("cooldown must be non-negative")
-        if self.window <= 0:
-            raise ValueError("window must be positive")
 
     @property
     def num_windows(self) -> int:

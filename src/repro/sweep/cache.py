@@ -3,8 +3,13 @@
 Layout::
 
     .repro-cache/
-        v1.1.0/                     # version tag (invalidated on release)
+        v1.2.0-<fingerprint>/       # version tag: release + source hash
             <spec sha256>.json      # {"spec": ..., "result": ...}
+
+A spec digest covers the spec, not the code that runs it, so the version
+tag carries a fingerprint of the package source: any edit under
+``src/repro`` opens a fresh namespace, and ``repro cache prune`` drops
+the old one as stale.
 
 Entries are written atomically (tmp file + rename) so a crashed run never
 leaves a truncated document behind; unreadable entries are treated as
@@ -13,10 +18,12 @@ misses and discarded.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import tempfile
 import time
+from functools import lru_cache
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -29,11 +36,30 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 DEFAULT_CACHE_DIR = ".repro-cache"
 
 
-def default_version_tag() -> str:
-    """Cache namespace for the current code: ``v<repro.__version__>``."""
+@lru_cache(maxsize=None)
+def code_fingerprint(root: Optional[Path] = None) -> str:
+    """sha256 over the sorted relative paths and bytes of the ``*.py``
+    files under ``root`` (default: the ``repro`` package), once per
+    process."""
     import repro
 
-    return f"v{repro.__version__}"
+    root = root or Path(repro.__file__).parent
+    digest = hashlib.sha256()
+    for relative, path in sorted(
+        (path.relative_to(root).as_posix(), path) for path in root.rglob("*.py")
+    ):
+        data = path.read_bytes()
+        digest.update(f"{relative}\0{len(data)}\0".encode("utf-8"))
+        digest.update(data)
+    return digest.hexdigest()
+
+
+def default_version_tag() -> str:
+    """Cache namespace for the current code:
+    ``v<repro.__version__>-<first 16 hex digits of the code fingerprint>``."""
+    import repro
+
+    return f"v{repro.__version__}-{code_fingerprint()[:16]}"
 
 
 class ResultCache:

@@ -142,7 +142,7 @@ class RunSpec:
 
     def __post_init__(self) -> None:
         kind = _registry.spec_kind(self.kind)
-        _registry.SYSTEMS.get(self.system, plane=self.kind)
+        system = _registry.SYSTEMS.get(self.system, plane=self.kind)
         _registry.SPECULATION_POLICIES.get(self.speculation)
         items = (
             tuple(sorted(self.knobs.items()))
@@ -154,7 +154,7 @@ class RunSpec:
                 raise ValueError(
                     f"knob {key!r} must be a JSON scalar, got {value!r}"
                 )
-        kind.validate_knobs(items)
+        kind.validate_knobs(items, system)
         object.__setattr__(self, "knobs", items)
 
     # -- content addressing ----------------------------------------------------

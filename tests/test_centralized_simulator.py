@@ -41,7 +41,8 @@ def _simulate(
         speculation=speculation or (lambda: LATE()),
         trace=trace,
         straggler_model=straggler or NoStragglerModel(),
-        config=config or CentralizedConfig(epsilon=1.0),
+        config=config
+        or CentralizedConfig(epsilon=1.0, speculation_mode="integrated"),
         datastore=datastore,
         random_source=RandomSource(seed=seed),
     )
@@ -131,7 +132,7 @@ def test_no_slot_is_double_booked():
         speculation=lambda: LATE(),
         trace=trace.fresh_copy(),
         straggler_model=ParetoRedrawStragglerModel(beta=1.4),
-        config=CentralizedConfig(),
+        config=CentralizedConfig(speculation_mode="integrated"),
         random_source=RandomSource(seed=4),
     )
     sim.run()
@@ -196,7 +197,7 @@ def test_locality_penalty_slows_remote_tasks():
         speculation=lambda: NoSpeculation(),
         trace=trace,
         straggler_model=NoStragglerModel(),
-        config=CentralizedConfig(epsilon=1.0),
+        config=CentralizedConfig(epsilon=1.0, speculation_mode="integrated"),
         datastore=store,
         random_source=RandomSource(seed=6),
     )
@@ -217,7 +218,9 @@ def test_beta_is_learned_online():
         trace.fresh_copy(),
         straggler=ParetoRedrawStragglerModel(beta=1.4),
         slots=60,
-        config=CentralizedConfig(epsilon=1.0, learn_beta=True),
+        config=CentralizedConfig(
+            epsilon=1.0, learn_beta=True, speculation_mode="integrated"
+        ),
     )
     assert sim.beta_estimator.num_observations > 100
     assert 1.05 <= sim.beta_estimator.beta <= 3.0
@@ -253,7 +256,7 @@ def test_fair_policy_shares_cluster():
     trace = Trace(jobs=[job_a, job_b])
     sim, result = _simulate(
         trace, policy=FairPolicy(), slots=8,
-        config=CentralizedConfig(epsilon=1.0),
+        config=CentralizedConfig(epsilon=1.0, speculation_mode="integrated"),
     )
     durations = {r.job_id: r.duration for r in result.jobs}
     assert max(durations.values()) / min(durations.values()) < 2.5
@@ -267,7 +270,7 @@ def test_srpt_policy_prioritizes_small_job():
     trace = Trace(jobs=[big, small])
     sim, result = _simulate(
         trace, policy=SRPTPolicy(), slots=4,
-        config=CentralizedConfig(epsilon=1.0),
+        config=CentralizedConfig(epsilon=1.0, speculation_mode="integrated"),
     )
     durations = {r.job_id: r.duration for r in result.jobs}
     assert durations[0] < durations[1]
@@ -286,7 +289,7 @@ def test_speculation_fraction_in_plausible_range():
         trace.fresh_copy(),
         straggler=ParetoRedrawStragglerModel(beta=1.4),
         slots=80,
-        config=CentralizedConfig(epsilon=1.0),
+        config=CentralizedConfig(epsilon=1.0, speculation_mode="integrated"),
     )
     assert 0.01 < result.speculation_task_fraction < 0.6
 
@@ -312,7 +315,7 @@ def test_job_at_target_gets_no_speculation_scan_but_its_cache_advances():
         speculation=lambda: _RecordingLATE(calls),
         trace=trace,
         straggler_model=NoStragglerModel(),
-        config=CentralizedConfig(epsilon=1.0),
+        config=CentralizedConfig(epsilon=1.0, speculation_mode="integrated"),
         random_source=RandomSource(seed=7),
     )
     sim.run(until=1.0)

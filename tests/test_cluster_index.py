@@ -244,7 +244,7 @@ def test_index_after_simulation_run_matches_scan():
         speculation=lambda: LATE(),
         trace=trace.fresh_copy(),
         straggler_model=ParetoRedrawStragglerModel(beta=1.4),
-        config=CentralizedConfig(),
+        config=CentralizedConfig(speculation_mode="integrated"),
         random_source=RandomSource(seed=6),
     )
     simulator.run()

@@ -671,17 +671,7 @@ _WORK_SET_GRID = [
     ("centralized", "budgeted", "late", _SHRINKS),
     ("centralized", "integrated", "grass", {}),
     # No throttle: every stamp is expired at once, so no job ever leaves.
-    (
-        "centralized",
-        "integrated",
-        "late",
-        {
-            "config": CentralizedConfig(
-                spec_eval_min_interval=0.0,
-                default_beta=SPARK_FACEBOOK_PROFILE.beta,
-            )
-        },
-    ),
+    ("centralized", "integrated", "late", {"spec_eval_min_interval": 0.0}),
     ("batch", "integrated", "mantri", {}),
     ("batch", "budgeted", "grass", {"blacklist_policy": "strikes", **_SHRINKS}),
 ]
@@ -723,7 +713,7 @@ def test_dispatch_work_sets_match_scans_after_every_reschedule(
     result = sim.run()
     assert result.num_jobs == spec.num_jobs
     assert cls.reschedules > 100
-    if "config" in knobs:
+    if "spec_eval_min_interval" in knobs:
         assert cls.skipped == 0  # unthrottled: every visit restamps
         assert cls.parked == 0  # ditto: no stamp is ever unexpired
     else:

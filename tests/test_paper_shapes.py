@@ -262,7 +262,10 @@ def _mean_job_duration(trace, spec, force_regime=None):
         trace=trace.fresh_copy(),
         straggler_model=default_straggler_model(spec.profile),
         config=CentralizedConfig(
-            epsilon=0.1, learn_beta=True, default_beta=spec.profile.beta
+            epsilon=0.1,
+            learn_beta=True,
+            default_beta=spec.profile.beta,
+            speculation_mode="integrated",
         ),
         random_source=RandomSource(seed=7),
     )

@@ -1,10 +1,14 @@
 """Tests for repro.registry: lookup errors, knob schemas, pluggability,
 and CLI agreement with registry contents."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro import registry
 from repro.cli import main
+from repro.metrics.serialize import result_to_dict
 from repro.speculation import make_speculation_policy
 from repro.stragglers import make_straggler_model
 from repro.stragglers.model import NoStragglerModel, ParetoRedrawStragglerModel
@@ -448,7 +452,7 @@ KNOB_SCHEMAS = {
         ("refusal_threshold", "int", 2),
         ("num_schedulers", "int", 10),
         ("until", "float", None),
-        ("power_of_d", "int", 1),
+        ("power_of_d", "int", None),
         ("straggler_model", "str", "pareto-redraw"),
         *_BLACKLIST_SCHEMA,
         *_AUTOSCALER_SCHEMA,
@@ -488,6 +492,103 @@ def test_spec_kind_knob_schemas_are_pinned():
     # Sharing the `until` knob must not leak it into the centralized kind.
     with pytest.raises(registry.KnobError, match="until"):
         RunSpec("centralized", "hopper", TINY, knobs={"until": 5.0})
+
+
+@pytest.mark.parametrize(
+    "kind,system,knobs,message",
+    [
+        ("decentralized", "hopper", {"probe_ratio": 0.5}, "probe_ratio"),
+        ("centralized", "hopper", {"locality_k_percent": 150.0},
+         "locality_k_percent"),
+        ("serving", "hopper", {"horizon": 10.0}, "horizon"),
+    ],
+    ids=["probe_ratio", "locality_k_percent", "horizon-below-warmup"],
+)
+def test_spec_rejects_a_setting_its_config_rejects(kind, system, knobs, message):
+    """A knob value the run's config would refuse fails when the spec is
+    built, not when it runs: each config field's check is the knob's."""
+    with pytest.raises(ValueError, match=message):
+        RunSpec(kind, system, TINY, knobs=knobs)
+
+
+@pytest.mark.parametrize(
+    "overrides,message",
+    [
+        ({"probe_ratio": 0.5}, "probe_ratio must be >= 1"),
+        ({"probe_raito": 2.0}, "has no field probe_raito"),
+    ],
+    ids=["out-of-range", "misspelled"],
+)
+def test_spec_rejects_a_system_whose_overrides_its_config_rejects(
+    overrides, message
+):
+    """A registered system's overrides are checked against the plane
+    config when a spec names it, not when the spec runs."""
+    registry.SYSTEMS.register(
+        "decentralized", "test-bad-overrides", None, overrides=overrides
+    )
+    try:
+        with pytest.raises(registry.RegistryError, match=message):
+            RunSpec("decentralized", "test-bad-overrides", TINY)
+    finally:
+        registry.SYSTEMS.unregister("decentralized", "test-bad-overrides")
+
+
+def test_stated_knob_default_follows_a_later_registration():
+    """A system registered after the schema was first read still clears
+    the kind-wide default of the field it overrides."""
+    kind = registry.spec_kind("decentralized")
+    assert kind.knobs["refusal_threshold"].default is not None
+    registry.SYSTEMS.register(
+        "decentralized", "test-refusal", None, overrides={"refusal_threshold": 3}
+    )
+    try:
+        assert kind.knobs["refusal_threshold"].default is None
+    finally:
+        registry.SYSTEMS.unregister("decentralized", "test-refusal")
+    assert kind.knobs["refusal_threshold"].default is not None
+
+
+def _result_digest(spec: RunSpec) -> str:
+    document = json.dumps(result_to_dict(spec.execute()), sort_keys=True)
+    return hashlib.sha256(document.encode("utf-8")).hexdigest()
+
+
+#: The eviction and elastic groups, switched on so their knobs apply.
+_POLICY_GROUPS = {"blacklist_policy": "strikes", "autoscaler": "reactive"}
+
+
+def _default_cases():
+    """(kind, policy-group knobs): every kind with the groups off, and
+    each kind that has policy groups with them on."""
+    for kind in registry.SPEC_KINDS.names():
+        yield pytest.param(kind, {}, id=f"{kind}-off")
+        knobs = registry.spec_kind(kind).knobs
+        on = {k: v for k, v in _POLICY_GROUPS.items() if k in knobs}
+        if on:
+            yield pytest.param(kind, on, id=f"{kind}-groups-on")
+
+
+@pytest.mark.parametrize("kind,groups", list(_default_cases()))
+def test_stated_knob_default_is_the_applied_default(kind, groups):
+    """Every knob with a kind-wide default runs, for every system on the
+    kind, exactly as if it were omitted. With the policy groups on, a
+    flaky-machine straggler model makes the strike knobs bite."""
+    knobs = registry.spec_kind(kind).knobs
+    base = dict(groups)
+    if base:
+        base["straggler_model"] = "machine-correlated"
+    mismatches = []
+    for entry in registry.SYSTEMS.entries(kind):
+        reference = _result_digest(RunSpec(kind, entry.name, TINY, knobs=base))
+        for knob in knobs.values():
+            if knob.default is None or knob.name in base:
+                continue
+            spelled = {**base, knob.name: knob.default}
+            spec = RunSpec(kind, entry.name, TINY, knobs=spelled)
+            if _result_digest(spec) != reference:
+                mismatches.append(f"{entry.qualified} {knob.name}={knob.default!r}")
+    assert mismatches == []
 
 
 # -- plane-tagged systems table ---------------------------------------------

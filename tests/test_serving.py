@@ -369,6 +369,22 @@ def test_serving_run_spec_executes_through_the_registry():
     assert result.serving["measured_jobs"] > 0
 
 
+def test_serving_spec_runs_int_float_knobs_as_floats():
+    """A float knob spelled as an int gives the same result document."""
+    workload = WorkloadParams(
+        profile="spark-facebook", num_jobs=40, total_slots=20, seed=4
+    )
+    as_ints = {"warmup": 5, "horizon": 30, "cooldown": 5, "window": 5,
+               "heavy_tail": 2}
+    results = [
+        result_to_dict(
+            RunSpec("serving", "hopper", workload, knobs=knobs).execute()
+        )
+        for knobs in (as_ints, {k: float(v) for k, v in as_ints.items()})
+    ]
+    assert json.dumps(results[0]) == json.dumps(results[1])
+
+
 def test_heavy_tail_knob_reaches_the_stream():
     spec = RunSpec(
         "serving",

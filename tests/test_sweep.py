@@ -388,6 +388,47 @@ def test_cache_is_keyed_by_version_tag(tmp_path):
     assert ResultCache(root=tmp_path, version_tag="v2").get(spec) is None
 
 
+def test_cache_entry_misses_under_another_code_fingerprint(
+    tmp_path, monkeypatch
+):
+    """A result cached by one version of the code is stale for another:
+    the default namespace carries a fingerprint of the package source."""
+    from repro.sweep import cache as cache_module
+
+    spec = RunSpec("decentralized", "hopper", TINY)
+    result = spec.execute()
+    monkeypatch.setattr(cache_module, "code_fingerprint", lambda: "a" * 64)
+    old = ResultCache(root=tmp_path)
+    old.put(spec, result)
+    assert old.get(spec) == result
+    monkeypatch.setattr(cache_module, "code_fingerprint", lambda: "b" * 64)
+    new = ResultCache(root=tmp_path)
+    assert new.version_tag != old.version_tag
+    assert new.get(spec) is None
+    assert [row["current"] for row in new.stats()] == [False]
+    assert new.prune()[0] == 1
+    assert not old.directory.exists()
+
+
+def test_code_fingerprint_moves_with_a_one_byte_source_edit(tmp_path):
+    import shutil
+    from pathlib import Path
+
+    import repro
+    from repro.sweep.cache import code_fingerprint
+
+    copy = tmp_path / "repro"
+    shutil.copytree(
+        Path(repro.__file__).parent,
+        copy,
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    assert code_fingerprint(copy) == code_fingerprint()
+    target = copy / "core" / "virtual_size.py"
+    target.write_bytes(target.read_bytes() + b" ")
+    assert code_fingerprint.__wrapped__(copy) != code_fingerprint()
+
+
 def test_cache_discards_corrupt_entries(tmp_path):
     cache = ResultCache(root=tmp_path)
     spec = RunSpec("decentralized", "hopper", TINY)
